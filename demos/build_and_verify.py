@@ -29,7 +29,7 @@ def main():
         f"alpha {report.alpha_predicted:.4f}"
     )
 
-    link = realize_torus(spec, n_points=800)   # raises OverlapError if unsound
+    link = realize_torus(spec, n_points=800)   # raises OverlapError unless verified
     metrics = measure_link(link)
     print(
         f"Measured:  length {metrics.total_length:.4f}, "

@@ -33,7 +33,6 @@ from .construct import (
 from .curves import (
     PolyCurve,
     min_curvature_radius,
-    polyline_metrics,
     rotation_about_axis,
     sample_cylindrical_helix,
     sample_planar_curve,
@@ -114,7 +113,6 @@ __all__ = [
     "pair_min_distance",
     "parallel_map",
     "perpendicular_variant",
-    "polyline_metrics",
     "realize_torus",
     "reverse_jenga",
     "rotation_about_axis",

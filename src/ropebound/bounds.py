@@ -120,19 +120,6 @@ def lower_bound_report(p: int, q: int) -> BoundsReport:
     )
 
 
-def _alpha_w(p: int, q: float) -> float:
-    """alpha_w evaluated with the ceiling intact (q may be huge)."""
-    n = p * (q - 1)
-    ceil_term = math.ceil(math.sqrt(12.0 * n - 3.0) - 3.0 - 1e-12)
-    inner = (
-        math.sqrt(12.0) * (n - 1)
-        + (2.0 - math.sqrt(3.0)) * ceil_term
-        + math.pi
-    )
-    weg = q * (2.0 * math.pi + math.sqrt(4.0 * math.pi * inner))
-    return weg / (p * q * (q - 1)) ** 0.75
-
-
 def asymptotic_coefficients(p: int) -> dict:
     """Large-Q limits of the coefficient alpha = L / C^(3/4).
 
@@ -149,7 +136,8 @@ def asymptotic_coefficients(p: int) -> dict:
 
     qs = [int(round(10 ** e)) for e in (4.0, 4.5, 5.0, 5.5, 6.0)]
     x = [1.0 / math.sqrt(q) for q in qs]
-    y = [(_alpha_w(p, q) - alpha_w_limit) * math.sqrt(q) for q in qs]
+    y = [(lower_bound_report(p, q).alpha_w - alpha_w_limit) * math.sqrt(q)
+         for q in qs]
     # least-squares line y = s + d*x; report the intercept s
     nq = len(qs)
     sx, sy = sum(x), sum(y)

@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__
 from .bounds import asymptotic_coefficients, lower_bound_report
 from .construct import (
-    OverlapError,
     build_increment_spec,
     build_optimal_spec,
     build_planar_link,
@@ -34,7 +33,7 @@ from .construct import (
 from .helices import toroidal_correction
 from .io_formats import FormatError, export_geometry, import_geometry
 from .linking import linking_matrix
-from .measure import measure_link
+from .measure import measure_link, verify
 from .optimize import OptimizationProblem, minimize_params
 from .parallel import parallel_map
 
@@ -56,8 +55,6 @@ class RunConfig:
 
     subcommand: str
     flags: dict = field(default_factory=dict)
-    points_per_component: int = 1000
-    overlap_tolerance: float = 0.01
     random_seed: int = 0
 
     def header(self) -> dict:
@@ -123,8 +120,6 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(
         subcommand=args.subcommand,
         flags=flags,
-        points_per_component=getattr(args, "points", 1000),
-        overlap_tolerance=getattr(args, "tolerance", 0.01),
         random_seed=getattr(args, "seed", 0),
     )
 
@@ -142,23 +137,6 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _verify_metrics(metrics, tolerance: float, absolute: bool) -> dict:
-    """Pass/fail verdicts: absolute builds must keep clearance 2 and unit
-    curvature radius (tube-radius units); scale-free builds must merely be
-    embeddable (positive clearance)."""
-    if absolute:
-        checks = {
-            "min_distance_ok": bool(
-                metrics.min_overall_distance >= 2.0 - tolerance
-            ),
-            "curvature_ok": bool(metrics.min_curvature_radius >= 1.0 - tolerance),
-        }
-    else:
-        checks = {"embeddable": bool(metrics.min_overall_distance > 0.0)}
-    checks["passed"] = all(checks.values())
-    return checks
-
-
 def cmd_build(args) -> int:
     config = _config_from_args(args)
     method = args.method
@@ -174,21 +152,12 @@ def cmd_build(args) -> int:
             spec = replace(spec, p=args.p)
         report = construction_report(spec, doubled=args.double, mirrored=args.mirror)
         payload["construction"] = report.as_dict()
-        try:
-            if args.double:
-                link = donut_double(
-                    spec, mirror=args.mirror, n_points=args.points,
-                    check=not args.no_check, tolerance=args.tolerance,
-                )
-            else:
-                link = realize_torus(
-                    spec, n_points=args.points,
-                    check=not args.no_check, tolerance=args.tolerance,
-                )
-        except OverlapError as exc:
-            payload["error"] = str(exc)
-            _emit(payload, args.report)
-            return 1
+        if args.double:
+            link = donut_double(
+                spec, mirror=args.mirror, n_points=args.points, check=False
+            )
+        else:
+            link = realize_torus(spec, n_points=args.points, check=False)
         absolute = True
     elif method in PLANAR_METHODS:
         if args.q is None:
@@ -208,7 +177,7 @@ def cmd_build(args) -> int:
                 "evaluations": result["evaluations"],
             }
         link = build_planar_link(
-            args.q, method, params, n_points=args.points, check=not args.no_check
+            args.q, method, params, n_points=args.points, check=False
         )
         absolute = False
     else:
@@ -217,9 +186,7 @@ def cmd_build(args) -> int:
     metrics = measure_link(link)
     payload["metrics"] = metrics.as_dict()
     if not args.no_check:
-        payload["verification"] = _verify_metrics(
-            metrics, args.tolerance, absolute
-        )
+        payload["verification"] = verify(metrics, absolute, args.tolerance)
     if args.out:
         export_geometry(link, args.format, args.out)
         payload["geometry"] = args.out
@@ -239,7 +206,7 @@ def cmd_check(args) -> int:
         "components": link.n_components,
         "metrics": metrics.as_dict(),
         "linking_matrix": linking_matrix(link.components).tolist(),
-        "verification": _verify_metrics(metrics, args.tolerance, absolute=True),
+        "verification": verify(metrics, tolerance=args.tolerance),
     }
     _emit(payload, args.out)
     return 0 if payload["verification"]["passed"] else 1
@@ -497,7 +464,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FormatError, OverlapError, OSError) as exc:
+    except (ValueError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,6 +21,12 @@ Planar builds place q convex loops (circles or flattened "gibbous" ovals)
 evenly around an axis, each displaced outward and tilted so consecutive loops
 thread one another; hybrid_square threads q-1 gibbous loops through a central
 rounded square instead.
+
+Every constructor takes `check`: when true (the default) the finished
+configuration is measured and passed through `measure.verify` (absolute
+clearance 2 and curvature radius 1 for tori; for the scale-free planar
+families, components that do not touch), and a failed verdict raises
+OverlapError.
 """
 
 from __future__ import annotations
@@ -31,13 +37,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .curves import rotation_about_axis, sample_planar_curve, sample_toroidal_helix
-from .distances import mutual_min_distance
+# Not called here; kept because perfbench/tracing.py wraps this attribute.
+from .distances import mutual_min_distance  # noqa: F401
 from .helices import (
     aggregate_correction,
     max_helices,
     toroidal_correction,
 )
-from .measure import LinkConfiguration
+from .measure import LinkConfiguration, measure_link, verify
 
 __all__ = [
     "OverlapError",
@@ -57,7 +64,22 @@ __all__ = [
 
 
 class OverlapError(RuntimeError):
-    """Raised when a realized configuration violates the clearance it claims."""
+    """Raised when a configuration built with check=True fails verification."""
+
+
+def _checked(config: LinkConfiguration, absolute: bool) -> LinkConfiguration:
+    """Return `config` if its measured metrics pass `verify`, else raise
+    OverlapError naming the failed checks and the measured values."""
+    metrics = measure_link(config)
+    checks = verify(metrics, absolute=absolute)
+    if not checks["passed"]:
+        failed = ", ".join(k for k, ok in checks.items() if k != "passed" and not ok)
+        raise OverlapError(
+            f"{config.description} fails verification ({failed}): clearance "
+            f"{metrics.min_overall_distance:.6f}, curvature radius "
+            f"{metrics.min_curvature_radius:.6f}"
+        )
+    return config
 
 
 @dataclass(frozen=True)
@@ -286,13 +308,15 @@ def realize_torus(
     spec: TorusSpec,
     n_points: int = 1000,
     check: bool = True,
-    tolerance: float = 0.01,
 ) -> LinkConfiguration:
     """Sample every component of a torus spec as polygonal curves.
 
     Components are ordered core first, then shells inside out, helices by
-    phase index.  With check=True the pairwise component clearance is
-    verified: minimum distance < 2 - tolerance raises OverlapError.
+    phase index.  With check=True the link is measured and verified as a
+    unit-tube embedding (`measure.verify`, absolute, default tolerance 0.01:
+    clearance >= 1.99 within and between components, curvature radius
+    >= 0.99); a failure raises OverlapError.  Callers that measure the link
+    themselves pass check=False.
     """
     comps = []
     if spec.has_core:
@@ -316,13 +340,7 @@ def realize_torus(
         description=f"torus link of {spec.q} components, p={spec.p}",
         metadata={"family": "torus", "doubled": False, "spec": spec.as_dict()},
     )
-    if check and len(comps) > 1:
-        d = mutual_min_distance(comps)
-        if d < 2.0 - tolerance:
-            raise OverlapError(
-                f"realized component clearance {d:.6f} violates 2 - {tolerance}"
-            )
-    return config
+    return _checked(config, absolute=True) if check else config
 
 
 def inflate_for_doubling(spec: TorusSpec) -> tuple:
@@ -344,7 +362,6 @@ def donut_double(
     mirror: bool = False,
     n_points: int = 1000,
     check: bool = True,
-    tolerance: float = 0.01,
 ) -> LinkConfiguration:
     """Thread a second congruent copy of the torus through the first's hole.
 
@@ -353,6 +370,7 @@ def donut_double(
     the first torus' hole at constant clearance; mirror=True reflects the
     second copy through the xy plane first, producing the opposite-chirality
     variant.  Components are copy 1 then copy 2, in realize_torus order.
+    check=True verifies the doubled link as realize_torus does.
     """
     inflated, inflation = inflate_for_doubling(spec)
     first = realize_torus(inflated, n_points=n_points, check=False)
@@ -373,13 +391,7 @@ def donut_double(
             "spec": inflated.as_dict(),
         },
     )
-    if check:
-        d = mutual_min_distance(config.components)
-        if d < 2.0 - tolerance:
-            raise OverlapError(
-                f"doubled configuration clearance {d:.6f} violates 2 - {tolerance}"
-            )
-    return config
+    return _checked(config, absolute=True) if check else config
 
 
 _PLANAR_DEFAULTS = {
@@ -409,9 +421,10 @@ def build_planar_link(
     and tilted by psi about the radial direction.  Families: "circles"
     (params radius, rho, psi), "gibbous" (gamma, delta, rho, psi), and
     "hybrid_square" (q-1 gibbous loops around a central rounded square in the
-    xy plane; adds square_scale, square_flat_fraction).  check=True rejects
-    configurations whose components touch (they cannot be thickened at all);
-    clearance scaling is otherwise left to normalization.
+    xy plane; adds square_scale, square_flat_fraction).  check=True raises
+    OverlapError unless `measure.verify` finds the link embeddable (no two
+    components touch; a touching link cannot be thickened at all); clearance
+    scaling is otherwise left to normalization.
     """
     if q < 2:
         raise ValueError(f"need q >= 2 components, got {q}")
@@ -465,11 +478,7 @@ def build_planar_link(
         description=f"planar {family} link of {q} components",
         metadata={"family": family, "q": q, "params": merged},
     )
-    if check:
-        d = mutual_min_distance(comps)
-        if d < 1e-9:
-            raise OverlapError("components intersect; the link cannot be thickened")
-    return config
+    return _checked(config, absolute=False) if check else config
 
 
 def limiting_alpha(method: str, corrected: bool = False) -> float:

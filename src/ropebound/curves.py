@@ -17,7 +17,6 @@ __all__ = [
     "sample_toroidal_helix",
     "sample_cylindrical_helix",
     "sample_planar_curve",
-    "polyline_metrics",
     "rotation_about_axis",
 ]
 
@@ -36,6 +35,8 @@ class PolyCurve:
         minimum = 3 if self.closed else 2
         if v.shape[0] < minimum:
             raise ValueError(f"need at least {minimum} vertices, got {v.shape[0]}")
+        if not np.isfinite(v).all():
+            raise ValueError("vertices must be finite (got NaN or infinity)")
         self.vertices = v
         if self.segment_lengths().min() <= 0.0:
             raise ValueError("consecutive vertices must be distinct")
@@ -255,20 +256,12 @@ def sample_planar_curve(
     return PolyCurve(xyz, closed=True)
 
 
-def polyline_metrics(curve: PolyCurve) -> dict:
-    """Arc length and minimal three-point circumradius of a polygonal curve.
+def min_curvature_radius(curve: PolyCurve) -> float:
+    """Minimal three-point circumradius of a polygonal curve.
 
     The circumradius through consecutive vertex triples is the discrete
-    curvature radius; collinear triples contribute +inf.  Returns
-    {"length": float, "min_curvature_radius": float}.
+    curvature radius; collinear triples contribute +inf.
     """
-    return {
-        "length": curve.length(),
-        "min_curvature_radius": min_curvature_radius(curve),
-    }
-
-
-def min_curvature_radius(curve: PolyCurve) -> float:
     v = curve.vertices
     if curve.closed:
         a, b, c = v, np.roll(v, -1, axis=0), np.roll(v, -2, axis=0)

@@ -304,19 +304,6 @@ def _certified_min(
     raise RuntimeError("distance search failed to certify")  # pragma: no cover
 
 
-def _auto_arc_windows(curves, skip_window):
-    """Arc-length exclusion for self distances: pairs closer along the curve
-    than pi times the component's minimal curvature radius are local (their
-    chord is controlled by curvature, not by tube-tube contact)."""
-    from .curves import min_curvature_radius
-
-    out = np.empty(len(curves))
-    for k, c in enumerate(curves):
-        rho = min_curvature_radius(c)
-        out[k] = np.pi * rho if np.isfinite(rho) else np.inf
-    return out
-
-
 def min_distance(a: PolyCurve, b: PolyCurve) -> float:
     """Exact minimum distance between two polygonal curves."""
     return _certified_min([a, b], inter=True, intra=False)
@@ -329,8 +316,8 @@ def min_self_distance(
 
     Pairs within `skip_window` segments along the curve are always excluded
     (adjacent segments share a vertex).  `arc_window` additionally excludes
-    pairs closer than that arc length along the curve; pass "auto" behaviour
-    by leaving it None in measure_link, which uses pi * min curvature radius.
+    pairs closer than that arc length along the curve; measure_link passes
+    pi times the curve's minimal curvature radius.
     """
     if skip_window < 1:
         raise ValueError("skip_window must be >= 1")

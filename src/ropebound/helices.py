@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,7 +27,6 @@ from scipy.optimize import minimize_scalar
 
 __all__ = [
     "EPSILON_SAFE",
-    "HelixShellProblem",
     "helix_count_estimate",
     "pair_min_distance",
     "max_helices",
@@ -40,30 +38,6 @@ __all__ = [
 # Largest safety decrement that still packs 6 helices at r=2 in the tall
 # limit, where the estimate N_a approaches 2*pi but the true maximum is 6.
 EPSILON_SAFE = 2.0 * math.pi - 6.0
-
-
-@dataclass
-class HelixShellProblem:
-    """One shell: radius r, hole radius h, candidate count n, offset, epsilon."""
-
-    r: float
-    h: float
-    n: int = 2
-    theta_delta: float = 0.0
-    epsilon: float = EPSILON_SAFE
-
-    def __post_init__(self):
-        if self.r < 2.0:
-            raise ValueError(f"shell radius must be >= 2, got {self.r}")
-        if self.h <= 0.0:
-            raise ValueError(f"hole radius must be positive, got {self.h}")
-        if self.n < 1:
-            raise ValueError(f"helix count must be >= 1, got {self.n}")
-        if not -math.pi <= self.theta_delta <= math.pi:
-            raise ValueError("theta_delta must lie in [-pi, pi]")
-
-    def min_distance(self) -> dict:
-        return pair_min_distance(self.n, self.r, self.h)
 
 
 def helix_count_estimate(r: float, h: float) -> float:

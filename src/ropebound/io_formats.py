@@ -37,6 +37,15 @@ def _require(cond: bool, path: str, line: int, message: str):
         raise FormatError(f"{path}:{line}: {message}")
 
 
+def _curve(vertices, closed: bool, path: str, line: int, k: int) -> PolyCurve:
+    """PolyCurve of one parsed component; its rejections become diagnostics
+    at the component's first line."""
+    try:
+        return PolyCurve(vertices, closed=closed)
+    except ValueError as exc:
+        raise FormatError(f"{path}:{line}: component {k}: {exc}")
+
+
 def _to_vect(link: LinkConfiguration) -> str:
     comps = link.components
     lines = ["VECT"]
@@ -79,8 +88,9 @@ def _from_vect(text: str, path: str) -> LinkConfiguration:
         n = abs(count)
         _require(n >= 2, path, 3, f"component {k} has fewer than 2 vertices")
         verts = np.empty((n, 3))
+        first = row + 1
         for i in range(n):
-            _require(row < len(lines) + 1 and row <= len(lines), path, row + 1,
+            _require(row < len(lines), path, row + 1,
                      "unexpected end of file inside vertex block")
             fields = lines[row].split()
             _require(len(fields) == 3, path, row + 1,
@@ -96,7 +106,7 @@ def _from_vect(text: str, path: str) -> LinkConfiguration:
                     f"{path}:{row + 1}:{col}: non-numeric coordinate ({exc})"
                 )
             row += 1
-        comps.append(PolyCurve(verts, closed=count < 0))
+        comps.append(_curve(verts, count < 0, path, first, k))
     return LinkConfiguration(comps, description=os.path.basename(path))
 
 
@@ -139,13 +149,14 @@ def _from_csv(text: str, path: str) -> LinkConfiguration:
                 (j for j, v in enumerate(fields[2:]) if not _is_float(v)), 0
             )
             raise FormatError(f"{path}:{idx}:{col}: non-numeric coordinate")
-        by_comp.setdefault(comp, []).append((vert, xyz))
+        by_comp.setdefault(comp, []).append((vert, xyz, idx))
     comps = []
     for k in sorted(by_comp):
         rows = sorted(by_comp[k])
         _require([r[0] for r in rows] == list(range(len(rows))), path, 1,
                  f"component {k} vertex indices are not 0..n-1")
-        comps.append(PolyCurve(np.array([r[1] for r in rows])))
+        first = min(r[2] for r in rows)
+        comps.append(_curve(np.array([r[1] for r in rows]), True, path, first, k))
     return LinkConfiguration(comps, description=os.path.basename(path))
 
 
@@ -196,7 +207,7 @@ def _from_json(text: str, path: str) -> LinkConfiguration:
             raise FormatError(f"{path}:1: component {k} has malformed vertices")
         _require(verts.ndim == 2 and verts.shape[1] == 3, path, 1,
                  f"component {k} vertices are not Nx3")
-        comps.append(PolyCurve(verts, closed=bool(entry.get("closed", True))))
+        comps.append(_curve(verts, bool(entry.get("closed", True)), path, 1, k))
     return LinkConfiguration(
         comps,
         crossing_number=payload.get("crossing_number"),

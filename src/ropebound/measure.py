@@ -6,6 +6,8 @@ component keeps that same clearance from itself away from local neighbours,
 and no centreline bends tighter than the tube radius (1 unit).  The
 normalized ropelength rescales the total centreline length by the worst
 violation, so it is invariant under uniform scaling and rigid motions.
+`verify` is the one place that decides whether measured metrics describe such
+an embedding.
 """
 
 from __future__ import annotations
@@ -15,9 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import PolyCurve, min_curvature_radius
-from .distances import _auto_arc_windows, _certified_min, mutual_min_distance
+from .distances import _certified_min, mutual_min_distance
 
-__all__ = ["LinkConfiguration", "LinkMetrics", "measure_link"]
+__all__ = ["LinkConfiguration", "LinkMetrics", "measure_link", "verify"]
+
+# A scale-free link is touching when its clearance is below this fraction of
+# its total length.  Loops that cross each other measure ~1e-32 apart rather
+# than 0, and anything this thin would normalize to a length above 1e9.
+_TOUCH_FRACTION = 1e-9
 
 
 @dataclass
@@ -93,17 +100,18 @@ def measure_link(config, skip_window: int = 5) -> LinkMetrics:
     comps = config.components
 
     total_length = config.total_length()
-    rho = min(min_curvature_radius(c) for c in comps)
+    radii = [min_curvature_radius(c) for c in comps]
+    rho = min(radii)
 
     min_inter = mutual_min_distance(comps) if len(comps) > 1 else np.inf
     min_self = np.inf
-    for c in comps:
-        arc_windows = _auto_arc_windows([c], skip_window)
+    for c, r in zip(comps, radii):
+        arc_window = np.pi * r if np.isfinite(r) else np.inf
         min_self = min(
             min_self,
             _certified_min(
                 [c], inter=False, intra=True, skip_window=skip_window,
-                arc_windows=arc_windows,
+                arc_windows=np.array([arc_window]),
             ),
         )
     min_overall = min(min_inter, min_self)
@@ -130,3 +138,33 @@ def measure_link(config, skip_window: int = 5) -> LinkMetrics:
         length_per_crossing=lpc,
         alpha=alpha,
     )
+
+
+def verify(
+    metrics: LinkMetrics, absolute: bool = True, tolerance: float = 0.01
+) -> dict:
+    """Pass/fail verdicts of measured metrics.
+
+    Absolute configurations (tori, files being checked) must keep clearance
+    2 and curvature radius 1 in tube-radius units, each up to `tolerance`.
+    Scale-free ones (planar families, optimizer candidates) must merely be
+    embeddable: clearance above _TOUCH_FRACTION of the total length, since
+    normalization rescales the rest.  "passed" is the conjunction of the
+    individual checks.
+    """
+    if absolute:
+        checks = {
+            "min_distance_ok": bool(
+                metrics.min_overall_distance >= 2.0 - tolerance
+            ),
+            "curvature_ok": bool(metrics.min_curvature_radius >= 1.0 - tolerance),
+        }
+    else:
+        checks = {
+            "embeddable": bool(
+                metrics.min_overall_distance
+                > _TOUCH_FRACTION * metrics.total_length
+            )
+        }
+    checks["passed"] = all(checks.values())
+    return checks

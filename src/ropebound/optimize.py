@@ -31,7 +31,7 @@ from .construct import (
 )
 from .curves import rotation_about_axis, sample_planar_curve
 from .helices import max_helices
-from .measure import LinkConfiguration, measure_link
+from .measure import LinkConfiguration, measure_link, verify
 
 __all__ = [
     "OptimizationProblem",
@@ -85,7 +85,7 @@ def normalized_ropelength(link) -> float:
     except Exception:
         return np.inf
     value = metrics.normalized_length
-    if not np.isfinite(value) or metrics.min_overall_distance <= 0.0:
+    if not np.isfinite(value) or not verify(metrics, absolute=False)["passed"]:
         return np.inf
     return float(value)
 

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ropebound import distances
 from ropebound.cli import main
 from ropebound.curves import rotation_about_axis, sample_planar_curve
 from ropebound.helices import toroidal_correction
@@ -96,6 +97,53 @@ def test_build_increment_report(capsys, tmp_path):
     assert check["components"] == 5
     lm = np.array(check["linking_matrix"])
     assert np.all(np.abs(lm[np.triu_indices(5, 1)]) == 1)
+
+
+def test_build_failing_verification_reports_metrics(capsys, tmp_path):
+    # a negative tolerance demands clearance 2.5, which no tight torus has
+    geom = tmp_path / "link.vect"
+    code, payload = _run_json(
+        capsys,
+        ["build", "inc4", "--t", "1", "--points", "200", "--tolerance", "-0.5",
+         "--out", str(geom)],
+    )
+    assert code == 1
+    assert payload["verification"]["min_distance_ok"] is False
+    assert payload["verification"]["passed"] is False
+    assert payload["metrics"]["min_overall_distance"] < 2.5
+    assert "error" not in payload
+    assert geom.exists()
+
+
+def test_build_searches_component_clearance_once(capsys, monkeypatch):
+    calls = []
+    certified_min = distances._certified_min
+
+    def counting(curves, *args, **kwargs):
+        calls.append(len(curves))
+        return certified_min(curves, *args, **kwargs)
+
+    monkeypatch.setattr(distances, "_certified_min", counting)
+    assert main(["build", "inc4", "--t", "1", "--points", "200"]) == 0
+    capsys.readouterr()
+    assert calls == [5]
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("truncated.vect", "VECT\n1 3 0\n-3\n0\n0 0 0\n1 0 0\n"),
+        ("nan.csv", "component,vertex,x,y,z\n0,0,0,0,0\n0,1,1,nan,0\n0,2,0,1,0\n"),
+    ],
+    ids=["truncated-vect", "nan-csv"],
+)
+def test_check_malformed_input_exits_2(capsys, tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
 
 
 def test_build_requires_shell_count():

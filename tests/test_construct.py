@@ -151,7 +151,7 @@ def test_realized_components_all_pairwise_linked():
 
 def test_realize_rejects_overcrowded_spec():
     bad = TorusSpec([Shell(2.0, 6)], has_core=True, major_radius=3.0)
-    with pytest.raises(OverlapError):
+    with pytest.raises(OverlapError, match="min_distance_ok"):
         realize_torus(bad, n_points=300)
     # the same spec skips the check when asked
     link = realize_torus(bad, n_points=300, check=False)

@@ -8,7 +8,6 @@ import pytest
 from ropebound.curves import (
     PolyCurve,
     min_curvature_radius,
-    polyline_metrics,
     rotation_about_axis,
     sample_cylindrical_helix,
     sample_planar_curve,
@@ -162,10 +161,3 @@ def test_unknown_shape_and_params_raise():
         sample_planar_curve("pentagon")
     with pytest.raises(ValueError):
         sample_planar_curve("circle", {"radius": 1.0, "bogus": 2.0})
-
-
-def test_polyline_metrics_keys():
-    c = sample_planar_curve("circle", {"radius": 1.0}, n_points=64)
-    m = polyline_metrics(c)
-    assert set(m) == {"length", "min_curvature_radius"}
-    assert m["length"] == pytest.approx(c.length())

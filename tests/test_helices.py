@@ -7,7 +7,6 @@ import pytest
 
 from ropebound.helices import (
     EPSILON_SAFE,
-    HelixShellProblem,
     aggregate_correction,
     cubic_min_distance,
     helix_count_estimate,
@@ -80,17 +79,6 @@ def test_max_helices_validation():
         max_helices(2.0, 2.0, "bogus")
     with pytest.raises(ValueError):
         max_helices(2.0, 2.0, "approx", epsilon=-1.0)
-
-
-def test_shell_problem_validation_and_delegation():
-    prob = HelixShellProblem(r=2.0, h=3.0, n=4)
-    assert prob.min_distance()["distance"] == pytest.approx(
-        pair_min_distance(4, 2.0, 3.0)["distance"]
-    )
-    with pytest.raises(ValueError):
-        HelixShellProblem(r=1.5, h=3.0)
-    with pytest.raises(ValueError):
-        HelixShellProblem(r=2.0, h=-1.0)
 
 
 def test_cubic_model_tracks_the_exact_minimum_on_large_shells():

@@ -111,6 +111,16 @@ def test_vect_diagnostics(tmp_path):
         "VECT\n1 3 0\n-3\n0\n0 0 0\n1 banana 0\n0 1 0\n",
         ":6:2: non-numeric coordinate",
     )
+    _expect_error(
+        tmp_path, "f.vect",
+        "VECT\n1 3 0\n-3\n0\n0 0 0\n1 0 0\n",
+        ":7: unexpected end of file",
+    )
+    _expect_error(
+        tmp_path, "g.vect",
+        "VECT\n1 3 0\n-3\n0\n0 0 0\n1 nan 0\n0 1 0\n",
+        ":5: component 0: vertices must be finite",
+    )
 
 
 def test_csv_diagnostics(tmp_path):
@@ -125,6 +135,17 @@ def test_csv_diagnostics(tmp_path):
         tmp_path, "c.csv",
         "component,vertex,x,y,z\n0,0,0,zero,0\n",
         ":2:4: non-numeric",
+    )
+    _expect_error(
+        tmp_path, "d.csv",
+        "component,vertex,x,y,z\n0,0,0,0,0\n0,1,1,nan,0\n0,2,0,1,0\n",
+        ":2: component 0: vertices must be finite",
+    )
+    _expect_error(
+        tmp_path, "e.csv",
+        "component,vertex,x,y,z\n0,0,0,0,0\n0,1,1,0,0\n0,2,0,1,0\n"
+        "1,0,0,0,1\n1,1,1,0,1\n1,2,inf,1,1\n",
+        ":5: component 1: vertices must be finite",
     )
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ropebound.curves import rotation_about_axis, sample_planar_curve
-from ropebound.measure import LinkConfiguration, measure_link
+from ropebound.measure import LinkConfiguration, LinkMetrics, measure_link, verify
 
 EIGHT_PI = 8.0 * math.pi
 
@@ -91,3 +91,63 @@ def test_plain_component_lists_are_accepted():
     m = measure_link([a, b])
     assert m.min_inter_distance == pytest.approx(6.0, abs=1e-3)
     assert m.crossing_number is None
+
+
+def _metrics(distance, radius, length=10.0):
+    thickness = min(distance / 2.0, radius)
+    return LinkMetrics(
+        total_length=length,
+        min_inter_distance=distance,
+        min_self_distance=np.inf,
+        min_overall_distance=distance,
+        min_curvature_radius=radius,
+        thickness=thickness,
+        normalized_length=length / thickness if thickness > 0 else np.inf,
+    )
+
+
+def _below(x):
+    return float(np.nextafter(x, -np.inf))
+
+
+def _above(x):
+    return float(np.nextafter(x, np.inf))
+
+
+@pytest.mark.parametrize(
+    "distance, radius, kwargs, expected",
+    [
+        # absolute: clearance >= 2 - tolerance and curvature radius >= 1 - tolerance
+        (2.0 - 0.01, 1.0 - 0.01, {}, (True, True)),
+        (_below(2.0 - 0.01), 5.0, {}, (False, True)),
+        (5.0, _below(1.0 - 0.01), {}, (True, False)),
+        (2.0 - 0.1, 1.0 - 0.1, {"tolerance": 0.1}, (True, True)),
+        (_below(2.0 - 0.1), 5.0, {"tolerance": 0.1}, (False, True)),
+        (5.0, _below(1.0 - 0.1), {"tolerance": 0.1}, (True, False)),
+        (2.0, 5.0, {"tolerance": -0.5}, (False, True)),
+    ],
+)
+def test_verify_absolute_table(distance, radius, kwargs, expected):
+    checks = verify(_metrics(distance, radius), **kwargs)
+    assert checks == {
+        "min_distance_ok": expected[0],
+        "curvature_ok": expected[1],
+        "passed": all(expected),
+    }
+
+
+@pytest.mark.parametrize(
+    "distance, radius, embeddable",
+    [
+        # scale-free: clearance must exceed 1e-9 of the total length (10)
+        (1e-9 * 10.0, 5.0, False),
+        (_above(1e-9 * 10.0), 5.0, True),
+        (0.0, 5.0, False),
+        # curvature and the absolute clearance 2 are not part of the verdict
+        (0.5, 1e-3, True),
+    ],
+)
+def test_verify_scale_free_table(distance, radius, embeddable):
+    checks = verify(_metrics(distance, radius), absolute=False)
+    assert checks == {"embeddable": embeddable, "passed": embeddable}
+
