@@ -32,8 +32,8 @@ from .construct import (
 )
 from .helices import toroidal_correction
 from .io_formats import FormatError, export_geometry, import_geometry
-from .linking import linking_matrix
-from .measure import measure_link, verify
+from .linking import IntersectingCurvesError, linking_matrix
+from .measure import expected_linking, measure_link, verify
 from .optimize import OptimizationProblem, minimize_params
 from .parallel import parallel_map
 
@@ -137,6 +137,15 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+def _linking_or_none(link):
+    """The link's linking matrix, or None when components intersect so that
+    it is undefined."""
+    try:
+        return linking_matrix(link.components)
+    except IntersectingCurvesError:
+        return None
+
+
 def cmd_build(args) -> int:
     config = _config_from_args(args)
     method = args.method
@@ -186,7 +195,14 @@ def cmd_build(args) -> int:
     metrics = measure_link(link)
     payload["metrics"] = metrics.as_dict()
     if not args.no_check:
-        payload["verification"] = verify(metrics, absolute, args.tolerance)
+        linking = {}
+        pattern = expected_linking(link)
+        if pattern is not None:
+            linking = {"linking": _linking_or_none(link),
+                       "expected_linking": pattern}
+        payload["verification"] = verify(
+            metrics, absolute, args.tolerance, **linking
+        )
     if args.out:
         export_geometry(link, args.format, args.out)
         payload["geometry"] = args.out
@@ -200,13 +216,16 @@ def cmd_check(args) -> int:
     config = _config_from_args(args)
     link = import_geometry(args.file)
     metrics = measure_link(link)
+    linking = _linking_or_none(link)
     payload = {
         "run": config.header(),
         "file": args.file,
         "components": link.n_components,
         "metrics": metrics.as_dict(),
-        "linking_matrix": linking_matrix(link.components).tolist(),
-        "verification": verify(metrics, tolerance=args.tolerance),
+        "linking_matrix": None if linking is None else linking.tolist(),
+        "verification": verify(
+            metrics, tolerance=args.tolerance, linking=linking
+        ),
     }
     _emit(payload, args.out)
     return 0 if payload["verification"]["passed"] else 1

@@ -24,9 +24,9 @@ rounded square instead.
 
 Every constructor takes `check`: when true (the default) the finished
 configuration is measured and passed through `measure.verify` (absolute
-clearance 2 and curvature radius 1 for tori; for the scale-free planar
-families, components that do not touch), and a failed verdict raises
-OverlapError.
+clearance 2, curvature radius 1 and the expected linking pattern for tori;
+for the scale-free planar families, components that do not touch), and a
+failed verdict raises OverlapError.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ from .helices import (
     max_helices,
     toroidal_correction,
 )
-from .measure import LinkConfiguration, measure_link, verify
+from .linking import IntersectingCurvesError, linking_matrix
+from .measure import LinkConfiguration, expected_linking, measure_link, verify
 
 __all__ = [
     "OverlapError",
@@ -71,7 +72,15 @@ def _checked(config: LinkConfiguration, absolute: bool) -> LinkConfiguration:
     """Return `config` if its measured metrics pass `verify`, else raise
     OverlapError naming the failed checks and the measured values."""
     metrics = measure_link(config)
-    checks = verify(metrics, absolute=absolute)
+    linking = {}
+    pattern = expected_linking(config)
+    if pattern is not None:
+        try:
+            lk = linking_matrix(config.components)
+        except IntersectingCurvesError:
+            lk = None
+        linking = {"linking": lk, "expected_linking": pattern}
+    checks = verify(metrics, absolute=absolute, **linking)
     if not checks["passed"]:
         failed = ", ".join(k for k, ok in checks.items() if k != "passed" and not ok)
         raise OverlapError(
@@ -315,8 +324,8 @@ def realize_torus(
     phase index.  With check=True the link is measured and verified as a
     unit-tube embedding (`measure.verify`, absolute, default tolerance 0.01:
     clearance >= 1.99 within and between components, curvature radius
-    >= 0.99); a failure raises OverlapError.  Callers that measure the link
-    themselves pass check=False.
+    >= 0.99, |lk| = p for every pair); a failure raises OverlapError.
+    Callers that measure the link themselves pass check=False.
     """
     comps = []
     if spec.has_core:
@@ -370,7 +379,8 @@ def donut_double(
     the first torus' hole at constant clearance; mirror=True reflects the
     second copy through the xy plane first, producing the opposite-chirality
     variant.  Components are copy 1 then copy 2, in realize_torus order.
-    check=True verifies the doubled link as realize_torus does.
+    check=True verifies the doubled link as realize_torus does, expecting
+    |lk| = 1 between the two copies.
     """
     inflated, inflation = inflate_for_doubling(spec)
     first = realize_torus(inflated, n_points=n_points, check=False)

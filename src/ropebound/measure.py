@@ -3,7 +3,8 @@
 A configuration of unit-thickness tubes is embedded when every pair of
 distinct components stays at least one tube diameter (2 units) apart, every
 component keeps that same clearance from itself away from local neighbours,
-and no centreline bends tighter than the tube radius (1 unit).  The
+and no centreline bends tighter than the tube radius (1 unit).  A torus
+link must also have the linking pattern its construction promises.  The
 normalized ropelength rescales the total centreline length by the worst
 violation, so it is invariant under uniform scaling and rigid motions.
 `verify` is the one place that decides whether measured metrics describe such
@@ -19,12 +20,21 @@ import numpy as np
 from .curves import PolyCurve, min_curvature_radius
 from .distances import _certified_min, mutual_min_distance
 
-__all__ = ["LinkConfiguration", "LinkMetrics", "measure_link", "verify"]
+__all__ = [
+    "LinkConfiguration",
+    "LinkMetrics",
+    "expected_linking",
+    "measure_link",
+    "verify",
+]
 
 # A scale-free link is touching when its clearance is below this fraction of
 # its total length.  Loops that cross each other measure ~1e-32 apart rather
 # than 0, and anything this thin would normalize to a length above 1e9.
 _TOUCH_FRACTION = 1e-9
+
+# Default of verify's `linking`: no linking numbers were computed.
+_UNMEASURED = object()
 
 
 @dataclass
@@ -140,8 +150,27 @@ def measure_link(config, skip_window: int = 5) -> LinkMetrics:
     )
 
 
+def expected_linking(config: LinkConfiguration) -> np.ndarray | None:
+    """Expected |linking number| of every pair of a torus link, from the
+    spec in its metadata: p within one torus, 1 across the two copies of a
+    doubled torus (copy 1 first, then copy 2), 0 on the diagonal.  None when
+    the metadata describes no torus construction."""
+    meta = config.metadata
+    if meta.get("family") != "torus":
+        return None
+    q = config.n_components
+    copy = np.arange(q) >= (q // 2 if meta.get("doubled") else q)
+    pattern = np.where(copy[:, None] == copy[None, :], meta["spec"]["p"], 1)
+    np.fill_diagonal(pattern, 0)
+    return pattern
+
+
 def verify(
-    metrics: LinkMetrics, absolute: bool = True, tolerance: float = 0.01
+    metrics: LinkMetrics,
+    absolute: bool = True,
+    tolerance: float = 0.01,
+    linking=_UNMEASURED,
+    expected_linking=None,
 ) -> dict:
     """Pass/fail verdicts of measured metrics.
 
@@ -149,8 +178,12 @@ def verify(
     2 and curvature radius 1 in tube-radius units, each up to `tolerance`.
     Scale-free ones (planar families, optimizer candidates) must merely be
     embeddable: clearance above _TOUCH_FRACTION of the total length, since
-    normalization rescales the rest.  "passed" is the conjunction of the
-    individual checks.
+    normalization rescales the rest.  `linking` is the measured linking
+    matrix, or None when it is undefined because components intersect.
+    "linking_ok" is reported when `expected_linking` (expected |lk| per
+    pair) is given, and holds when |linking| equals it entry for entry; it
+    is also reported, as failed, whenever the linking is undefined.
+    "passed" is the conjunction of the individual checks.
     """
     if absolute:
         checks = {
@@ -166,5 +199,9 @@ def verify(
                 > _TOUCH_FRACTION * metrics.total_length
             )
         }
+    if linking is None or expected_linking is not None:
+        checks["linking_ok"] = linking is not None and bool(
+            np.array_equal(np.abs(linking), expected_linking)
+        )
     checks["passed"] = all(checks.values())
     return checks

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construct import (
+    OverlapError,
     Shell,
     TorusSpec,
     _hole_radius_required,
@@ -82,7 +83,7 @@ def normalized_ropelength(link) -> float:
     that cannot be thickened (touching or intersecting components)."""
     try:
         metrics = measure_link(link)
-    except Exception:
+    except (ValueError, OverlapError):
         return np.inf
     value = metrics.normalized_length
     if not np.isfinite(value) or not verify(metrics, absolute=False)["passed"]:
@@ -181,7 +182,7 @@ class OptimizationProblem:
     def objective(self, params) -> float:
         try:
             link = self.build(params)
-        except Exception:
+        except (ValueError, OverlapError):
             return np.inf
         return normalized_ropelength(link)
 

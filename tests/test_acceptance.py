@@ -28,7 +28,7 @@ from ropebound.construct import (
     realize_torus,
 )
 from ropebound.curves import PolyCurve, rotation_about_axis, sample_cylindrical_helix
-from ropebound.distances import min_distance, min_distance_brute, mutual_min_distance
+from ropebound.distances import min_distance, min_distance_brute
 from ropebound.helices import (
     aggregate_correction,
     max_helices,
@@ -37,6 +37,7 @@ from ropebound.helices import (
 )
 from ropebound.io_formats import export_geometry, import_geometry
 from ropebound.linking import linking_matrix
+from ropebound.measure import expected_linking, measure_link, verify
 from ropebound.optimize import (
     OptimizationProblem,
     minimize_params,
@@ -225,10 +226,16 @@ def test_criterion_4_helix_packing_grid():
 
 def test_criterion_5_doubled_torus_scaling():
     results = []
-    # A small doubled build must realize without component overlap.
-    cfg = donut_double(build_optimal_spec(3), n_points=400, check=True)
-    d = mutual_min_distance(cfg.components)
+    # A small doubled build must realize without component overlap; it is
+    # measured once and verified with its linking pattern.
+    cfg = donut_double(build_optimal_spec(3), n_points=400, check=False)
+    metrics = measure_link(cfg)
+    d = metrics.min_inter_distance
     _record(results, "T=3 doubled clearance", d >= 2.0 - 0.01, f"min {d:.6f}")
+    checks = verify(metrics, linking=linking_matrix(cfg.components),
+                    expected_linking=expected_linking(cfg))
+    _record(results, "T=3 doubled verified", checks["passed"],
+            ", ".join(f"{k}={v}" for k, v in checks.items()))
 
     # alpha(T) for the doubled capacity-filling build: integer shell counts
     # give a small sawtooth, so "eventually decreasing" is asserted as

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ropebound import distances
+from ropebound import cli, distances
 from ropebound.cli import main
 from ropebound.curves import rotation_about_axis, sample_planar_curve
 from ropebound.helices import toroidal_correction
@@ -88,6 +88,7 @@ def test_build_increment_report(capsys, tmp_path):
     )
     assert code == 0
     assert payload["construction"]["crossing_number"] == 20
+    assert payload["verification"]["linking_ok"] is True
     assert payload["verification"]["passed"] is True
     assert payload["metrics"]["min_overall_distance"] >= 2.0 - 0.01
     assert geom.exists()
@@ -95,6 +96,9 @@ def test_build_increment_report(capsys, tmp_path):
     assert main(["check", str(geom)]) == 0
     check = json.loads(capsys.readouterr().out)
     assert check["components"] == 5
+    # a VECT file carries no spec, so check has no pattern to compare with
+    assert set(check["verification"]) == {
+        "min_distance_ok", "curvature_ok", "passed"}
     lm = np.array(check["linking_matrix"])
     assert np.all(np.abs(lm[np.triu_indices(5, 1)]) == 1)
 
@@ -172,6 +176,85 @@ def test_check_fails_thin_geometry(capsys, tmp_path):
     assert main(["check", str(path)]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["verification"]["passed"] is False
+
+
+def test_check_of_intersecting_components_fails_verification(capsys, tmp_path):
+    # the two circles share the vertices (+-1, 0, 0), so no linking number
+    # is defined: a failed verification (exit 1), not an input error
+    circle = sample_planar_curve("circle", {"radius": 1.0}, n_points=100)
+    other = circle.transformed(rotation_about_axis((1.0, 0.0, 0.0), 0.5 * math.pi),
+                               (0.0, 0.0, 0.0))
+    path = tmp_path / "crossing.vect"
+    export_geometry([circle, other], path=str(path))
+    assert main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert captured.err == ""
+    assert payload["linking_matrix"] is None
+    assert payload["verification"]["linking_ok"] is False
+    assert payload["verification"]["passed"] is False
+
+
+@pytest.mark.parametrize("extra", [[], ["--double"], ["--double", "--mirror"]])
+def test_build_torus_verifies_linking_pattern(capsys, monkeypatch, extra):
+    seen = []
+    linking_matrix = cli.linking_matrix
+
+    def recording(curves):
+        seen.append(linking_matrix(curves))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "linking_matrix", recording)
+    code, payload = _run_json(
+        capsys, ["build", "inc4", "--t", "1", "--points", "200"] + extra)
+    assert code == 0
+    assert len(seen) == 1
+    q = len(seen[0])
+    assert q == (10 if extra else 5)
+    assert np.all(np.abs(seen[0][np.triu_indices(q, 1)]) == 1)
+    assert payload["verification"]["linking_ok"] is True
+
+
+def test_build_torus_expects_spec_p(capsys, monkeypatch):
+    # inc4 packs its shell for p = 1; with --p 2 the helices intersect, so
+    # the linking is undefined and the build fails verification
+    code, payload = _run_json(
+        capsys, ["build", "inc4", "--t", "1", "--points", "200", "--p", "2"])
+    assert code == 1
+    assert payload["verification"]["linking_ok"] is False
+    assert payload["verification"]["min_distance_ok"] is False
+    # the expected pattern is |lk| = 2 for every pair
+    monkeypatch.setattr(cli, "linking_matrix",
+                        lambda curves: 2 * (1 - np.eye(len(curves), dtype=int)))
+    code, payload = _run_json(
+        capsys, ["build", "inc4", "--t", "1", "--points", "200", "--p", "2"])
+    assert payload["verification"]["linking_ok"] is True
+
+
+def test_build_torus_with_wrong_linking_fails(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "linking_matrix",
+                        lambda curves: np.zeros((len(curves),) * 2, dtype=int))
+    code, payload = _run_json(
+        capsys, ["build", "inc4", "--t", "1", "--points", "200"])
+    assert code == 1
+    assert payload["verification"]["linking_ok"] is False
+    assert payload["verification"]["min_distance_ok"] is True
+    assert payload["verification"]["passed"] is False
+
+
+def test_build_no_check_and_planar_skip_linking(capsys, monkeypatch):
+    def failing(_curves):
+        raise AssertionError("linking computed")
+
+    monkeypatch.setattr(cli, "linking_matrix", failing)
+    code, payload = _run_json(
+        capsys, ["build", "inc4", "--t", "1", "--points", "200", "--no-check"])
+    assert code == 0
+    assert "verification" not in payload
+    code, payload = _run_json(
+        capsys, ["build", "circles", "--q", "3", "--points", "200"])
+    assert code == 0
+    assert payload["verification"] == {"embeddable": True, "passed": True}
 
 
 def test_optimize_family_guard():

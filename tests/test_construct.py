@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ropebound import construct
 from ropebound.construct import (
     OverlapError,
     Shell,
@@ -156,6 +157,17 @@ def test_realize_rejects_overcrowded_spec():
     # the same spec skips the check when asked
     link = realize_torus(bad, n_points=300, check=False)
     assert link.n_components == 7
+
+
+def test_realize_rejects_wrong_linking(monkeypatch):
+    monkeypatch.setattr(construct, "linking_matrix",
+                        lambda curves: np.zeros((len(curves),) * 2, dtype=int))
+    with pytest.raises(OverlapError, match="linking_ok"):
+        realize_torus(build_increment_spec(1, 4), n_points=200)
+    with pytest.raises(OverlapError, match="linking_ok"):
+        donut_double(build_increment_spec(1, 4), n_points=200)
+    # planar links carry no linking pattern
+    build_planar_link(3, "circles", n_points=200)
 
 
 def test_inflate_for_doubling():

@@ -1,17 +1,29 @@
-"""Gauss linking numbers of polygonal loops."""
+"""Linking numbers of polygonal loops: projected crossings against the
+Gauss-sum reference."""
 
 import math
 
 import numpy as np
 import pytest
 
+from ropebound import linking
+from ropebound.construct import (
+    Shell,
+    TorusSpec,
+    build_increment_spec,
+    build_optimal_spec,
+    build_planar_link,
+    donut_double,
+    realize_torus,
+)
 from ropebound.curves import (
     PolyCurve,
     rotation_about_axis,
     sample_planar_curve,
     sample_toroidal_helix,
 )
-from ropebound.linking import linking_matrix, linking_number
+from ropebound.linking import _gauss_linking_number, linking_matrix, linking_number
+from ropebound.optimize import toroidal_pair
 
 
 def _hopf_pair(n=400):
@@ -90,3 +102,104 @@ def test_linking_matrix_structure():
     assert np.all(np.diag(lm) == 0)
     off = lm[np.triu_indices(4, 1)]
     assert np.all(np.abs(off) == 1)
+
+
+def _gauss_matrix(curves):
+    q = len(curves)
+    out = np.zeros((q, q), dtype=int)
+    for i in range(q):
+        for j in range(i + 1, q):
+            out[i, j] = out[j, i] = _gauss_linking_number(curves[i], curves[j])
+    return out
+
+
+_P2_SPEC = TorusSpec([Shell(2.0, 3, 0.0)], has_core=True, major_radius=8.0, p=2)
+
+_LINKS = {
+    "inc4 T=1": lambda: realize_torus(build_increment_spec(1, 4), 120, False),
+    "inc4 T=2": lambda: realize_torus(build_increment_spec(2, 4), 120, False),
+    "inc5 T=1": lambda: realize_torus(build_increment_spec(1, 5), 120, False),
+    "inc5 T=2": lambda: realize_torus(build_increment_spec(2, 5), 120, False),
+    "optimal T=1": lambda: realize_torus(build_optimal_spec(1), 120, False),
+    "optimal T=2": lambda: realize_torus(build_optimal_spec(2), 120, False),
+    "doubled inc4 T=1": lambda: donut_double(
+        build_increment_spec(1, 4), n_points=120, check=False),
+    "mirrored doubled inc4 T=1": lambda: donut_double(
+        build_increment_spec(1, 4), mirror=True, n_points=120, check=False),
+    "p=2 torus": lambda: realize_torus(_P2_SPEC, 200, False),
+    "circles q=6": lambda: build_planar_link(6, "circles", n_points=150),
+    "gibbous q=5": lambda: build_planar_link(5, "gibbous", n_points=150),
+    "hybrid_square q=5": lambda: build_planar_link(
+        5, "hybrid_square", n_points=150),
+    "toroidal_pair": lambda: toroidal_pair(6.4, 6.44, 0.0, shell_radius=2.2,
+                                           n_points=150),
+}
+
+
+@pytest.mark.parametrize("name", list(_LINKS))
+def test_crossing_count_equals_gauss_reference(name):
+    curves = _LINKS[name]().components
+    lm = linking_matrix(curves)
+    assert lm.dtype.kind == "i"
+    assert np.array_equal(lm, _gauss_matrix(curves))
+    assert np.any(lm != 0)
+
+
+def test_p2_torus_links_every_pair_twice():
+    lm = linking_matrix(realize_torus(_P2_SPEC, 200, False).components)
+    assert np.all(np.abs(lm[np.triu_indices(len(lm), 1)]) == 2)
+
+
+def test_vertex_projecting_onto_a_segment_takes_the_gauss_fallback(monkeypatch):
+    a, b = _hopf_pair(n=200)
+    frame = linking._FRAME
+    # In the projection along frame[2], move b by the in-plane offset that
+    # puts its vertex nearest to a midpoint of a exactly on that midpoint.
+    mids = 0.5 * (a.segment_starts() + a.segment_ends())
+    offsets = mids[:, None, :] - b.vertices[None, :, :]
+    planar = offsets - np.einsum("ijk,k->ij", offsets, frame[2])[..., None] * frame[2]
+    k, v = np.unravel_index(
+        np.argmin(np.linalg.norm(planar, axis=2)), planar.shape[:2]
+    )
+    assert np.linalg.norm(planar[k, v]) < 0.1
+    moved = b.transformed(None, planar[k, v])
+    calls = []
+    gauss = linking._gauss_linking_number
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return gauss(*args, **kwargs)
+
+    monkeypatch.setattr(linking, "_gauss_linking_number", counting)
+    value = linking_number(a, moved)
+    assert calls == [1]
+    assert value == gauss(a, moved) == gauss(a, b)
+    assert abs(value) == 1
+
+
+def test_generic_pairs_need_no_fallback(monkeypatch):
+    def failing(*_args, **_kwargs):
+        raise AssertionError("Gauss fallback used")
+
+    monkeypatch.setattr(linking, "_gauss_linking_number", failing)
+    a, b = _hopf_pair()
+    assert abs(linking_number(a, b)) == 1
+
+
+def test_empty_and_single_curve_matrices():
+    a, _ = _hopf_pair(n=50)
+    assert linking_matrix([]).shape == (0, 0)
+    assert np.array_equal(linking_matrix([a]), [[0]])
+
+
+def test_touching_curves_raise_even_where_the_gauss_sum_rounds():
+    # at 100 points the two circles through (+-1, 0, 0) give a Gauss sum
+    # within 0.1 of 0; the crossing count sees them touch and refuses
+    a = sample_planar_curve("circle", {"radius": 1.0}, n_points=100)
+    b = a.transformed(rotation_about_axis((1.0, 0.0, 0.0), 0.5 * math.pi),
+                      (0.0, 0.0, 0.0))
+    assert _gauss_linking_number(a, b) == 0
+    with pytest.raises(linking.IntersectingCurvesError):
+        linking_matrix([a, b])
+    with pytest.raises(ValueError):
+        linking_number(a, b)

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from ropebound.curves import rotation_about_axis, sample_planar_curve
-from ropebound.measure import LinkConfiguration, LinkMetrics, measure_link, verify
+from ropebound.measure import (
+    LinkConfiguration,
+    LinkMetrics,
+    expected_linking,
+    measure_link,
+    verify,
+)
 
 EIGHT_PI = 8.0 * math.pi
 
@@ -150,4 +156,45 @@ def test_verify_absolute_table(distance, radius, kwargs, expected):
 def test_verify_scale_free_table(distance, radius, embeddable):
     checks = verify(_metrics(distance, radius), absolute=False)
     assert checks == {"embeddable": embeddable, "passed": embeddable}
+
+
+
+def _torus_config(q, p=1, doubled=False):
+    return LinkConfiguration(
+        [sample_planar_curve("circle", {"radius": 1.0}, n_points=8)] * q,
+        metadata={"family": "torus", "doubled": doubled, "spec": {"p": p}},
+    )
+
+
+def test_expected_linking_patterns():
+    single = expected_linking(_torus_config(3, p=2))
+    assert np.array_equal(single, [[0, 2, 2], [2, 0, 2], [2, 2, 0]])
+    doubled = expected_linking(_torus_config(4, p=2, doubled=True))
+    assert np.array_equal(
+        doubled, [[0, 2, 1, 1], [2, 0, 1, 1], [1, 1, 0, 2], [1, 1, 2, 0]]
+    )
+    assert expected_linking(_tight_hopf(n=8)) is None
+
+
+@pytest.mark.parametrize(
+    "linking, expected, linking_ok",
+    [
+        # signs are free, magnitudes must match entry for entry
+        ([[0, -1], [-1, 0]], [[0, 1], [1, 0]], True),
+        ([[0, 1], [1, 0]], [[0, 1], [1, 0]], True),
+        ([[0, 2], [2, 0]], [[0, 1], [1, 0]], False),
+        ([[0, 0], [0, 0]], [[0, 1], [1, 0]], False),
+        # undefined linking (intersecting components) fails, pattern or not
+        (None, [[0, 1], [1, 0]], False),
+        (None, None, False),
+        # a measured linking with no pattern to compare adds no verdict
+        ([[0, 1], [1, 0]], None, None),
+    ],
+)
+def test_verify_linking_table(linking, expected, linking_ok):
+    lk = None if linking is None else np.array(linking)
+    pattern = None if expected is None else np.array(expected)
+    checks = verify(_metrics(5.0, 5.0), linking=lk, expected_linking=pattern)
+    assert checks.get("linking_ok") is linking_ok
+    assert checks["passed"] is (linking_ok is not False)
 

@@ -62,6 +62,31 @@ def test_normalized_ropelength_infeasible_is_inf():
     assert normalized_ropelength([circle, circle]) == np.inf
 
 
+def test_programming_errors_are_not_infeasible(monkeypatch):
+    # only geometry errors mean "infeasible"; a TypeError is a bug and must
+    # surface instead of evaluating to +inf
+    problem = OptimizationProblem("circles", q=3, n_points=60)
+
+    def broken_build(*_args, **_kwargs):
+        raise TypeError("broken build")
+
+    monkeypatch.setattr(OptimizationProblem, "build", broken_build)
+    with pytest.raises(TypeError, match="broken build"):
+        problem.objective(problem.initial_params)
+    with pytest.raises(TypeError):
+        normalized_ropelength(["not a curve"])
+
+
+def test_geometry_errors_are_infeasible(monkeypatch):
+    problem = OptimizationProblem("circles", q=3, n_points=60)
+
+    def invalid_build(*_args, **_kwargs):
+        raise ValueError("invalid shape")
+
+    monkeypatch.setattr(OptimizationProblem, "build", invalid_build)
+    assert problem.objective(problem.initial_params) == np.inf
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         OptimizationProblem("bogus", q=3)
