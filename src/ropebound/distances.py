@@ -1,7 +1,7 @@
 """Minimum distances between polygonal curves.
 
-The workhorse is a uniform spatial grid over segment midpoints with cell size
-max(segment length) + query radius, so a one-ring (27-cell) neighbourhood is
+Candidate segment pairs come from one KD-tree ball query over segment
+midpoints with radius max(segment length) + query radius, which is
 guaranteed to contain every segment pair closer than the query radius.  The
 first radius is the smaller of a fixed default and a vertex-vertex upper
 bound on the minimum: for distances between components, the closest pair
@@ -12,12 +12,14 @@ candidate minimum is at most the query radius; otherwise the radius is
 enlarged to the candidate minimum (or the vertex bound, when a pass found no
 candidates) and one more pass certifies.
 Results are exactly those of the brute-force scan: both routes use the same
-segment-pair kernel, and the candidate set always contains the optimal pair.
+segment-pair kernel with the lower segment index first, and the candidate
+set always contains the optimal pair.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .curves import PolyCurve
 
@@ -101,88 +103,21 @@ class _SegmentSoup:
         )
 
 
-# Offsets covering each unordered cell pair exactly once: (0,0,0) handled
-# separately, the rest are the 13 lexicographically positive neighbours.
-_HALF_OFFSETS = [
-    (dx, dy, dz)
-    for dx in (-1, 0, 1)
-    for dy in (-1, 0, 1)
-    for dz in (-1, 0, 1)
-    if (dx, dy, dz) > (0, 0, 0)
-]
-
-
-# Above this many candidate pairs the grid is no better than a direct scan,
-# so _certified_min switches to the block-wise scan to bound peak memory.
-_PAIR_BUDGET = 1 << 25
-
 # Vertices sampled, over all components together, for the inter-component
 # upper bound that seeds the search radius (a 256 x 256 distance matrix).
 _BOUND_SAMPLES = 256
 
 
-def _candidate_pairs(soup: _SegmentSoup, cell: float):
-    """All segment index pairs whose midpoints fall in the same or adjacent
-    grid cells, or None when that set would exceed the pair budget (the grid
-    has degenerated and a direct scan is cheaper).  Covers every pair with
-    midpoint distance <= cell."""
-    coords = np.floor(soup.mids / cell).astype(np.int64)
-    coords -= coords.min(axis=0) - 1  # pad so +-1 offsets cannot underflow
-    dims = coords.max(axis=0) + 2
-    strides = np.array([dims[1] * dims[2], dims[2], 1], dtype=np.int64)
-    keys = coords @ strides
-    order = np.argsort(keys, kind="stable")
-    sk = keys[order]
-    uniq, start = np.unique(sk, return_index=True)
-    count = np.diff(np.concatenate((start, [len(sk)])))
-
-    # cost estimate before materializing anything large
-    est = int((count * (count - 1) // 2).sum())
-    for off in _HALF_OFFSETS:
-        shift = int(np.dot(off, strides))
-        pos = np.searchsorted(uniq, uniq + shift)
-        pos_ok = pos < len(uniq)
-        hit = pos_ok & (uniq[np.minimum(pos, len(uniq) - 1)] == uniq + shift)
-        est += int((count[hit] * count[pos[hit]]).sum())
-    if est > _PAIR_BUDGET:
-        return None, None
-
-    out_a, out_b = [], []
-
-    # same-cell pairs (i < j within each cell)
-    big = count[count > 1]
-    if big.size:
-        for k in np.unique(big):
-            tri_a, tri_b = np.triu_indices(k, 1)
-            for g in np.nonzero(count == k)[0]:
-                base = start[g]
-                out_a.append(order[base + tri_a])
-                out_b.append(order[base + tri_b])
-
-    # neighbouring-cell pairs
-    for off in _HALF_OFFSETS:
-        shift = int(np.dot(off, strides))
-        target = uniq + shift
-        pos = np.searchsorted(uniq, target)
-        pos_ok = pos < len(uniq)
-        hit = np.nonzero(pos_ok & (uniq[np.minimum(pos, len(uniq) - 1)] == target))[0]
-        if not hit.size:
-            continue
-        ga, gb = hit, pos[hit]
-        na, nb = count[ga], count[gb]
-        tot = na * nb
-        rep_a = np.repeat(ga, tot)
-        rep_b = np.repeat(gb, tot)
-        local = np.arange(tot.sum()) - np.repeat(np.cumsum(tot) - tot, tot)
-        la = local // np.repeat(nb, tot)
-        lb = local - la * np.repeat(nb, tot)
-        out_a.append(order[start[rep_a] + la])
-        out_b.append(order[start[rep_b] + lb])
-
-    if not out_a:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    return np.concatenate(out_a), np.concatenate(out_b)
+def _candidate_pairs(soup: _SegmentSoup, reach: float):
+    """All segment index pairs (i < j) whose midpoints lie within `reach` of
+    each other, from a KD tree over the midpoints.  Two segments at distance
+    r have midpoints at most r + max_seg apart, so a ball of radius
+    max_seg + r holds every pair closer than r; the relative 1e-12 covers
+    rounding in the midpoint distances."""
+    pairs = cKDTree(soup.mids).query_pairs(
+        reach * (1.0 + 1e-12), output_type="ndarray"
+    )
+    return pairs[:, 0], pairs[:, 1]
 
 
 def _admissible(soup, ia, ib, inter, intra, skip_window, arc_windows):
@@ -233,28 +168,6 @@ def _vertex_upper_bound(soup, inter, intra, skip_window):
     return best
 
 
-def _block_scan_min(soup, inter, intra, skip_window, arc_windows):
-    """Exact minimum over every admissible pair, generated in fixed-size index
-    blocks so peak memory stays bounded regardless of scene layout."""
-    n = len(soup)
-    rows_per_block = max(1, _CHUNK // n)
-    best = np.inf
-    col = np.arange(n, dtype=np.int64)
-    for i0 in range(0, n, rows_per_block):
-        rows = np.arange(i0, min(i0 + rows_per_block, n), dtype=np.int64)
-        ia = np.repeat(rows, n)
-        ib = np.tile(col, len(rows))
-        upper = ia < ib
-        ia, ib = ia[upper], ib[upper]
-        if not ia.size:
-            continue
-        keep = _admissible(soup, ia, ib, inter, intra, skip_window, arc_windows)
-        if keep.any():
-            d = soup.pair_distances(ia[keep], ib[keep])
-            best = min(best, float(d.min()))
-    return best
-
-
 def _certified_min(
     curves,
     inter=True,
@@ -271,24 +184,21 @@ def _certified_min(
     used_ub = False
     # Any point-pair distance upper-bounds the minimum, so when the scene is
     # smaller than the default radius, start at that bound: the first pass is
-    # then guaranteed to certify, over a much tighter grid.
+    # then guaranteed to certify, from far fewer candidates.
     ub = _vertex_upper_bound(soup, inter, intra, skip_window)
     if np.isfinite(ub) and ub < radius:
         radius = ub * (1.0 + 1e-12) + 1e-300
         used_ub = True
     for _ in range(64):
-        cell = soup.max_seg + radius
-        ia, ib = _candidate_pairs(soup, cell)
-        if ia is None:
-            return _block_scan_min(soup, inter, intra, skip_window, arc_windows)
-        if ia.size:
-            keep = _admissible(soup, ia, ib, inter, intra, skip_window, arc_windows)
-            ia, ib = ia[keep], ib[keep]
-        if ia.size:
-            best = np.inf
-            for k in range(0, ia.size, _CHUNK):
-                d = soup.pair_distances(ia[k : k + _CHUNK], ib[k : k + _CHUNK])
+        ia, ib = _candidate_pairs(soup, soup.max_seg + radius)
+        best = np.inf  # stays inf when no candidate is admissible
+        for k in range(0, ia.size, _CHUNK):
+            ca, cb = ia[k : k + _CHUNK], ib[k : k + _CHUNK]
+            keep = _admissible(soup, ca, cb, inter, intra, skip_window, arc_windows)
+            if keep.any():
+                d = soup.pair_distances(ca[keep], cb[keep])
                 best = min(best, float(d.min()))
+        if best < np.inf:
             if best <= radius:
                 return best
             radius = best * (1.0 + 1e-12) + 1e-300
@@ -336,7 +246,7 @@ def mutual_min_distance(curves) -> float:
 
 
 def min_distance_brute(a: PolyCurve, b: PolyCurve) -> float:
-    """Reference O(n*m) scan; used to validate the grid-accelerated route."""
+    """Reference O(n*m) scan; used to validate the KD-tree route."""
     soup = _SegmentSoup([a, b])
     na = a.n_segments
     ia, ib = np.meshgrid(np.arange(na), np.arange(na, len(soup)), indexing="ij")

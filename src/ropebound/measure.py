@@ -25,6 +25,7 @@ __all__ = [
     "LinkMetrics",
     "expected_linking",
     "measure_link",
+    "measure_thickness",
     "verify",
 ]
 
@@ -80,11 +81,13 @@ class LinkConfiguration:
 
 @dataclass
 class LinkMetrics:
-    """Summary measurements of a link configuration."""
+    """Summary measurements of a link configuration.  The inter-component
+    and self minima are None when only the overall minimum was measured
+    (measure_thickness)."""
 
     total_length: float
-    min_inter_distance: float
-    min_self_distance: float
+    min_inter_distance: float | None
+    min_self_distance: float | None
     min_overall_distance: float
     min_curvature_radius: float
     thickness: float
@@ -97,35 +100,21 @@ class LinkMetrics:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-def measure_link(config, skip_window: int = 5) -> LinkMetrics:
-    """Measure a LinkConfiguration (or plain list of PolyCurve components).
+def _as_configuration(config) -> LinkConfiguration:
+    if isinstance(config, LinkConfiguration):
+        return config
+    return LinkConfiguration(list(config))
 
-    Self distances exclude pairs closer along the curve than pi times the
-    component's minimal curvature radius (with a `skip_window`-segment floor):
-    such pairs describe local bending, already accounted for by the curvature
-    term, rather than genuine self contact.
-    """
-    if not isinstance(config, LinkConfiguration):
-        config = LinkConfiguration(list(config))
-    comps = config.components
 
+def _arc_window(radius: float) -> float:
+    """Arc length within which a component's self pairs count as bending."""
+    return np.pi * radius if np.isfinite(radius) else np.inf
+
+
+def _metrics(config, radii, min_inter, min_self, min_overall) -> LinkMetrics:
+    """LinkMetrics from the measured distances and curvature radii."""
     total_length = config.total_length()
-    radii = [min_curvature_radius(c) for c in comps]
     rho = min(radii)
-
-    min_inter = mutual_min_distance(comps) if len(comps) > 1 else np.inf
-    min_self = np.inf
-    for c, r in zip(comps, radii):
-        arc_window = np.pi * r if np.isfinite(r) else np.inf
-        min_self = min(
-            min_self,
-            _certified_min(
-                [c], inter=False, intra=True, skip_window=skip_window,
-                arc_windows=np.array([arc_window]),
-            ),
-        )
-    min_overall = min(min_inter, min_self)
-
     thickness = min(min_overall / 2.0, rho) if np.isfinite(min_overall) else rho
     normalized = total_length / thickness if thickness > 0 else np.inf
 
@@ -138,8 +127,8 @@ def measure_link(config, skip_window: int = 5) -> LinkMetrics:
 
     return LinkMetrics(
         total_length=total_length,
-        min_inter_distance=float(min_inter),
-        min_self_distance=float(min_self),
+        min_inter_distance=None if min_inter is None else float(min_inter),
+        min_self_distance=None if min_self is None else float(min_self),
         min_overall_distance=float(min_overall),
         min_curvature_radius=float(rho),
         thickness=float(thickness),
@@ -148,6 +137,49 @@ def measure_link(config, skip_window: int = 5) -> LinkMetrics:
         length_per_crossing=lpc,
         alpha=alpha,
     )
+
+
+def measure_link(config, skip_window: int = 5) -> LinkMetrics:
+    """Measure a LinkConfiguration (or plain list of PolyCurve components).
+
+    Self distances exclude pairs closer along the curve than pi times the
+    component's minimal curvature radius (with a `skip_window`-segment floor):
+    such pairs describe local bending, already accounted for by the curvature
+    term, rather than genuine self contact.
+    """
+    config = _as_configuration(config)
+    comps = config.components
+    radii = [min_curvature_radius(c) for c in comps]
+
+    min_inter = mutual_min_distance(comps) if len(comps) > 1 else np.inf
+    min_self = np.inf
+    for c, r in zip(comps, radii):
+        min_self = min(
+            min_self,
+            _certified_min(
+                [c], inter=False, intra=True, skip_window=skip_window,
+                arc_windows=np.array([_arc_window(r)]),
+            ),
+        )
+    return _metrics(config, radii, min_inter, min_self, min(min_inter, min_self))
+
+
+def measure_thickness(config, skip_window: int = 5) -> LinkMetrics:
+    """Measure a link for its thickness alone, in one certified distance pass.
+
+    Inter-component and self pairs (with measure_link's exclusions) are
+    searched together, so `min_overall_distance`, `thickness` and
+    `normalized_length` equal measure_link's bit for bit, while
+    `min_inter_distance` and `min_self_distance` are None (not measured).
+    """
+    config = _as_configuration(config)
+    comps = config.components
+    radii = [min_curvature_radius(c) for c in comps]
+    min_overall = _certified_min(
+        comps, inter=True, intra=True, skip_window=skip_window,
+        arc_windows=np.array([_arc_window(r) for r in radii]),
+    )
+    return _metrics(config, radii, None, None, min_overall)
 
 
 def expected_linking(config: LinkConfiguration) -> np.ndarray | None:

@@ -32,7 +32,9 @@ from .construct import (
 )
 from .curves import rotation_about_axis, sample_planar_curve
 from .helices import max_helices
-from .measure import LinkConfiguration, measure_link, verify
+from .measure import LinkConfiguration, measure_thickness, verify
+# Not called here; kept because perfbench/tracing.py wraps this attribute.
+from .measure import measure_link  # noqa: F401
 
 __all__ = [
     "OptimizationProblem",
@@ -82,7 +84,7 @@ def normalized_ropelength(link) -> float:
     """Normalized ropelength of a configuration; +inf for configurations
     that cannot be thickened (touching or intersecting components)."""
     try:
-        metrics = measure_link(link)
+        metrics = measure_thickness(link)
     except (ValueError, OverlapError):
         return np.inf
     value = metrics.normalized_length

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -138,15 +139,27 @@ def test_build_searches_component_clearance_once(capsys, monkeypatch):
     [
         ("truncated.vect", "VECT\n1 3 0\n-3\n0\n0 0 0\n1 0 0\n"),
         ("nan.csv", "component,vertex,x,y,z\n0,0,0,0,0\n0,1,1,nan,0\n0,2,0,1,0\n"),
+        ("empty.vect", ""),
+        ("magic.vect", "VECTX\n1 3 0\n-3\n0\n0 0 0\n1 0 0\n0 1 0\n"),
+        ("repeated.vect",
+         "VECT\n1 4 0\n-4\n0\n0 0 0\n1 0 0\n1 0 0\n0 1 0\n"),
+        ("inf.csv", "component,vertex,x,y,z\n0,0,0,0,0\n0,1,1,inf,0\n0,2,0,1,0\n"),
+        ("two.vect", "VECT\n1 2 0\n-2\n0\n0 0 0\n1 0 0\n"),
+        ("word.vect", "VECT\n1 3 0\n-3\n0\n0 0 0\n1 x 0\n0 1 0\n"),
+        ("untagged.json",
+         '{"components": [{"closed": true,'
+         ' "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]}]}\n'),
     ],
-    ids=["truncated-vect", "nan-csv"],
+    ids=["truncated-vect", "nan-csv", "empty-file", "vectx-magic",
+         "repeated-vertices", "inf-csv", "two-vertex-closed",
+         "non-numeric-vect", "untagged-json"],
 )
 def test_check_malformed_input_exits_2(capsys, tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     assert main(["check", str(path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:")
+    assert re.match(rf"error: {re.escape(str(path))}:\d+", captured.err)
     assert captured.out == ""
 
 

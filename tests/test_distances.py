@@ -124,21 +124,34 @@ def test_touching_curves_report_zero():
     assert min_distance(a, b) == pytest.approx(0.0, abs=1e-6)
 
 
-def test_block_scan_fallback_matches_grid():
-    # degenerate cell layouts (all segments in few cells) must fall back to a
-    # memory-bounded scan and still agree with brute force
-    from ropebound import distances as dmod
-
+def test_random_curves_far_apart_match_brute_force_exactly():
+    # two compact curves 40 apart: the first search radius finds no
+    # candidates, and the vertex bound must then certify in one more pass
     rng = np.random.default_rng(11)
     a = _random_curve(rng, n=120, scale=1.0)
     b = _random_curve(rng, n=120, scale=1.0, offset=(40.0, 0.0, 0.0))
-    old = dmod._PAIR_BUDGET
-    try:
-        dmod._PAIR_BUDGET = 0  # force the fallback path
-        fast = min_distance(a, b)
-    finally:
-        dmod._PAIR_BUDGET = old
-    assert fast == pytest.approx(min_distance_brute(a, b), rel=1e-12)
+    assert min_distance(a, b) == min_distance_brute(a, b)
+
+
+def test_candidate_pairs_put_the_lower_segment_first():
+    # segment_pair_distances is not symmetric in floating point: here the
+    # closest pair evaluated as (j, i) comes out one ulp below the
+    # brute-force (i, j) value, 0.00737833973821339
+    from ropebound.construct import build_planar_link
+
+    params = dict(zip(
+        ("rho", "psi", "gamma", "delta", "square_scale", "square_flat_fraction"),
+        (0.509578, 0.558421, 0.494418, -0.042231, 1.152545, 0.211444),
+    ))
+    comps = build_planar_link(
+        5, "hybrid_square", params, n_points=200, check=False
+    ).components
+    brute = min(
+        min_distance_brute(comps[i], comps[j])
+        for i in range(len(comps))
+        for j in range(i + 1, len(comps))
+    )
+    assert mutual_min_distance(comps) == brute
 
 
 def test_mutual_min_distance_on_planar_ring_matches_brute_force_exactly():

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from ropebound.construct import (
+    OverlapError,
     Shell,
     TorusSpec,
     _hole_radius_required,
     analytic_length,
     build_increment_spec,
     build_planar_link,
+    realize_torus,
 )
-from ropebound.curves import sample_planar_curve
+from ropebound.curves import PolyCurve, sample_planar_curve
+from ropebound.measure import measure_link, measure_thickness, verify
 from ropebound.optimize import (
     OptimizationProblem,
     minimize_params,
@@ -60,6 +63,68 @@ def test_normalized_ropelength_scale_invariant():
 def test_normalized_ropelength_infeasible_is_inf():
     circle = sample_planar_curve("circle", {"radius": 2.0}, n_points=100)
     assert normalized_ropelength([circle, circle]) == np.inf
+
+
+def _jittered(family, q, seed):
+    problem = OptimizationProblem(family, q=q, n_points=200)
+    lo, hi = problem.param_bounds.T
+    rng = np.random.default_rng(seed)
+    jitter = rng.uniform(-0.15, 0.15, size=len(lo)) * (hi - lo)
+    return problem.build(np.clip(problem.initial_params + jitter, lo, hi))
+
+
+def _single_pass_cases():
+    circle = sample_planar_curve("circle", {"radius": 2.0}, n_points=300)
+    cases = {}
+    for family, q in (("circles", 8), ("gibbous", 4), ("hybrid_square", 5)):
+        cases[f"{family} q={q} defaults"] = build_planar_link(
+            q, family, n_points=200, check=False)
+        for seed in range(3):
+            cases[f"{family} q={q} jitter {seed}"] = _jittered(family, q, seed)
+    cases["toroidal_pair"] = toroidal_pair(6.4, 6.44, shell_radius=2.2,
+                                           n_points=200)
+    cases["inc4 torus"] = realize_torus(build_increment_spec(1, 4), n_points=200,
+                                        check=False)
+    cases["crossing loops"] = [circle, circle.transformed(None, (1.0, 0.0, 0.0))]
+    cases["lone circle"] = [circle]  # its arc window excludes every self pair
+    t = np.linspace(0, 2 * math.pi, 600, endpoint=False)
+    pinched = PolyCurve(np.column_stack((
+        10.0 * np.cos(t),
+        2.0 * np.sin(t) * np.abs(np.sin(0.5 * t)) + 0.25 * np.sin(t),
+        0.05 * np.sin(2 * t),
+    )))
+    cases["pinched loop beside a circle"] = [pinched, circle.transformed(
+        None, (0.0, 0.0, 8.0))]  # its self distance sets the thickness
+    return cases
+
+
+def test_single_pass_matches_measure_link():
+    # the objective's one combined distance pass must give the value that
+    # measure_link followed by verify gives, infeasible in the same cases
+    def reference(link):
+        try:
+            metrics = measure_link(link)
+        except (ValueError, OverlapError):
+            return np.inf
+        if not verify(metrics, absolute=False)["passed"]:
+            return np.inf
+        return metrics.normalized_length
+
+    infeasible = []
+    for name, link in _single_pass_cases().items():
+        full, single = measure_link(link), measure_thickness(link)
+        assert single.min_inter_distance is None, name
+        assert single.min_self_distance is None, name
+        for key in ("total_length", "min_overall_distance",
+                    "min_curvature_radius", "thickness", "normalized_length",
+                    "length_per_crossing", "alpha"):
+            assert getattr(single, key) == getattr(full, key), (name, key)
+        value = normalized_ropelength(link)
+        assert value == reference(link), name
+        if value == np.inf:
+            infeasible.append(name)
+    assert "crossing loops" in infeasible
+    assert "lone circle" not in infeasible
 
 
 def test_programming_errors_are_not_infeasible(monkeypatch):
