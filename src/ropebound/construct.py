@@ -37,13 +37,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .curves import rotation_about_axis, sample_planar_curve, sample_toroidal_helix
-# Not called here; kept because perfbench/tracing.py wraps this attribute.
+# Not called here; kept because perfbench/tracing.py wraps these attributes
+# (its toroidal_correction counter reads a scalar ratio; analytic_length
+# passes an array to _correction).
 from .distances import mutual_min_distance  # noqa: F401
-from .helices import (
-    aggregate_correction,
-    max_helices,
-    toroidal_correction,
-)
+from .helices import _correction, aggregate_correction, max_helices
+from .helices import toroidal_correction  # noqa: F401
 from .linking import IntersectingCurvesError, linking_matrix
 from .measure import LinkConfiguration, expected_linking, measure_link, verify
 
@@ -235,12 +234,9 @@ def build_optimal_spec(
     """
     if t_shells < 1:
         raise ValueError(f"need t_shells >= 1, got {t_shells}")
-    h = 2.0 * t_shells
-    shells = []
-    for i in range(1, t_shells + 1):
-        n = max_helices(2.0 * i, h, count_mode, epsilon=epsilon)
-        if n >= 1:
-            shells.append(Shell(2.0 * i, n))
+    radii = [2.0 * i for i in range(1, t_shells + 1)]
+    counts = max_helices(np.array(radii), 2.0 * t_shells, count_mode, epsilon=epsilon)
+    shells = [Shell(r, int(n)) for r, n in zip(radii, counts) if n >= 1]
     if not shells:
         raise ValueError("no shell can host a single helix; t_shells too small")
     return TorusSpec(
@@ -254,15 +250,15 @@ def analytic_length(spec: TorusSpec, corrected: bool = True) -> float:
     Each helix on shell radius r contributes 2*pi*sqrt(R0^2 + (p r)^2), the
     length of the equivalent straight helix (one axial turn of rise 2*pi*R0
     around a cylinder of circumference 2*pi*p*r); `corrected` multiplies by
-    the exact toroidal correction at ratio R0/r.  The core adds 2*pi*R0.
+    the toroidal correction at ratio R0/r, one array call for all shells.
+    The core adds 2*pi*R0.
     """
     r0 = spec.major_radius
     total = 2.0 * math.pi * r0 if spec.has_core else 0.0
-    for s in spec.shells:
-        per = 2.0 * math.pi * math.hypot(r0, spec.p * s.radius)
-        if corrected:
-            per *= toroidal_correction(r0 / s.radius, spec.p)
-        total += s.count * per
+    radii = np.array([s.radius for s in spec.shells])
+    factors = _correction(r0 / radii, spec.p) if corrected else np.ones(len(radii))
+    for s, factor in zip(spec.shells, factors.tolist()):
+        total += s.count * (2.0 * math.pi * math.hypot(r0, spec.p * s.radius) * factor)
     return total
 
 

@@ -3,27 +3,36 @@
 A shell of n unit-thickness helices of radius r rising through a hole of
 radius h (circumference H = 2*pi*h) stays embedded iff each adjacent pair
 keeps distance 2.  The squared gap between two helices whose phases differ by
-2*pi/n, compared at parameter offset theta, is
+a = 2*pi/n, compared at parameter offset theta, is
 
-    d^2(theta) = 2 r^2 (1 - cos(theta + 2*pi/n)) + h^2 theta^2,
+    d^2(theta) = 4 r^2 sin^2((theta + a)/2) + h^2 theta^2,
 
-so the packing constraint is min_theta d(theta) >= 2.  This module solves
-that minimization, counts the maximum helices per shell exactly and by the
-rectangular estimate N_a = pi*h*r/sqrt(h^2 + r^2) minus a safety decrement
-epsilon, evaluates the cubic Taylor closed form of the same minimum, and
-integrates the arc-length correction a helix acquires when its cylinder is
-bent into a torus.
+(the form 2 r^2 (1 - cos(theta + a)) rewritten so that small gaps do not
+cancel), and the packing constraint is min_theta d(theta) >= 2.  Both terms
+grow outside [-a, 0], so that interval holds the minimum.  It is found for an
+array of shells at once: 65 equispaced samples bracket the smallest sample
+(the objective can have two local minima when a is large and h small), and a
+fixed number of safeguarded Newton steps on d(d^2)/dtheta polish it inside
+that bracket.  `max_helices` counts the helices per shell exactly, scanning n
+from the rectangular estimate N_a = pi*h*r/sqrt(h^2 + r^2) for every shell
+of a spec in one pass, or approximately as N_a minus a safety decrement
+epsilon; `cubic_min_distance` evaluates the cubic Taylor closed form of the
+same minimum.
+
+Bending the cylinder into a torus changes each helix's arc length by a factor
+that is the mean over the tube angle t of a smooth 2*pi-periodic function.
+The equispaced trapezoid rule converges exponentially on such integrands
+(Trefethen & Weideman, "The exponentially convergent trapezoidal rule", SIAM
+Review 2014): a fixed 64 nodes reproduce adaptive quadrature to a few ulps
+for every ratio >= 1 and p >= 1, and evaluate an array of ratios at once.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 __all__ = [
     "EPSILON_SAFE",
@@ -39,93 +48,131 @@ __all__ = [
 # limit, where the estimate N_a approaches 2*pi but the true maximum is 6.
 EPSILON_SAFE = 2.0 * math.pi - 6.0
 
+# Samples that bracket the pair-gap minimum, and Newton steps that polish it
+# (from within one sample spacing, a/64, quadratic convergence reaches
+# machine precision in about five).
+_BRACKET_SAMPLES = 65
+_NEWTON_STEPS = 8
 
-def helix_count_estimate(r: float, h: float) -> float:
-    """Rectangular-packing estimate N_a = pi*h*r/sqrt(h^2+r^2) (real-valued)."""
-    return math.pi * h * r / math.hypot(h, r)
+# Trapezoid nodes for the toroidal correction; cos t at each node.
+_CORRECTION_NODES = 64
+_COS_NODES = np.cos(2.0 * np.pi * np.arange(_CORRECTION_NODES) / _CORRECTION_NODES)
 
 
-def _minimize_gap(a: float, r: float, h: float) -> tuple:
-    """Minimum of d^2(theta) = 2 r^2 (1 - cos(theta+a)) + h^2 theta^2 and its
-    arg, for phase gap a = 2*pi/n.  Both terms grow outside [-a, 0], so that
-    interval brackets the minimum; it is presampled (the objective can have
-    two local minima when a is large and h small) and the best bracket is
-    polished to |delta theta| <= 1e-10."""
-    r2 = 2.0 * r * r
+def helix_count_estimate(r, h):
+    """Rectangular-packing estimate N_a = pi*h*r/sqrt(h^2+r^2) (real-valued;
+    elementwise on arrays)."""
+    return math.pi * h * r / np.hypot(h, r)
+
+
+def _min_gap(a: np.ndarray, r: np.ndarray, h: np.ndarray) -> tuple:
+    """Minimum of d^2(theta) over theta in [-a, 0] and its argmin,
+    elementwise over equal-length 1-D arrays of phase gaps a, radii r and
+    hole radii h.  The result is never above the smallest bracket sample."""
+    r2 = r * r
     h2 = h * h
+    rows = np.arange(len(a))
+    ts = np.linspace(-a, 0.0, _BRACKET_SAMPLES, axis=-1)
+    vals = (4.0 * r2[:, None] * np.sin(0.5 * (ts + a[:, None])) ** 2
+            + h2[:, None] * ts * ts)
+    k = np.argmin(vals, axis=-1)
+    lo = ts[rows, np.maximum(k - 1, 0)]
+    hi = ts[rows, np.minimum(k + 1, _BRACKET_SAMPLES - 1)]
+    best_t = ts[rows, k]
+    best_v = vals[rows, k]
 
-    def d2(t):
-        return r2 * (1.0 - math.cos(t + a)) + h2 * t * t
-
-    ts = np.linspace(-a, 0.0, 65)
-    vals = r2 * (1.0 - np.cos(ts + a)) + h2 * ts * ts
-    k = int(np.argmin(vals))
-    lo = ts[max(k - 1, 0)]
-    hi = ts[min(k + 1, len(ts) - 1)]
-    if lo == hi:  # pragma: no cover - linspace endpoints always differ
-        raise RuntimeError("failed to bracket the pair-distance minimum")
-    res = minimize_scalar(
-        d2, bounds=(float(lo), float(hi)), method="bounded",
-        options={"xatol": 1e-13},
-    )
-    best_t, best_v = float(res.x), float(res.fun)
-    if vals[k] < best_v:
-        best_t, best_v = float(ts[k]), float(vals[k])
-    return best_v, best_t
+    t = best_t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            # half of d(d^2)/dtheta and of its derivative
+            g = r2 * np.sin(t + a) + h2 * t
+            dg = r2 * np.cos(t + a) + h2
+            lo = np.where(g < 0.0, t, lo)
+            hi = np.where(g > 0.0, t, hi)
+            step = t - g / dg
+            t = np.where((dg > 0.0) & (step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+    v = 4.0 * r2 * np.sin(0.5 * (t + a)) ** 2 + h2 * t * t
+    better = v < best_v
+    return np.where(better, v, best_v), np.where(better, t, best_t)
 
 
 def pair_min_distance(n: int, r: float, h: float) -> dict:
     """Minimum gap between adjacent helices among n on a (r, h) shell.
 
-    Minimizes d(theta) = sqrt(2 r^2 (1 - cos(theta + 2*pi/n)) + h^2 theta^2)
-    over theta in [-pi, pi] by bracketed 1-D minimization.  Returns
+    Minimizes d(theta) = sqrt(4 r^2 sin^2((theta + a)/2) + h^2 theta^2),
+    a = 2*pi/n, over theta in [-a, 0], where it is attained.  Returns
     {"distance", "theta_at_min"}.
     """
     if n < 2:
         raise ValueError(f"need n >= 2 helices for a pair, got {n}")
     if r <= 0.0 or h <= 0.0:
         raise ValueError("r and h must be positive")
-    best_v, best_t = _minimize_gap(2.0 * math.pi / n, r, h)
-    return {"distance": math.sqrt(best_v), "theta_at_min": best_t}
+    v, t = _min_gap(np.array([2.0 * math.pi / n]), np.array([float(r)]),
+                    np.array([float(h)]))
+    return {"distance": math.sqrt(v[0]), "theta_at_min": float(t[0])}
 
 
-def max_helices(r: float, h: float, mode: str = "exact", epsilon: float = EPSILON_SAFE) -> int:
+def _fits(n: np.ndarray, r: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Whether n helices pack on each (r, h) shell: pair gap >= 2 within
+    1e-9, since the tall-cylinder optimum approaches 2 from below."""
+    v, _ = _min_gap(2.0 * np.pi / n, r, h)
+    return np.sqrt(v) >= 2.0 - 1e-9
+
+
+def _exact_counts(r: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Largest n that fits on each shell (1 when not even 2 fit), scanning
+    up or down from floor(N_a - EPSILON_SAFE); one _min_gap call per step
+    for all shells still scanning."""
+    n = np.maximum(2, np.floor(helix_count_estimate(r, h) - EPSILON_SAFE + 1e-9))
+    n = n.astype(np.int64)
+    start_fits = _fits(n, r, h)
+
+    growing = np.flatnonzero(start_fits)
+    while growing.size:
+        ok = _fits(n[growing] + 1, r[growing], h[growing])
+        n[growing[ok]] += 1
+        growing = growing[ok]
+
+    shrinking = np.flatnonzero(~start_fits)
+    while shrinking.size:
+        at_two = n[shrinking] <= 2
+        n[shrinking[at_two]] = 1
+        shrinking = shrinking[~at_two]
+        n[shrinking] -= 1
+        shrinking = shrinking[~_fits(n[shrinking], r[shrinking], h[shrinking])]
+    return n
+
+
+def max_helices(r, h, mode: str = "exact", epsilon: float = EPSILON_SAFE):
     """Maximum number of unit-thickness helices packable on a (r, h) shell.
 
-    mode="approx" returns floor(N_a - epsilon) from the rectangular estimate
-    (with a 1e-9 nudge so that mathematically integer arguments are not
-    floored down by floating-point undershoot); results below 1 report 0.
-    mode="exact" returns the largest n with pair_min_distance >= 2 (within
-    1e-9, since the tall-cylinder optimum approaches 2 from below), found by
-    scanning from the estimate; a single helix always fits, so exact mode
-    never returns less than 1.
+    r and h may be arrays (broadcast together), one count per shell; scalar
+    arguments give an int.  mode="approx" returns floor(N_a - epsilon) from
+    the rectangular estimate (with a 1e-9 nudge so that mathematically
+    integer arguments are not floored down by floating-point undershoot);
+    results below 1 report 0.  mode="exact" returns the largest n with
+    pair_min_distance >= 2 (within 1e-9, since the tall-cylinder optimum
+    approaches 2 from below), found by scanning from the estimate; a single
+    helix always fits, so exact mode never returns less than 1.
     """
-    if r < 2.0:
-        raise ValueError(f"shell radius must be >= 2, got {r}")
-    if h <= 0.0:
-        raise ValueError(f"hole radius must be positive, got {h}")
-    n_a = helix_count_estimate(r, h)
+    r_arr, h_arr = np.broadcast_arrays(np.asarray(r, dtype=float),
+                                       np.asarray(h, dtype=float))
+    if not (np.all(np.isfinite(r_arr)) and np.all(np.isfinite(h_arr))):
+        raise ValueError(f"shell and hole radii must be finite, got {r} and {h}")
+    if np.any(r_arr < 2.0):
+        raise ValueError(f"shell radius must be >= 2, got {r_arr.min()}")
+    if np.any(h_arr <= 0.0):
+        raise ValueError(f"hole radius must be positive, got {h_arr.min()}")
     if mode == "approx":
         if epsilon < 0.0:
             raise ValueError("epsilon must be >= 0")
-        count = math.floor(n_a - epsilon + 1e-9)
-        return max(count, 0)
-    if mode != "exact":
+        n_a = helix_count_estimate(r_arr, h_arr)
+        counts = np.maximum(np.floor(n_a - epsilon + 1e-9), 0).astype(np.int64)
+    elif mode == "exact":
+        counts = _exact_counts(r_arr.ravel(), h_arr.ravel()).reshape(r_arr.shape)
+    else:
         raise ValueError(f"mode must be 'exact' or 'approx', got {mode!r}")
-
-    def fits(n: int) -> bool:
-        return pair_min_distance(n, r, h)["distance"] >= 2.0 - 1e-9
-
-    n = max(2, math.floor(n_a - EPSILON_SAFE + 1e-9))
-    if fits(n):
-        while fits(n + 1):
-            n += 1
-        return n
-    while n > 2:
-        n -= 1
-        if fits(n):
-            return n
-    return 1
+    return int(counts) if counts.ndim == 0 else counts
 
 
 def cubic_min_distance(r: float, h: float, epsilon: float) -> float:
@@ -168,7 +215,31 @@ def cubic_min_distance(r: float, h: float, epsilon: float) -> float:
     )
 
 
-def toroidal_correction(ratio: float, p: int = 1) -> float:
+def _correction(ratio: np.ndarray, p: int) -> np.ndarray:
+    """toroidal_correction on an array of ratios, returning an array of the
+    same shape."""
+    if p < 1:
+        raise ValueError(f"need p >= 1, got {p}")
+    finite = np.isfinite(ratio)
+    if not np.all(finite):
+        raise ValueError(f"ratio must be finite, got {ratio[~finite][0]}")
+    if np.any(ratio < 1.0):
+        raise ValueError(
+            f"ratio must be >= 1, got {ratio.min()}: the torus is self-intersecting"
+        )
+    if np.any(ratio == 1.0):
+        warnings.warn(
+            "ratio == 1 describes a degenerate horn torus; the correction is "
+            "still integrable but the geometry cannot be realized",
+            stacklevel=3,
+        )
+    # Each node is divided by the node count (exact: a power of two) before
+    # summing, so that the largest finite ratios do not overflow the sum.
+    nodes = np.hypot(p, ratio[..., None] - _COS_NODES) / _CORRECTION_NODES
+    return np.sum(nodes, axis=-1) / np.hypot(p, ratio)
+
+
+def toroidal_correction(ratio, p: int = 1):
     """Arc-length ratio of a toroidal helix to its straightened counterpart.
 
     A helix winding p times around a torus tube of radius r while circling
@@ -176,50 +247,17 @@ def toroidal_correction(ratio: float, p: int = 1) -> float:
     integral_0^{2pi} sqrt(p^2 r^2 + (R - r cos t)^2) dt; straightening the
     torus into a cylinder replaces (R - r cos t) by R.  The ratio is
 
-        integral_0^{2pi} sqrt(1 + (ratio - cos t)^2 / p^2) dt
-        / (2 pi sqrt((ratio/p)^2 + 1)),
+        mean over t of hypot(p, ratio - cos t) / hypot(p, ratio),
 
-    always > 1, decreasing in ratio, tending to 1 like ratio^-4.  ratio < 1
-    describes a self-intersecting torus and is rejected; ratio == 1 (tube as
-    fat as the hole) is computed but flagged with a warning.
+    evaluated by the 64-node trapezoid rule (exact to a few ulps; hypot keeps
+    huge ratios from overflowing).  It is always > 1, decreasing in ratio,
+    tending to 1 like ratio^-4.  `ratio` may be a scalar (float result) or an
+    array (array result).  Non-finite ratios are rejected, as is ratio < 1,
+    a self-intersecting torus; ratio == 1 (tube as fat as the hole) is
+    computed but flagged with a warning.
     """
-    if p < 1:
-        raise ValueError(f"need p >= 1, got {p}")
-    if ratio < 1.0:
-        raise ValueError(
-            f"ratio must be >= 1, got {ratio}: the torus is self-intersecting"
-        )
-    if ratio == 1.0:
-        warnings.warn(
-            "ratio == 1 describes a degenerate horn torus; the correction is "
-            "still integrable but the geometry cannot be realized",
-            stacklevel=2,
-        )
-    inv_p2 = 1.0 / (p * p)
-
-    def integrand(t):
-        dev = ratio - math.cos(t)
-        return math.sqrt(1.0 + inv_p2 * dev * dev)
-
-    val, _ = quad(integrand, 0.0, 2.0 * math.pi, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return val / (2.0 * math.pi * math.sqrt((ratio / p) ** 2 + 1.0))
-
-
-@lru_cache(maxsize=64)
-def _aggregate_cached(t_shells: int, weighting: str, ratio_coeff: float) -> float:
-    i = np.arange(1, t_shells + 1, dtype=float)
-    t = float(t_shells)
-    corr = np.array([toroidal_correction(ratio_coeff * t / ii, 1) for ii in i])
-    # straight per-helix length, up to 4*pi: sqrt((R0/2)^2 + i^2), R0 = 2*c*T
-    straight = np.sqrt((ratio_coeff * t) ** 2 + i * i)
-    if weighting == "increment":
-        counts = i  # shell i holds a count proportional to i
-    elif weighting == "optimal":
-        counts = i * t / np.sqrt(t * t + i * i)  # N_a-style per-shell counts
-    else:
-        raise ValueError(f"unknown weighting {weighting!r}")
-    w = counts * straight
-    return float(np.sum(w * corr) / np.sum(w))
+    out = _correction(np.asarray(ratio, dtype=float), p)
+    return float(out) if out.ndim == 0 else out
 
 
 def aggregate_correction(
@@ -239,4 +277,15 @@ def aggregate_correction(
         raise ValueError(f"need t_shells >= 1, got {t_shells}")
     if ratio_coeff <= 1.0:
         raise ValueError("ratio_coeff must exceed 1 (the outermost shell has this ratio)")
-    return _aggregate_cached(int(t_shells), weighting, float(ratio_coeff))
+    i = np.arange(1, int(t_shells) + 1, dtype=float)
+    t = float(t_shells)
+    if weighting == "increment":
+        counts = i  # shell i holds a count proportional to i
+    elif weighting == "optimal":
+        counts = i * t / np.sqrt(t * t + i * i)  # N_a-style per-shell counts
+    else:
+        raise ValueError(f"unknown weighting {weighting!r}")
+    # straight per-helix length, up to 4*pi: sqrt((R0/2)^2 + i^2), R0 = 2*c*T
+    w = counts * np.sqrt((ratio_coeff * t) ** 2 + i * i)
+    corr = _correction(ratio_coeff * t / i, 1)
+    return float(np.sum(w / np.sum(w) * corr))

@@ -327,10 +327,10 @@ def _jenga_radius(radii, counts, current_hole):
     """Smallest hole radius at which every shell passes the exact capacity
     check, starting from the rectangle-rule estimate."""
     h = _rect_hole(radii, counts, current_hole)
+    filled = np.array([n for n in counts if n])
+    filled_radii = np.array([r for r, n in zip(radii, counts) if n])
     for _ in range(60):
-        if all(
-            n <= max_helices(r, h, "exact") for r, n in zip(radii, counts) if n
-        ):
+        if np.all(filled <= max_helices(filled_radii, h, "exact")):
             return h
         h *= 1.02
     return None

@@ -61,6 +61,33 @@ def test_correction_degenerate_ratio_rejected():
     assert err.value.code == 2
 
 
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as err:
+        return err.code
+
+
+@pytest.mark.parametrize("p", ["1", "2"])
+@pytest.mark.parametrize("ratio", ["nan", "inf", "-inf"])
+def test_correction_non_finite_ratio_exits_2(capsys, ratio, p):
+    # "--ratio=-inf": argparse reads a separate "-inf" as an option
+    assert _exit_code(["correction", f"--ratio={ratio}", "--p", p]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+def test_correction_huge_ratio_is_valid_json(capsys):
+    assert main(["correction", "--ratio", "1e300"]) == 0
+
+    def reject(constant):
+        raise ValueError(f"invalid JSON constant {constant}")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert payload["correction"] == 1.0
+
+
 def test_correction_table(tmp_path):
     out = tmp_path / "table.csv"
     assert main(["correction", "--table", "--out", str(out)]) == 0
