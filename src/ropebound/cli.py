@@ -23,6 +23,8 @@ import numpy as np
 from . import __version__
 from .bounds import asymptotic_coefficients, lower_bound_report
 from .construct import (
+    FAMILIES,
+    PLANAR_FAMILIES,
     build_increment_spec,
     build_optimal_spec,
     build_planar_link,
@@ -38,7 +40,6 @@ from .optimize import OptimizationProblem, minimize_params
 from .parallel import parallel_map
 
 TORUS_METHODS = ("inc4", "inc5", "optimal")
-PLANAR_METHODS = ("circles", "gibbous", "hybrid_square")
 
 # Ratio rows of the reference correction table (columns are p = 1, 2, 3).
 _TABLE_RATIOS = [
@@ -168,7 +169,7 @@ def cmd_build(args) -> int:
         else:
             link = realize_torus(spec, n_points=args.points, check=False)
         absolute = True
-    elif method in PLANAR_METHODS:
+    elif method in PLANAR_FAMILIES:
         if args.q is None:
             _usage(f"build {method}: requires --q (component count)")
         params = None
@@ -224,7 +225,8 @@ def cmd_check(args) -> int:
         "metrics": metrics.as_dict(),
         "linking_matrix": None if linking is None else linking.tolist(),
         "verification": verify(
-            metrics, tolerance=args.tolerance, linking=linking
+            metrics, tolerance=args.tolerance, linking=linking,
+            expected_linking=expected_linking(link),
         ),
     }
     _emit(payload, args.out)
@@ -398,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("build", help="construct a link and verify it")
-    p.add_argument("method", choices=TORUS_METHODS + PLANAR_METHODS)
+    p.add_argument("method", choices=TORUS_METHODS + PLANAR_FAMILIES)
     p.add_argument("--q", type=int, help="components (planar methods)")
     p.add_argument("--t", type=int, help="shells (torus methods)")
     p.add_argument("--p", type=int, default=1)
@@ -427,8 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("optimize", help="minimize normalized ropelength")
-    p.add_argument("--family", choices=PLANAR_METHODS + ("toroidal_pair",),
-                   required=True)
+    p.add_argument("--family", choices=tuple(FAMILIES), required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--restarts", type=int, default=5)
     p.add_argument("--maxfev", type=int, default=2000)
@@ -469,17 +470,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _install_config(parser, path: str):
+    """Install the flag defaults of a JSON config file on the main parser
+    and every subparser.  A file that cannot be read or parsed, or a value
+    of another type than its flag takes, is a usage error."""
+    try:
+        with open(path) as fh:
+            defaults = json.load(fh)
+    except (OSError, ValueError) as exc:
+        _usage(f"--config {path}: {exc}")
+    if not isinstance(defaults, dict):
+        parser.error("--config must contain a JSON object of flag defaults")
+    for sp in [parser] + parser.subcommand_parsers:
+        actions = {a.dest: a for a in sp._actions}
+        known = {k: v for k, v in defaults.items() if k in actions}
+        for key, value in known.items():
+            if not _config_value_fits(actions[key], value):
+                _usage(f"--config {path}: bad value {value!r} for {key!r}")
+        sp.set_defaults(**known)
+
+
+def _config_value_fits(action, value) -> bool:
+    """Whether a config-file value can be the default of `action`'s flag:
+    a bool for a switch, else a string (argparse converts string defaults
+    with the flag's type) or a number for a numeric flag."""
+    if action.nargs == 0:
+        return isinstance(value, bool)
+    number = {int: int, float: (int, float)}.get(action.type, ())
+    return isinstance(value, str) or (
+        isinstance(value, number) and not isinstance(value, bool))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        with open(args.config) as fh:
-            defaults = json.load(fh)
-        if not isinstance(defaults, dict):
-            parser.error("--config must contain a JSON object of flag defaults")
-        for sp in [parser] + parser.subcommand_parsers:
-            known = {a.dest for a in sp._actions}
-            sp.set_defaults(**{k: v for k, v in defaults.items() if k in known})
+        _install_config(parser, args.config)
         args = parser.parse_args(argv)
     try:
         return args.func(args)

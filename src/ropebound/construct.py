@@ -15,24 +15,31 @@ constraint; two builds are provided:
 donut_double threads a second congruent torus through the first one's hole
 (Hopf-linking every component of one copy with every component of the other),
 which requires R0 >= 2 r_outer + 2 and turns T(pQ, Q) into a T(Q', Q')-type
-link of 2Q components with crossing number 2 p Q (Q-1) + 2 Q^2.
+link of 2Q components with crossing number 2 p Q (Q-1) + 2 Q^2.  toroidal_pair
+threads two one-shell tori the same way at a free separation.
 
 Planar builds place q convex loops (circles or flattened "gibbous" ovals)
 evenly around an axis, each displaced outward and tilted so consecutive loops
 thread one another; hybrid_square threads q-1 gibbous loops through a central
 rounded square instead.
 
-Every constructor takes `check`: when true (the default) the finished
-configuration is measured and passed through `measure.verify` (absolute
-clearance 2, curvature radius 1 and the expected linking pattern for tori;
-for the scale-free planar families, components that do not touch), and a
-failed verdict raises OverlapError.
+FAMILIES is the one table of parameterized families (the planar ones and
+toroidal_pair): parameter names, start values and box bounds.  The start
+values are both the defaults of build_planar_link and the optimizer's first
+start (`optimize.OptimizationProblem`).
+
+realize_torus, donut_double and build_planar_link take `check`: when true
+(the default) the finished configuration is measured and passed through
+`measure.verify` (absolute clearance 2, curvature radius 1 and the expected
+linking pattern for tori; for the scale-free planar families, components
+that do not touch), and a failed verdict raises OverlapError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +54,8 @@ from .linking import IntersectingCurvesError, linking_matrix
 from .measure import LinkConfiguration, expected_linking, measure_link, verify
 
 __all__ = [
+    "FAMILIES",
+    "PLANAR_FAMILIES",
     "OverlapError",
     "Shell",
     "TorusSpec",
@@ -56,11 +65,51 @@ __all__ = [
     "analytic_length",
     "construction_report",
     "realize_torus",
-    "inflate_for_doubling",
     "donut_double",
+    "toroidal_pair",
     "build_planar_link",
     "limiting_alpha",
 ]
+
+
+class Family(NamedTuple):
+    """Parameter names, start values and box bounds of one family."""
+
+    names: tuple
+    start: tuple
+    bounds: tuple
+
+
+FAMILIES = {
+    "circles": Family(
+        ("rho", "psi"),
+        (0.5, 5.0 * math.pi / 18.0),
+        ((0.05, 1.5), (0.05, 0.5 * math.pi - 0.05)),
+    ),
+    "gibbous": Family(
+        ("rho", "psi", "gamma", "delta"),
+        (0.4, 0.75, 0.8, -0.05),
+        ((0.05, 1.5), (0.05, 0.5 * math.pi - 0.05), (0.2, 3.0), (-0.249, 0.249)),
+    ),
+    "hybrid_square": Family(
+        ("rho", "psi", "gamma", "delta", "square_scale", "square_flat_fraction"),
+        (0.45, 0.66, 0.88, 0.03, 0.88, 0.1),
+        (
+            (0.05, 1.5),
+            (0.05, 0.5 * math.pi - 0.05),
+            (0.2, 3.0),
+            (-0.249, 0.249),
+            (0.1, 3.0),
+            (0.05, 0.95),
+        ),
+    ),
+    "toroidal_pair": Family(
+        ("major_radius", "separation", "phase", "shell_radius"),
+        (6.4, 6.44, 0.0, 2.2),
+        ((4.5, 9.0), (4.0, 9.0), (-0.6, 0.6), (2.0, 3.2)),
+    ),
+}
+PLANAR_FAMILIES = tuple(f for f in FAMILIES if f != "toroidal_pair")
 
 
 class OverlapError(RuntimeError):
@@ -291,7 +340,7 @@ def construction_report(
     inflation = 1.0
     realized_spec = spec
     if doubled:
-        realized_spec, inflation = inflate_for_doubling(spec)
+        realized_spec, inflation = _inflated_for_doubling(spec)
     length = analytic_length(realized_spec, corrected=True)
     if doubled:
         length *= 2.0
@@ -348,7 +397,7 @@ def realize_torus(
     return _checked(config, absolute=True) if check else config
 
 
-def inflate_for_doubling(spec: TorusSpec) -> tuple:
+def _inflated_for_doubling(spec: TorusSpec) -> tuple:
     """Smallest major radius >= 2 r_outer + 2 permitting donut doubling.
 
     Returns (possibly inflated spec, inflation factor).  Two congruent tori
@@ -360,6 +409,18 @@ def inflate_for_doubling(spec: TorusSpec) -> tuple:
         return spec, 1.0
     factor = needed / spec.major_radius
     return replace(spec, major_radius=needed), factor
+
+
+def _threaded_copy(components, separation: float, mirror: bool = False) -> list:
+    """The second copy of a threaded pair of tori: `components` turned 90
+    degrees about the x axis (after a reflection through the xy plane when
+    `mirror`) and shifted by `separation` along x, so its tube circle passes
+    through the first torus' hole."""
+    rot = rotation_about_axis((1.0, 0.0, 0.0), 0.5 * math.pi)
+    if mirror:
+        rot = rot @ np.diag([1.0, 1.0, -1.0])
+    shift = np.array([separation, 0.0, 0.0])
+    return [c.transformed(rot, shift) for c in components]
 
 
 def donut_double(
@@ -378,13 +439,9 @@ def donut_double(
     check=True verifies the doubled link as realize_torus does, expecting
     |lk| = 1 between the two copies.
     """
-    inflated, inflation = inflate_for_doubling(spec)
+    inflated, inflation = _inflated_for_doubling(spec)
     first = realize_torus(inflated, n_points=n_points, check=False)
-    rot = rotation_about_axis((1.0, 0.0, 0.0), 0.5 * math.pi)
-    if mirror:
-        rot = rot @ np.diag([1.0, 1.0, -1.0])
-    shift = np.array([inflated.major_radius, 0.0, 0.0])
-    second = [c.transformed(rot, shift) for c in first.components]
+    second = _threaded_copy(first.components, inflated.major_radius, mirror)
     config = LinkConfiguration(
         list(first.components) + second,
         crossing_number=spec.crossing_number(doubled=True),
@@ -400,18 +457,37 @@ def donut_double(
     return _checked(config, absolute=True) if check else config
 
 
-_PLANAR_DEFAULTS = {
-    "circles": {"radius": 1.0, "rho": 0.5, "psi": 5.0 * math.pi / 18.0},
-    "gibbous": {"gamma": 1.0, "delta": 0.0, "rho": 0.5, "psi": 5.0 * math.pi / 18.0},
-    "hybrid_square": {
-        "gamma": 1.0,
-        "delta": 0.0,
-        "rho": 0.5,
-        "psi": 5.0 * math.pi / 18.0,
-        "square_scale": 1.0,
-        "square_flat_fraction": 0.5,
-    },
-}
+def toroidal_pair(
+    major_radius: float,
+    separation: float | None = None,
+    phase: float = 0.0,
+    count: int = 6,
+    shell_radius: float = 2.0,
+    n_points: int = 420,
+) -> LinkConfiguration:
+    """Two congruent core-plus-helices tori threaded through each other.
+
+    Unlike donut doubling this does not enforce the conservative clearance
+    R0 >= 2 r_outer + 2: `separation` (default: the major radius) places the
+    second copy freely, letting an optimizer trade inter-copy clearance
+    against intra-copy helix gaps.  The common `phase` rotates each torus
+    about its own axis, changing the relative geometry of the two copies.
+    """
+    if separation is None:
+        separation = major_radius
+    spec = TorusSpec(
+        [Shell(shell_radius, count, phase)], has_core=True, major_radius=major_radius
+    )
+    first = realize_torus(spec, n_points=n_points, check=False)
+    second = _threaded_copy(first.components, separation)
+    q = spec.q
+    return LinkConfiguration(
+        list(first.components) + second,
+        crossing_number=2 * q * (q - 1) + 2 * q * q,
+        description=f"two threaded tori of {q} components each",
+        metadata={"family": "toroidal_pair", "spec": spec.as_dict(),
+                  "separation": separation},
+    )
 
 
 def build_planar_link(
@@ -425,31 +501,28 @@ def build_planar_link(
 
     Loops sit at azimuths 2*pi*i/q, displaced outward by rho (in loop units)
     and tilted by psi about the radial direction.  Families: "circles"
-    (params radius, rho, psi), "gibbous" (gamma, delta, rho, psi), and
-    "hybrid_square" (q-1 gibbous loops around a central rounded square in the
-    xy plane; adds square_scale, square_flat_fraction).  check=True raises
+    (params rho, psi; unit circles, since planar links are scale-free),
+    "gibbous" (adds gamma, delta), and "hybrid_square" (q-1 gibbous loops
+    around a central rounded square in the xy plane; adds square_scale,
+    square_flat_fraction).  Parameters missing from `params` take the
+    family's start values in FAMILIES.  check=True raises
     OverlapError unless `measure.verify` finds the link embeddable (no two
     components touch; a touching link cannot be thickened at all); clearance
     scaling is otherwise left to normalization.
     """
     if q < 2:
         raise ValueError(f"need q >= 2 components, got {q}")
-    if family not in _PLANAR_DEFAULTS:
+    if family not in PLANAR_FAMILIES:
         raise ValueError(f"unknown planar family {family!r}")
-    merged = dict(_PLANAR_DEFAULTS[family])
+    merged = dict(zip(FAMILIES[family].names, FAMILIES[family].start))
     for key, value in (params or {}).items():
         if key not in merged:
             raise ValueError(f"unknown parameter {key!r} for family {family!r}")
         merged[key] = float(value)
 
     rho, psi = merged["rho"], merged["psi"]
-    if family == "circles":
-        shape, shape_params = "circle", {"radius": merged["radius"]}
-    else:
-        shape, shape_params = "gibbous", {
-            "gamma": merged["gamma"],
-            "delta": merged["delta"],
-        }
+    shape = "circle" if family == "circles" else "gibbous"
+    shape_params = {k: merged[k] for k in ("gamma", "delta") if k in merged}
 
     comps = []
     n_ring = q - 1 if family == "hybrid_square" else q

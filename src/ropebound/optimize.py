@@ -1,13 +1,15 @@
 """Derivative-free minimization of normalized ropelength.
 
-The objective for every family is the scale-invariant normalized ropelength
-of the realized configuration (total length over thickness), so the optimum
-is exactly the quantity the rest of the library measures and bounds.  The
-minimizer is a reflection/expansion/contraction simplex over box-bounded
-parameters with boundary clamping; infeasible parameter vectors (self
-intersections, invalid shapes) evaluate to +inf and are recovered from by
-contraction.  Restarts jitter the starting point deterministically from a
-seeded generator.
+An OptimizationProblem names a family of `construct.FAMILIES` (whose row
+gives the parameter names, the start and the box bounds), a component count,
+a sampling density and a seed.  The objective for every family is the
+scale-invariant normalized ropelength of the realized configuration (total
+length over thickness), so the optimum is exactly the quantity the rest of
+the library measures and bounds.  The minimizer is a reflection/expansion/
+contraction simplex over box-bounded parameters with boundary clamping;
+infeasible parameter vectors (self intersections, invalid shapes) evaluate
+to +inf and are recovered from by contraction.  Restarts jitter the starting
+point deterministically from a seeded generator.
 
 reverse_jenga improves a multi-shell torus spec by greedily moving helices
 from the outermost shell into spare exact capacity of inner shells whenever
@@ -16,21 +18,20 @@ the recomputed hole radius makes the predicted total length drop.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .construct import (
+    FAMILIES,
     OverlapError,
     Shell,
     TorusSpec,
     _hole_radius_required,
     analytic_length,
     build_planar_link,
-    realize_torus,
+    toroidal_pair,
 )
-from .curves import rotation_about_axis, sample_planar_curve
 from .helices import max_helices
 from .measure import LinkConfiguration, measure_thickness, verify
 # Not called here; kept because perfbench/tracing.py wraps this attribute.
@@ -42,42 +43,7 @@ __all__ = [
     "nelder_mead",
     "minimize_params",
     "reverse_jenga",
-    "toroidal_pair",
-    "toroidal_pair_problem",
-    "perpendicular_variant",
 ]
-
-
-# parameter names, default starting vector, and box bounds per family
-_FAMILIES = {
-    "circles": (
-        ("rho", "psi"),
-        (0.5, 5.0 * math.pi / 18.0),
-        ((0.05, 1.5), (0.05, 0.5 * math.pi - 0.05)),
-    ),
-    "gibbous": (
-        ("rho", "psi", "gamma", "delta"),
-        (0.4, 0.75, 0.8, -0.05),
-        ((0.05, 1.5), (0.05, 0.5 * math.pi - 0.05), (0.2, 3.0), (-0.249, 0.249)),
-    ),
-    "hybrid_square": (
-        ("rho", "psi", "gamma", "delta", "square_scale", "square_flat_fraction"),
-        (0.45, 0.66, 0.88, 0.03, 0.88, 0.1),
-        (
-            (0.05, 1.5),
-            (0.05, 0.5 * math.pi - 0.05),
-            (0.2, 3.0),
-            (-0.249, 0.249),
-            (0.1, 3.0),
-            (0.05, 0.95),
-        ),
-    ),
-    "toroidal_pair": (
-        ("major_radius", "separation", "phase", "shell_radius"),
-        (6.4, 6.44, 0.0, 2.2),
-        ((4.5, 9.0), (4.0, 9.0), (-0.6, 0.6), (2.0, 3.2)),
-    ),
-}
 
 
 def normalized_ropelength(link) -> float:
@@ -93,41 +59,6 @@ def normalized_ropelength(link) -> float:
     return float(value)
 
 
-def toroidal_pair(
-    major_radius: float,
-    separation: float | None = None,
-    phase: float = 0.0,
-    count: int = 6,
-    shell_radius: float = 2.0,
-    n_points: int = 420,
-) -> LinkConfiguration:
-    """Two congruent core-plus-helices tori threaded through each other.
-
-    Unlike donut doubling this does not enforce the conservative clearance
-    R0 >= 2 r_outer + 2: `separation` (default: the major radius) places the
-    second copy freely, letting an optimizer trade inter-copy clearance
-    against intra-copy helix gaps.  The common `phase` rotates each torus
-    about its own axis, changing the relative geometry of the two copies.
-    """
-    if separation is None:
-        separation = major_radius
-    spec = TorusSpec(
-        [Shell(shell_radius, count, phase)], has_core=True, major_radius=major_radius
-    )
-    first = realize_torus(spec, n_points=n_points, check=False)
-    rot = rotation_about_axis((1.0, 0.0, 0.0), 0.5 * math.pi)
-    shift = np.array([separation, 0.0, 0.0])
-    second = [c.transformed(rot, shift) for c in first.components]
-    q = spec.q
-    return LinkConfiguration(
-        list(first.components) + second,
-        crossing_number=2 * q * (q - 1) + 2 * q * q,
-        description=f"two threaded tori of {q} components each",
-        metadata={"family": "toroidal_pair", "spec": spec.as_dict(),
-                  "separation": separation},
-    )
-
-
 @dataclass
 class OptimizationProblem:
     """A parameterized construction plus everything needed to minimize its
@@ -135,48 +66,29 @@ class OptimizationProblem:
 
     family: str
     q: int
-    p: int = 1
-    initial_params: object = None
-    param_bounds: object = None
     n_points: int = 200
     seed: int = 0
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        names, defaults, bounds = _FAMILIES[self.family]
-        if self.initial_params is None:
-            self.initial_params = np.asarray(defaults, dtype=float)
-        else:
-            self.initial_params = np.asarray(self.initial_params, dtype=float)
-        if self.param_bounds is None:
-            self.param_bounds = np.asarray(bounds, dtype=float)
-        else:
-            self.param_bounds = np.asarray(self.param_bounds, dtype=float)
-        arity = len(names)
-        if self.initial_params.shape != (arity,):
-            raise ValueError(
-                f"{self.family} takes {arity} parameters "
-                f"({', '.join(names)}), got {self.initial_params.shape}"
-            )
-        if self.param_bounds.shape != (arity, 2):
-            raise ValueError(f"param_bounds must be ({arity}, 2)")
-        lo, hi = self.param_bounds.T
-        if (self.initial_params < lo).any() or (self.initial_params > hi).any():
-            raise ValueError("initial parameters outside bounds")
 
     @property
-    def param_names(self):
-        return _FAMILIES[self.family][0]
+    def param_names(self) -> tuple:
+        return FAMILIES[self.family].names
+
+    @property
+    def initial_params(self) -> np.ndarray:
+        return np.array(FAMILIES[self.family].start, dtype=float)
+
+    @property
+    def param_bounds(self) -> np.ndarray:
+        return np.array(FAMILIES[self.family].bounds, dtype=float)
 
     def build(self, params) -> LinkConfiguration:
-        params = np.asarray(params, dtype=float)
+        values = dict(zip(self.param_names, np.asarray(params, dtype=float)))
         if self.family == "toroidal_pair":
-            return toroidal_pair(
-                params[0], params[1], params[2], shell_radius=params[3],
-                n_points=self.n_points,
-            )
-        values = dict(zip(self.param_names, params))
+            return toroidal_pair(**values, n_points=self.n_points)
         return build_planar_link(
             self.q, self.family, values, n_points=self.n_points, check=False
         )
@@ -285,9 +197,9 @@ def minimize_params(
     if restarts < 1:
         raise ValueError(f"need restarts >= 1, got {restarts}")
     rng = np.random.default_rng(problem.seed)
-    lo, hi = np.asarray(problem.param_bounds, dtype=float).T
+    lo, hi = problem.param_bounds.T
     span = hi - lo
-    starts = [np.asarray(problem.initial_params, dtype=float)]
+    starts = [problem.initial_params]
     while len(starts) < restarts:
         jitter = rng.uniform(-0.1, 0.1, size=len(span)) * span
         starts.append(np.clip(starts[0] + jitter, lo, hi))
@@ -391,50 +303,3 @@ def reverse_jenga(spec: TorusSpec) -> TorusSpec:
             length, counts, hole, current = best_move
             improved = True
     return current
-
-
-def toroidal_pair_problem(n_points: int = 420, seed: int = 0) -> OptimizationProblem:
-    """Optimization problem for the 14-component link made of two threaded
-    copies of a core circle surrounded by six helices."""
-    return OptimizationProblem("toroidal_pair", q=14, n_points=n_points, seed=seed)
-
-
-def perpendicular_variant(
-    spec: TorusSpec, outer_crossing: float | None = None, n_points: int = 1000
-):
-    """Replace one outermost helix with a circle threading the hole
-    perpendicular to the torus plane; returns (configuration, normalized
-    ropelength).  The circle crosses the torus plane at the hole center and
-    at `outer_crossing` (default: just outside the outermost tube)."""
-    if not spec.shells:
-        raise ValueError("spec has no helices to move")
-    counts = [s.count for s in spec.shells]
-    counts[-1] -= 1
-    shells = [
-        Shell(s.radius, n, s.phase_offset)
-        for s, n in zip(spec.shells, counts)
-        if n > 0
-    ]
-    reduced = TorusSpec(
-        shells or spec.shells[:1],
-        has_core=spec.has_core,
-        major_radius=spec.major_radius,
-        p=spec.p,
-        t_shells=len(shells) if shells else 1,
-    )
-    if outer_crossing is None:
-        outer_crossing = spec.major_radius + spec.outer_radius + 2.0
-    radius = 0.5 * outer_crossing
-    # xz-plane circle through the hole center (0,0,0) and (outer_crossing,0,0)
-    circle = sample_planar_curve(
-        "circle", {"radius": radius}, n_points=n_points
-    ).transformed(np.eye(3), np.array([radius, 0.0, 0.0]))
-    base = realize_torus(reduced, n_points=n_points, check=False)
-    q = spec.q
-    config = LinkConfiguration(
-        list(base.components) + [circle],
-        crossing_number=spec.crossing_number(doubled=False),
-        description=f"torus link of {q} components, one moved perpendicular",
-        metadata={"family": "torus_perpendicular", "spec": reduced.as_dict()},
-    )
-    return config, normalized_ropelength(config)

@@ -365,3 +365,45 @@ def test_config_file_defaults(capsys, tmp_path):
         ["--config", str(cfg), "bounds", "--q", "3", "--points", "220"],
     )
     assert payload["run"]["flags"]["points"] == 220
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        (None, ["bounds", "--q", "3"]),  # missing file
+        ('{"points": ', ["bounds", "--q", "3"]),
+        ('{"points": [3]}', ["build", "circles", "--q", "3"]),
+        ('{"points": 150.5}', ["bounds", "--q", "3"]),
+        ('{"double": "yes"}', ["build", "inc4", "--t", "1"]),
+    ],
+    ids=["missing-file", "invalid-json", "list-for-int", "float-for-int",
+         "string-for-switch"],
+)
+def test_config_file_errors_exit_2(capsys, tmp_path, text, argv):
+    cfg = tmp_path / "defaults.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert _exit_code(["--config", str(cfg)] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --config")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("tampered", [False, True])
+def test_check_asserts_the_linking_pattern_of_a_json_spec(capsys, tmp_path,
+                                                          tampered):
+    # a JSON file keeps its torus spec, so check verifies the pattern the
+    # spec promises; a file whose spec was edited to p = 2 fails
+    geom = tmp_path / "link.json"
+    assert main(["build", "inc4", "--t", "1", "--points", "200",
+                 "--out", str(geom)]) == 0
+    capsys.readouterr()
+    if tampered:
+        payload = json.loads(geom.read_text())
+        payload["metadata"]["spec"]["p"] = 2
+        geom.write_text(json.dumps(payload))
+    code, check = _run_json(capsys, ["check", str(geom)])
+    assert code == (1 if tampered else 0)
+    assert check["verification"]["linking_ok"] is not tampered
+    assert check["verification"]["min_distance_ok"] is True
+    assert check["verification"]["passed"] is not tampered

@@ -7,6 +7,7 @@ import pytest
 
 from ropebound import construct
 from ropebound.construct import (
+    FAMILIES,
     OverlapError,
     Shell,
     TorusSpec,
@@ -16,9 +17,9 @@ from ropebound.construct import (
     build_planar_link,
     construction_report,
     donut_double,
-    inflate_for_doubling,
     limiting_alpha,
     realize_torus,
+    toroidal_pair,
 )
 from ropebound.distances import mutual_min_distance
 from ropebound.helices import toroidal_correction
@@ -172,12 +173,24 @@ def test_realize_rejects_wrong_linking(monkeypatch):
 
 def test_inflate_for_doubling():
     spec = build_increment_spec(1, 4)  # major radius 3.65 < 2*2 + 2
-    inflated, factor = inflate_for_doubling(spec)
-    assert inflated.major_radius == pytest.approx(6.0)
-    assert factor == pytest.approx(1.643370825219721, rel=1e-12)
+    report = construction_report(spec, doubled=True)
+    assert report.spec.major_radius == pytest.approx(6.0)
+    assert report.inflation == pytest.approx(1.643370825219721, rel=1e-12)
     roomy = TorusSpec([Shell(2.0, 4)], has_core=True, major_radius=9.0)
-    same, one = inflate_for_doubling(roomy)
-    assert one == 1.0 and same is roomy
+    report = construction_report(roomy, doubled=True)
+    assert report.inflation == 1.0 and report.spec is roomy
+
+
+def test_toroidal_pair_threads_like_donut_double():
+    # at separation = major radius, the free pair is the donut double of a
+    # spec roomy enough (6.4 >= 2 * 2 + 2) to need no inflation
+    spec = TorusSpec([Shell(2.0, 6)], has_core=True, major_radius=6.4)
+    doubled = donut_double(spec, n_points=200, check=False)
+    assert doubled.metadata["inflation"] == 1.0
+    pair = toroidal_pair(6.4, n_points=200)
+    assert pair.n_components == doubled.n_components == 14
+    for a, b in zip(pair.components, doubled.components):
+        assert np.array_equal(a.vertices, b.vertices)
 
 
 def test_donut_double_threads_every_component():
@@ -235,6 +248,22 @@ def test_hybrid_square_component_structure():
     assert np.all(np.abs(lm[-1, :-1]) == 1)
 
 
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_family_table_rows(family):
+    row = FAMILIES[family]
+    assert len(row.names) == len(row.start) == len(row.bounds)
+    for start, (lo, hi) in zip(row.start, row.bounds):
+        assert lo <= start <= hi
+
+
+def test_gibbous_defaults_are_not_the_circles_link():
+    # check=True: the default ovals verify as an embedding
+    gibbous = build_planar_link(4, "gibbous", n_points=200)
+    circles = build_planar_link(4, "circles", n_points=200)
+    for a, b in zip(gibbous.components, circles.components):
+        assert not np.allclose(a.vertices, b.vertices)
+
+
 def test_planar_link_validation():
     with pytest.raises(ValueError):
         build_planar_link(1, "circles")
@@ -242,6 +271,10 @@ def test_planar_link_validation():
         build_planar_link(3, "bogus")
     with pytest.raises(ValueError):
         build_planar_link(3, "circles", {"bogus": 1.0})
+    with pytest.raises(ValueError):  # planar links are scale-free
+        build_planar_link(3, "circles", {"radius": 2.0})
+    with pytest.raises(ValueError):  # a family, but not a planar one
+        build_planar_link(14, "toroidal_pair")
     # coincident loops cannot be thickened
     with pytest.raises(OverlapError):
         build_planar_link(3, "circles", {"rho": 0.0, "psi": 0.0}, n_points=200)

@@ -15,6 +15,7 @@ from ropebound.construct import (
     build_planar_link,
     donut_double,
     realize_torus,
+    toroidal_pair,
 )
 from ropebound.curves import (
     PolyCurve,
@@ -23,7 +24,6 @@ from ropebound.curves import (
     sample_toroidal_helix,
 )
 from ropebound.linking import _gauss_linking_number, linking_matrix, linking_number
-from ropebound.optimize import toroidal_pair
 
 
 def _hopf_pair(n=400):

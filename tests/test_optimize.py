@@ -14,6 +14,7 @@ from ropebound.construct import (
     build_increment_spec,
     build_planar_link,
     realize_torus,
+    toroidal_pair,
 )
 from ropebound.curves import PolyCurve, sample_planar_curve
 from ropebound.measure import measure_link, measure_thickness, verify
@@ -22,10 +23,7 @@ from ropebound.optimize import (
     minimize_params,
     nelder_mead,
     normalized_ropelength,
-    perpendicular_variant,
     reverse_jenga,
-    toroidal_pair,
-    toroidal_pair_problem,
 )
 
 C_PAIR = (2 * 7 * 6 + 2 * 49) ** 0.75  # 14 components pairwise linked
@@ -156,14 +154,18 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         OptimizationProblem("bogus", q=3)
     with pytest.raises(ValueError):
-        OptimizationProblem("circles", q=3, initial_params=(0.5,))
-    with pytest.raises(ValueError):
-        OptimizationProblem("circles", q=3, param_bounds=((0.1, 1.0),))
-    with pytest.raises(ValueError):
-        OptimizationProblem("circles", q=3, initial_params=(9.0, 0.5))
-    with pytest.raises(ValueError):
         minimize_params(OptimizationProblem("circles", q=2, n_points=50),
                         restarts=0)
+
+
+@pytest.mark.parametrize("family", ["circles", "gibbous", "hybrid_square"])
+def test_planar_defaults_are_the_optimizer_start(family):
+    problem = OptimizationProblem(family, q=5, n_points=150)
+    start = problem.build(problem.initial_params)
+    built = build_planar_link(5, family, n_points=150, check=False)
+    assert built.n_components == start.n_components == 5
+    for a, b in zip(built.components, start.components):
+        assert np.array_equal(a.vertices, b.vertices)
 
 
 def test_minimize_params_never_worse_and_deterministic():
@@ -219,8 +221,7 @@ def test_toroidal_pair_structure():
 
 
 def test_toroidal_pair_problem_objective():
-    problem = toroidal_pair_problem(n_points=420)
-    assert problem.q == 14
+    problem = OptimizationProblem("toroidal_pair", q=14, n_points=420)
     value = problem.objective(problem.initial_params)
     assert value == pytest.approx(604.330419676429, rel=1e-12)
     assert value / C_PAIR == pytest.approx(12.196098255847597, rel=1e-12)
@@ -235,10 +236,3 @@ def test_toroidal_pair_tuned_parameters_beat_twelve():
     assert alpha == pytest.approx(11.754848052775852, rel=1e-9)
     assert alpha < 12.0
 
-
-def test_perpendicular_variant_smoke():
-    spec = build_increment_spec(1, 4)
-    config, value = perpendicular_variant(spec, n_points=300)
-    assert config.n_components == spec.q
-    assert config.crossing_number == spec.crossing_number()
-    assert np.isfinite(value) and value > 0.0
