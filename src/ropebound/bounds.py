@@ -25,16 +25,11 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "PLANE_PACKING_FRACTION",
     "BoundsReport",
     "wegner_hull_length",
     "lower_bound_report",
     "asymptotic_coefficients",
 ]
-
-# Densest plane packing fraction of equal disks (hexagonal): pi / sqrt(12).
-PLANE_PACKING_FRACTION = math.pi / math.sqrt(12.0)
-
 
 def wegner_hull_length(n: int) -> float:
     """Lower bound on the convex-hull perimeter of n packed unit disks.

@@ -378,17 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON file of default flag values")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    # Subparsers parse into a fresh namespace, so config-file defaults must be
-    # installed on each subparser; keep them reachable from the main parser.
-    parser.subcommand_parsers = []
-    real_add_parser = sub.add_parser
-
-    def add_parser(*a, **kw):
-        sp = real_add_parser(*a, **kw)
-        parser.subcommand_parsers.append(sp)
-        return sp
-
-    sub.add_parser = add_parser
 
     p = sub.add_parser("bounds", help="ropelength lower bounds for T(pQ,Q)")
     p.add_argument("--p", type=int, default=1)
@@ -472,8 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _install_config(parser, path: str):
     """Install the flag defaults of a JSON config file on the main parser
-    and every subparser.  A file that cannot be read or parsed, or a value
-    of another type than its flag takes, is a usage error."""
+    and every subparser (subparsers parse into a fresh namespace, so each
+    needs its own defaults).  A file that cannot be read or parsed, or a
+    value of another type than its flag takes, is a usage error."""
     try:
         with open(path) as fh:
             defaults = json.load(fh)
@@ -481,7 +471,9 @@ def _install_config(parser, path: str):
         _usage(f"--config {path}: {exc}")
     if not isinstance(defaults, dict):
         parser.error("--config must contain a JSON object of flag defaults")
-    for sp in [parser] + parser.subcommand_parsers:
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for sp in [parser, *sub.choices.values()]:
         actions = {a.dest: a for a in sp._actions}
         known = {k: v for k, v in defaults.items() if k in actions}
         for key, value in known.items():
@@ -507,6 +499,8 @@ def main(argv=None) -> int:
     if args.config:
         _install_config(parser, args.config)
         args = parser.parse_args(argv)
+    if not math.isfinite(args.tolerance):
+        _usage(f"--tolerance must be finite, got {args.tolerance}")
     try:
         return args.func(args)
     except (ValueError, FormatError, OSError) as exc:

@@ -2,9 +2,11 @@
 
 Toroidal builds wrap concentric shells of unit-thickness helices (shell i at
 tube radius 2i, evenly phased) around a common circular core line of major
-radius R0, optionally around a central core component.  The hole radius
-h = R0 - r_outer is sized so every shell satisfies the helix-packing
-constraint; two builds are provided:
+radius R0, optionally around a central core component.  A TorusSpec holds
+its shells as three arrays of one length (tube radii, helix counts, phase
+offsets), so spec builders and length formulas work on whole arrays.  The
+hole radius h = R0 - r_outer is sized so every shell satisfies the
+helix-packing constraint; two builds are provided:
 
 * increment: shell i carries increment * i helices (increment 4 fills each
   shell to the rectangle rule exactly; increment 5 overfills, forcing a wider
@@ -57,7 +59,6 @@ __all__ = [
     "FAMILIES",
     "PLANAR_FAMILIES",
     "OverlapError",
-    "Shell",
     "TorusSpec",
     "ConstructionReport",
     "build_increment_spec",
@@ -139,48 +140,41 @@ def _checked(config: LinkConfiguration, absolute: bool) -> LinkConfiguration:
     return config
 
 
-@dataclass(frozen=True)
-class Shell:
-    """One shell: helix tube radius, helix count, and phase offset."""
-
-    radius: float
-    count: int
-    phase_offset: float = 0.0
-
-
-@dataclass
+@dataclass(eq=False)
 class TorusSpec:
-    """Parameters of one multi-shell torus construction."""
+    """Parameters of one multi-shell torus construction: shell i has tube
+    radius radii[i], counts[i] helices and phase offset phases[i] (zeros
+    when omitted).  The three arrays have one length, the shell count."""
 
-    shells: list
+    radii: np.ndarray
+    counts: np.ndarray
     has_core: bool
     major_radius: float
     p: int = 1
-    t_shells: int | None = None
+    phases: np.ndarray | None = None
 
     def __post_init__(self):
-        self.shells = [s if isinstance(s, Shell) else Shell(**s) for s in self.shells]
-        if self.t_shells is None:
-            self.t_shells = len(self.shells)
-        if self.t_shells != len(self.shells):
-            raise ValueError("t_shells must equal the number of shells")
-        if not self.shells and not self.has_core:
+        self.radii = np.asarray(self.radii, dtype=float)
+        self.counts = np.asarray(self.counts, dtype=np.int64)
+        self.phases = (np.zeros(len(self.radii)) if self.phases is None
+                       else np.asarray(self.phases, dtype=float))
+        if not len(self.radii) == len(self.counts) == len(self.phases):
+            raise ValueError(
+                f"radii, counts and phases need one length, got {len(self.radii)}, "
+                f"{len(self.counts)} and {len(self.phases)}"
+            )
+        if not len(self.radii) and not self.has_core:
             raise ValueError("spec needs a core or at least one shell")
         if self.p < 1:
             raise ValueError(f"need p >= 1, got {self.p}")
-        prev = 0.0
-        for s in self.shells:
-            if s.count < 1:
-                raise ValueError(f"shell counts must be >= 1, got {s.count}")
-            if s.radius < 2.0:
-                raise ValueError(f"shell radii must be >= 2, got {s.radius}")
-            if s.radius - prev < 2.0 - 1e-12 and prev > 0.0:
-                raise ValueError(
-                    f"shell radii must increase by >= 2, got {prev} then {s.radius}"
-                )
-            if s.radius <= prev:
-                raise ValueError("shell radii must be strictly increasing")
-            prev = s.radius
+        if np.any(self.counts < 1):
+            raise ValueError(f"shell counts must be >= 1, got {self.counts.tolist()}")
+        if np.any(self.radii < 2.0):
+            raise ValueError(f"shell radii must be >= 2, got {self.radii.tolist()}")
+        if np.any(np.diff(self.radii) < 2.0 - 1e-12):
+            raise ValueError(
+                f"shell radii must increase by >= 2, got {self.radii.tolist()}"
+            )
         if self.major_radius <= self.outer_radius:
             raise ValueError(
                 f"major radius {self.major_radius} must exceed the outer shell "
@@ -188,8 +182,12 @@ class TorusSpec:
             )
 
     @property
+    def t_shells(self) -> int:
+        return len(self.radii)
+
+    @property
     def outer_radius(self) -> float:
-        return self.shells[-1].radius if self.shells else 0.0
+        return float(self.radii[-1]) if len(self.radii) else 0.0
 
     @property
     def hole_radius(self) -> float:
@@ -197,7 +195,7 @@ class TorusSpec:
 
     @property
     def q(self) -> int:
-        return int(self.has_core) + sum(s.count for s in self.shells)
+        return int(self.has_core) + int(self.counts.sum())
 
     def crossing_number(self, doubled: bool = False) -> int:
         q = self.q
@@ -207,8 +205,10 @@ class TorusSpec:
     def as_dict(self) -> dict:
         return {
             "shells": [
-                {"radius": s.radius, "count": s.count, "phase_offset": s.phase_offset}
-                for s in self.shells
+                {"radius": r, "count": n, "phase_offset": ph}
+                for r, n, ph in zip(
+                    self.radii.tolist(), self.counts.tolist(), self.phases.tolist()
+                )
             ],
             "has_core": self.has_core,
             "major_radius": self.major_radius,
@@ -216,21 +216,20 @@ class TorusSpec:
             "t_shells": self.t_shells,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TorusSpec":
-        return cls(**d)
 
-
-def _hole_radius_required(radius: float, count: int) -> float:
-    """Rectangle-rule hole radius at which `count` helices of tube radius
-    `radius` are exactly at capacity: inverts N = pi*h*r/sqrt(h^2+r^2)."""
-    cap = math.pi * radius
-    if count >= cap:
+def _hole_radius_required(radii, counts) -> np.ndarray:
+    """Rectangle-rule hole radius at which counts[i] helices of tube radius
+    radii[i] are exactly at capacity, elementwise: inverts
+    N = pi*h*r/sqrt(h^2+r^2)."""
+    cap = math.pi * radii
+    over = counts >= cap
+    if np.any(over):
+        i = int(np.argmax(over))
         raise ValueError(
-            f"{count} helices exceed the circumferential capacity pi*r = {cap:.3f} "
-            f"of a radius-{radius} shell at any height"
+            f"{counts[i]} helices exceed the circumferential capacity pi*r = "
+            f"{cap[i]:.3f} of a radius-{radii[i]} shell at any height"
         )
-    return count * radius / math.sqrt(cap * cap - count * count)
+    return counts * radii / np.sqrt(cap * cap - counts * counts)
 
 
 def build_increment_spec(
@@ -253,21 +252,20 @@ def build_increment_spec(
         raise ValueError(f"need t_shells >= 1, got {t_shells}")
     if increment < 1:
         raise ValueError(f"need increment >= 1, got {increment}")
-    counts = [increment * i for i in range(1, t_shells + 1)]
+    index = np.arange(1, t_shells + 1)
+    counts = increment * index
     if outer_count is not None:
         if outer_count < 1:
             raise ValueError(f"outer_count must be >= 1, got {outer_count}")
         counts[-1] = outer_count
-    radii = [2.0 * i for i in range(1, t_shells + 1)]
+    radii = 2.0 * index
     if jenga_mode == "naive":
-        h = _hole_radius_required(radii[-1], counts[-1])
+        h = _hole_radius_required(radii[-1:], counts[-1:])[0]
     elif jenga_mode == "deferred_radius":
-        h = max(_hole_radius_required(r, n) for r, n in zip(radii, counts))
+        h = _hole_radius_required(radii, counts).max()
     else:
         raise ValueError(f"jenga_mode must be 'naive' or 'deferred_radius', got {jenga_mode!r}")
-    major = h + radii[-1]
-    shells = [Shell(r, n) for r, n in zip(radii, counts)]
-    return TorusSpec(shells, has_core=True, major_radius=major, p=1, t_shells=t_shells)
+    return TorusSpec(radii, counts, has_core=True, major_radius=float(h + radii[-1]))
 
 
 def build_optimal_spec(
@@ -283,13 +281,13 @@ def build_optimal_spec(
     """
     if t_shells < 1:
         raise ValueError(f"need t_shells >= 1, got {t_shells}")
-    radii = [2.0 * i for i in range(1, t_shells + 1)]
-    counts = max_helices(np.array(radii), 2.0 * t_shells, count_mode, epsilon=epsilon)
-    shells = [Shell(r, int(n)) for r, n in zip(radii, counts) if n >= 1]
-    if not shells:
+    radii = 2.0 * np.arange(1, t_shells + 1)
+    counts = max_helices(radii, 2.0 * t_shells, count_mode, epsilon=epsilon)
+    filled = counts >= 1
+    if not filled.any():
         raise ValueError("no shell can host a single helix; t_shells too small")
     return TorusSpec(
-        shells, has_core=False, major_radius=4.0 * t_shells, p=1, t_shells=len(shells)
+        radii[filled], counts[filled], has_core=False, major_radius=4.0 * t_shells
     )
 
 
@@ -304,10 +302,10 @@ def analytic_length(spec: TorusSpec, corrected: bool = True) -> float:
     """
     r0 = spec.major_radius
     total = 2.0 * math.pi * r0 if spec.has_core else 0.0
-    radii = np.array([s.radius for s in spec.shells])
+    radii = spec.radii
     factors = _correction(r0 / radii, spec.p) if corrected else np.ones(len(radii))
-    for s, factor in zip(spec.shells, factors.tolist()):
-        total += s.count * (2.0 * math.pi * math.hypot(r0, spec.p * s.radius) * factor)
+    for r, n, factor in zip(radii.tolist(), spec.counts.tolist(), factors.tolist()):
+        total += n * (2.0 * math.pi * math.hypot(r0, spec.p * r) * factor)
     return total
 
 
@@ -315,7 +313,7 @@ def analytic_length(spec: TorusSpec, corrected: bool = True) -> float:
 class ConstructionReport:
     """Analytic summary of a torus construction."""
 
-    spec: object
+    spec: TorusSpec
     q: int
     p: int
     crossing_number: int
@@ -327,8 +325,7 @@ class ConstructionReport:
 
     def as_dict(self) -> dict:
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        if isinstance(self.spec, TorusSpec):
-            d["spec"] = self.spec.as_dict()
+        d["spec"] = self.spec.as_dict()
         return d
 
 
@@ -375,16 +372,17 @@ def realize_torus(
     comps = []
     if spec.has_core:
         comps.append(sample_toroidal_helix(spec.major_radius, 0.0, n_points=n_points))
-    for s in spec.shells:
-        for j in range(s.count):
+    shells = zip(spec.radii.tolist(), spec.counts.tolist(), spec.phases.tolist())
+    for radius, count, phase in shells:
+        for j in range(count):
             comps.append(
                 sample_toroidal_helix(
                     spec.major_radius,
-                    s.radius,
+                    radius,
                     p=spec.p,
-                    n_shell=s.count,
+                    n_shell=count,
                     shell_index=j,
-                    phase=s.phase_offset,
+                    phase=phase,
                     n_points=n_points,
                 )
             )
@@ -476,7 +474,8 @@ def toroidal_pair(
     if separation is None:
         separation = major_radius
     spec = TorusSpec(
-        [Shell(shell_radius, count, phase)], has_core=True, major_radius=major_radius
+        [shell_radius], [count], has_core=True, major_radius=major_radius,
+        phases=[phase],
     )
     first = realize_torus(spec, n_points=n_points, check=False)
     second = _threaded_copy(first.components, separation)

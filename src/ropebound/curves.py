@@ -195,7 +195,6 @@ def sample_planar_curve(
     shape_params: dict | None = None,
     placement: dict | None = None,
     n_points: int = 1000,
-    strict: bool = True,
 ) -> PolyCurve:
     """Sample a planar loop and place it in space.
 
@@ -220,7 +219,7 @@ def sample_planar_curve(
         delta = float(sp.pop("delta", 0.0))
         if gamma <= 0:
             raise ValueError("gibbous gamma must be positive")
-        if strict and abs(delta) >= 0.25:
+        if abs(delta) >= 0.25:
             raise ValueError(
                 f"gibbous delta must satisfy |delta| < 1/4 for convexity, got {delta}"
             )

@@ -25,7 +25,6 @@ from .curves import PolyCurve
 
 __all__ = [
     "segment_pair_distances",
-    "min_distance",
     "min_self_distance",
     "mutual_min_distance",
     "min_distance_brute",
@@ -212,11 +211,6 @@ def _certified_min(
                     continue
             radius *= 4.0
     raise RuntimeError("distance search failed to certify")  # pragma: no cover
-
-
-def min_distance(a: PolyCurve, b: PolyCurve) -> float:
-    """Exact minimum distance between two polygonal curves."""
-    return _certified_min([a, b], inter=True, intra=False)
 
 
 def min_self_distance(

@@ -25,7 +25,6 @@ import numpy as np
 from .construct import (
     FAMILIES,
     OverlapError,
-    Shell,
     TorusSpec,
     _hole_radius_required,
     analytic_length,
@@ -226,23 +225,18 @@ def minimize_params(
     return best
 
 
-def _rect_hole(radii, counts, fallback):
-    """Rectangle-rule hole radius for the given shell loading, falling back
-    when a count exceeds the circumferential cap."""
-    try:
-        return max(_hole_radius_required(r, n) for r, n in zip(radii, counts) if n)
-    except ValueError:
-        return fallback
-
-
 def _jenga_radius(radii, counts, current_hole):
-    """Smallest hole radius at which every shell passes the exact capacity
-    check, starting from the rectangle-rule estimate."""
-    h = _rect_hole(radii, counts, current_hole)
-    filled = np.array([n for n in counts if n])
-    filled_radii = np.array([r for r, n in zip(radii, counts) if n])
+    """Smallest hole radius at which every populated shell passes the exact
+    capacity check, starting from the rectangle-rule estimate (from
+    `current_hole` when a count exceeds the circumferential cap)."""
+    filled = counts > 0
+    radii, counts = radii[filled], counts[filled]
+    try:
+        h = _hole_radius_required(radii, counts).max()
+    except ValueError:
+        h = current_hole
     for _ in range(60):
-        if np.all(filled <= max_helices(filled_radii, h, "exact")):
+        if np.all(counts <= max_helices(radii, h, "exact")):
             return h
         h *= 1.02
     return None
@@ -258,23 +252,18 @@ def reverse_jenga(spec: TorusSpec) -> TorusSpec:
     so the returned spec has predicted length <= the input's and the same
     total component count.
     """
-    radii = [s.radius for s in spec.shells]
-    counts = [s.count for s in spec.shells]
-    phases = [s.phase_offset for s in spec.shells]
+    radii, counts = spec.radii, spec.counts
     hole = spec.hole_radius
 
     def make(counts_v, hole_v):
-        shells = [
-            Shell(r, n, ph)
-            for r, n, ph in zip(radii, counts_v, phases)
-            if n > 0
-        ]
+        filled = counts_v > 0
         return TorusSpec(
-            shells,
+            radii[filled],
+            counts_v[filled],
             has_core=spec.has_core,
-            major_radius=hole_v + shells[-1].radius,
+            major_radius=float(hole_v + radii[filled][-1]),
             p=spec.p,
-            t_shells=len(shells),
+            phases=spec.phases[filled],
         )
 
     current = make(counts, hole)
@@ -282,7 +271,7 @@ def reverse_jenga(spec: TorusSpec) -> TorusSpec:
     improved = True
     while improved:
         improved = False
-        outer = max(i for i, n in enumerate(counts) if n > 0)
+        outer = int(np.flatnonzero(counts)[-1])
         best_move = None
         for target in range(outer):
             trial = counts.copy()
@@ -290,8 +279,6 @@ def reverse_jenga(spec: TorusSpec) -> TorusSpec:
             trial[target] += 1
             h = _jenga_radius(radii, trial, hole)
             if h is None:
-                continue
-            if trial[target] > max_helices(radii[target], h, "exact"):
                 continue
             cand = make(trial, h)
             cand_len = analytic_length(cand, corrected=True)

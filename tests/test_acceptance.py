@@ -28,7 +28,7 @@ from ropebound.construct import (
     realize_torus,
 )
 from ropebound.curves import PolyCurve, rotation_about_axis, sample_cylindrical_helix
-from ropebound.distances import min_distance, min_distance_brute
+from ropebound.distances import min_distance_brute, mutual_min_distance
 from ropebound.helices import (
     aggregate_correction,
     max_helices,
@@ -203,9 +203,9 @@ def test_criterion_4_helix_packing_grid():
                                      phase=2.0 * math.pi * j / n, n_points=1000)
             for j in range(min(3, n))
         ]
-        d = min_distance(strands[0], strands[1])
+        d = mutual_min_distance(strands[:2])
         if n >= 4:
-            d = min(d, min_distance(strands[0], strands[2]))
+            d = min(d, mutual_min_distance([strands[0], strands[2]]))
         return d, n, n_apx
 
     t0 = time.perf_counter()
@@ -270,14 +270,13 @@ def test_criterion_5_doubled_torus_scaling():
     def fits(n, r):
         return n == 1 or pair_min_distance(n, r, 200.0)["distance"] >= 2.0 - 1e-9
 
-    not_maximal = [s.radius for s in exact.shells
-                   if not fits(s.count, s.radius) or fits(s.count + 1, s.radius)]
+    exact_shells = list(zip(exact.radii.tolist(), exact.counts.tolist()))
+    not_maximal = [r for r, n in exact_shells if not fits(n, r) or fits(n + 1, r)]
     _record(results, "T=100 exact counts maximal", not not_maximal,
-            f"{len(not_maximal)} of {len(exact.shells)} shells, radii "
+            f"{len(not_maximal)} of {exact.t_shells} shells, radii "
             f"{not_maximal[:5]}")
-    approx_counts = {s.radius: s.count for s in approx.shells}
-    below = [s.radius for s in exact.shells
-             if s.count < approx_counts.get(s.radius, 0)]
+    approx_counts = dict(zip(approx.radii.tolist(), approx.counts.tolist()))
+    below = [r for r, n in exact_shells if n < approx_counts.get(r, 0)]
     _record(results, "T=100 exact >= approx per shell", not below,
             f"{len(below)} shells below, radii {below[:5]}")
     _finish(5, results, f"T=100 doubled: approx {approx_n}, exact {2 * exact.q}")
@@ -388,11 +387,11 @@ def test_criterion_8_reproducibility(tmp_path, capsys):
     b = PolyCurve(np.cumsum(rng.normal(size=(60, 3)), axis=0) + [8.0, 0.0, 0.0],
                   closed=False)
     _record(results, "grid == brute (random walks)",
-            min_distance(a, b) == min_distance_brute(a, b))
+            mutual_min_distance([a, b]) == min_distance_brute(a, b))
     h1 = sample_cylindrical_helix(5.0, 12.0, phase=0.0, n_points=500)
     h2 = sample_cylindrical_helix(5.0, 12.0, phase=2.0, n_points=500)
     _record(results, "grid == brute (helices)",
-            min_distance(h1, h2) == min_distance_brute(h1, h2))
+            mutual_min_distance([h1, h2]) == min_distance_brute(h1, h2))
 
     # Normalized ropelength is invariant under scaling and rigid motion.
     link = build_planar_link(3, "circles", n_points=300)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: payloads, exit codes, reproducibility."""
 
+import hashlib
 import json
 import math
 import re
@@ -145,6 +146,25 @@ def test_build_failing_verification_reports_metrics(capsys, tmp_path):
     assert payload["metrics"]["min_overall_distance"] < 2.5
     assert "error" not in payload
     assert geom.exists()
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("subcommand", ["build", "check", "config"])
+def test_non_finite_tolerance_exits_2(capsys, tmp_path, subcommand, tolerance):
+    # inf would pass any clearance (2 - inf), nan would fail every check:
+    # both are usage errors, found before any geometry is built or read
+    if subcommand == "config":
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({"tolerance": float(tolerance)}))
+        argv = ["--config", str(cfg), "build", "inc4", "--t", "1"]
+    else:
+        target = ["inc4", "--t", "1"] if subcommand == "build" else ["missing.vect"]
+        argv = [subcommand, *target, "--points", "100",
+                f"--tolerance={tolerance}"]
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --tolerance must be finite")
+    assert captured.out == ""
 
 
 def test_build_searches_component_clearance_once(capsys, monkeypatch):
@@ -317,6 +337,24 @@ def test_sweep_csv(tmp_path):
     assert all(r > 1.0 for r in ratios)
     # T = 1 has a single shell, so both conventions coincide
     assert rows[0][3] == rows[0][4]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["sweep", "inc4", "--tmin", "101", "--tmax", "120"],
+         "378733a1b6b3636a9d5521b6de5160ac8e0640477b652ad61c629367fa46b297"),
+        (["sweep", "optimal", "--tmin", "1", "--tmax", "40"],
+         "c6aed663859c4c0debeb77321d6d5c3ce57717195e6ad4e29147f7ebaea21db0"),
+    ],
+    ids=["inc4", "optimal"],
+)
+def test_sweep_csv_is_pinned(capsys, argv, digest):
+    # sha256 of the whole CSV (header included): packing, hole radii and
+    # corrected lengths may not move by one bit
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_sweep_usage_errors():

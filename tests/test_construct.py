@@ -9,7 +9,6 @@ from ropebound import construct
 from ropebound.construct import (
     FAMILIES,
     OverlapError,
-    Shell,
     TorusSpec,
     analytic_length,
     build_increment_spec,
@@ -30,47 +29,77 @@ RHO5 = 2.0 + 10.0 / math.sqrt(4.0 * math.pi ** 2 - 25.0)
 
 
 def test_spec_counts_and_crossings():
-    spec = TorusSpec([Shell(2.0, 4)], has_core=True, major_radius=4.0)
+    spec = TorusSpec([2.0], [4], has_core=True, major_radius=4.0)
     assert spec.q == 5
+    assert spec.t_shells == 1
+    with pytest.raises(AttributeError):
+        spec.t_shells = 2  # derived from the arrays, never set
     assert spec.crossing_number() == 20
     assert spec.crossing_number(doubled=True) == 2 * 20 + 2 * 25
     assert spec.outer_radius == 2.0
     assert spec.hole_radius == 2.0
 
 
+# (positional arguments, keywords, expected message): one row per rejection
+_INVALID_SPECS = [
+    (([2.0], [0], True, 5.0), {}, "counts must be >= 1"),
+    (([1.5], [3], True, 5.0), {}, "radii must be >= 2"),
+    (([2.0, 3.0], [3, 3], False, 9.0), {}, "increase by >= 2"),
+    (([2.0], [3], True, 2.0), {}, "must exceed the outer shell"),
+    (([], [], False, 5.0), {}, "core or at least one shell"),
+    (([2.0], [3], True, 5.0), {"p": 0}, "need p >= 1"),
+    (([2.0, 4.0], [3], True, 7.0), {}, "one length"),
+    (([2.0], [3], True, 5.0), {"phases": [0.0, 0.1]}, "one length"),
+]
+
+
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        TorusSpec([Shell(2.0, 0)], has_core=True, major_radius=5.0)
-    with pytest.raises(ValueError):
-        TorusSpec([Shell(1.5, 3)], has_core=True, major_radius=5.0)
-    with pytest.raises(ValueError):
-        TorusSpec([Shell(2.0, 3), Shell(3.0, 3)], has_core=False, major_radius=9.0)
-    with pytest.raises(ValueError):
-        TorusSpec([Shell(2.0, 3)], has_core=True, major_radius=2.0)
-    with pytest.raises(ValueError):
-        TorusSpec([], has_core=False, major_radius=5.0)
-    with pytest.raises(ValueError):
-        TorusSpec([Shell(2.0, 3)], has_core=True, major_radius=5.0, t_shells=2)
-    with pytest.raises(ValueError):
-        TorusSpec([Shell(2.0, 3)], has_core=True, major_radius=5.0, p=0)
+    for args, kwargs, match in _INVALID_SPECS:
+        with pytest.raises(ValueError, match=match):
+            TorusSpec(*args, **kwargs)
 
 
-def test_spec_dict_round_trip():
-    spec = build_increment_spec(2, 4)
-    again = TorusSpec.from_dict(spec.as_dict())
-    assert again.as_dict() == spec.as_dict()
-    assert again.q == spec.q
+def _shells(*rows):
+    return [{"radius": r, "count": n, "phase_offset": ph} for r, n, ph in rows]
+
+
+def test_spec_as_dict_is_pinned():
+    assert build_increment_spec(2, 4).as_dict() == {
+        "shells": _shells((2.0, 4, 0.0), (4.0, 8, 0.0)),
+        "has_core": True,
+        "major_radius": 7.302064644110731,
+        "p": 1,
+        "t_shells": 2,
+    }
+    assert build_optimal_spec(3).as_dict() == {
+        "shells": _shells((2.0, 5, 0.0), (4.0, 10, 0.0), (6.0, 13, 0.0)),
+        "has_core": False,
+        "major_radius": 12.0,
+        "p": 1,
+        "t_shells": 3,
+    }
+    assert toroidal_pair(6.4, phase=0.3, n_points=50).metadata["spec"] == {
+        "shells": _shells((2.0, 6, 0.3)),
+        "has_core": True,
+        "major_radius": 6.4,
+        "p": 1,
+        "t_shells": 1,
+    }
+    # every value is a plain Python scalar, as JSON writes it
+    d = build_increment_spec(2, 4).as_dict()
+    assert [type(v) for v in d["shells"][0].values()] == [float, int, float]
+    assert type(d["major_radius"]) is float and type(d["t_shells"]) is int
 
 
 def test_increment_spec_geometry():
     s1 = build_increment_spec(1, 4)
-    assert [s.count for s in s1.shells] == [4]
+    assert s1.counts.tolist() == [4]
     assert s1.has_core and s1.q == 5
     assert s1.hole_radius == pytest.approx(4.0 / math.sqrt(math.pi ** 2 - 4.0),
                                            rel=1e-12)
     assert s1.major_radius == pytest.approx(3.6510323220553653, rel=1e-12)
     s2 = build_increment_spec(2, 4)
-    assert [s.count for s in s2.shells] == [4, 8]
+    assert s2.counts.tolist() == [4, 8]
     assert s2.major_radius == pytest.approx(7.302064644110731, rel=1e-12)
     # increment 5 forces the wider hole whose major radius is rho5 * T
     s5 = build_increment_spec(1, 5)
@@ -96,13 +125,13 @@ def test_increment_spec_outer_count_and_jenga_mode():
 
 def test_optimal_spec_counts():
     o1 = build_optimal_spec(1)
-    assert [s.count for s in o1.shells] == [4]
+    assert o1.counts.tolist() == [4]
     assert not o1.has_core
     assert o1.major_radius == 4.0 and o1.hole_radius == 2.0
-    assert [s.count for s in build_optimal_spec(2).shells] == [5, 8]
-    assert [s.count for s in build_optimal_spec(3).shells] == [5, 10, 13]
+    assert build_optimal_spec(2).counts.tolist() == [5, 8]
+    assert build_optimal_spec(3).counts.tolist() == [5, 10, 13]
     # the safety-decrement estimate is never above the exact count
-    assert [s.count for s in build_optimal_spec(3, "approx").shells] == [4, 9, 12]
+    assert build_optimal_spec(3, "approx").counts.tolist() == [4, 9, 12]
 
 
 def test_optimal_spec_fifty_shell_total():
@@ -152,7 +181,7 @@ def test_realized_components_all_pairwise_linked():
 
 
 def test_realize_rejects_overcrowded_spec():
-    bad = TorusSpec([Shell(2.0, 6)], has_core=True, major_radius=3.0)
+    bad = TorusSpec([2.0], [6], has_core=True, major_radius=3.0)
     with pytest.raises(OverlapError, match="min_distance_ok"):
         realize_torus(bad, n_points=300)
     # the same spec skips the check when asked
@@ -176,7 +205,7 @@ def test_inflate_for_doubling():
     report = construction_report(spec, doubled=True)
     assert report.spec.major_radius == pytest.approx(6.0)
     assert report.inflation == pytest.approx(1.643370825219721, rel=1e-12)
-    roomy = TorusSpec([Shell(2.0, 4)], has_core=True, major_radius=9.0)
+    roomy = TorusSpec([2.0], [4], has_core=True, major_radius=9.0)
     report = construction_report(roomy, doubled=True)
     assert report.inflation == 1.0 and report.spec is roomy
 
@@ -184,7 +213,7 @@ def test_inflate_for_doubling():
 def test_toroidal_pair_threads_like_donut_double():
     # at separation = major radius, the free pair is the donut double of a
     # spec roomy enough (6.4 >= 2 * 2 + 2) to need no inflation
-    spec = TorusSpec([Shell(2.0, 6)], has_core=True, major_radius=6.4)
+    spec = TorusSpec([2.0], [6], has_core=True, major_radius=6.4)
     doubled = donut_double(spec, n_points=200, check=False)
     assert doubled.metadata["inflation"] == 1.0
     pair = toroidal_pair(6.4, n_points=200)

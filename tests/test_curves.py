@@ -141,8 +141,6 @@ def test_gibbous_parametrization():
     assert np.allclose(c.vertices[k], [-gamma * delta, 0.0, 1.0], atol=1e-12)
     with pytest.raises(ValueError):
         sample_planar_curve("gibbous", {"delta": 0.3})
-    # strict=False admits non-convex ovals
-    sample_planar_curve("gibbous", {"delta": 0.3}, strict=False)
 
 
 def test_rounded_square_perimeter_and_corner_radius():

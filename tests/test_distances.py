@@ -7,7 +7,6 @@ import pytest
 
 from ropebound.curves import PolyCurve, sample_planar_curve, sample_toroidal_helix
 from ropebound.distances import (
-    min_distance,
     min_distance_brute,
     min_self_distance,
     min_self_distance_brute,
@@ -48,7 +47,7 @@ def test_segment_pair_distances_known_cases():
 def test_concentric_circles_distance_is_radial_gap():
     a = sample_planar_curve("circle", {"radius": 2.0}, n_points=720)
     b = sample_planar_curve("circle", {"radius": 4.0}, n_points=720)
-    assert min_distance(a, b) == pytest.approx(2.0, abs=1e-4)
+    assert mutual_min_distance([a, b]) == pytest.approx(2.0, abs=1e-4)
 
 
 def test_grid_matches_brute_force_on_random_pairs():
@@ -56,7 +55,7 @@ def test_grid_matches_brute_force_on_random_pairs():
     for k in range(12):
         a = _random_curve(rng)
         b = _random_curve(rng, offset=rng.normal(size=3) * 4.0)
-        fast = min_distance(a, b)
+        fast = mutual_min_distance([a, b])
         slow = min_distance_brute(a, b)
         assert fast == pytest.approx(slow, rel=1e-12), f"pair {k}"
 
@@ -65,7 +64,7 @@ def test_grid_matches_brute_force_far_apart():
     # widely separated curves exercise the radius-escalation path
     a = sample_planar_curve("circle", {"radius": 1.0}, n_points=200)
     b = a.transformed(None, (500.0, 0.0, 0.0))
-    fast = min_distance(a, b)
+    fast = mutual_min_distance([a, b])
     assert fast == pytest.approx(498.0, abs=1e-9)
     assert fast == pytest.approx(min_distance_brute(a, b), rel=1e-12)
 
@@ -110,7 +109,7 @@ def test_mutual_min_distance_over_components():
     ]
     mutual = mutual_min_distance(helices)
     pairwise = min(
-        min_distance(helices[i], helices[j])
+        mutual_min_distance([helices[i], helices[j]])
         for i in range(4)
         for j in range(i + 1, 4)
     )
@@ -121,7 +120,7 @@ def test_mutual_min_distance_over_components():
 def test_touching_curves_report_zero():
     a = sample_planar_curve("circle", {"radius": 1.0}, n_points=360)
     b = a.transformed(None, (2.0, 0.0, 0.0))  # tangent at (1, 0, 0)
-    assert min_distance(a, b) == pytest.approx(0.0, abs=1e-6)
+    assert mutual_min_distance([a, b]) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_random_curves_far_apart_match_brute_force_exactly():
@@ -130,7 +129,7 @@ def test_random_curves_far_apart_match_brute_force_exactly():
     rng = np.random.default_rng(11)
     a = _random_curve(rng, n=120, scale=1.0)
     b = _random_curve(rng, n=120, scale=1.0, offset=(40.0, 0.0, 0.0))
-    assert min_distance(a, b) == min_distance_brute(a, b)
+    assert mutual_min_distance([a, b]) == min_distance_brute(a, b)
 
 
 def test_candidate_pairs_put_the_lower_segment_first():

@@ -8,7 +8,6 @@ import pytest
 
 from ropebound import linking
 from ropebound.construct import (
-    Shell,
     TorusSpec,
     build_increment_spec,
     build_optimal_spec,
@@ -113,7 +112,7 @@ def _gauss_matrix(curves):
     return out
 
 
-_P2_SPEC = TorusSpec([Shell(2.0, 3, 0.0)], has_core=True, major_radius=8.0, p=2)
+_P2_SPEC = TorusSpec([2.0], [3], has_core=True, major_radius=8.0, p=2)
 
 _LINKS = {
     "inc4 T=1": lambda: realize_torus(build_increment_spec(1, 4), 120, False),

@@ -7,7 +7,6 @@ import pytest
 
 from ropebound.construct import (
     OverlapError,
-    Shell,
     TorusSpec,
     _hole_radius_required,
     analytic_length,
@@ -180,34 +179,33 @@ def test_minimize_params_never_worse_and_deterministic():
 
 
 def _ninety_percent_spec():
-    radii = [2.0, 4.0, 6.0]
-    counts = [max(1, round(0.9 * 4 * i)) for i in (1, 2, 3)]
-    hole = max(_hole_radius_required(r, n) for r, n in zip(radii, counts))
-    shells = [Shell(r, n) for r, n in zip(radii, counts)]
-    return TorusSpec(shells, has_core=True, major_radius=hole + 6.0)
+    radii = np.array([2.0, 4.0, 6.0])
+    counts = np.array([max(1, round(0.9 * 4 * i)) for i in (1, 2, 3)])
+    hole = _hole_radius_required(radii, counts).max()
+    return TorusSpec(radii, counts, has_core=True, major_radius=hole + 6.0)
 
 
 def test_reverse_jenga_rebalances_underfilled_shells():
     spec = _ninety_percent_spec()
-    assert [s.count for s in spec.shells] == [4, 7, 11]
+    assert spec.counts.tolist() == [4, 7, 11]
     assert analytic_length(spec) == pytest.approx(1657.200388888699, rel=1e-12)
     better = reverse_jenga(spec)
-    assert [s.count for s in better.shells] == [5, 8, 9]
+    assert better.counts.tolist() == [5, 8, 9]
     assert better.q == spec.q == 23
     assert analytic_length(better) == pytest.approx(1519.6931123770364, rel=1e-12)
     # a rebalanced spec is a fixed point
     again = reverse_jenga(better)
-    assert [s.count for s in again.shells] == [5, 8, 9]
+    assert again.counts.tolist() == [5, 8, 9]
     assert analytic_length(again) == pytest.approx(analytic_length(better),
                                                    rel=1e-12)
 
 
 def test_reverse_jenga_improves_full_increment_build():
     spec = build_increment_spec(3, 4)
-    assert [s.count for s in spec.shells] == [4, 8, 12]
+    assert spec.counts.tolist() == [4, 8, 12]
     assert analytic_length(spec) == pytest.approx(1892.9058936420001, rel=1e-12)
     better = reverse_jenga(spec)
-    assert [s.count for s in better.shells] == [5, 9, 10]
+    assert better.counts.tolist() == [5, 9, 10]
     assert analytic_length(better) == pytest.approx(1769.0545677544571, rel=1e-12)
     assert better.q == spec.q
 
