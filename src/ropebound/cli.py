@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .construct import (
 )
 from .helices import toroidal_correction
 from .io_formats import FormatError, export_geometry, import_geometry
-from .linking import IntersectingCurvesError, linking_matrix
+from .linking import linking_matrix
 from .measure import expected_linking, measure_link, verify
 from .optimize import OptimizationProblem, minimize_params
 from .parallel import parallel_map
@@ -48,22 +48,6 @@ _TABLE_RATIOS = [
     5.0, 5.5, 6.0, 6.5, 7.0, 7.5, 8.0, 8.5, 9.0, 9.5,
     10.0, 20.0,
 ]
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation: subcommand, flags, and shared knobs."""
-
-    subcommand: str
-    flags: dict = field(default_factory=dict)
-    random_seed: int = 0
-
-    def header(self) -> dict:
-        return {
-            "version": __version__,
-            "seed": self.random_seed,
-            "flags": {k: v for k, v in sorted(self.flags.items())},
-        }
 
 
 def _sig12(value):
@@ -84,27 +68,41 @@ def _sig12(value):
     return value
 
 
-def _emit(payload: dict, out: str | None):
-    text = json.dumps(_sig12(payload), indent=1, sort_keys=True) + "\n"
+def _write(text: str, out: str | None):
+    """Write a report to `out`, or to stdout when no path is given."""
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, out: str | None):
+    _write(json.dumps(_sig12(payload), indent=1, sort_keys=True) + "\n", out)
 
 
 def _write_csv(lines, out: str | None):
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", out)
 
 
-def _csv_header(config: RunConfig) -> list:
-    flags = " ".join(f"{k}={v}" for k, v in sorted(config.flags.items()))
-    return [f"# ropebound {__version__}", f"# seed={config.random_seed} {flags}"]
+def _flags(args) -> dict:
+    """The invocation's parsed flags by name, subcommand included, without
+    the handler, the config path and unset values."""
+    return {
+        k: v
+        for k, v in sorted(vars(args).items())
+        if k not in ("func", "config") and v is not None
+    }
+
+
+def _run_header(args) -> dict:
+    """Reproducibility block of a JSON report."""
+    return {"version": __version__, "seed": args.seed, "flags": _flags(args)}
+
+
+def _csv_header(args) -> list:
+    flags = " ".join(f"{k}={v}" for k, v in _flags(args).items())
+    return [f"# ropebound {__version__}", f"# seed={args.seed} {flags}"]
 
 
 def _usage(message: str):
@@ -112,24 +110,10 @@ def _usage(message: str):
     raise SystemExit(2)
 
 
-def _config_from_args(args) -> RunConfig:
-    flags = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("func", "config") and v is not None
-    }
-    return RunConfig(
-        subcommand=args.subcommand,
-        flags=flags,
-        random_seed=getattr(args, "seed", 0),
-    )
-
-
 def cmd_bounds(args) -> int:
-    config = _config_from_args(args)
     if args.q is None and not args.asymptotic:
         _usage("bounds: provide --q and/or --asymptotic")
-    payload = {"run": config.header()}
+    payload = {"run": _run_header(args)}
     if args.q is not None:
         payload["bounds"] = lower_bound_report(args.p, args.q).as_dict()
     if args.asymptotic:
@@ -138,19 +122,9 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _linking_or_none(link):
-    """The link's linking matrix, or None when components intersect so that
-    it is undefined."""
-    try:
-        return linking_matrix(link.components)
-    except IntersectingCurvesError:
-        return None
-
-
 def cmd_build(args) -> int:
-    config = _config_from_args(args)
     method = args.method
-    payload = {"run": config.header()}
+    payload = {"run": _run_header(args)}
     if method in TORUS_METHODS:
         if args.t is None:
             _usage(f"build {method}: requires --t (number of shells)")
@@ -199,7 +173,7 @@ def cmd_build(args) -> int:
         linking = {}
         pattern = expected_linking(link)
         if pattern is not None:
-            linking = {"linking": _linking_or_none(link),
+            linking = {"linking": linking_matrix(link.components),
                        "expected_linking": pattern}
         payload["verification"] = verify(
             metrics, absolute, args.tolerance, **linking
@@ -214,12 +188,11 @@ def cmd_build(args) -> int:
 
 
 def cmd_check(args) -> int:
-    config = _config_from_args(args)
     link = import_geometry(args.file)
     metrics = measure_link(link)
-    linking = _linking_or_none(link)
+    linking = linking_matrix(link.components)
     payload = {
-        "run": config.header(),
+        "run": _run_header(args),
         "file": args.file,
         "components": link.n_components,
         "metrics": metrics.as_dict(),
@@ -234,7 +207,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    config = _config_from_args(args)
     if args.family == "toroidal_pair" and args.q != 14:
         _usage("optimize: toroidal_pair is a 14-component family")
     problem = OptimizationProblem(
@@ -243,7 +215,7 @@ def cmd_optimize(args) -> int:
     result = minimize_params(problem, restarts=args.restarts, maxfev=args.maxfev)
     bound = lower_bound_report(1, args.q)
     payload = {
-        "run": config.header(),
+        "run": _run_header(args),
         "family": args.family,
         "q": args.q,
         "best_params": dict(zip(problem.param_names, result["best_params"])),
@@ -292,7 +264,6 @@ def _sweep_row(method: str, t: int) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    config = _config_from_args(args)
     if args.tmax < args.tmin:
         _usage(f"sweep: --tmax {args.tmax} < --tmin {args.tmin}")
     if args.method not in TORUS_METHODS:
@@ -300,7 +271,7 @@ def cmd_sweep(args) -> int:
     rows = parallel_map(
         lambda t: _sweep_row(args.method, t), range(args.tmin, args.tmax + 1)
     )
-    lines = _csv_header(config)
+    lines = _csv_header(args)
     lines.append("T,Q,C,alpha_best,alpha_worst,alpha_over_lower_bound")
     for r in rows:
         lines.append(
@@ -312,9 +283,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_correction(args) -> int:
-    config = _config_from_args(args)
     if args.table:
-        lines = _csv_header(config)
+        lines = _csv_header(args)
         lines.append("ratio,p=1,p=2,p=3")
         with warnings.catch_warnings():
             # The ratio = 1 row is a degenerate horn torus; the integral is
@@ -335,7 +305,7 @@ def cmd_correction(args) -> int:
         )
     value = toroidal_correction(args.ratio, args.p)
     _emit(
-        {"run": config.header(), "ratio": args.ratio, "p": args.p,
+        {"run": _run_header(args), "ratio": args.ratio, "p": args.p,
          "correction": value},
         args.out,
     )
@@ -349,10 +319,9 @@ def cmd_export(args) -> int:
 
 
 def cmd_import(args) -> int:
-    config = _config_from_args(args)
     link = import_geometry(args.file)
     payload = {
-        "run": config.header(),
+        "run": _run_header(args),
         "file": args.file,
         "components": link.n_components,
         "vertices": [c.n_vertices for c in link.components],

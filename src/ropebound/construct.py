@@ -52,7 +52,7 @@ from .curves import rotation_about_axis, sample_planar_curve, sample_toroidal_he
 from .distances import mutual_min_distance  # noqa: F401
 from .helices import _correction, aggregate_correction, max_helices
 from .helices import toroidal_correction  # noqa: F401
-from .linking import IntersectingCurvesError, linking_matrix
+from .linking import linking_matrix
 from .measure import LinkConfiguration, expected_linking, measure_link, verify
 
 __all__ = [
@@ -124,11 +124,8 @@ def _checked(config: LinkConfiguration, absolute: bool) -> LinkConfiguration:
     linking = {}
     pattern = expected_linking(config)
     if pattern is not None:
-        try:
-            lk = linking_matrix(config.components)
-        except IntersectingCurvesError:
-            lk = None
-        linking = {"linking": lk, "expected_linking": pattern}
+        linking = {"linking": linking_matrix(config.components),
+                   "expected_linking": pattern}
     checks = verify(metrics, absolute=absolute, **linking)
     if not checks["passed"]:
         failed = ", ".join(k for k, ok in checks.items() if k != "passed" and not ok)

@@ -3,14 +3,13 @@
 Candidate segment pairs come from one KD-tree ball query over segment
 midpoints with radius max(segment length) + query radius, which is
 guaranteed to contain every segment pair closer than the query radius.  The
-first radius is the smaller of a fixed default and a vertex-vertex upper
-bound on the minimum: for distances between components, the closest pair
-among a few hundred vertices spread evenly along all of them, which on
-planar rings lies within a small factor of the true minimum and keeps the
-candidate set small.  A pass returns a certified exact minimum whenever the
-candidate minimum is at most the query radius; otherwise the radius is
-enlarged to the candidate minimum (or the vertex bound, when a pass found no
-candidates) and one more pass certifies.
+first radius is a vertex-vertex distance: for distances between components,
+the closest pair among a few hundred vertices spread evenly along all of
+them, which on planar rings lies within a small factor of the true minimum
+and keeps the candidate set small.  A pass returns a certified exact minimum
+whenever the candidate minimum is at most the query radius.  Otherwise one
+more pass at the candidate minimum certifies, or, when no admissible pair
+was found, one pass at the scene diameter sees every pair.
 Results are exactly those of the brute-force scan: both routes use the same
 segment-pair kernel with the lower segment index first, and the candidate
 set always contains the optimal pair.
@@ -25,13 +24,16 @@ from .curves import PolyCurve
 
 __all__ = [
     "segment_pair_distances",
-    "min_self_distance",
     "mutual_min_distance",
     "min_distance_brute",
     "min_self_distance_brute",
 ]
 
 _CHUNK = 1 << 20
+
+# Self pairs within this many segments along a curve are never admissible
+# (adjacent segments share a vertex).
+_SKIP_WINDOW = 5
 
 
 def segment_pair_distances(p1, d1, p2, d2) -> np.ndarray:
@@ -119,7 +121,7 @@ def _candidate_pairs(soup: _SegmentSoup, reach: float):
     return pairs[:, 0], pairs[:, 1]
 
 
-def _admissible(soup, ia, ib, inter, intra, skip_window, arc_windows):
+def _admissible(soup, ia, ib, inter, intra, arc_windows):
     """Mask of candidate pairs that participate in the distance being measured."""
     same = soup.labels[ia] == soup.labels[ib]
     keep = np.zeros(len(ia), dtype=bool)
@@ -131,7 +133,7 @@ def _admissible(soup, ia, ib, inter, intra, skip_window, arc_windows):
         nseg = soup.comp_nseg[lab]
         cyc = soup.comp_closed[lab]
         di = np.where(cyc, np.minimum(di, nseg - di), di)
-        ok = same & (di > skip_window)
+        ok = same & (di > _SKIP_WINDOW)
         if arc_windows is not None:
             da = np.abs(soup.arc_mid[ia] - soup.arc_mid[ib])
             total = soup.comp_len[lab]
@@ -141,12 +143,27 @@ def _admissible(soup, ia, ib, inter, intra, skip_window, arc_windows):
     return keep
 
 
-def _vertex_upper_bound(soup, inter, intra, skip_window):
-    """Cheap true upper bound on the measured minimum: the closest pair among
-    up to _BOUND_SAMPLES vertices spread evenly along the components, taken
-    over distinct components (inter), or well-separated vertices of a single
-    component (intra).  Every component contributes its first vertex, so the
-    inter bound is never looser than the first-vertex distances."""
+def _admissible_min(soup, ia, ib, inter, intra, arc_windows) -> float:
+    """Minimum distance over the admissible pairs among (ia, ib); inf when
+    none is admissible."""
+    best = np.inf
+    for k in range(0, ia.size, _CHUNK):
+        ca, cb = ia[k : k + _CHUNK], ib[k : k + _CHUNK]
+        keep = _admissible(soup, ca, cb, inter, intra, arc_windows)
+        if keep.any():
+            best = min(best, float(soup.pair_distances(ca[keep], cb[keep]).min()))
+    return best
+
+
+def _vertex_upper_bound(soup, inter, intra):
+    """Where the search starts: the closest pair among up to _BOUND_SAMPLES
+    vertices spread evenly along the components, taken over distinct
+    components (inter), or the chord from a component's first vertex to its
+    middle one (intra).  The inter value is a true upper bound on the
+    minimum, never looser than the first-vertex distances, since every
+    component contributes its first vertex.  The intra chord can be an
+    inadmissible pair (inside an arc window), so it marks where the search
+    starts and is not a bound."""
     best = np.inf
     ncomp = len(soup.comp_nseg)
     if inter and ncomp > 1:
@@ -161,74 +178,45 @@ def _vertex_upper_bound(soup, inter, intra, skip_window):
     if intra:
         for k in range(ncomp):
             n = soup.comp_nseg[k]
-            if n > 2 * skip_window + 1:
+            if n > 2 * _SKIP_WINDOW + 1:
                 pts = soup.starts[soup.labels == k]
                 best = min(best, float(np.linalg.norm(pts[0] - pts[n // 2])))
     return best
 
 
-def _certified_min(
-    curves,
-    inter=True,
-    intra=False,
-    skip_window=5,
-    arc_windows=None,
-    initial_radius=2.5,
-):
+def _widened(radius: float) -> float:
+    """A query radius just above `radius`, so a pair at exactly that
+    distance is certified."""
+    return radius * (1.0 + 1e-12) + 1e-300
+
+
+def _certified_min(curves, inter, intra, arc_windows) -> float:
+    """Exact minimum distance over the admissible segment pairs of `curves`:
+    pairs of distinct components when `inter`, self pairs more than
+    _SKIP_WINDOW segments and (with `arc_windows`, one per component) more
+    than that arc length apart when `intra`; inf when no pair is admissible.
+    At most three candidate searches: at the vertex bound; at the best
+    candidate when it lies beyond the radius; at the scene diameter when no
+    admissible pair was found."""
     soup = _SegmentSoup(curves)
     if len(soup) < 2:
         return np.inf
-    radius = float(initial_radius)
     diam = soup.scene_diameter()
-    used_ub = False
-    # Any point-pair distance upper-bounds the minimum, so when the scene is
-    # smaller than the default radius, start at that bound: the first pass is
-    # then guaranteed to certify, from far fewer candidates.
-    ub = _vertex_upper_bound(soup, inter, intra, skip_window)
-    if np.isfinite(ub) and ub < radius:
-        radius = ub * (1.0 + 1e-12) + 1e-300
-        used_ub = True
-    for _ in range(64):
+    start = _vertex_upper_bound(soup, inter, intra)
+    radius = _widened(start) if np.isfinite(start) else diam
+
+    def search(radius):
         ia, ib = _candidate_pairs(soup, soup.max_seg + radius)
-        best = np.inf  # stays inf when no candidate is admissible
-        for k in range(0, ia.size, _CHUNK):
-            ca, cb = ia[k : k + _CHUNK], ib[k : k + _CHUNK]
-            keep = _admissible(soup, ca, cb, inter, intra, skip_window, arc_windows)
-            if keep.any():
-                d = soup.pair_distances(ca[keep], cb[keep])
-                best = min(best, float(d.min()))
-        if best < np.inf:
-            if best <= radius:
-                return best
-            radius = best * (1.0 + 1e-12) + 1e-300
-        else:
-            if radius > diam:
-                return np.inf  # no admissible pairs exist at all
-            if not used_ub:
-                used_ub = True
-                if np.isfinite(ub):
-                    radius = max(ub * (1.0 + 1e-12), radius)
-                    continue
-            radius *= 4.0
-    raise RuntimeError("distance search failed to certify")  # pragma: no cover
+        return _admissible_min(soup, ia, ib, inter, intra, arc_windows)
 
-
-def min_self_distance(
-    a: PolyCurve, skip_window: int = 5, arc_window: float | None = None
-) -> float:
-    """Exact minimum self distance of one curve, skipping local pairs.
-
-    Pairs within `skip_window` segments along the curve are always excluded
-    (adjacent segments share a vertex).  `arc_window` additionally excludes
-    pairs closer than that arc length along the curve; measure_link passes
-    pi times the curve's minimal curvature radius.
-    """
-    if skip_window < 1:
-        raise ValueError("skip_window must be >= 1")
-    windows = None if arc_window is None else np.array([float(arc_window)])
-    return _certified_min(
-        [a], inter=False, intra=True, skip_window=skip_window, arc_windows=windows
-    )
+    best = search(radius)
+    if best <= radius:
+        return best
+    if np.isfinite(best):
+        # best is an admissible pair's distance, so this pass certifies
+        return search(_widened(best))
+    # a pass at the scene diameter sees every pair
+    return search(diam) if radius < diam else np.inf
 
 
 def mutual_min_distance(curves) -> float:
@@ -236,7 +224,7 @@ def mutual_min_distance(curves) -> float:
     curves = list(curves)
     if len(curves) < 2:
         return np.inf
-    return _certified_min(curves, inter=True, intra=False)
+    return _certified_min(curves, inter=True, intra=False, arc_windows=None)
 
 
 def min_distance_brute(a: PolyCurve, b: PolyCurve) -> float:
@@ -244,28 +232,12 @@ def min_distance_brute(a: PolyCurve, b: PolyCurve) -> float:
     soup = _SegmentSoup([a, b])
     na = a.n_segments
     ia, ib = np.meshgrid(np.arange(na), np.arange(na, len(soup)), indexing="ij")
-    ia, ib = ia.ravel(), ib.ravel()
-    best = np.inf
-    for k in range(0, ia.size, _CHUNK):
-        d = soup.pair_distances(ia[k : k + _CHUNK], ib[k : k + _CHUNK])
-        best = min(best, float(d.min()))
-    return best
+    return _admissible_min(soup, ia.ravel(), ib.ravel(), True, False, None)
 
 
-def min_self_distance_brute(
-    a: PolyCurve, skip_window: int = 5, arc_window: float | None = None
-) -> float:
+def min_self_distance_brute(a: PolyCurve, arc_window: float | None = None) -> float:
     """Reference all-pairs self distance with the same exclusion rules."""
     soup = _SegmentSoup([a])
-    n = len(soup)
-    ia, ib = np.triu_indices(n, 1)
+    ia, ib = np.triu_indices(len(soup), 1)
     windows = None if arc_window is None else np.array([float(arc_window)])
-    keep = _admissible(soup, ia, ib, False, True, skip_window, windows)
-    ia, ib = ia[keep], ib[keep]
-    if not ia.size:
-        return np.inf
-    best = np.inf
-    for k in range(0, ia.size, _CHUNK):
-        d = soup.pair_distances(ia[k : k + _CHUNK], ib[k : k + _CHUNK])
-        best = min(best, float(d.min()))
-    return best
+    return _admissible_min(soup, ia, ib, False, True, windows)

@@ -208,12 +208,28 @@ def _from_json(text: str, path: str) -> LinkConfiguration:
         _require(verts.ndim == 2 and verts.shape[1] == 3, path, 1,
                  f"component {k} vertices are not Nx3")
         comps.append(_curve(verts, bool(entry.get("closed", True)), path, 1, k))
+    crossings = payload.get("crossing_number")
+    _require(crossings is None or (_is_int(crossings) and crossings >= 0), path, 1,
+             f"crossing_number must be a non-negative integer, got {crossings!r}")
+    metadata = payload.get("metadata")
+    metadata = {} if metadata is None else metadata
+    _require(isinstance(metadata, dict), path, 1,
+             f"metadata must be an object, got {type(metadata).__name__}")
+    if metadata.get("family") == "torus":
+        spec = metadata.get("spec")
+        p = spec.get("p") if isinstance(spec, dict) else None
+        _require(_is_int(p) and p >= 1, path, 1,
+                 "torus metadata needs a spec with an integer p >= 1")
     return LinkConfiguration(
         comps,
-        crossing_number=payload.get("crossing_number"),
+        crossing_number=crossings,
         description=payload.get("description", ""),
-        metadata=payload.get("metadata") or {},
+        metadata=metadata,
     )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 _WRITERS = {"vect": _to_vect, "csv": _to_csv, "json": _to_json}

@@ -15,10 +15,11 @@ its signed count is odd).  Only such pairs fall back to the Gauss sum
 `_gauss_linking_number`, which is also the reference the fast count is
 tested against: the sum of signed solid angles of all segment pairs, each
 pair contributing the quadrilateral solid angle spanned by its endpoints,
-divided by 4*pi.  A crossing whose over/under heights agree to within _EPS
-of the link's extent is a point where the two curves touch; no linking
-number is defined there, and `linking_matrix` raises IntersectingCurvesError
-instead of asking the Gauss sum, which can round such a pair to an integer.
+divided by 4*pi.  The linking is undefined, and `linking_matrix` returns
+None, when two curves touch: at a crossing whose over/under heights agree to
+within _EPS of the link's extent (the Gauss sum is not asked, since it can
+round such a pair to an integer), or where a degenerate pair's Gauss sum is
+farther than _GAUSS_TOL from an integer.
 """
 
 from __future__ import annotations
@@ -27,17 +28,15 @@ import numpy as np
 
 from .curves import PolyCurve
 
-__all__ = ["IntersectingCurvesError", "linking_number", "linking_matrix"]
+__all__ = ["linking_matrix"]
 
 _CHUNK = 1 << 18
 
 # Relative tolerance of the three degeneracy tests.
 _EPS = 1e-9
 
-
-class IntersectingCurvesError(ValueError):
-    """Two curves intersect (or nearly so), so their linking number is
-    undefined."""
+# A Gauss sum farther than this from an integer means the curves touch.
+_GAUSS_TOL = 0.1
 
 
 def _projection_frame() -> np.ndarray:
@@ -73,15 +72,10 @@ def _quad_solid_angles(a, b, c, d):
     return 2.0 * (np.arctan2(p, den1) + np.arctan2(p, den2))
 
 
-def _gauss_linking_number(a: PolyCurve, b: PolyCurve, tol: float = 0.1) -> int:
-    """Gauss linking number of two disjoint closed polygonal curves.
-
-    Raises ValueError if either curve is open, and IntersectingCurvesError
-    if the accumulated value is farther than `tol` from an integer (which
-    indicates near-intersection or numerically degenerate geometry).
-    """
-    if not (a.closed and b.closed):
-        raise ValueError("linking number requires closed curves")
+def _gauss_linking_number(a: PolyCurve, b: PolyCurve) -> int | None:
+    """Gauss linking number of two closed polygonal curves, or None when the
+    sum is farther than _GAUSS_TOL from an integer (the curves touch, or
+    the geometry is numerically degenerate)."""
     s1 = a.segment_starts()
     e1 = a.segment_ends()
     s2 = b.segment_starts()
@@ -100,12 +94,7 @@ def _gauss_linking_number(a: PolyCurve, b: PolyCurve, tol: float = 0.1) -> int:
         total += float(_quad_solid_angles(va, vb, vc, vd).sum())
     value = total / (4.0 * np.pi)
     nearest = round(value)
-    if abs(value - nearest) > tol:
-        raise IntersectingCurvesError(
-            f"linking number {value:.6f} is not close to an integer; "
-            "curves may intersect or be numerically degenerate"
-        )
-    return int(nearest)
+    return int(nearest) if abs(value - nearest) <= _GAUSS_TOL else None
 
 
 def _candidate_pairs(lo, hi):
@@ -130,13 +119,12 @@ def _candidate_pairs(lo, hi):
         first = last
 
 
-def linking_matrix(curves, tol: float = 0.1) -> np.ndarray:
+def linking_matrix(curves) -> np.ndarray | None:
     """Pairwise linking numbers of a list of closed curves.
 
-    Returns an integer matrix with zeros on the diagonal.  Raises ValueError
-    if a curve is open, and IntersectingCurvesError if two curves touch at a
-    projected crossing or a degenerate pair's Gauss sum is farther than `tol`
-    from an integer (the curves intersect).
+    Returns an integer matrix with zeros on the diagonal, or None when the
+    linking is undefined because two curves touch.  Raises ValueError if a
+    curve is open.
     """
     curves = list(curves)
     if not all(c.closed for c in curves):
@@ -175,13 +163,8 @@ def linking_matrix(curves, tol: float = 0.1) -> np.ndarray:
             np.abs(u - 0.5) <= 0.5 + _EPS
         )
         gap = (p0[a, 2] + t * r[:, 2]) - (p0[b, 2] + u * s[:, 2])
-        touching = np.flatnonzero(near & (np.abs(gap) <= margin))
-        if touching.size:
-            i, j = sorted((labels[a[touching[0]]], labels[b[touching[0]]]))
-            raise IntersectingCurvesError(
-                f"curves {i} and {j} pass within {margin:.3g} of each other; "
-                "their linking number is undefined"
-            )
+        if np.any(near & (np.abs(gap) <= margin)):
+            return None
         at_end = (np.abs(t - 0.5) >= 0.5 - _EPS) | (np.abs(u - 0.5) >= 0.5 - _EPS)
         bad = parallel | (near & at_end)
         degenerate[labels[a[bad]], labels[b[bad]]] = True
@@ -198,14 +181,8 @@ def linking_matrix(curves, tol: float = 0.1) -> np.ndarray:
     degenerate |= degenerate.T | (signs % 2 == 1)
     out = signs // 2
     for i, j in zip(*np.nonzero(np.triu(degenerate, 1))):
-        out[i, j] = out[j, i] = _gauss_linking_number(curves[i], curves[j], tol)
+        lk = _gauss_linking_number(curves[i], curves[j])
+        if lk is None:
+            return None
+        out[i, j] = out[j, i] = lk
     return out
-
-
-def linking_number(a: PolyCurve, b: PolyCurve, tol: float = 0.1) -> int:
-    """Linking number of two disjoint closed polygonal curves: the [0, 1]
-    entry of `linking_matrix([a, b], tol)`.
-
-    Raises ValueError if either curve is open or if they intersect.
-    """
-    return int(linking_matrix([a, b], tol)[0, 1])

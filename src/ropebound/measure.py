@@ -139,11 +139,11 @@ def _metrics(config, radii, min_inter, min_self, min_overall) -> LinkMetrics:
     )
 
 
-def measure_link(config, skip_window: int = 5) -> LinkMetrics:
+def measure_link(config) -> LinkMetrics:
     """Measure a LinkConfiguration (or plain list of PolyCurve components).
 
     Self distances exclude pairs closer along the curve than pi times the
-    component's minimal curvature radius (with a `skip_window`-segment floor):
+    component's minimal curvature radius (with a floor of a few segments):
     such pairs describe local bending, already accounted for by the curvature
     term, rather than genuine self contact.
     """
@@ -157,14 +157,14 @@ def measure_link(config, skip_window: int = 5) -> LinkMetrics:
         min_self = min(
             min_self,
             _certified_min(
-                [c], inter=False, intra=True, skip_window=skip_window,
+                [c], inter=False, intra=True,
                 arc_windows=np.array([_arc_window(r)]),
             ),
         )
     return _metrics(config, radii, min_inter, min_self, min(min_inter, min_self))
 
 
-def measure_thickness(config, skip_window: int = 5) -> LinkMetrics:
+def measure_thickness(config) -> LinkMetrics:
     """Measure a link for its thickness alone, in one certified distance pass.
 
     Inter-component and self pairs (with measure_link's exclusions) are
@@ -176,7 +176,7 @@ def measure_thickness(config, skip_window: int = 5) -> LinkMetrics:
     comps = config.components
     radii = [min_curvature_radius(c) for c in comps]
     min_overall = _certified_min(
-        comps, inter=True, intra=True, skip_window=skip_window,
+        comps, inter=True, intra=True,
         arc_windows=np.array([_arc_window(r) for r in radii]),
     )
     return _metrics(config, radii, None, None, min_overall)

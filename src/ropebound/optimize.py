@@ -100,19 +100,18 @@ class OptimizationProblem:
         return normalized_ropelength(link)
 
 
-def nelder_mead(
-    func,
-    x0,
-    bounds,
-    xatol: float = 1e-6,
-    fatol: float = 1e-8,
-    maxfev: int = 2000,
-    initial_step: float = 0.05,
-):
+# Stop tolerances: simplex diameter and spread of its values.
+_XATOL = 1e-6
+_FATOL = 1e-8
+# Initial simplex edge, as a fraction of each parameter's box width.
+_INITIAL_STEP = 0.05
+
+
+def nelder_mead(func, x0, bounds, maxfev: int = 2000):
     """Simplex minimization over a box, clamping every trial point to the box.
 
-    Terminates when the simplex diameter drops below `xatol`, or the value
-    spread drops below `fatol`, or `maxfev` evaluations are spent.  Raises
+    Terminates when the simplex diameter drops below _XATOL, or the value
+    spread drops below _FATOL, or `maxfev` evaluations are spent.  Raises
     ValueError if no vertex of the initial simplex is feasible (finite).
     """
     x0 = np.asarray(x0, dtype=float)
@@ -128,7 +127,7 @@ def nelder_mead(
 
     sim = [np.clip(x0, lo, hi)]
     for i in range(n):
-        step = initial_step * (hi[i] - lo[i])
+        step = _INITIAL_STEP * (hi[i] - lo[i])
         x = sim[0].copy()
         x[i] = x[i] + step if x[i] + step <= hi[i] else x[i] - step
         sim.append(x)
@@ -144,7 +143,7 @@ def nelder_mead(
         diameter = float(np.max(np.abs(sim[1:] - sim[0]))) if n else 0.0
         finite = fs[np.isfinite(fs)]
         spread = float(finite.max() - finite.min()) if finite.size > 1 else np.inf
-        if diameter < xatol or spread < fatol:
+        if diameter < _XATOL or spread < _FATOL:
             break
         centroid = sim[:-1].mean(axis=0)
         xr = np.clip(centroid + alpha_r * (centroid - sim[-1]), lo, hi)
@@ -180,11 +179,7 @@ def nelder_mead(
 
 
 def minimize_params(
-    problem: OptimizationProblem,
-    restarts: int = 5,
-    xatol: float = 1e-6,
-    fatol: float = 1e-8,
-    maxfev: int = 2000,
+    problem: OptimizationProblem, restarts: int = 5, maxfev: int = 2000
 ) -> dict:
     """Best-of-restarts simplex minimization of the problem objective.
 
@@ -213,8 +208,7 @@ def minimize_params(
     for x0 in starts:
         try:
             res = nelder_mead(
-                problem.objective, x0, problem.param_bounds,
-                xatol=xatol, fatol=fatol, maxfev=maxfev,
+                problem.objective, x0, problem.param_bounds, maxfev=maxfev
             )
         except ValueError:
             continue

@@ -181,6 +181,13 @@ def test_build_searches_component_clearance_once(capsys, monkeypatch):
     assert calls == [5]
 
 
+# One valid triangle; the malformed JSON rows below append one field to it.
+_TRIANGLE_JSON = (
+    '{"format": "ropebound-link/1", "components": [{"closed": true,'
+    ' "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]}]'
+)
+
+
 @pytest.mark.parametrize(
     "name, text",
     [
@@ -196,10 +203,21 @@ def test_build_searches_component_clearance_once(capsys, monkeypatch):
         ("untagged.json",
          '{"components": [{"closed": true,'
          ' "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]}]}\n'),
+        ("list.json", _TRIANGLE_JSON + ', "metadata": [1]}\n'),
+        ("nospec.json", _TRIANGLE_JSON + ', "metadata": {"family": "torus"}}\n'),
+        ("nullspec.json",
+         _TRIANGLE_JSON + ', "metadata": {"family": "torus", "spec": null}}\n'),
+        ("stringp.json",
+         _TRIANGLE_JSON + ', "metadata": {"family": "torus", "spec": {"p": "2"}}}\n'),
+        ("zerop.json",
+         _TRIANGLE_JSON + ', "metadata": {"family": "torus", "spec": {"p": 0}}}\n'),
+        ("crossings.json", _TRIANGLE_JSON + ', "crossing_number": "12"}\n'),
     ],
     ids=["truncated-vect", "nan-csv", "empty-file", "vectx-magic",
          "repeated-vertices", "inf-csv", "two-vertex-closed",
-         "non-numeric-vect", "untagged-json"],
+         "non-numeric-vect", "untagged-json", "metadata-list",
+         "torus-metadata-without-spec", "torus-metadata-null-spec",
+         "torus-spec-string-p", "torus-spec-p-0", "string-crossing-number"],
 )
 def test_check_malformed_input_exits_2(capsys, tmp_path, name, text):
     path = tmp_path / name

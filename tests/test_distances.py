@@ -5,14 +5,26 @@ import math
 import numpy as np
 import pytest
 
-from ropebound.curves import PolyCurve, sample_planar_curve, sample_toroidal_helix
+from ropebound import distances
+from ropebound.construct import (
+    build_increment_spec,
+    build_planar_link,
+    realize_torus,
+)
+from ropebound.curves import (
+    PolyCurve,
+    min_curvature_radius,
+    sample_planar_curve,
+    sample_toroidal_helix,
+)
 from ropebound.distances import (
+    _certified_min,
     min_distance_brute,
-    min_self_distance,
     min_self_distance_brute,
     mutual_min_distance,
     segment_pair_distances,
 )
+from ropebound.measure import _arc_window
 
 
 def _random_curve(rng, n=60, scale=5.0, offset=(0.0, 0.0, 0.0)):
@@ -21,6 +33,11 @@ def _random_curve(rng, n=60, scale=5.0, offset=(0.0, 0.0, 0.0)):
     for _ in range(2):
         pts = 0.5 * pts + 0.25 * (np.roll(pts, 1, axis=0) + np.roll(pts, -1, axis=0))
     return PolyCurve(pts)
+
+
+def _self_min(c, arc_window=None):
+    windows = None if arc_window is None else np.array([arc_window])
+    return _certified_min([c], inter=False, intra=True, arc_windows=windows)
 
 
 def test_segment_pair_distances_known_cases():
@@ -73,16 +90,14 @@ def test_self_distance_matches_brute_force():
     rng = np.random.default_rng(3)
     for _ in range(6):
         c = _random_curve(rng, n=80)
-        fast = min_self_distance(c, skip_window=4)
-        slow = min_self_distance_brute(c, skip_window=4)
-        assert fast == pytest.approx(slow, rel=1e-12)
+        assert _self_min(c) == min_self_distance_brute(c)
 
 
 def test_self_distance_skip_window_on_circle():
     # with only the 5-segment skip, the closest admissible pair is the pair of
     # segments exactly 5 apart; its distance just undercuts the vertex chord
     c = sample_planar_curve("circle", {"radius": 2.0}, n_points=1000)
-    d = min_self_distance(c, skip_window=5)
+    d = _self_min(c)
     assert d == pytest.approx(0.06282926924728165, rel=1e-12)
     assert d <= 4 * math.sin(5 * math.pi / 1000)
     assert d == pytest.approx(4 * math.sin(5 * math.pi / 1000), rel=1e-3)
@@ -91,7 +106,7 @@ def test_self_distance_skip_window_on_circle():
 def test_self_distance_arc_window_on_circle():
     # excluding pairs within arc 2 leaves the chord of arc 2 as the minimum
     c = sample_planar_curve("circle", {"radius": 2.0}, n_points=1000)
-    d = min_self_distance(c, arc_window=2.0)
+    d = _self_min(c, arc_window=2.0)
     assert d == pytest.approx(4 * math.sin(0.5), rel=1e-3)
     assert d == pytest.approx(1.915993210579043, rel=1e-12)
 
@@ -99,7 +114,7 @@ def test_self_distance_arc_window_on_circle():
 def test_self_distance_whole_curve_excluded_is_infinite():
     c = sample_planar_curve("circle", {"radius": 1.0}, n_points=500)
     # arc window beyond half the perimeter excludes every pair
-    assert min_self_distance(c, arc_window=4.0) == np.inf
+    assert _self_min(c, arc_window=4.0) == np.inf
 
 
 def test_mutual_min_distance_over_components():
@@ -136,8 +151,6 @@ def test_candidate_pairs_put_the_lower_segment_first():
     # segment_pair_distances is not symmetric in floating point: here the
     # closest pair evaluated as (j, i) comes out one ulp below the
     # brute-force (i, j) value, 0.00737833973821339
-    from ropebound.construct import build_planar_link
-
     params = dict(zip(
         ("rho", "psi", "gamma", "delta", "square_scale", "square_flat_fraction"),
         (0.509578, 0.558421, 0.494418, -0.042231, 1.152545, 0.211444),
@@ -157,11 +170,8 @@ def test_mutual_min_distance_on_planar_ring_matches_brute_force_exactly():
     # circles q=8 at 200 points: the sampled-vertex bound (0.238) sits just
     # above the true minimum (0.236) and far below the first-vertex distances
     # (1.15), so it sets the search radius.
-    from ropebound import distances as dmod
-    from ropebound.construct import build_planar_link
-
     comps = build_planar_link(8, "circles", n_points=200, check=False).components
-    ub = dmod._vertex_upper_bound(dmod._SegmentSoup(comps), True, False, 5)
+    ub = distances._vertex_upper_bound(distances._SegmentSoup(comps), True, False)
     assert ub < 0.25
     brute = min(
         min_distance_brute(comps[i], comps[j])
@@ -173,9 +183,6 @@ def test_mutual_min_distance_on_planar_ring_matches_brute_force_exactly():
 
 
 def test_vertex_upper_bound_never_below_certified_minimum():
-    from ropebound import distances as dmod
-    from ropebound.construct import build_increment_spec, build_planar_link, realize_torus
-
     rng = np.random.default_rng(5)
     cases = [
         build_planar_link(q, family, n_points=n, check=False).components
@@ -186,9 +193,111 @@ def test_vertex_upper_bound_never_below_certified_minimum():
     cases.append([_random_curve(rng, offset=rng.normal(size=3) * 4.0)
                   for _ in range(3)])
     for comps in cases:
-        soup = dmod._SegmentSoup(comps)
-        ub = dmod._vertex_upper_bound(soup, True, False, 5)
+        soup = distances._SegmentSoup(comps)
+        ub = distances._vertex_upper_bound(soup, True, False)
         assert ub >= mutual_min_distance(comps)
     for c in cases[-1]:
-        ub = dmod._vertex_upper_bound(dmod._SegmentSoup([c]), False, True, 5)
-        assert ub >= min_self_distance(c, skip_window=5)
+        ub = distances._vertex_upper_bound(distances._SegmentSoup([c]), False, True)
+        assert ub >= _self_min(c)
+
+
+def _brute_min(curves, inter, intra, windows):
+    """Brute-force reference for _certified_min in every mode."""
+    best = np.inf
+    if inter:
+        for i in range(len(curves)):
+            for j in range(i + 1, len(curves)):
+                best = min(best, min_distance_brute(curves[i], curves[j]))
+    if intra:
+        for k, c in enumerate(curves):
+            window = None if windows is None else windows[k]
+            best = min(best, min_self_distance_brute(c, arc_window=window))
+    return best
+
+
+def _bending_windows(curves):
+    return np.array([_arc_window(min_curvature_radius(c)) for c in curves])
+
+
+def _random_pair():
+    rng = np.random.default_rng(7)
+    return [_random_curve(rng, n=90),
+            _random_curve(rng, n=70, offset=(6.0, 0.0, 0.0))]
+
+
+def _circle(radius=1.0, n=120):
+    return sample_planar_curve("circle", {"radius": radius}, n_points=n)
+
+
+def _torus():
+    return realize_torus(build_increment_spec(1, 4), n_points=100,
+                         check=False).components
+
+
+def _ring():
+    return build_planar_link(4, "gibbous", n_points=100, check=False).components
+
+
+# (curves, inter, intra, arc windows: None, "bending" for pi times each
+# component's curvature radius, or an array); "none admissible" in a name
+# marks a case without a single admissible pair
+_MODES = {
+    "inter random pair": (_random_pair, True, False, None),
+    "inter planar ring": (_ring, True, False, None),
+    "inter far apart": (
+        lambda: [_circle(), _circle().transformed(None, (500.0, 0.0, 0.0))],
+        True, False, None),
+    "inter single component, none admissible": (
+        lambda: [_circle()], True, False, None),
+    "intra random curve": (lambda: _random_pair()[:1], False, True, None),
+    "intra random curve, arc window 3": (
+        lambda: _random_pair()[:1], False, True, np.array([3.0])),
+    "intra torus helix, bending window": (
+        lambda: _torus()[1:2], False, True, "bending"),
+    "intra torus core, bending window, none admissible": (
+        lambda: _torus()[:1], False, True, "bending"),
+    "intra short polygon, none admissible": (
+        lambda: [_circle(n=11)], False, True, None),
+    "intra two circles, windows beyond half, none admissible": (
+        lambda: [_circle(), _circle(2.0)], False, True, np.array([4.0, 7.0])),
+    "combined random pair": (_random_pair, True, True, None),
+    "combined random pair, arc windows": (
+        _random_pair, True, True, np.array([2.0, 5.0])),
+    "combined planar ring, bending windows": (_ring, True, True, "bending"),
+    "combined torus, bending windows": (_torus, True, True, "bending"),
+    "combined single circle, window beyond half, none admissible": (
+        lambda: [_circle()], True, True, np.array([4.0])),
+}
+
+
+@pytest.mark.parametrize("name", list(_MODES))
+def test_certified_min_equals_brute_force_in_every_mode(name):
+    make, inter, intra, windows = _MODES[name]
+    curves = make()
+    if isinstance(windows, str):
+        windows = _bending_windows(curves)
+    fast = _certified_min(curves, inter=inter, intra=intra, arc_windows=windows)
+    assert fast == _brute_min(curves, inter, intra, windows)
+    assert (fast == np.inf) is ("none admissible" in name)
+
+
+def test_torus_self_distances_search_once_or_twice(monkeypatch):
+    # a helix's self search starts at its vertex chord, which is admissible
+    # and certifies in one search; the core circle's bending window covers
+    # half its length, so no self pair is admissible: one search at the
+    # chord, one at the scene diameter, then inf
+    searches = []
+    candidate_pairs = distances._candidate_pairs
+
+    def counting(soup, reach):
+        searches.append(reach)
+        return candidate_pairs(soup, reach)
+
+    monkeypatch.setattr(distances, "_candidate_pairs", counting)
+    core, helix = _torus()[:2]
+    for curve, expected, finite in ((helix, 1, True), (core, 2, False)):
+        searches.clear()
+        d = _certified_min([curve], inter=False, intra=True,
+                           arc_windows=_bending_windows([curve]))
+        assert len(searches) == expected
+        assert bool(np.isfinite(d)) is finite
