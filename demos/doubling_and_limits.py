@@ -35,13 +35,12 @@ def main():
         print(f"  {method:>15}: {plain:.5f}  ->  {corrected:.5f} corrected")
 
     print("\nComponent totals at T = 100 (doubled):")
-    for mode, kwargs in (("approx (epsilon = 1)", {"count_mode": "approx", "epsilon": 1.0}),
-                         ("exact", {"count_mode": "exact"})):
-        spec = build_optimal_spec(100, **kwargs)
-        print(f"  {mode:>20}: {2 * spec.q} components, "
+    for label, mode in (("approx (N_a - 1)", "approx"), ("exact", "exact")):
+        spec = build_optimal_spec(100, count_mode=mode)
+        print(f"  {label:>20}: {2 * spec.q} components, "
               f"{spec.crossing_number(doubled=True)} crossings")
     print("  (exact constraint solving packs ~0.4% more helices than the")
-    print("   conservative epsilon rule)")
+    print("   conservative N_a - 1 rule)")
 
 
 if __name__ == "__main__":

@@ -120,29 +120,19 @@ def asymptotic_coefficients(p: int) -> dict:
 
     alpha_w_limit is the closed form sqrt(8*pi) * (3/p)^(1/4); alpha_iso_limit
     is 2*pi / p^(1/4).  `subleading` is the coefficient s in
-    alpha_w(Q) ~ alpha_w_limit + s/sqrt(Q), extracted numerically by fitting
-    (alpha_w(Q) - limit) * sqrt(Q) against 1/sqrt(Q) over Q in [1e4, 1e6] and
-    taking the intercept.
+    alpha_w(Q) ~ alpha_w_limit + s/sqrt(Q), in closed form
+    s = (2*pi + sqrt(2*pi*(7*sqrt(3) - 12))) / p^(3/4).  For large n,
+    wegner_hull_length(n) = sqrt(8*pi*sqrt(3)*n) + sqrt(2*pi*(7*sqrt(3) - 12))
+    + O(n^(-1/2)); the constant part of L/Q = 2*pi + wegner_hull_length(p(Q-1)),
+    times Q over C^(3/4) ~ p^(3/4) Q^(3/2), gives s, and the growing part
+    gives alpha_w_limit plus O(1/Q).
     """
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
-    alpha_w_limit = math.sqrt(8.0 * math.pi) * (3.0 / p) ** 0.25
-    alpha_iso_limit = 2.0 * math.pi / p ** 0.25
-
-    qs = [int(round(10 ** e)) for e in (4.0, 4.5, 5.0, 5.5, 6.0)]
-    x = [1.0 / math.sqrt(q) for q in qs]
-    y = [(lower_bound_report(p, q).alpha_w - alpha_w_limit) * math.sqrt(q)
-         for q in qs]
-    # least-squares line y = s + d*x; report the intercept s
-    nq = len(qs)
-    sx, sy = sum(x), sum(y)
-    sxx = sum(v * v for v in x)
-    sxy = sum(u * v for u, v in zip(x, y))
-    slope = (nq * sxy - sx * sy) / (nq * sxx - sx * sx)
-    subleading = (sy - slope * sx) / nq
-
     return {
-        "alpha_w_limit": alpha_w_limit,
-        "alpha_iso_limit": alpha_iso_limit,
-        "subleading": subleading,
+        "alpha_w_limit": math.sqrt(8.0 * math.pi) * (3.0 / p) ** 0.25,
+        "alpha_iso_limit": 2.0 * math.pi / p ** 0.25,
+        "subleading": (
+            2.0 * math.pi + math.sqrt(2.0 * math.pi * (7.0 * math.sqrt(3.0) - 12.0))
+        ) / p ** 0.75,
     }

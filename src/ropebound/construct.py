@@ -12,13 +12,13 @@ helix-packing constraint; two builds are provided:
   shell to the rectangle rule exactly; increment 5 overfills, forcing a wider
   hole and a worse length ratio).
 * optimal: hole radius fixed at 2T, every shell filled to capacity
-  (exact transcendental count or the rectangle estimate minus epsilon).
+  (exact transcendental count or the rectangle estimate minus 1).
 
 donut_double threads a second congruent torus through the first one's hole
 (Hopf-linking every component of one copy with every component of the other),
 which requires R0 >= 2 r_outer + 2 and turns T(pQ, Q) into a T(Q', Q')-type
 link of 2Q components with crossing number 2 p Q (Q-1) + 2 Q^2.  toroidal_pair
-threads two one-shell tori the same way at a free separation.
+threads two tori of a core and six helices the same way at a free separation.
 
 Planar builds place q convex loops (circles or flattened "gibbous" ovals)
 evenly around an axis, each displaced outward and tilted so consecutive loops
@@ -265,21 +265,19 @@ def build_increment_spec(
     return TorusSpec(radii, counts, has_core=True, major_radius=float(h + radii[-1]))
 
 
-def build_optimal_spec(
-    t_shells: int, count_mode: str = "exact", epsilon: float = 1.0
-) -> TorusSpec:
+def build_optimal_spec(t_shells: int, count_mode: str = "exact") -> TorusSpec:
     """Capacity-filling torus spec: shell i at radius 2i, hole radius 2T,
     major radius 4T, no core; each shell holds max_helices(2i, 2T) helices.
 
     count_mode "exact" solves the pair constraint per shell; "approx" uses
-    floor(N_a - epsilon).  The default epsilon = 1 reproduces the published
-    component totals (e.g. doubled T=100 gives 2 x 26102 = 52204); exact
-    counting packs ~0.4% more helices.
+    floor(N_a - 1), which reproduces the published component totals (e.g.
+    doubled T=100 gives 2 x 26102 = 52204); exact counting packs ~0.4% more
+    helices.
     """
     if t_shells < 1:
         raise ValueError(f"need t_shells >= 1, got {t_shells}")
     radii = 2.0 * np.arange(1, t_shells + 1)
-    counts = max_helices(radii, 2.0 * t_shells, count_mode, epsilon=epsilon)
+    counts = max_helices(radii, 2.0 * t_shells, count_mode, epsilon=1.0)
     filled = counts >= 1
     if not filled.any():
         raise ValueError("no shell can host a single helix; t_shells too small")
@@ -454,24 +452,24 @@ def donut_double(
 
 def toroidal_pair(
     major_radius: float,
-    separation: float | None = None,
-    phase: float = 0.0,
-    count: int = 6,
-    shell_radius: float = 2.0,
-    n_points: int = 420,
+    separation: float,
+    phase: float,
+    shell_radius: float,
+    n_points: int,
 ) -> LinkConfiguration:
-    """Two congruent core-plus-helices tori threaded through each other.
+    """Two congruent tori, each a core and six helices on one shell, threaded
+    through each other: 14 components.
 
     Unlike donut doubling this does not enforce the conservative clearance
-    R0 >= 2 r_outer + 2: `separation` (default: the major radius) places the
-    second copy freely, letting an optimizer trade inter-copy clearance
-    against intra-copy helix gaps.  The common `phase` rotates each torus
-    about its own axis, changing the relative geometry of the two copies.
+    R0 >= 2 r_outer + 2: `separation` places the second copy freely (at the
+    major radius it is the donut double), letting an optimizer trade
+    inter-copy clearance against intra-copy helix gaps.  The common `phase`
+    rotates each torus about its own axis, changing the relative geometry of
+    the two copies.  The parameters' start values and bounds are the
+    "toroidal_pair" row of FAMILIES.
     """
-    if separation is None:
-        separation = major_radius
     spec = TorusSpec(
-        [shell_radius], [count], has_core=True, major_radius=major_radius,
+        [shell_radius], [6], has_core=True, major_radius=major_radius,
         phases=[phase],
     )
     first = realize_torus(spec, n_points=n_points, check=False)

@@ -38,7 +38,11 @@ class PolyCurve:
         if not np.isfinite(v).all():
             raise ValueError("vertices must be finite (got NaN or infinity)")
         self.vertices = v
-        if self.segment_lengths().min() <= 0.0:
+        with np.errstate(over="ignore"):
+            lengths = self.segment_lengths()
+        if not np.isfinite(lengths).all():
+            raise ValueError("segment lengths must be finite (coordinates too large)")
+        if lengths.min() <= 0.0:
             raise ValueError("consecutive vertices must be distinct")
 
     @property

@@ -16,8 +16,7 @@ fixed number of safeguarded Newton steps on d(d^2)/dtheta polish it inside
 that bracket.  `max_helices` counts the helices per shell exactly, scanning n
 from the rectangular estimate N_a = pi*h*r/sqrt(h^2 + r^2) for every shell
 of a spec in one pass, or approximately as N_a minus a safety decrement
-epsilon; `cubic_min_distance` evaluates the cubic Taylor closed form of the
-same minimum.
+epsilon.
 
 Bending the cylinder into a torus changes each helix's arc length by a factor
 that is the mean over the tube angle t of a smooth 2*pi-periodic function.
@@ -39,7 +38,6 @@ __all__ = [
     "helix_count_estimate",
     "pair_min_distance",
     "max_helices",
-    "cubic_min_distance",
     "toroidal_correction",
     "aggregate_correction",
 ]
@@ -96,6 +94,8 @@ def _min_gap(a: np.ndarray, r: np.ndarray, h: np.ndarray) -> tuple:
     return np.where(better, v, best_v), np.where(better, t, best_t)
 
 
+# The scalar form of _min_gap.  The package counts helices through _fits;
+# this stays because perfbench/tracing.py wraps this attribute.
 def pair_min_distance(n: int, r: float, h: float) -> dict:
     """Minimum gap between adjacent helices among n on a (r, h) shell.
 
@@ -173,46 +173,6 @@ def max_helices(r, h, mode: str = "exact", epsilon: float = EPSILON_SAFE):
     else:
         raise ValueError(f"mode must be 'exact' or 'approx', got {mode!r}")
     return int(counts) if counts.ndim == 0 else counts
-
-
-def cubic_min_distance(r: float, h: float, epsilon: float) -> float:
-    """Squared minimum gap predicted by the cubic Taylor model at n = N_a - epsilon.
-
-    Expanding d^2(theta) to third order around theta = 0 gives
-
-        d_c^2(theta) = 4 r^2 sin^2(a/2) + 2 r^2 sin(a) theta
-                       + (r^2 cos(a) + h^2) theta^2 - (r^2 sin(a)/3) theta^3
-
-    with a = 2*pi/(N_a - epsilon).  The interior stationary point has the
-    closed form theta_co = -(sqrt(4 B^2 + 8 r^4 sin^2 a) - 2 B)/(2 r^2 sin a),
-    B = r^2 cos a + h^2; the function returns d_c^2(theta_co).  This is the
-    analytic certification path for large shells: a value >= 4 certifies the
-    packing without numerical search.
-    """
-    if r < 2.0:
-        raise ValueError(f"shell radius must be >= 2, got {r}")
-    if h <= 0.0:
-        raise ValueError(f"hole radius must be positive, got {h}")
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be >= 0")
-    n_eff = helix_count_estimate(r, h) - epsilon
-    if n_eff <= 2.0:
-        raise ValueError(
-            f"cubic model invalid: effective count N_a - epsilon = {n_eff:.6g} <= 2"
-        )
-    a = 2.0 * math.pi / n_eff
-    sa, ca = math.sin(a), math.cos(a)
-    b = r * r * ca + h * h
-    disc = 4.0 * b * b + 8.0 * r ** 4 * sa * sa
-    if disc < 0.0:  # pragma: no cover - nonnegative by construction
-        raise ValueError("negative discriminant: outside cubic validity")
-    theta = -(math.sqrt(disc) - 2.0 * b) / (2.0 * r * r * sa)
-    return (
-        4.0 * r * r * math.sin(0.5 * a) ** 2
-        + 2.0 * r * r * sa * theta
-        + b * theta * theta
-        - (r * r * sa / 3.0) * theta ** 3
-    )
 
 
 def _correction(ratio: np.ndarray, p: int) -> np.ndarray:

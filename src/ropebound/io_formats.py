@@ -73,6 +73,7 @@ def _from_vect(text: str, path: str) -> LinkConfiguration:
         n_comp, n_vert, _n_col = (int(v) for v in header)
     except ValueError:
         raise FormatError(f"{path}:2: non-integer header field in {header}")
+    _require(n_comp >= 1, path, 2, f"need at least one component, got {n_comp}")
     counts_raw = lines[2].split()
     _require(len(counts_raw) == n_comp, path, 3,
              f"expected {n_comp} vertex counts, got {len(counts_raw)}")
@@ -87,11 +88,12 @@ def _from_vect(text: str, path: str) -> LinkConfiguration:
     for k, count in enumerate(counts):
         n = abs(count)
         _require(n >= 2, path, 3, f"component {k} has fewer than 2 vertices")
+        # checked before allocating: a count the file cannot hold is refused
+        _require(row + n <= len(lines), path, len(lines) + 1,
+                 "unexpected end of file inside vertex block")
         verts = np.empty((n, 3))
         first = row + 1
         for i in range(n):
-            _require(row < len(lines), path, row + 1,
-                     "unexpected end of file inside vertex block")
             fields = lines[row].split()
             _require(len(fields) == 3, path, row + 1,
                      f"expected 3 coordinates, got {len(fields)}")
@@ -192,6 +194,10 @@ def _from_json(text: str, path: str) -> LinkConfiguration:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})")
+    except ValueError as exc:  # an integer literal beyond the digit limit
+        raise FormatError(f"{path}:1: invalid JSON ({exc})")
+    except RecursionError:
+        raise FormatError(f"{path}:1: invalid JSON (nested too deeply)")
     _require(isinstance(payload, dict), path, 1, "top-level JSON value must be an object")
     _require(payload.get("format") == _JSON_FORMAT, path, 1,
              f"unrecognized format tag {payload.get('format')!r}")
@@ -203,23 +209,31 @@ def _from_json(text: str, path: str) -> LinkConfiguration:
                  f"component {k} lacks a vertices array")
         try:
             verts = np.array([[float(x) for x in v] for v in entry["vertices"]])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise FormatError(f"{path}:1: component {k} has malformed vertices")
         _require(verts.ndim == 2 and verts.shape[1] == 3, path, 1,
                  f"component {k} vertices are not Nx3")
-        comps.append(_curve(verts, bool(entry.get("closed", True)), path, 1, k))
+        closed = entry.get("closed", True)
+        _require(isinstance(closed, bool), path, 1,
+                 f"component {k}: closed must be true or false, got {closed!r}")
+        comps.append(_curve(verts, closed, path, 1, k))
     crossings = payload.get("crossing_number")
-    _require(crossings is None or (_is_int(crossings) and crossings >= 0), path, 1,
-             f"crossing_number must be a non-negative integer, got {crossings!r}")
+    _require(crossings is None or _is_int(crossings, 0), path, 1,
+             f"crossing_number must be an integer in [0, {_INT64_MAX}], "
+             f"got {crossings!r}")
     metadata = payload.get("metadata")
     metadata = {} if metadata is None else metadata
     _require(isinstance(metadata, dict), path, 1,
              f"metadata must be an object, got {type(metadata).__name__}")
+    doubled = metadata.get("doubled", False)
+    _require(isinstance(doubled, bool), path, 1,
+             f"metadata.doubled must be true or false, got {doubled!r}")
     if metadata.get("family") == "torus":
         spec = metadata.get("spec")
         p = spec.get("p") if isinstance(spec, dict) else None
-        _require(_is_int(p) and p >= 1, path, 1,
-                 "torus metadata needs a spec with an integer p >= 1")
+        _require(_is_int(p, 1), path, 1,
+                 f"torus metadata needs a spec with an integer p in "
+                 f"[1, {_INT64_MAX}]")
     return LinkConfiguration(
         comps,
         crossing_number=crossings,
@@ -228,8 +242,15 @@ def _from_json(text: str, path: str) -> LinkConfiguration:
     )
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+# Largest integer the linking pattern (an int64 array) holds; crossing
+# numbers share the bound, which keeps them convertible to float.
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _is_int(value, lowest: int) -> bool:
+    """Whether `value` is an integer (not a bool) in [lowest, _INT64_MAX]."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and lowest <= value <= _INT64_MAX)
 
 
 _WRITERS = {"vect": _to_vect, "csv": _to_csv, "json": _to_json}

@@ -10,10 +10,6 @@ contraction simplex over box-bounded parameters with boundary clamping;
 infeasible parameter vectors (self intersections, invalid shapes) evaluate
 to +inf and are recovered from by contraction.  Restarts jitter the starting
 point deterministically from a seeded generator.
-
-reverse_jenga improves a multi-shell torus spec by greedily moving helices
-from the outermost shell into spare exact capacity of inner shells whenever
-the recomputed hole radius makes the predicted total length drop.
 """
 
 from __future__ import annotations
@@ -22,16 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import (
-    FAMILIES,
-    OverlapError,
-    TorusSpec,
-    _hole_radius_required,
-    analytic_length,
-    build_planar_link,
-    toroidal_pair,
-)
-from .helices import max_helices
+from .construct import FAMILIES, build_planar_link, toroidal_pair
 from .measure import LinkConfiguration, measure_thickness, verify
 # Not called here; kept because perfbench/tracing.py wraps this attribute.
 from .measure import measure_link  # noqa: F401
@@ -41,7 +28,6 @@ __all__ = [
     "normalized_ropelength",
     "nelder_mead",
     "minimize_params",
-    "reverse_jenga",
 ]
 
 
@@ -50,7 +36,7 @@ def normalized_ropelength(link) -> float:
     that cannot be thickened (touching or intersecting components)."""
     try:
         metrics = measure_thickness(link)
-    except (ValueError, OverlapError):
+    except ValueError:
         return np.inf
     value = metrics.normalized_length
     if not np.isfinite(value) or not verify(metrics, absolute=False)["passed"]:
@@ -95,7 +81,7 @@ class OptimizationProblem:
     def objective(self, params) -> float:
         try:
             link = self.build(params)
-        except (ValueError, OverlapError):
+        except ValueError:
             return np.inf
         return normalized_ropelength(link)
 
@@ -185,8 +171,10 @@ def minimize_params(
 
     The first start is the problem's initial parameters; the remaining
     `restarts - 1` are jittered deterministically from the problem seed.
-    The result is never worse than the initial feasible objective, and
-    includes the total evaluation count.
+    The first simplex vertex of each run is its start, so the result is
+    never worse than the objective at the initial parameters.  Evaluations
+    are summed over the runs that found a feasible vertex; when none did,
+    the result is the initial parameters at +inf.
     """
     if restarts < 1:
         raise ValueError(f"need restarts >= 1, got {restarts}")
@@ -198,13 +186,8 @@ def minimize_params(
         jitter = rng.uniform(-0.1, 0.1, size=len(span)) * span
         starts.append(np.clip(starts[0] + jitter, lo, hi))
 
-    initial_value = problem.objective(starts[0])
-    best = {
-        "best_params": starts[0].copy(),
-        "best_value": float(initial_value),
-        "evaluations": 1,
-    }
-    total_evals = 1
+    best = {"best_params": starts[0].copy(), "best_value": np.inf}
+    total_evals = 0
     for x0 in starts:
         try:
             res = nelder_mead(
@@ -217,70 +200,3 @@ def minimize_params(
             best = res
     best["evaluations"] = total_evals
     return best
-
-
-def _jenga_radius(radii, counts, current_hole):
-    """Smallest hole radius at which every populated shell passes the exact
-    capacity check, starting from the rectangle-rule estimate (from
-    `current_hole` when a count exceeds the circumferential cap)."""
-    filled = counts > 0
-    radii, counts = radii[filled], counts[filled]
-    try:
-        h = _hole_radius_required(radii, counts).max()
-    except ValueError:
-        h = current_hole
-    for _ in range(60):
-        if np.all(counts <= max_helices(radii, h, "exact")):
-            return h
-        h *= 1.02
-    return None
-
-
-def reverse_jenga(spec: TorusSpec) -> TorusSpec:
-    """Greedily move helices from the outermost shell into inner shells.
-
-    A move takes one helix off the outermost populated shell and places it
-    on an inner shell with spare exact capacity, re-deriving the hole radius
-    (and hence the major radius) for the new loading; it is kept when the
-    corrected predicted length drops.  Moves repeat until no move improves,
-    so the returned spec has predicted length <= the input's and the same
-    total component count.
-    """
-    radii, counts = spec.radii, spec.counts
-    hole = spec.hole_radius
-
-    def make(counts_v, hole_v):
-        filled = counts_v > 0
-        return TorusSpec(
-            radii[filled],
-            counts_v[filled],
-            has_core=spec.has_core,
-            major_radius=float(hole_v + radii[filled][-1]),
-            p=spec.p,
-            phases=spec.phases[filled],
-        )
-
-    current = make(counts, hole)
-    length = analytic_length(current, corrected=True)
-    improved = True
-    while improved:
-        improved = False
-        outer = int(np.flatnonzero(counts)[-1])
-        best_move = None
-        for target in range(outer):
-            trial = counts.copy()
-            trial[outer] -= 1
-            trial[target] += 1
-            h = _jenga_radius(radii, trial, hole)
-            if h is None:
-                continue
-            cand = make(trial, h)
-            cand_len = analytic_length(cand, corrected=True)
-            if cand_len < length - 1e-12 and (
-                best_move is None or cand_len < best_move[0]
-            ):
-                best_move = (cand_len, trial, h, cand)
-        if best_move is not None:
-            length, counts, hole, current = best_move
-            improved = True
-    return current

@@ -256,7 +256,7 @@ def test_criterion_5_doubled_torus_scaling():
 
     # Component totals for the doubled T=100 build against the published
     # figure of 52203: the conservative counting mode reproduces it.
-    approx = build_optimal_spec(100, count_mode="approx", epsilon=1.0)
+    approx = build_optimal_spec(100, count_mode="approx")
     approx_n = 2 * approx.q
     rel = abs(approx_n - 52203) / 52203
     _record(results, "T=100 approx count", rel <= 0.003,

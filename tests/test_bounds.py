@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from ropebound.bounds import (
@@ -77,8 +78,28 @@ def test_asymptotic_limits_closed_forms():
     )
     assert ac["alpha_w_limit"] == pytest.approx(6.597816664747605, rel=1e-15)
     assert ac["alpha_iso_limit"] == pytest.approx(2 * math.pi, rel=1e-15)
-    # fitted subleading term matches its closed form 2*pi + sqrt(2*pi*(7*sqrt(3)-12))
-    assert ac["subleading"] == pytest.approx(7.167125130743448, abs=1e-3)
+    assert ac["subleading"] == pytest.approx(
+        2 * math.pi + math.sqrt(2 * math.pi * (7 * math.sqrt(3) - 12)), rel=1e-15
+    )
+
+
+def _fitted_subleading(p):
+    """Intercept s of the least-squares line (alpha_w(Q) - limit) * sqrt(Q)
+    = s + d / sqrt(Q) over Q = 1e4 ... 1e6, from the computed bounds."""
+    limit = asymptotic_coefficients(p)["alpha_w_limit"]
+    qs = [int(round(10 ** e)) for e in (4.0, 4.5, 5.0, 5.5, 6.0)]
+    x = np.array([1.0 / math.sqrt(q) for q in qs])
+    y = np.array([(lower_bound_report(p, q).alpha_w - limit) * math.sqrt(q)
+                  for q in qs])
+    _slope, intercept = np.polyfit(x, y, 1)
+    return intercept
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 16])
+def test_subleading_closed_form_matches_the_fitted_bounds(p):
+    assert asymptotic_coefficients(p)["subleading"] == pytest.approx(
+        _fitted_subleading(p), rel=2e-5
+    )
 
 
 def test_alpha_w_decreasing_in_q():

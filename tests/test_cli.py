@@ -188,43 +188,88 @@ _TRIANGLE_JSON = (
 )
 
 
-@pytest.mark.parametrize(
-    "name, text",
-    [
-        ("truncated.vect", "VECT\n1 3 0\n-3\n0\n0 0 0\n1 0 0\n"),
-        ("nan.csv", "component,vertex,x,y,z\n0,0,0,0,0\n0,1,1,nan,0\n0,2,0,1,0\n"),
-        ("empty.vect", ""),
-        ("magic.vect", "VECTX\n1 3 0\n-3\n0\n0 0 0\n1 0 0\n0 1 0\n"),
-        ("repeated.vect",
-         "VECT\n1 4 0\n-4\n0\n0 0 0\n1 0 0\n1 0 0\n0 1 0\n"),
-        ("inf.csv", "component,vertex,x,y,z\n0,0,0,0,0\n0,1,1,inf,0\n0,2,0,1,0\n"),
-        ("two.vect", "VECT\n1 2 0\n-2\n0\n0 0 0\n1 0 0\n"),
-        ("word.vect", "VECT\n1 3 0\n-3\n0\n0 0 0\n1 x 0\n0 1 0\n"),
-        ("untagged.json",
-         '{"components": [{"closed": true,'
-         ' "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]}]}\n'),
-        ("list.json", _TRIANGLE_JSON + ', "metadata": [1]}\n'),
-        ("nospec.json", _TRIANGLE_JSON + ', "metadata": {"family": "torus"}}\n'),
-        ("nullspec.json",
-         _TRIANGLE_JSON + ', "metadata": {"family": "torus", "spec": null}}\n'),
-        ("stringp.json",
-         _TRIANGLE_JSON + ', "metadata": {"family": "torus", "spec": {"p": "2"}}}\n'),
-        ("zerop.json",
-         _TRIANGLE_JSON + ', "metadata": {"family": "torus", "spec": {"p": 0}}}\n'),
-        ("crossings.json", _TRIANGLE_JSON + ', "crossing_number": "12"}\n'),
-    ],
-    ids=["truncated-vect", "nan-csv", "empty-file", "vectx-magic",
-         "repeated-vertices", "inf-csv", "two-vertex-closed",
-         "non-numeric-vect", "untagged-json", "metadata-list",
-         "torus-metadata-without-spec", "torus-metadata-null-spec",
-         "torus-spec-string-p", "torus-spec-p-0", "string-crossing-number"],
-)
+def _json_component(closed, vertices="[[0, 0, 0], [1, 0, 0], [0, 1, 0]]"):
+    return ('{"format": "ropebound-link/1", "components": [{"closed": %s,'
+            ' "vertices": %s}]}\n' % (closed, vertices))
+
+
+# Every row is a corrupt or hostile file: `check` must exit 2 with a
+# `path:line` message, never a traceback and never exit 1 (verification
+# failed).  (file name, content, test id)
+_CORRUPT_FILES = [
+    ("truncated.vect", "VECT\n1 3 0\n-3\n0\n0 0 0\n1 0 0\n", "truncated-vect"),
+    ("nan.csv", "component,vertex,x,y,z\n0,0,0,0,0\n0,1,1,nan,0\n0,2,0,1,0\n",
+     "nan-csv"),
+    ("empty.vect", "", "empty-file"),
+    ("magic.vect", "VECTX\n1 3 0\n-3\n0\n0 0 0\n1 0 0\n0 1 0\n", "vectx-magic"),
+    ("repeated.vect", "VECT\n1 4 0\n-4\n0\n0 0 0\n1 0 0\n1 0 0\n0 1 0\n",
+     "repeated-vertices"),
+    ("inf.csv", "component,vertex,x,y,z\n0,0,0,0,0\n0,1,1,inf,0\n0,2,0,1,0\n",
+     "inf-csv"),
+    ("two.vect", "VECT\n1 2 0\n-2\n0\n0 0 0\n1 0 0\n", "two-vertex-closed"),
+    ("word.vect", "VECT\n1 3 0\n-3\n0\n0 0 0\n1 x 0\n0 1 0\n",
+     "non-numeric-vect"),
+    ("untagged.json",
+     '{"components": [{"closed": true,'
+     ' "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]}]}\n', "untagged-json"),
+    ("list.json", _TRIANGLE_JSON + ', "metadata": [1]}\n', "metadata-list"),
+    ("nospec.json", _TRIANGLE_JSON + ', "metadata": {"family": "torus"}}\n',
+     "torus-metadata-without-spec"),
+    ("nullspec.json",
+     _TRIANGLE_JSON + ', "metadata": {"family": "torus", "spec": null}}\n',
+     "torus-metadata-null-spec"),
+    ("stringp.json",
+     _TRIANGLE_JSON + ', "metadata": {"family": "torus", "spec": {"p": "2"}}}\n',
+     "torus-spec-string-p"),
+    ("zerop.json",
+     _TRIANGLE_JSON + ', "metadata": {"family": "torus", "spec": {"p": 0}}}\n',
+     "torus-spec-p-0"),
+    ("crossings.json", _TRIANGLE_JSON + ', "crossing_number": "12"}\n',
+     "string-crossing-number"),
+    # a string flag is not a boolean: "false" would read as closed
+    ("closed.json", _json_component('"false"'), "string-closed-flag"),
+    ("doubled.json",
+     _TRIANGLE_JSON + ', "metadata": {"family": "torus", "doubled": "false",'
+     ' "spec": {"p": 1}}}\n', "string-doubled-flag"),
+    # beyond int64, the linking pattern and the crossing count overflow
+    ("hugep.json",
+     _TRIANGLE_JSON + ', "metadata": {"family": "torus",'
+     ' "spec": {"p": 100000000000000000000}}}\n', "torus-spec-p-beyond-int64"),
+    ("hugecrossings.json",
+     _TRIANGLE_JSON + ', "crossing_number": 1%s}\n' % ("0" * 400),
+     "crossing-number-beyond-int64"),
+    ("deep.json",
+     '{"format": "ropebound-link/1", "x": %s%s}\n' % ("[" * 100000, "]" * 100000),
+     "deeply-nested-json"),
+    ("hugeint.json", _json_component("true", "[[0, 0, 0], [1%s, 0, 0], [0, 1, 0]]"
+                                     % ("0" * 400)), "json-integer-beyond-float"),
+    ("digits.json", _json_component("true", "[[0, 0, 0], [1%s, 0, 0], [0, 1, 0]]"
+                                    % ("0" * 5000)), "json-integer-beyond-digit-limit"),
+    # finite coordinates whose segment lengths overflow
+    ("big.vect", "VECT\n1 3 0\n-3\n0\n1e308 0 0\n-1e308 0 0\n0 1 0\n",
+     "overflowing-segment-vect"),
+    ("big.csv",
+     "component,vertex,x,y,z\n0,0,1e308,0,0\n0,1,-1e308,0,0\n0,2,0,1,0\n",
+     "overflowing-segment-csv"),
+    ("big.json", _json_component("true", "[[1e308, 0, 0], [-1e308, 0, 0], [0, 1, 0]]"),
+     "overflowing-segment-json"),
+    ("zero.vect", "VECT\n0 0 0\n\n\n", "vect-without-components"),
+    # a vertex total the file cannot hold is refused before any allocation
+    ("alloc.vect",
+     "VECT\n1 100000000000000000000 0\n-100000000000000000000\n0\n0 0 0\n",
+     "vect-vertex-total-beyond-the-file"),
+]
+
+
+@pytest.mark.parametrize("name, text", [row[:2] for row in _CORRUPT_FILES],
+                         ids=[row[2] for row in _CORRUPT_FILES])
 def test_check_malformed_input_exits_2(capsys, tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     assert main(["check", str(path)]) == 2
     captured = capsys.readouterr()
     assert re.match(rf"error: {re.escape(str(path))}:\d+", captured.err)
+    assert "Traceback" not in captured.err
     assert captured.out == ""
 
 

@@ -78,7 +78,7 @@ def test_spec_as_dict_is_pinned():
         "p": 1,
         "t_shells": 3,
     }
-    assert toroidal_pair(6.4, phase=0.3, n_points=50).metadata["spec"] == {
+    assert toroidal_pair(6.4, 6.4, 0.3, 2.0, n_points=50).metadata["spec"] == {
         "shells": _shells((2.0, 6, 0.3)),
         "has_core": True,
         "major_radius": 6.4,
@@ -216,7 +216,7 @@ def test_toroidal_pair_threads_like_donut_double():
     spec = TorusSpec([2.0], [6], has_core=True, major_radius=6.4)
     doubled = donut_double(spec, n_points=200, check=False)
     assert doubled.metadata["inflation"] == 1.0
-    pair = toroidal_pair(6.4, n_points=200)
+    pair = toroidal_pair(6.4, 6.4, 0.0, 2.0, n_points=200)
     assert pair.n_components == doubled.n_components == 14
     for a, b in zip(pair.components, doubled.components):
         assert np.array_equal(a.vertices, b.vertices)

@@ -17,7 +17,6 @@ from ropebound.helices import (
     EPSILON_SAFE,
     _min_gap,
     aggregate_correction,
-    cubic_min_distance,
     helix_count_estimate,
     max_helices,
     pair_min_distance,
@@ -183,37 +182,6 @@ def test_max_helices_validation():
         max_helices(2.0, 2.0, "bogus")
     with pytest.raises(ValueError):
         max_helices(2.0, 2.0, "approx", epsilon=-1.0)
-
-
-def test_cubic_model_tracks_the_exact_minimum_on_large_shells():
-    # the third-order closed form approximates the true squared gap when the
-    # phase gap is small, and the agreement tightens as the shell grows
-    errors = []
-    for r, h in ((20.0, 60.0), (50.0, 200.0)):
-        n = max_helices(r, h, "approx", epsilon=1.0)
-        exact = pair_min_distance(n, r, h)["distance"] ** 2
-        cubic = cubic_min_distance(r, h, 1.0)
-        errors.append(abs(cubic - exact) / exact)
-        assert cubic == pytest.approx(exact, rel=3e-2)
-    assert errors[1] < errors[0]
-
-
-def test_cubic_certifies_the_safe_decrement():
-    # with the safe decrement the cubic model sits just above the threshold 4
-    assert cubic_min_distance(2.0, 100.0, EPSILON_SAFE) == pytest.approx(
-        4.000319419728307, rel=1e-12
-    )
-    assert cubic_min_distance(2.0, 100.0, EPSILON_SAFE) >= 4.0
-    # at zero decrement it confirms the rectangle rule slightly overfills
-    assert cubic_min_distance(2.0, 100.0, 0.0) == pytest.approx(
-        3.6777948948792125, rel=1e-12
-    )
-    assert cubic_min_distance(2.0, 100.0, 0.0) < 4.0
-
-
-def test_cubic_validation():
-    with pytest.raises(ValueError):
-        cubic_min_distance(2.0, 2.0, 5.0)  # effective count drops below 2
 
 
 def test_toroidal_correction_spot_values():

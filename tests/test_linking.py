@@ -132,8 +132,7 @@ _LINKS = {
     "gibbous q=5": lambda: build_planar_link(5, "gibbous", n_points=150),
     "hybrid_square q=5": lambda: build_planar_link(
         5, "hybrid_square", n_points=150),
-    "toroidal_pair": lambda: toroidal_pair(6.4, 6.44, 0.0, shell_radius=2.2,
-                                           n_points=150),
+    "toroidal_pair": lambda: toroidal_pair(6.4, 6.44, 0.0, 2.2, n_points=150),
 }
 
 
