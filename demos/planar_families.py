@@ -13,6 +13,7 @@ import math
 
 from ropebound.bounds import lower_bound_report
 from ropebound.construct import build_planar_link
+from ropebound.measure import measure_link, verify
 from ropebound.optimize import (
     OptimizationProblem,
     minimize_params,
@@ -46,7 +47,10 @@ def main():
     print("\nLength per crossing for larger q (loops only get so efficient):")
     for q in (5, 10, 20):
         link = build_planar_link(q, "gibbous", n_points=400)
-        lpc = normalized_ropelength(link) / (q * (q - 1))
+        metrics = measure_link(link)
+        if not verify(link, metrics, absolute=False)["passed"]:
+            raise SystemExit(f"gibbous q={q}: the default loops touch")
+        lpc = metrics.normalized_length / (q * (q - 1))
         print(f"  q={q:>2}: L/C = {lpc:.4f} at default parameters")
 
 

@@ -35,7 +35,7 @@ from .construct import (
 from .helices import toroidal_correction
 from .io_formats import FormatError, export_geometry, import_geometry
 from .linking import linking_matrix
-from .measure import expected_linking, measure_link, verify
+from .measure import measure_link, verify
 from .optimize import OptimizationProblem, minimize_params
 from .parallel import parallel_map
 
@@ -131,7 +131,7 @@ def cmd_build(args) -> int:
         if method == "optimal":
             spec = build_optimal_spec(args.t, args.count_mode)
         else:
-            spec = build_increment_spec(args.t, int(method[3:]), args.jenga_mode)
+            spec = build_increment_spec(args.t, int(method[3:]))
         if args.p != 1:
             spec = replace(spec, p=args.p)
         report = construction_report(spec, doubled=args.double, mirrored=args.mirror)
@@ -160,9 +160,7 @@ def cmd_build(args) -> int:
                 "best_value": result["best_value"],
                 "evaluations": result["evaluations"],
             }
-        link = build_planar_link(
-            args.q, method, params, n_points=args.points, check=False
-        )
+        link = build_planar_link(args.q, method, params, n_points=args.points)
         absolute = False
     else:
         _usage(f"unknown build method {method!r}")
@@ -170,13 +168,10 @@ def cmd_build(args) -> int:
     metrics = measure_link(link)
     payload["metrics"] = metrics.as_dict()
     if not args.no_check:
-        linking = {}
-        pattern = expected_linking(link)
-        if pattern is not None:
-            linking = {"linking": linking_matrix(link.components),
-                       "expected_linking": pattern}
+        # a torus has a linking pattern to check; a planar link has none
+        linking = {"linking": linking_matrix(link.components)} if absolute else {}
         payload["verification"] = verify(
-            metrics, absolute, args.tolerance, **linking
+            link, metrics, absolute=absolute, tolerance=args.tolerance, **linking
         )
     if args.out:
         export_geometry(link, args.format, args.out)
@@ -197,10 +192,7 @@ def cmd_check(args) -> int:
         "components": link.n_components,
         "metrics": metrics.as_dict(),
         "linking_matrix": None if linking is None else linking.tolist(),
-        "verification": verify(
-            metrics, tolerance=args.tolerance, linking=linking,
-            expected_linking=expected_linking(link),
-        ),
+        "verification": verify(link, metrics, linking, tolerance=args.tolerance),
     }
     _emit(payload, args.out)
     return 0 if payload["verification"]["passed"] else 1
@@ -240,15 +232,13 @@ def _sweep_row(method: str, t: int) -> dict:
         q_single = spec.q
     else:
         inc = int(method[3:])
-        worst = build_increment_spec(t, inc, "naive")
+        worst = build_increment_spec(t, inc)
         a_worst = doubled_alpha(worst)
         q_single = worst.q
         if t == 1:
             a_best = a_worst
         else:
-            best = build_increment_spec(
-                t, inc, "deferred_radius", outer_count=inc * (t - 1)
-            )
+            best = build_increment_spec(t, inc, outer_count=inc * (t - 1))
             a_best = doubled_alpha(best)
     q2 = 2 * q_single
     c2 = q2 * (q2 - 1)
@@ -371,8 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--maxfev", type=int, default=400)
     p.add_argument("--count-mode", choices=("exact", "approx"), default="exact")
-    p.add_argument("--jenga-mode", choices=("naive", "deferred_radius"),
-                   default="naive")
     p.add_argument("--no-check", action="store_true")
     p.add_argument("--out", help="geometry output path (.vect/.csv/.json)")
     p.add_argument("--format", choices=("vect", "csv", "json"))

@@ -30,11 +30,11 @@ toroidal_pair): parameter names, start values and box bounds.  The start
 values are both the defaults of build_planar_link and the optimizer's first
 start (`optimize.OptimizationProblem`).
 
-realize_torus, donut_double and build_planar_link take `check`: when true
-(the default) the finished configuration is measured and passed through
-`measure.verify` (absolute clearance 2, curvature radius 1 and the expected
-linking pattern for tori; for the scale-free planar families, components
-that do not touch), and a failed verdict raises OverlapError.
+realize_torus and donut_double take `check`: when true (the default) the
+finished torus is measured and passed through `measure.verify` (absolute
+clearance 2, curvature radius 1 and the linking pattern of its spec), and a
+failed verdict raises OverlapError.  Planar links are scale-free, so
+build_planar_link leaves verification to whoever measures them.
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ from .curves import rotation_about_axis, sample_planar_curve, sample_toroidal_he
 from .distances import mutual_min_distance  # noqa: F401
 from .helices import _correction, aggregate_correction, max_helices
 from .helices import toroidal_correction  # noqa: F401
-from .linking import linking_matrix
-from .measure import LinkConfiguration, expected_linking, measure_link, verify
+from .measure import LinkConfiguration, measure_link, verify
 
 __all__ = [
     "FAMILIES",
@@ -114,19 +113,14 @@ PLANAR_FAMILIES = tuple(f for f in FAMILIES if f != "toroidal_pair")
 
 
 class OverlapError(RuntimeError):
-    """Raised when a configuration built with check=True fails verification."""
+    """Raised when a torus built with check=True fails verification."""
 
 
-def _checked(config: LinkConfiguration, absolute: bool) -> LinkConfiguration:
-    """Return `config` if its measured metrics pass `verify`, else raise
-    OverlapError naming the failed checks and the measured values."""
+def _checked(config: LinkConfiguration) -> LinkConfiguration:
+    """Return the torus `config` if its measured metrics pass `verify`, else
+    raise OverlapError naming the failed checks and the measured values."""
     metrics = measure_link(config)
-    linking = {}
-    pattern = expected_linking(config)
-    if pattern is not None:
-        linking = {"linking": linking_matrix(config.components),
-                   "expected_linking": pattern}
-    checks = verify(metrics, absolute=absolute, **linking)
+    checks = verify(config, metrics)
     if not checks["passed"]:
         failed = ", ".join(k for k, ok in checks.items() if k != "passed" and not ok)
         raise OverlapError(
@@ -232,18 +226,16 @@ def _hole_radius_required(radii, counts) -> np.ndarray:
 def build_increment_spec(
     t_shells: int,
     increment: int = 4,
-    jenga_mode: str = "naive",
     outer_count: int | None = None,
 ) -> TorusSpec:
     """Torus spec with a core and increment*i helices on shell i (radius 2i).
 
-    The hole radius comes from the rectangle rule h = N r / sqrt(pi^2 r^2 - N^2)
-    (for increment 4 this is exactly h = N_outer / sqrt(pi^2 - 4), i.e. hole
-    circumference (2*pi/sqrt(pi^2-4)) * N_outer): jenga_mode "naive" sizes it
-    by the outermost shell alone, while "deferred_radius" takes the maximum
-    requirement over all shells, which defers major-radius growth while a
-    partially filled outer shell (see `outer_count`) still needs less room
-    than the penultimate one.
+    The hole radius is the largest requirement of the rectangle rule
+    h = N r / sqrt(pi^2 r^2 - N^2) over all shells.  With full shells that is
+    the outer shell's (for increment 4 exactly h = N_outer / sqrt(pi^2 - 4),
+    i.e. hole circumference (2*pi/sqrt(pi^2-4)) * N_outer); a partly filled
+    outer shell (`outer_count` helices) may need less room than the full
+    shell inside it, which then sets the hole.
     """
     if t_shells < 1:
         raise ValueError(f"need t_shells >= 1, got {t_shells}")
@@ -256,12 +248,7 @@ def build_increment_spec(
             raise ValueError(f"outer_count must be >= 1, got {outer_count}")
         counts[-1] = outer_count
     radii = 2.0 * index
-    if jenga_mode == "naive":
-        h = _hole_radius_required(radii[-1:], counts[-1:])[0]
-    elif jenga_mode == "deferred_radius":
-        h = _hole_radius_required(radii, counts).max()
-    else:
-        raise ValueError(f"jenga_mode must be 'naive' or 'deferred_radius', got {jenga_mode!r}")
+    h = _hole_radius_required(radii, counts).max()
     return TorusSpec(radii, counts, has_core=True, major_radius=float(h + radii[-1]))
 
 
@@ -277,7 +264,7 @@ def build_optimal_spec(t_shells: int, count_mode: str = "exact") -> TorusSpec:
     if t_shells < 1:
         raise ValueError(f"need t_shells >= 1, got {t_shells}")
     radii = 2.0 * np.arange(1, t_shells + 1)
-    counts = max_helices(radii, 2.0 * t_shells, count_mode, epsilon=1.0)
+    counts = max_helices(radii, 2.0 * t_shells, count_mode)
     filled = counts >= 1
     if not filled.any():
         raise ValueError("no shell can host a single helix; t_shells too small")
@@ -286,19 +273,19 @@ def build_optimal_spec(t_shells: int, count_mode: str = "exact") -> TorusSpec:
     )
 
 
-def analytic_length(spec: TorusSpec, corrected: bool = True) -> float:
+def analytic_length(spec: TorusSpec) -> float:
     """Analytic centerline length of one realized torus.
 
     Each helix on shell radius r contributes 2*pi*sqrt(R0^2 + (p r)^2), the
     length of the equivalent straight helix (one axial turn of rise 2*pi*R0
-    around a cylinder of circumference 2*pi*p*r); `corrected` multiplies by
-    the toroidal correction at ratio R0/r, one array call for all shells.
+    around a cylinder of circumference 2*pi*p*r), times the toroidal
+    correction at ratio R0/r, one array call for all shells.
     The core adds 2*pi*R0.
     """
     r0 = spec.major_radius
     total = 2.0 * math.pi * r0 if spec.has_core else 0.0
     radii = spec.radii
-    factors = _correction(r0 / radii, spec.p) if corrected else np.ones(len(radii))
+    factors = _correction(r0 / radii, spec.p)
     for r, n, factor in zip(radii.tolist(), spec.counts.tolist(), factors.tolist()):
         total += n * (2.0 * math.pi * math.hypot(r0, spec.p * r) * factor)
     return total
@@ -333,7 +320,7 @@ def construction_report(
     realized_spec = spec
     if doubled:
         realized_spec, inflation = _inflated_for_doubling(spec)
-    length = analytic_length(realized_spec, corrected=True)
+    length = analytic_length(realized_spec)
     if doubled:
         length *= 2.0
     crossings = spec.crossing_number(doubled)
@@ -387,7 +374,7 @@ def realize_torus(
         description=f"torus link of {spec.q} components, p={spec.p}",
         metadata={"family": "torus", "doubled": False, "spec": spec.as_dict()},
     )
-    return _checked(config, absolute=True) if check else config
+    return _checked(config) if check else config
 
 
 def _inflated_for_doubling(spec: TorusSpec) -> tuple:
@@ -447,7 +434,7 @@ def donut_double(
             "spec": inflated.as_dict(),
         },
     )
-    return _checked(config, absolute=True) if check else config
+    return _checked(config) if check else config
 
 
 def toroidal_pair(
@@ -489,7 +476,6 @@ def build_planar_link(
     family: str = "circles",
     params: dict | None = None,
     n_points: int = 1000,
-    check: bool = True,
 ) -> LinkConfiguration:
     """q planar loops arranged so each pair is Hopf linked (a T(q,q) link).
 
@@ -499,10 +485,9 @@ def build_planar_link(
     "gibbous" (adds gamma, delta), and "hybrid_square" (q-1 gibbous loops
     around a central rounded square in the xy plane; adds square_scale,
     square_flat_fraction).  Parameters missing from `params` take the
-    family's start values in FAMILIES.  check=True raises
-    OverlapError unless `measure.verify` finds the link embeddable (no two
-    components touch; a touching link cannot be thickened at all); clearance
-    scaling is otherwise left to normalization.
+    family's start values in FAMILIES.  The link is not verified: it is
+    scale-free, so whoever measures it verifies it (`measure.verify` with
+    absolute=False finds it embeddable when no two components touch).
     """
     if q < 2:
         raise ValueError(f"need q >= 2 components, got {q}")
@@ -551,7 +536,7 @@ def build_planar_link(
         description=f"planar {family} link of {q} components",
         metadata={"family": family, "q": q, "params": merged},
     )
-    return _checked(config, absolute=False) if check else config
+    return config
 
 
 def limiting_alpha(method: str, corrected: bool = False) -> float:

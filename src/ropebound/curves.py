@@ -21,6 +21,11 @@ __all__ = [
 ]
 
 
+# Largest coordinate magnitude: fourth powers of vertex differences, which
+# the curvature and distance kernels form, stay finite below it.
+_MAX_COORDINATE = 1e75
+
+
 @dataclass
 class PolyCurve:
     """A polygonal curve in R^3, closed by default."""
@@ -35,14 +40,13 @@ class PolyCurve:
         minimum = 3 if self.closed else 2
         if v.shape[0] < minimum:
             raise ValueError(f"need at least {minimum} vertices, got {v.shape[0]}")
-        if not np.isfinite(v).all():
-            raise ValueError("vertices must be finite (got NaN or infinity)")
+        if not (np.abs(v) <= _MAX_COORDINATE).all():
+            raise ValueError(
+                "vertices must be finite, with coordinates at most "
+                f"{_MAX_COORDINATE:g} in magnitude"
+            )
         self.vertices = v
-        with np.errstate(over="ignore"):
-            lengths = self.segment_lengths()
-        if not np.isfinite(lengths).all():
-            raise ValueError("segment lengths must be finite (coordinates too large)")
-        if lengths.min() <= 0.0:
+        if self.segment_lengths().min() <= 0.0:
             raise ValueError("consecutive vertices must be distinct")
 
     @property

@@ -15,8 +15,7 @@ array of shells at once: 65 equispaced samples bracket the smallest sample
 fixed number of safeguarded Newton steps on d(d^2)/dtheta polish it inside
 that bracket.  `max_helices` counts the helices per shell exactly, scanning n
 from the rectangular estimate N_a = pi*h*r/sqrt(h^2 + r^2) for every shell
-of a spec in one pass, or approximately as N_a minus a safety decrement
-epsilon.
+of a spec in one pass, or approximately as floor(N_a - 1).
 
 Bending the cylinder into a torus changes each helix's arc length by a factor
 that is the mean over the tube angle t of a smooth 2*pi-periodic function.
@@ -43,7 +42,8 @@ __all__ = [
 ]
 
 # Largest safety decrement that still packs 6 helices at r=2 in the tall
-# limit, where the estimate N_a approaches 2*pi but the true maximum is 6.
+# limit, where the estimate N_a approaches 2*pi but the true maximum is 6;
+# the exact count scans from floor(N_a - EPSILON_SAFE).
 EPSILON_SAFE = 2.0 * math.pi - 6.0
 
 # Samples that bracket the pair-gap minimum, and Newton steps that polish it
@@ -143,11 +143,11 @@ def _exact_counts(r: np.ndarray, h: np.ndarray) -> np.ndarray:
     return n
 
 
-def max_helices(r, h, mode: str = "exact", epsilon: float = EPSILON_SAFE):
+def max_helices(r, h, mode: str = "exact"):
     """Maximum number of unit-thickness helices packable on a (r, h) shell.
 
     r and h may be arrays (broadcast together), one count per shell; scalar
-    arguments give an int.  mode="approx" returns floor(N_a - epsilon) from
+    arguments give an int.  mode="approx" returns floor(N_a - 1) from
     the rectangular estimate (with a 1e-9 nudge so that mathematically
     integer arguments are not floored down by floating-point undershoot);
     results below 1 report 0.  mode="exact" returns the largest n with
@@ -164,10 +164,8 @@ def max_helices(r, h, mode: str = "exact", epsilon: float = EPSILON_SAFE):
     if np.any(h_arr <= 0.0):
         raise ValueError(f"hole radius must be positive, got {h_arr.min()}")
     if mode == "approx":
-        if epsilon < 0.0:
-            raise ValueError("epsilon must be >= 0")
         n_a = helix_count_estimate(r_arr, h_arr)
-        counts = np.maximum(np.floor(n_a - epsilon + 1e-9), 0).astype(np.int64)
+        counts = np.maximum(np.floor(n_a - 1.0 + 1e-9), 0).astype(np.int64)
     elif mode == "exact":
         counts = _exact_counts(r_arr.ravel(), h_arr.ravel()).reshape(r_arr.shape)
     else:

@@ -19,11 +19,11 @@ import numpy as np
 
 from .curves import PolyCurve, min_curvature_radius
 from .distances import _certified_min, mutual_min_distance
+from .linking import linking_matrix
 
 __all__ = [
     "LinkConfiguration",
     "LinkMetrics",
-    "expected_linking",
     "measure_link",
     "measure_thickness",
     "verify",
@@ -182,7 +182,7 @@ def measure_thickness(config) -> LinkMetrics:
     return _metrics(config, radii, None, None, min_overall)
 
 
-def expected_linking(config: LinkConfiguration) -> np.ndarray | None:
+def _expected_linking(config: LinkConfiguration) -> np.ndarray | None:
     """Expected |linking number| of every pair of a torus link, from the
     spec in its metadata: p within one torus, 1 across the two copies of a
     doubled torus (copy 1 first, then copy 2), 0 on the diagonal.  None when
@@ -198,13 +198,13 @@ def expected_linking(config: LinkConfiguration) -> np.ndarray | None:
 
 
 def verify(
+    config,
     metrics: LinkMetrics,
+    linking=_UNMEASURED,
     absolute: bool = True,
     tolerance: float = 0.01,
-    linking=_UNMEASURED,
-    expected_linking=None,
 ) -> dict:
-    """Pass/fail verdicts of measured metrics.
+    """Pass/fail verdicts of a configuration's measured metrics.
 
     Absolute configurations (tori, files being checked) must keep clearance
     2 and curvature radius 1 in tube-radius units, each up to `tolerance`.
@@ -212,10 +212,11 @@ def verify(
     embeddable: clearance above _TOUCH_FRACTION of the total length, since
     normalization rescales the rest.  `linking` is the measured linking
     matrix, or None when it is undefined because components intersect.
-    "linking_ok" is reported when `expected_linking` (expected |lk| per
-    pair) is given, and holds when |linking| equals it entry for entry; it
-    is also reported, as failed, whenever the linking is undefined.
-    "passed" is the conjunction of the individual checks.
+    "linking_ok" is reported when the metadata of `config` describes a torus
+    construction, and holds when |linking| equals its expected pattern entry
+    for entry (the matrix is computed here when not given); it is also
+    reported, as failed, whenever the linking is undefined.  "passed" is the
+    conjunction of the individual checks.
     """
     if absolute:
         checks = {
@@ -231,9 +232,13 @@ def verify(
                 > _TOUCH_FRACTION * metrics.total_length
             )
         }
-    if linking is None or expected_linking is not None:
+    config = _as_configuration(config)
+    pattern = _expected_linking(config)
+    if pattern is not None and linking is _UNMEASURED:
+        linking = linking_matrix(config.components)
+    if linking is None or pattern is not None:
         checks["linking_ok"] = linking is not None and bool(
-            np.array_equal(np.abs(linking), expected_linking)
+            np.array_equal(np.abs(linking), pattern)
         )
     checks["passed"] = all(checks.values())
     return checks

@@ -39,7 +39,7 @@ def normalized_ropelength(link) -> float:
     except ValueError:
         return np.inf
     value = metrics.normalized_length
-    if not np.isfinite(value) or not verify(metrics, absolute=False)["passed"]:
+    if not np.isfinite(value) or not verify(link, metrics, absolute=False)["passed"]:
         return np.inf
     return float(value)
 
@@ -74,9 +74,7 @@ class OptimizationProblem:
         values = dict(zip(self.param_names, np.asarray(params, dtype=float)))
         if self.family == "toroidal_pair":
             return toroidal_pair(**values, n_points=self.n_points)
-        return build_planar_link(
-            self.q, self.family, values, n_points=self.n_points, check=False
-        )
+        return build_planar_link(self.q, self.family, values, n_points=self.n_points)
 
     def objective(self, params) -> float:
         try:
@@ -97,8 +95,9 @@ def nelder_mead(func, x0, bounds, maxfev: int = 2000):
     """Simplex minimization over a box, clamping every trial point to the box.
 
     Terminates when the simplex diameter drops below _XATOL, or the value
-    spread drops below _FATOL, or `maxfev` evaluations are spent.  Raises
-    ValueError if no vertex of the initial simplex is feasible (finite).
+    spread drops below _FATOL, or `maxfev` evaluations are spent.  When no
+    vertex of the initial simplex is feasible (finite), the result is the
+    start at +inf after those n + 1 evaluations.
     """
     x0 = np.asarray(x0, dtype=float)
     bounds = np.asarray(bounds, dtype=float)
@@ -119,11 +118,11 @@ def nelder_mead(func, x0, bounds, maxfev: int = 2000):
         sim.append(x)
     sim = np.array(sim)
     fs = np.array([f(x) for x in sim])
-    if not np.isfinite(fs).any():
-        raise ValueError("every vertex of the initial simplex is infeasible")
 
     alpha_r, gamma_e, rho_c, sigma_s = 1.0, 2.0, 0.5, 0.5
-    while evals < maxfev:
+    # with every vertex infeasible there is nowhere to move: the start at
+    # +inf is the result (a finite vertex is never replaced by +inf)
+    while evals < maxfev and np.isfinite(fs).any():
         order = np.argsort(fs, kind="stable")
         sim, fs = sim[order], fs[order]
         diameter = float(np.max(np.abs(sim[1:] - sim[0]))) if n else 0.0
@@ -173,8 +172,8 @@ def minimize_params(
     `restarts - 1` are jittered deterministically from the problem seed.
     The first simplex vertex of each run is its start, so the result is
     never worse than the objective at the initial parameters.  Evaluations
-    are summed over the runs that found a feasible vertex; when none did,
-    the result is the initial parameters at +inf.
+    are summed over all runs; when no run found a feasible vertex, the
+    result is the initial parameters at +inf.
     """
     if restarts < 1:
         raise ValueError(f"need restarts >= 1, got {restarts}")
@@ -186,17 +185,7 @@ def minimize_params(
         jitter = rng.uniform(-0.1, 0.1, size=len(span)) * span
         starts.append(np.clip(starts[0] + jitter, lo, hi))
 
-    best = {"best_params": starts[0].copy(), "best_value": np.inf}
-    total_evals = 0
-    for x0 in starts:
-        try:
-            res = nelder_mead(
-                problem.objective, x0, problem.param_bounds, maxfev=maxfev
-            )
-        except ValueError:
-            continue
-        total_evals += res["evaluations"]
-        if res["best_value"] < best["best_value"]:
-            best = res
-    best["evaluations"] = total_evals
-    return best
+    runs = [nelder_mead(problem.objective, x0, problem.param_bounds, maxfev=maxfev)
+            for x0 in starts]
+    best = min(runs, key=lambda res: res["best_value"])
+    return dict(best, evaluations=sum(res["evaluations"] for res in runs))

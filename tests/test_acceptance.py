@@ -37,7 +37,7 @@ from ropebound.helices import (
 )
 from ropebound.io_formats import export_geometry, import_geometry
 from ropebound.linking import linking_matrix
-from ropebound.measure import expected_linking, measure_link, verify
+from ropebound.measure import measure_link, verify
 from ropebound.optimize import (
     OptimizationProblem,
     minimize_params,
@@ -121,7 +121,7 @@ def test_criterion_2_limiting_coefficients():
     results = []
     # The hole circumference of the 4-per-shell build grows as kappa*sqrt(q);
     # measure the constant from the geometry actually built at T = 10^4.
-    spec = build_increment_spec(10**4, 4, "naive")
+    spec = build_increment_spec(10**4, 4)
     kappa = 2.0 * math.pi * spec.major_radius / math.sqrt(spec.q)
     _record(results, "kappa", abs(kappa - 16.221) <= 0.01, f"{kappa:.5f}")
 
@@ -232,8 +232,7 @@ def test_criterion_5_doubled_torus_scaling():
     metrics = measure_link(cfg)
     d = metrics.min_inter_distance
     _record(results, "T=3 doubled clearance", d >= 2.0 - 0.01, f"min {d:.6f}")
-    checks = verify(metrics, linking=linking_matrix(cfg.components),
-                    expected_linking=expected_linking(cfg))
+    checks = verify(cfg, metrics)
     _record(results, "T=3 doubled verified", checks["passed"],
             ", ".join(f"{k}={v}" for k, v in checks.items()))
 
@@ -330,7 +329,7 @@ def test_criterion_6_planar_optimization():
     published = {"rho": 0.5, "psi": 5.0 * math.pi / 18.0}
     lpc = norm / (20 * 19)
     ref = normalized_ropelength(
-        build_planar_link(20, "circles", published, n_points=1000, check=False)
+        build_planar_link(20, "circles", published, n_points=1000)
     ) / (20 * 19)
     _record(results, "circles q=20 L/C vs published point", lpc <= ref,
             f"{lpc:.4f} > {ref:.4f}")
@@ -339,7 +338,7 @@ def test_criterion_6_planar_optimization():
     # applies to that estimate from q = 80 and 160.
     f = {
         q: normalized_ropelength(
-            build_planar_link(q, "circles", published, n_points=400, check=False)
+            build_planar_link(q, "circles", published, n_points=400)
         ) / (q * (q - 1))
         for q in (80, 160)
     }

@@ -253,6 +253,16 @@ _CORRUPT_FILES = [
      "overflowing-segment-csv"),
     ("big.json", _json_component("true", "[[1e308, 0, 0], [-1e308, 0, 0], [0, 1, 0]]"),
      "overflowing-segment-json"),
+    # finite coordinates whose fourth powers (curvature, distances) overflow
+    ("huge.vect", "VECT\n1 3 0\n-3\n0\n1e150 0 0\n0 1e150 0\n0 0 1e150\n",
+     "overflowing-curvature-vect"),
+    ("huge.csv",
+     "component,vertex,x,y,z\n0,0,1e150,0,0\n0,1,0,1e150,0\n0,2,0,0,1e150\n",
+     "overflowing-curvature-csv"),
+    ("huge.json", _json_component("true", "[[1e150, 0, 0], [0, 1e150, 0], [0, 0, 1e150]]"),
+     "overflowing-curvature-json"),
+    ("far.vect", "VECT\n2 6 0\n-3 -3\n0 0\n0 0 0\n1 0 0\n0 1 0\n"
+     "1e160 0 0\n1e160 1 0\n1e160 0 1\n", "overflowing-scene-diameter-vect"),
     ("zero.vect", "VECT\n0 0 0\n\n\n", "vect-without-components"),
     # a vertex total the file cannot hold is refused before any allocation
     ("alloc.vect",
@@ -409,8 +419,13 @@ def test_sweep_csv(tmp_path):
          "378733a1b6b3636a9d5521b6de5160ac8e0640477b652ad61c629367fa46b297"),
         (["sweep", "optimal", "--tmin", "1", "--tmax", "40"],
          "c6aed663859c4c0debeb77321d6d5c3ce57717195e6ad4e29147f7ebaea21db0"),
+        # T = 1 (one shell) and the partly filled outer shell of alpha_best
+        (["sweep", "inc4", "--tmin", "1", "--tmax", "30"],
+         "da8d2997c158a90cbf1688ba34e18fe167b6543690053de1044ad4e2ff6f83c9"),
+        (["sweep", "inc5", "--tmin", "1", "--tmax", "30"],
+         "c21c08c57d1854ab97f74d8857024c5f860c97206cf82099822effcc2bf605fb"),
     ],
-    ids=["inc4", "optimal"],
+    ids=["inc4", "optimal", "inc4-from-1", "inc5-from-1"],
 )
 def test_sweep_csv_is_pinned(capsys, argv, digest):
     # sha256 of the whole CSV (header included): packing, hole radii and

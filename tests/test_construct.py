@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ropebound import construct
+from ropebound import measure
 from ropebound.construct import (
     FAMILIES,
     OverlapError,
@@ -23,7 +23,7 @@ from ropebound.construct import (
 from ropebound.distances import mutual_min_distance
 from ropebound.helices import toroidal_correction
 from ropebound.linking import linking_matrix
-from ropebound.measure import measure_link
+from ropebound.measure import measure_link, verify
 
 RHO5 = 2.0 + 10.0 / math.sqrt(4.0 * math.pi ** 2 - 25.0)
 
@@ -107,16 +107,12 @@ def test_increment_spec_geometry():
     assert s5.q == 6
 
 
-def test_increment_spec_outer_count_and_jenga_mode():
-    # a nearly empty outer shell needs less room than the full inner shell:
-    # naive mode sizes the hole from the outer shell alone, deferred mode
-    # keeps the binding inner requirement
-    naive = build_increment_spec(2, 4, "naive", outer_count=1)
-    deferred = build_increment_spec(2, 4, "deferred_radius", outer_count=1)
-    assert naive.hole_radius == pytest.approx(0.3193225587991906, rel=1e-12)
-    assert deferred.hole_radius == pytest.approx(1.6510323220553653, rel=1e-12)
-    with pytest.raises(ValueError):
-        build_increment_spec(2, 4, "bogus")
+def test_increment_spec_outer_count():
+    # a nearly empty outer shell needs less room than the full inner shell,
+    # whose requirement then sets the hole
+    spec = build_increment_spec(2, 4, outer_count=1)
+    assert spec.counts.tolist() == [4, 1]
+    assert spec.hole_radius == pytest.approx(1.6510323220553653, rel=1e-12)
     with pytest.raises(ValueError):
         build_increment_spec(0, 4)
     with pytest.raises(ValueError):
@@ -142,11 +138,10 @@ def test_analytic_length_matches_direct_formula():
     spec = build_increment_spec(1, 4)
     r0 = spec.major_radius
     plain = 2 * math.pi * r0 + 4 * 2 * math.pi * math.hypot(r0, 2.0)
-    assert analytic_length(spec, corrected=False) == pytest.approx(plain, rel=1e-12)
     corrected = 2 * math.pi * r0 + 4 * 2 * math.pi * math.hypot(r0, 2.0) * \
         toroidal_correction(r0 / 2.0, 1)
     assert analytic_length(spec) == pytest.approx(corrected, rel=1e-12)
-    assert analytic_length(spec) > analytic_length(spec, corrected=False)
+    assert analytic_length(spec) > plain
 
 
 def test_construction_report_single_and_doubled():
@@ -190,14 +185,16 @@ def test_realize_rejects_overcrowded_spec():
 
 
 def test_realize_rejects_wrong_linking(monkeypatch):
-    monkeypatch.setattr(construct, "linking_matrix",
+    monkeypatch.setattr(measure, "linking_matrix",
                         lambda curves: np.zeros((len(curves),) * 2, dtype=int))
     with pytest.raises(OverlapError, match="linking_ok"):
         realize_torus(build_increment_spec(1, 4), n_points=200)
     with pytest.raises(OverlapError, match="linking_ok"):
         donut_double(build_increment_spec(1, 4), n_points=200)
     # planar links carry no linking pattern
-    build_planar_link(3, "circles", n_points=200)
+    planar = build_planar_link(3, "circles", n_points=200)
+    assert verify(planar, measure_link(planar), absolute=False) == {
+        "embeddable": True, "passed": True}
 
 
 def test_inflate_for_doubling():
@@ -286,8 +283,9 @@ def test_family_table_rows(family):
 
 
 def test_gibbous_defaults_are_not_the_circles_link():
-    # check=True: the default ovals verify as an embedding
+    # the default ovals verify as an embedding
     gibbous = build_planar_link(4, "gibbous", n_points=200)
+    assert verify(gibbous, measure_link(gibbous), absolute=False)["passed"]
     circles = build_planar_link(4, "circles", n_points=200)
     for a, b in zip(gibbous.components, circles.components):
         assert not np.allclose(a.vertices, b.vertices)
@@ -305,8 +303,9 @@ def test_planar_link_validation():
     with pytest.raises(ValueError):  # a family, but not a planar one
         build_planar_link(14, "toroidal_pair")
     # coincident loops cannot be thickened
-    with pytest.raises(OverlapError):
-        build_planar_link(3, "circles", {"rho": 0.0, "psi": 0.0}, n_points=200)
+    coincident = build_planar_link(3, "circles", {"rho": 0.0, "psi": 0.0},
+                                   n_points=200)
+    assert not verify(coincident, measure_link(coincident), absolute=False)["passed"]
 
 
 def test_limiting_alpha_closed_forms():

