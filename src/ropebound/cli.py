@@ -186,13 +186,17 @@ def cmd_check(args) -> int:
     link = import_geometry(args.file)
     metrics = measure_link(link)
     linking = linking_matrix(link.components)
+    # a JSON file of a planar family is in loop units, so only embeddability
+    # is checked; CSV and VECT files carry no family and are checked absolutely
+    absolute = link.metadata.get("family") not in PLANAR_FAMILIES
     payload = {
         "run": _run_header(args),
         "file": args.file,
         "components": link.n_components,
         "metrics": metrics.as_dict(),
         "linking_matrix": None if linking is None else linking.tolist(),
-        "verification": verify(link, metrics, linking, tolerance=args.tolerance),
+        "verification": verify(link, metrics, linking, absolute=absolute,
+                               tolerance=args.tolerance),
     }
     _emit(payload, args.out)
     return 0 if payload["verification"]["passed"] else 1

@@ -345,17 +345,21 @@ def realize_torus(
     """Sample every component of a torus spec as polygonal curves.
 
     Components are ordered core first, then shells inside out, helices by
-    phase index.  With check=True the link is measured and verified as a
-    unit-tube embedding (`measure.verify`, absolute, default tolerance 0.01:
-    clearance >= 1.99 within and between components, curvature radius
-    >= 0.99, |lk| = p for every pair); a failure raises OverlapError.
-    Callers that measure the link themselves pass check=False.
+    phase index; the link's `orbits` map every helix to its shell's first
+    helix, of which it is a rotation.  With check=True the link is measured
+    and verified as a unit-tube embedding (`measure.verify`, absolute,
+    default tolerance 0.01: clearance >= 1.99 within and between components,
+    curvature radius >= 0.99, |lk| = p for every pair); a failure raises
+    OverlapError.  Callers that measure the link themselves pass check=False.
     """
     comps = []
     if spec.has_core:
         comps.append(sample_toroidal_helix(spec.major_radius, 0.0, n_points=n_points))
+    # a shell's helices are rotations of its first one about the z axis
+    orbits = list(range(len(comps)))
     shells = zip(spec.radii.tolist(), spec.counts.tolist(), spec.phases.tolist())
     for radius, count, phase in shells:
+        orbits += [len(comps)] * count
         for j in range(count):
             comps.append(
                 sample_toroidal_helix(
@@ -373,6 +377,7 @@ def realize_torus(
         crossing_number=spec.crossing_number(doubled=False),
         description=f"torus link of {spec.q} components, p={spec.p}",
         metadata={"family": "torus", "doubled": False, "spec": spec.as_dict()},
+        orbits=orbits,
     )
     return _checked(config) if check else config
 
@@ -415,9 +420,10 @@ def donut_double(
     along x by the (inflated) major radius, so its tube circle passes through
     the first torus' hole at constant clearance; mirror=True reflects the
     second copy through the xy plane first, producing the opposite-chirality
-    variant.  Components are copy 1 then copy 2, in realize_torus order.
-    check=True verifies the doubled link as realize_torus does, expecting
-    |lk| = 1 between the two copies.
+    variant.  Components are copy 1 then copy 2, in realize_torus order, and
+    each copy-2 component joins the orbit of its copy-1 twin (both variants
+    are isometries).  check=True verifies the doubled link as realize_torus
+    does, expecting |lk| = 1 between the two copies.
     """
     inflated, inflation = _inflated_for_doubling(spec)
     first = realize_torus(inflated, n_points=n_points, check=False)
@@ -433,6 +439,7 @@ def donut_double(
             "inflation": inflation,
             "spec": inflated.as_dict(),
         },
+        orbits=first.orbits * 2,
     )
     return _checked(config) if check else config
 

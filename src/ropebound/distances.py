@@ -3,13 +3,15 @@
 Candidate segment pairs come from one KD-tree ball query over segment
 midpoints with radius max(segment length) + query radius, which is
 guaranteed to contain every segment pair closer than the query radius.  The
-first radius is a vertex-vertex distance: for distances between components,
-the closest pair among a few hundred vertices spread evenly along all of
+first radius is a sampled distance: for distances between components, the
+closest vertex pair among a few hundred vertices spread evenly along all of
 them, which on planar rings lies within a small factor of the true minimum
-and keeps the candidate set small.  A pass returns a certified exact minimum
-whenever the candidate minimum is at most the query radius.  Otherwise one
-more pass at the candidate minimum certifies, or, when no admissible pair
-was found, one pass at the scene diameter sees every pair.
+and keeps the candidate set small; for self distances alone, the closest
+admissible pair among 32 segments spread along each component, or a chord
+when that is closer.  A pass returns a certified exact minimum whenever the
+candidate minimum is at most the query radius.  Otherwise one more pass at
+the candidate minimum certifies, or, when no admissible pair was found, one
+pass at the scene diameter sees every pair.
 Results are exactly those of the brute-force scan: both routes use the same
 segment-pair kernel with the lower segment index first, and the candidate
 set always contains the optimal pair.
@@ -107,6 +109,9 @@ class _SegmentSoup:
 # Vertices sampled, over all components together, for the inter-component
 # upper bound that seeds the search radius (a 256 x 256 distance matrix).
 _BOUND_SAMPLES = 256
+# Segments sampled per component for the self-distance bound of a pass of
+# self pairs alone (496 segment pairs each).
+_SELF_SAMPLES = 32
 
 
 def _candidate_pairs(soup: _SegmentSoup, reach: float):
@@ -155,7 +160,7 @@ def _admissible_min(soup, ia, ib, inter, intra, arc_windows) -> float:
     return best
 
 
-def _vertex_upper_bound(soup, inter, intra):
+def _vertex_upper_bound(soup, inter, intra, arc_windows=None):
     """Where the search starts: the closest pair among up to _BOUND_SAMPLES
     vertices spread evenly along the components, taken over distinct
     components (inter), or the chord from a component's first vertex to its
@@ -163,11 +168,13 @@ def _vertex_upper_bound(soup, inter, intra):
     minimum, never looser than the first-vertex distances, since every
     component contributes its first vertex.  The intra chord can be an
     inadmissible pair (inside an arc window), so it marks where the search
-    starts and is not a bound."""
+    starts and is not a bound.  A pass of self pairs alone also takes the
+    closest admissible pair among _SELF_SAMPLES segments spread evenly along
+    each component, which is a true upper bound."""
     best = np.inf
     ncomp = len(soup.comp_nseg)
+    first = np.concatenate(([0], np.cumsum(soup.comp_nseg)[:-1]))
     if inter and ncomp > 1:
-        first = np.concatenate(([0], np.cumsum(soup.comp_nseg)[:-1]))
         per = np.minimum(max(1, _BOUND_SAMPLES // ncomp), soup.comp_nseg)
         lab = np.repeat(np.arange(ncomp), per)
         rank = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per)
@@ -179,8 +186,14 @@ def _vertex_upper_bound(soup, inter, intra):
         for k in range(ncomp):
             n = soup.comp_nseg[k]
             if n > 2 * _SKIP_WINDOW + 1:
-                pts = soup.starts[soup.labels == k]
-                best = min(best, float(np.linalg.norm(pts[0] - pts[n // 2])))
+                chord = soup.starts[first[k]] - soup.starts[first[k] + n // 2]
+                best = min(best, float(np.linalg.norm(chord)))
+            if not inter:
+                m = min(_SELF_SAMPLES, n)
+                seg = first[k] + np.arange(m) * n // m
+                ia, ib = np.triu_indices(m, 1)
+                best = min(best, _admissible_min(
+                    soup, seg[ia], seg[ib], False, True, arc_windows))
     return best
 
 
@@ -202,7 +215,7 @@ def _certified_min(curves, inter, intra, arc_windows) -> float:
     if len(soup) < 2:
         return np.inf
     diam = soup.scene_diameter()
-    start = _vertex_upper_bound(soup, inter, intra)
+    start = _vertex_upper_bound(soup, inter, intra, arc_windows)
     radius = _widened(start) if np.isfinite(start) else diam
 
     def search(radius):

@@ -28,10 +28,6 @@ class FormatError(ValueError):
     """Malformed geometry file; message carries line/column diagnostics."""
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _require(cond: bool, path: str, line: int, message: str):
     if not cond:
         raise FormatError(f"{path}:{line}: {message}")
@@ -55,10 +51,8 @@ def _to_vect(link: LinkConfiguration) -> str:
         str(-c.n_vertices if c.closed else c.n_vertices) for c in comps
     ))
     lines.append(" ".join("0" for _ in comps))
-    for c in comps:
-        for v in c.vertices:
-            lines.append(f"{_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}")
-    return "\n".join(lines) + "\n"
+    coords = np.concatenate([c.vertices for c in comps]).ravel().tolist()
+    return "\n".join(lines) + "\n" + "%.17g %.17g %.17g\n" * total % tuple(coords)
 
 
 def _from_vect(text: str, path: str) -> LinkConfiguration:
@@ -91,25 +85,35 @@ def _from_vect(text: str, path: str) -> LinkConfiguration:
         # checked before allocating: a count the file cannot hold is refused
         _require(row + n <= len(lines), path, len(lines) + 1,
                  "unexpected end of file inside vertex block")
-        verts = np.empty((n, 3))
         first = row + 1
-        for i in range(n):
-            fields = lines[row].split()
-            _require(len(fields) == 3, path, row + 1,
-                     f"expected 3 coordinates, got {len(fields)}")
-            try:
-                verts[i] = [float(v) for v in fields]
-            except ValueError as exc:
-                col = next(
-                    (j + 1 for j, v in enumerate(fields)
-                     if not _is_float(v)), 1,
-                )
-                raise FormatError(
-                    f"{path}:{row + 1}:{col}: non-numeric coordinate ({exc})"
-                )
-            row += 1
+        block = [ln.split() for ln in lines[row : row + n]]
+        for i, fields in enumerate(block):
+            if len(fields) != 3:
+                # a non-numeric coordinate on an earlier line is reported first
+                _locate_non_numeric(block[:i], path, first)
+                raise FormatError(f"{path}:{first + i}: expected 3 coordinates, "
+                                  f"got {len(fields)}")
+        try:
+            verts = np.array(block, dtype=float)
+        except ValueError:
+            _locate_non_numeric(block, path, first)
+            raise
         comps.append(_curve(verts, count < 0, path, first, k))
+        row += n
     return LinkConfiguration(comps, description=os.path.basename(path))
+
+
+def _locate_non_numeric(block, path: str, first: int):
+    """Raise the FormatError of the first coordinate in `block` (the fields
+    of consecutive lines from line `first` on) that is not a number."""
+    for i, fields in enumerate(block):
+        try:
+            [float(v) for v in fields]
+        except ValueError as exc:
+            col = next(j + 1 for j, v in enumerate(fields) if not _is_float(v))
+            raise FormatError(
+                f"{path}:{first + i}:{col}: non-numeric coordinate ({exc})"
+            )
 
 
 def _is_float(s: str) -> bool:
@@ -121,11 +125,13 @@ def _is_float(s: str) -> bool:
 
 
 def _to_csv(link: LinkConfiguration) -> str:
-    lines = ["component,vertex,x,y,z"]
-    for k, c in enumerate(link.components):
-        for i, v in enumerate(c.vertices):
-            lines.append(f"{k},{i},{_fmt(v[0])},{_fmt(v[1])},{_fmt(v[2])}")
-    return "\n".join(lines) + "\n"
+    rows = np.concatenate([
+        np.column_stack((np.full(c.n_vertices, k), np.arange(c.n_vertices),
+                         c.vertices))
+        for k, c in enumerate(link.components)
+    ])
+    return ("component,vertex,x,y,z\n"
+            + "%d,%d,%.17g,%.17g,%.17g\n" * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def _from_csv(text: str, path: str) -> LinkConfiguration:
@@ -181,7 +187,7 @@ def _to_json(link: LinkConfiguration) -> str:
         "components": [
             {
                 "closed": bool(c.closed),
-                "vertices": [[float(x) for x in v] for v in c.vertices],
+                "vertices": c.vertices.tolist(),
             }
             for c in link.components
         ],

@@ -40,12 +40,19 @@ _UNMEASURED = object()
 
 @dataclass
 class LinkConfiguration:
-    """A multi-component polygonal link plus whatever is known about it."""
+    """A multi-component polygonal link plus whatever is known about it.
+
+    `orbits`, when given, holds for each component the index of its orbit's
+    representative (a component congruent to it by an isometry), or None:
+    measure_link measures self distance once per orbit.  Constructors set it;
+    no file format stores it, so an imported link never claims a symmetry.
+    """
 
     components: list
     crossing_number: int | None = None
     description: str = ""
     metadata: dict = field(default_factory=dict)
+    orbits: tuple | None = None
 
     def __post_init__(self):
         self.components = list(self.components)
@@ -54,6 +61,9 @@ class LinkConfiguration:
         for c in self.components:
             if not isinstance(c, PolyCurve):
                 raise TypeError("components must be PolyCurve instances")
+        if self.orbits is not None:
+            self.orbits = tuple(self.orbits)
+            _check_orbits(self.orbits, len(self.components))
 
     @property
     def n_components(self) -> int:
@@ -68,6 +78,7 @@ class LinkConfiguration:
             crossing_number=self.crossing_number,
             description=self.description,
             metadata=dict(self.metadata),
+            orbits=self.orbits,
         )
 
     def transformed(self, rotation=None, translation=None) -> "LinkConfiguration":
@@ -76,7 +87,26 @@ class LinkConfiguration:
             crossing_number=self.crossing_number,
             description=self.description,
             metadata=dict(self.metadata),
+            orbits=self.orbits,
         )
+
+
+def _check_orbits(orbits: tuple, n: int):
+    """Raise ValueError unless `orbits` has one entry per component, each
+    None or the index of a representative that is its own representative."""
+    if len(orbits) != n:
+        raise ValueError(f"orbits needs {n} entries, one per component, "
+                         f"got {len(orbits)}")
+    for i, rep in enumerate(orbits):
+        if rep is None:
+            continue
+        if not (isinstance(rep, (int, np.integer)) and not isinstance(rep, bool)
+                and 0 <= rep < n):
+            raise ValueError(f"orbits[{i}] must be None or a component index, "
+                             f"got {rep!r}")
+        if orbits[rep] != rep:
+            raise ValueError(f"orbits[{i}] = {rep} names a component that is "
+                             f"not its own representative")
 
 
 @dataclass
@@ -145,15 +175,20 @@ def measure_link(config) -> LinkMetrics:
     Self distances exclude pairs closer along the curve than pi times the
     component's minimal curvature radius (with a floor of a few segments):
     such pairs describe local bending, already accounted for by the curvature
-    term, rather than genuine self contact.
+    term, rather than genuine self contact.  With `config.orbits`, self
+    distance is measured on each orbit's representative only; curvature radii
+    are measured on every component.
     """
     config = _as_configuration(config)
     comps = config.components
     radii = [min_curvature_radius(c) for c in comps]
+    orbits = config.orbits or (None,) * len(comps)
 
     min_inter = mutual_min_distance(comps) if len(comps) > 1 else np.inf
     min_self = np.inf
-    for c, r in zip(comps, radii):
+    for i, (c, r) in enumerate(zip(comps, radii)):
+        if orbits[i] not in (None, i):
+            continue
         min_self = min(
             min_self,
             _certified_min(

@@ -132,6 +132,22 @@ def test_build_increment_report(capsys, tmp_path):
     assert np.all(np.abs(lm[np.triu_indices(5, 1)]) == 1)
 
 
+def test_check_judges_a_planar_json_file_scale_free(capsys, tmp_path):
+    # a planar link is built in loop units: the JSON file names its family,
+    # so check asks for embeddability as build did; CSV and VECT files name
+    # none and are checked absolutely
+    code, built = _run_json(capsys, ["build", "circles", "--q", "5", "--points",
+                                     "200", "--out", str(tmp_path / "c5.json")])
+    assert code == 0 and built["verification"]["embeddable"] is True
+    code, checked = _run_json(capsys, ["check", str(tmp_path / "c5.json")])
+    assert code == 0
+    assert checked["verification"] == {"embeddable": True, "passed": True}
+    assert checked["metrics"] == built["metrics"]
+    main(["export", str(tmp_path / "c5.json"), "--out", str(tmp_path / "c5.csv")])
+    code, checked = _run_json(capsys, ["check", str(tmp_path / "c5.csv")])
+    assert code == 1 and checked["verification"]["min_distance_ok"] is False
+
+
 def test_build_failing_verification_reports_metrics(capsys, tmp_path):
     # a negative tolerance demands clearance 2.5, which no tight torus has
     geom = tmp_path / "link.vect"

@@ -1,11 +1,13 @@
 """Torus and planar link constructions: specs, realizations, doubling."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ropebound import measure
+from ropebound.cli import _sig12
 from ropebound.construct import (
     FAMILIES,
     OverlapError,
@@ -195,6 +197,62 @@ def test_realize_rejects_wrong_linking(monkeypatch):
     planar = build_planar_link(3, "circles", n_points=200)
     assert verify(planar, measure_link(planar), absolute=False) == {
         "embeddable": True, "passed": True}
+
+
+def test_realized_orbits_map_each_shell_to_its_first_helix():
+    spec = build_increment_spec(2, 4)  # core, 4 helices, 8 helices
+    single = realize_torus(spec, n_points=60, check=False)
+    assert single.orbits == (0,) + (1,) * 4 + (5,) * 8
+    assert donut_double(spec, n_points=60, check=False).orbits == single.orbits * 2
+    optimal = build_optimal_spec(2)  # no core
+    n1, n2 = optimal.counts.tolist()
+    assert realize_torus(optimal, n_points=60, check=False).orbits == (
+        (0,) * n1 + (n1,) * n2
+    )
+    # rigid motions and scaling keep a link's orbits
+    assert single.scaled(2.0).orbits == single.transformed(
+        np.eye(3), (1.0, 0.0, 0.0)).orbits == single.orbits
+
+
+def _torus_link(method, t, variant, n_points=120):
+    spec = build_optimal_spec(t) if method == "optimal" else (
+        build_increment_spec(t, int(method[3:])))
+    if variant == "single":
+        return realize_torus(spec, n_points=n_points, check=False)
+    return donut_double(spec, mirror=variant == "mirror", n_points=n_points,
+                        check=False)
+
+
+@pytest.mark.parametrize("variant", ["single", "double", "mirror"])
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("method", ["inc4", "inc5", "optimal"])
+def test_orbit_measurement_matches_the_full_path(method, t, variant):
+    # sampled copies are rotations up to rounding, so a copy's self minimum
+    # may differ from its representative's in the last bits only
+    link = _torus_link(method, t, variant)
+    by_orbit = measure_link(link)
+    full = measure_link(replace(link, orbits=None))
+    assert _sig12(by_orbit.as_dict()) == _sig12(full.as_dict())
+    assert by_orbit.min_self_distance == pytest.approx(
+        full.min_self_distance, rel=1e-12)
+
+
+def test_measure_link_searches_self_distance_once_per_orbit(monkeypatch):
+    intra = []
+    certified_min = measure._certified_min
+
+    def counting(curves, **kwargs):
+        if not kwargs["inter"]:
+            intra.append(len(curves))
+        return certified_min(curves, **kwargs)
+
+    monkeypatch.setattr(measure, "_certified_min", counting)
+    link = _torus_link("inc4", 2, "double", n_points=80)  # 26 components
+    measure_link(link)
+    assert intra == [1, 1, 1]  # core, shell 1, shell 2
+    intra.clear()
+    measure_link(replace(link, orbits=None))
+    assert len(intra) == 26
 
 
 def test_inflate_for_doubling():

@@ -299,3 +299,26 @@ def test_torus_self_distances_search_once_or_twice(monkeypatch):
                            arc_windows=_bending_windows([curve]))
         assert len(searches) == expected
         assert bool(np.isfinite(d)) is finite
+
+
+def _trefoil(n):
+    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    return PolyCurve(np.column_stack((
+        np.sin(t) + 2.0 * np.sin(2.0 * t),
+        np.cos(t) - 2.0 * np.cos(2.0 * t),
+        -np.sin(3.0 * t),
+    )))
+
+
+def test_sampled_self_start_certifies_a_trefoil():
+    # the closest admissible pair among 32 sampled segments starts the self
+    # search below the chord from vertex 0 to vertex n/2 (2.0 here), and the
+    # minimum stays the brute-force one bit for bit
+    c = _trefoil(1500)
+    window = _arc_window(min_curvature_radius(c))
+    soup = distances._SegmentSoup([c])
+    start = distances._vertex_upper_bound(soup, False, True, np.array([window]))
+    assert start < 0.7 * np.linalg.norm(c.vertices[0] - c.vertices[750])
+    fast = _self_min(c, window)
+    assert start >= fast
+    assert fast == min_self_distance_brute(c, window)

@@ -5,8 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from ropebound.construct import build_increment_spec, realize_torus
 from ropebound.curves import PolyCurve, rotation_about_axis, sample_planar_curve
-from ropebound.io_formats import FormatError, export_geometry, import_geometry
+from ropebound.io_formats import (
+    FormatError,
+    _to_csv,
+    _to_vect,
+    export_geometry,
+    import_geometry,
+)
 from ropebound.measure import LinkConfiguration
 
 
@@ -69,6 +76,42 @@ def test_json_round_trip_keeps_metadata(tmp_path):
         assert np.array_equal(orig.vertices, again.vertices)
 
 
+def test_json_round_trip_drops_orbits(tmp_path):
+    # a file cannot claim a symmetry: imported links take the full path
+    link = realize_torus(build_increment_spec(1, 4), n_points=40, check=False)
+    assert link.orbits == (0, 1, 1, 1, 1)
+    back = import_geometry(export_geometry(link, path=str(tmp_path / "t.json")))
+    assert back.orbits is None
+    assert back.metadata == link.metadata
+
+
+def _per_float(x) -> str:
+    return format(float(x), ".17g")
+
+
+def test_writers_match_a_per_float_reference():
+    link = _mixed_link()
+    # extreme values PolyCurve would refuse, set after construction
+    link.components[0].vertices[:3] = [
+        [-0.0, 5e-324, 1.7976931348623157e308],
+        [-1.7976931348623157e308, -5e-324, 0.0],
+        [0.1, 1.0 / 3.0, -2.5e-300],
+    ]
+    comps = link.components
+    vect = ["VECT", f"3 {sum(c.n_vertices for c in comps)} 0",
+            " ".join(str(-c.n_vertices if c.closed else c.n_vertices)
+                     for c in comps),
+            "0 0 0"]
+    csv = ["component,vertex,x,y,z"]
+    for k, c in enumerate(comps):
+        for i, v in enumerate(c.vertices):
+            vect.append(" ".join(_per_float(x) for x in v))
+            csv.append(f"{k},{i}," + ",".join(_per_float(x) for x in v))
+    assert _to_vect(link) == "\n".join(vect) + "\n"
+    assert _to_csv(link) == "\n".join(csv) + "\n"
+    assert "\n-0 4.9406564584124654e-324 1.7976931348623157e+308\n" in _to_vect(link)
+
+
 def test_format_inference_and_overrides(tmp_path):
     link = _hopf(20)
     with pytest.raises(ValueError):
@@ -120,6 +163,17 @@ def test_vect_diagnostics(tmp_path):
         tmp_path, "g.vect",
         "VECT\n1 3 0\n-3\n0\n0 0 0\n1 nan 0\n0 1 0\n",
         ":5: component 0: vertices must be finite",
+    )
+    # the first bad line is reported, whichever check it fails
+    _expect_error(
+        tmp_path, "h.vect",
+        "VECT\n1 3 0\n-3\n0\n0 0 0\n1 x 0\n0 1\n",
+        ":6:2: non-numeric coordinate",
+    )
+    _expect_error(
+        tmp_path, "i.vect",
+        "VECT\n1 3 0\n-3\n0\n0 0 0\n1 0\n0 x 0\n",
+        ":6: expected 3 coordinates, got 2",
     )
 
 

@@ -212,3 +212,29 @@ def test_verify_measures_an_unmeasured_torus_linking():
     assert verify(torus, metrics, np.zeros((2, 2)))["linking_ok"] is False
     assert "linking_ok" not in verify(hopf, metrics)
 
+
+
+@pytest.mark.parametrize(
+    "orbits, message",
+    [
+        ((0,), "needs 2 entries"),
+        ((0, 1, 1), "needs 2 entries"),
+        ((1, 1), None),
+        ((0, 0), None),
+        ((None, 1), None),
+        ((None, None), None),
+        ((1, 0), "not its own representative"),
+        ((None, 0), "not its own representative"),
+        ((0, 2), "must be None or a component index"),
+        ((0, -1), "must be None or a component index"),
+        ((0, 1.0), "must be None or a component index"),
+        ((True, 1), "must be None or a component index"),
+    ],
+)
+def test_orbits_are_validated(orbits, message):
+    comps = _tight_hopf(n=8).components
+    if message is None:
+        assert LinkConfiguration(comps, orbits=list(orbits)).orbits == orbits
+    else:
+        with pytest.raises(ValueError, match=message):
+            LinkConfiguration(comps, orbits=orbits)
