@@ -492,9 +492,10 @@ def build_planar_link(
     "gibbous" (adds gamma, delta), and "hybrid_square" (q-1 gibbous loops
     around a central rounded square in the xy plane; adds square_scale,
     square_flat_fraction).  Parameters missing from `params` take the
-    family's start values in FAMILIES.  The link is not verified: it is
-    scale-free, so whoever measures it verifies it (`measure.verify` with
-    absolute=False finds it embeddable when no two components touch).
+    family's start values in FAMILIES.  The link's `orbits` map every ring
+    loop to loop 0, of which it is a rotation.  The link is not verified:
+    it is scale-free, so whoever measures it verifies it (`measure.verify`
+    with absolute=False finds it embeddable when no two components touch).
     """
     if q < 2:
         raise ValueError(f"need q >= 2 components, got {q}")
@@ -537,13 +538,16 @@ def build_planar_link(
                 n_points=n_points,
             )
         )
-    config = LinkConfiguration(
+    # ring loop i is loop 0 rotated by 2*pi*i/n_ring about the z axis; the
+    # square is its own orbit
+    orbits = [0] * n_ring + [n_ring] * (len(comps) - n_ring)
+    return LinkConfiguration(
         comps,
         crossing_number=q * (q - 1),
         description=f"planar {family} link of {q} components",
         metadata={"family": family, "q": q, "params": merged},
+        orbits=orbits,
     )
-    return config
 
 
 def limiting_alpha(method: str, corrected: bool = False) -> float:

@@ -3,15 +3,15 @@
 Candidate segment pairs come from one KD-tree ball query over segment
 midpoints with radius max(segment length) + query radius, which is
 guaranteed to contain every segment pair closer than the query radius.  The
-first radius is a sampled distance: for distances between components, the
-closest vertex pair among a few hundred vertices spread evenly along all of
-them, which on planar rings lies within a small factor of the true minimum
-and keeps the candidate set small; for self distances alone, the closest
-admissible pair among 32 segments spread along each component, or a chord
-when that is closer.  A pass returns a certified exact minimum whenever the
-candidate minimum is at most the query radius.  Otherwise one more pass at
-the candidate minimum certifies, or, when no admissible pair was found, one
-pass at the scene diameter sees every pair.
+query radius is a sampled upper bound: the closest admissible pair among a
+hundred-odd segments spread evenly along the components (at most 32 per
+component when only self pairs count), which on planar rings lies within a
+small factor of the true minimum and keeps the candidate set small.  Being
+an admissible pair's distance, it is always certified by that one search;
+when no sampled pair is admissible, the search runs at the scene diameter
+and sees every pair.  When no pair can be admissible at all (a single
+component whose arc window covers half its length, such as a circle under
+its bending window), there is no search.
 Results are exactly those of the brute-force scan: both routes use the same
 segment-pair kernel with the lower segment index first, and the candidate
 set always contains the optimal pair.
@@ -88,6 +88,7 @@ class _SegmentSoup:
         self.index_in_comp = np.concatenate(index_in_comp)
         self.arc_mid = np.concatenate(arc_mid)
         self.comp_nseg = np.asarray(comp_nseg)
+        self.first = np.cumsum(self.comp_nseg) - self.comp_nseg
         self.comp_len = np.asarray(comp_len)
         self.comp_closed = np.asarray(comp_closed, dtype=bool)
         self.max_seg = float(np.linalg.norm(self.dirs, axis=1).max())
@@ -106,11 +107,11 @@ class _SegmentSoup:
         )
 
 
-# Vertices sampled, over all components together, for the inter-component
-# upper bound that seeds the search radius (a 256 x 256 distance matrix).
-_BOUND_SAMPLES = 256
-# Segments sampled per component for the self-distance bound of a pass of
-# self pairs alone (496 segment pairs each).
+# Segments sampled for the upper bound that seeds the search radius: at most
+# _BOUND_SAMPLES over all components together (8128 segment pairs), and at
+# most _SELF_SAMPLES per component in a pass of self pairs alone: on a torus
+# helix, 128 samples cost more than their tighter start saves.
+_BOUND_SAMPLES = 128
 _SELF_SAMPLES = 32
 
 
@@ -148,6 +149,21 @@ def _admissible(soup, ia, ib, inter, intra, arc_windows):
     return keep
 
 
+def _self_pairs_possible(soup, arc_windows) -> np.ndarray:
+    """Per component, whether `_admissible` can keep any of its self pairs:
+    the widest separations it can compute must clear its thresholds.  On a
+    closed component the folded separations are at most half the segments
+    and half the length; on an open one they are those of its first and
+    last segments."""
+    closed = soup.comp_closed
+    ok = np.where(closed, soup.comp_nseg // 2, soup.comp_nseg - 1) > _SKIP_WINDOW
+    if arc_windows is not None:
+        last = soup.first + soup.comp_nseg - 1
+        span = soup.arc_mid[last] - soup.arc_mid[soup.first]
+        ok &= np.where(closed, 0.5 * soup.comp_len, span) > arc_windows
+    return ok
+
+
 def _admissible_min(soup, ia, ib, inter, intra, arc_windows) -> float:
     """Minimum distance over the admissible pairs among (ia, ib); inf when
     none is admissible."""
@@ -160,41 +176,22 @@ def _admissible_min(soup, ia, ib, inter, intra, arc_windows) -> float:
     return best
 
 
-def _vertex_upper_bound(soup, inter, intra, arc_windows=None):
-    """Where the search starts: the closest pair among up to _BOUND_SAMPLES
-    vertices spread evenly along the components, taken over distinct
-    components (inter), or the chord from a component's first vertex to its
-    middle one (intra).  The inter value is a true upper bound on the
-    minimum, never looser than the first-vertex distances, since every
-    component contributes its first vertex.  The intra chord can be an
-    inadmissible pair (inside an arc window), so it marks where the search
-    starts and is not a bound.  A pass of self pairs alone also takes the
-    closest admissible pair among _SELF_SAMPLES segments spread evenly along
-    each component, which is a true upper bound."""
-    best = np.inf
+def _sampled_bound(soup, inter, intra, arc_windows) -> float:
+    """Where the search starts: the closest admissible pair among up to
+    _BOUND_SAMPLES segments spread evenly along the components (at most
+    _SELF_SAMPLES per component in a pass of self pairs alone).  It is the
+    distance of an admissible pair, so a true upper bound, or inf when no
+    sampled pair is admissible."""
     ncomp = len(soup.comp_nseg)
-    first = np.concatenate(([0], np.cumsum(soup.comp_nseg)[:-1]))
-    if inter and ncomp > 1:
-        per = np.minimum(max(1, _BOUND_SAMPLES // ncomp), soup.comp_nseg)
-        lab = np.repeat(np.arange(ncomp), per)
-        rank = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per)
-        pts = soup.starts[first[lab] + rank * soup.comp_nseg[lab] // per[lab]]
-        d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-        d[lab[:, None] == lab[None, :]] = np.inf
-        best = min(best, float(d.min()))
-    if intra:
-        for k in range(ncomp):
-            n = soup.comp_nseg[k]
-            if n > 2 * _SKIP_WINDOW + 1:
-                chord = soup.starts[first[k]] - soup.starts[first[k] + n // 2]
-                best = min(best, float(np.linalg.norm(chord)))
-            if not inter:
-                m = min(_SELF_SAMPLES, n)
-                seg = first[k] + np.arange(m) * n // m
-                ia, ib = np.triu_indices(m, 1)
-                best = min(best, _admissible_min(
-                    soup, seg[ia], seg[ib], False, True, arc_windows))
-    return best
+    per = max(1, _BOUND_SAMPLES // ncomp)
+    if not inter:
+        per = min(per, _SELF_SAMPLES)
+    per = np.minimum(per, soup.comp_nseg)
+    lab = np.repeat(np.arange(ncomp), per)
+    rank = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per)
+    seg = soup.first[lab] + rank * soup.comp_nseg[lab] // per[lab]
+    ia, ib = np.triu_indices(len(seg), 1)
+    return _admissible_min(soup, seg[ia], seg[ib], inter, intra, arc_windows)
 
 
 def _widened(radius: float) -> float:
@@ -208,28 +205,17 @@ def _certified_min(curves, inter, intra, arc_windows) -> float:
     pairs of distinct components when `inter`, self pairs more than
     _SKIP_WINDOW segments and (with `arc_windows`, one per component) more
     than that arc length apart when `intra`; inf when no pair is admissible.
-    At most three candidate searches: at the vertex bound; at the best
-    candidate when it lies beyond the radius; at the scene diameter when no
-    admissible pair was found."""
+    No candidate search when no pair can be admissible, else one: at the
+    sampled bound, or at the scene diameter when no sampled pair was
+    admissible."""
     soup = _SegmentSoup(curves)
-    if len(soup) < 2:
+    if not ((inter and len(soup.comp_nseg) > 1)
+            or (intra and _self_pairs_possible(soup, arc_windows).any())):
         return np.inf
-    diam = soup.scene_diameter()
-    start = _vertex_upper_bound(soup, inter, intra, arc_windows)
-    radius = _widened(start) if np.isfinite(start) else diam
-
-    def search(radius):
-        ia, ib = _candidate_pairs(soup, soup.max_seg + radius)
-        return _admissible_min(soup, ia, ib, inter, intra, arc_windows)
-
-    best = search(radius)
-    if best <= radius:
-        return best
-    if np.isfinite(best):
-        # best is an admissible pair's distance, so this pass certifies
-        return search(_widened(best))
-    # a pass at the scene diameter sees every pair
-    return search(diam) if radius < diam else np.inf
+    start = _sampled_bound(soup, inter, intra, arc_windows)
+    radius = _widened(start) if np.isfinite(start) else soup.scene_diameter()
+    ia, ib = _candidate_pairs(soup, soup.max_seg + radius)
+    return _admissible_min(soup, ia, ib, inter, intra, arc_windows)
 
 
 def mutual_min_distance(curves) -> float:

@@ -175,9 +175,12 @@ def measure_link(config) -> LinkMetrics:
     Self distances exclude pairs closer along the curve than pi times the
     component's minimal curvature radius (with a floor of a few segments):
     such pairs describe local bending, already accounted for by the curvature
-    term, rather than genuine self contact.  With `config.orbits`, self
-    distance is measured on each orbit's representative only; curvature radii
-    are measured on every component.
+    term, rather than genuine self contact.  With `config.orbits` (set by
+    the torus and planar constructors), self distance is measured on each
+    orbit's representative only; curvature radii are measured on every
+    component.  A component whose excluded arc covers half its length (a
+    circle, a torus core) has no admissible self pair and contributes inf
+    without a search.
     """
     config = _as_configuration(config)
     comps = config.components

@@ -57,6 +57,8 @@ class OptimizationProblem:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        if self.n_points < 3:
+            raise ValueError(f"n_points must be >= 3, got {self.n_points}")
 
     @property
     def param_names(self) -> tuple:

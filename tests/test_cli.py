@@ -412,6 +412,13 @@ def test_optimize_family_guard():
     assert err.value.code == 2
 
 
+def test_optimize_rejects_too_few_points(capsys):
+    # a loop needs 3 points; the objective must not turn that into +inf
+    assert main(["optimize", "--family", "circles", "--q", "3",
+                 "--points", "2"]) == 2
+    assert "n_points must be >= 3, got 2" in capsys.readouterr().err
+
+
 def test_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(

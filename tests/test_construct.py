@@ -212,6 +212,10 @@ def test_realized_orbits_map_each_shell_to_its_first_helix():
     # rigid motions and scaling keep a link's orbits
     assert single.scaled(2.0).orbits == single.transformed(
         np.eye(3), (1.0, 0.0, 0.0)).orbits == single.orbits
+    # a planar ring's loops are rotations of loop 0; the square stands alone
+    assert build_planar_link(4, "gibbous", n_points=60).orbits == (0,) * 4
+    assert build_planar_link(5, "hybrid_square", n_points=60).orbits == (
+        (0,) * 4 + (4,))
 
 
 def _torus_link(method, t, variant, n_points=120):
@@ -223,13 +227,24 @@ def _torus_link(method, t, variant, n_points=120):
                         check=False)
 
 
-@pytest.mark.parametrize("variant", ["single", "double", "mirror"])
-@pytest.mark.parametrize("t", [1, 2])
-@pytest.mark.parametrize("method", ["inc4", "inc5", "optimal"])
-def test_orbit_measurement_matches_the_full_path(method, t, variant):
+# (method, T of a torus or q of a planar family, variant)
+_ORBIT_LINKS = [
+    (method, t, variant)
+    for method in ("inc4", "inc5", "optimal")
+    for t in (1, 2)
+    for variant in ("single", "double", "mirror")
+] + [("circles", 8, "planar"), ("gibbous", 20, "planar"),
+     ("hybrid_square", 5, "planar")]
+
+
+@pytest.mark.parametrize("method, size, variant", _ORBIT_LINKS)
+def test_orbit_measurement_matches_the_full_path(method, size, variant):
     # sampled copies are rotations up to rounding, so a copy's self minimum
     # may differ from its representative's in the last bits only
-    link = _torus_link(method, t, variant)
+    if variant == "planar":
+        link = build_planar_link(size, method, n_points=200)
+    else:
+        link = _torus_link(method, size, variant)
     by_orbit = measure_link(link)
     full = measure_link(replace(link, orbits=None))
     assert _sig12(by_orbit.as_dict()) == _sig12(full.as_dict())

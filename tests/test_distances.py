@@ -139,8 +139,8 @@ def test_touching_curves_report_zero():
 
 
 def test_random_curves_far_apart_match_brute_force_exactly():
-    # two compact curves 40 apart: the first search radius finds no
-    # candidates, and the vertex bound must then certify in one more pass
+    # two compact curves 40 apart: the sampled bound is an inter pair's
+    # distance, so the one search at it certifies
     rng = np.random.default_rng(11)
     a = _random_curve(rng, n=120, scale=1.0)
     b = _random_curve(rng, n=120, scale=1.0, offset=(40.0, 0.0, 0.0))
@@ -165,12 +165,12 @@ def test_candidate_pairs_put_the_lower_segment_first():
 
 
 def test_mutual_min_distance_on_planar_ring_matches_brute_force_exactly():
-    # circles q=8 at 200 points: the sampled-vertex bound (0.238) sits just
-    # above the true minimum (0.236) and far below the first-vertex distances
+    # circles q=8 at 200 points: the sampled bound (0.2373) sits just above
+    # the true minimum (0.236) and far below the first-vertex distances
     # (1.15), so it sets the search radius.
     comps = build_planar_link(8, "circles", n_points=200).components
-    ub = distances._vertex_upper_bound(distances._SegmentSoup(comps), True, False)
-    assert ub < 0.25
+    ub = distances._sampled_bound(distances._SegmentSoup(comps), True, False, None)
+    assert ub == pytest.approx(0.2373, abs=1e-4)
     brute = min(
         min_distance_brute(comps[i], comps[j])
         for i in range(len(comps))
@@ -180,7 +180,7 @@ def test_mutual_min_distance_on_planar_ring_matches_brute_force_exactly():
     assert ub >= brute
 
 
-def test_vertex_upper_bound_never_below_certified_minimum():
+def test_sampled_bound_never_below_certified_minimum():
     rng = np.random.default_rng(5)
     cases = [
         build_planar_link(q, family, n_points=n).components
@@ -192,10 +192,10 @@ def test_vertex_upper_bound_never_below_certified_minimum():
                   for _ in range(3)])
     for comps in cases:
         soup = distances._SegmentSoup(comps)
-        ub = distances._vertex_upper_bound(soup, True, False)
+        ub = distances._sampled_bound(soup, True, False, None)
         assert ub >= mutual_min_distance(comps)
     for c in cases[-1]:
-        ub = distances._vertex_upper_bound(distances._SegmentSoup([c]), False, True)
+        ub = distances._sampled_bound(distances._SegmentSoup([c]), False, True, None)
         assert ub >= _self_min(c)
 
 
@@ -236,6 +236,17 @@ def _ring():
     return build_planar_link(4, "gibbous", n_points=100).components
 
 
+def _open_arc(n_segments, sweep=1.7 * math.pi):
+    """An open polyline of `n_segments` along a circular arc of `sweep`."""
+    t = np.linspace(0.0, sweep, n_segments + 1)
+    return PolyCurve(np.column_stack((np.cos(t), np.sin(t), 0.0 * t)),
+                     closed=False)
+
+
+def _open_arc_length(n_segments):
+    return _open_arc(n_segments).length()
+
+
 # (curves, inter, intra, arc windows: None, "bending" for pi times each
 # component's curvature radius, or an array); "none admissible" in a name
 # marks a case without a single admissible pair
@@ -258,6 +269,18 @@ _MODES = {
         lambda: [_circle(n=11)], False, True, None),
     "intra two circles, windows beyond half, none admissible": (
         lambda: [_circle(), _circle(2.0)], False, True, np.array([4.0, 7.0])),
+    # an open curve's arc separation is not folded: its ends are admissible
+    # under a window of 0.7 of its length
+    "intra open arc, window beyond half": (
+        lambda: [_open_arc(60)], False, True,
+        np.array([0.7 * _open_arc_length(60)])),
+    # 8 segments: the open polyline has pairs 6 and 7 apart, the closed
+    # octagon none more than 4 apart
+    "intra open and closed 8 segments": (
+        lambda: [_open_arc(8), _circle(n=8).transformed(None, (0.0, 0.0, 3.0))],
+        False, True, None),
+    "intra open 6 segments, none admissible": (
+        lambda: [_open_arc(6)], False, True, None),
     "combined random pair": (_random_pair, True, True, None),
     "combined random pair, arc windows": (
         _random_pair, True, True, np.array([2.0, 5.0])),
@@ -265,6 +288,12 @@ _MODES = {
     "combined torus, bending windows": (_torus, True, True, "bending"),
     "combined single circle, window beyond half, none admissible": (
         lambda: [_circle()], True, True, np.array([4.0])),
+    "combined circle with window beyond half, and a random curve": (
+        lambda: [_circle(), _random_pair()[1].transformed(None, (-4.0, 0.0, 0.0))],
+        True, True, np.array([4.0, 2.0])),
+    "combined two circles, windows beyond half": (
+        lambda: [_circle(), _circle(2.0).transformed(None, (0.5, 0.0, 0.3))],
+        True, True, np.array([4.0, 7.0])),
 }
 
 
@@ -279,11 +308,10 @@ def test_certified_min_equals_brute_force_in_every_mode(name):
     assert (fast == np.inf) is ("none admissible" in name)
 
 
-def test_torus_self_distances_search_once_or_twice(monkeypatch):
-    # a helix's self search starts at its vertex chord, which is admissible
+def test_torus_self_distances_search_once_or_not_at_all(monkeypatch):
+    # a helix's self search starts at its sampled bound, an admissible pair,
     # and certifies in one search; the core circle's bending window covers
-    # half its length, so no self pair is admissible: one search at the
-    # chord, one at the scene diameter, then inf
+    # half its length, so no self pair can be admissible: no search, inf
     searches = []
     candidate_pairs = distances._candidate_pairs
 
@@ -293,7 +321,7 @@ def test_torus_self_distances_search_once_or_twice(monkeypatch):
 
     monkeypatch.setattr(distances, "_candidate_pairs", counting)
     core, helix = _torus()[:2]
-    for curve, expected, finite in ((helix, 1, True), (core, 2, False)):
+    for curve, expected, finite in ((helix, 1, True), (core, 0, False)):
         searches.clear()
         d = _certified_min([curve], inter=False, intra=True,
                            arc_windows=_bending_windows([curve]))
@@ -317,7 +345,7 @@ def test_sampled_self_start_certifies_a_trefoil():
     c = _trefoil(1500)
     window = _arc_window(min_curvature_radius(c))
     soup = distances._SegmentSoup([c])
-    start = distances._vertex_upper_bound(soup, False, True, np.array([window]))
+    start = distances._sampled_bound(soup, False, True, np.array([window]))
     assert start < 0.7 * np.linalg.norm(c.vertices[0] - c.vertices[750])
     fast = _self_min(c, window)
     assert start >= fast
