@@ -30,6 +30,9 @@ from .construct import (
     build_planar_link,
     construction_report,
     donut_double,
+    doubled_alphas,
+    increment_tori,
+    optimal_tori,
     realize_torus,
 )
 from .helices import toroidal_correction
@@ -37,7 +40,8 @@ from .io_formats import FormatError, export_geometry, import_geometry
 from .linking import linking_matrix
 from .measure import measure_link, verify
 from .optimize import OptimizationProblem, minimize_params
-from .parallel import parallel_map
+# Not called here; kept because perfbench/tracing.py's WRAP_TABLE wraps it.
+from .parallel import parallel_map  # noqa: F401
 
 TORUS_METHODS = ("inc4", "inc5", "optimal")
 
@@ -225,53 +229,61 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _sweep_row(method: str, t: int) -> dict:
-    def doubled_alpha(spec):
-        rep = construction_report(spec, doubled=True)
-        return rep.alpha_predicted
+# Shells per chunk of a sweep: each (shells x 65) or (shells x 64)
+# temporary of the packing and correction passes stays near 4 MiB.
+_SWEEP_CHUNK_SHELLS = 1 << 13
 
+
+def _sweep_chunks(tmin: int, tmax: int, specs_per_t: int):
+    """Consecutive runs of T in [tmin, tmax] of at most _SWEEP_CHUNK_SHELLS
+    shells in all (T shells per spec); a T with more is a chunk of its
+    own."""
+    chunk, shells = [], 0
+    for t in range(tmin, tmax + 1):
+        if chunk and shells + specs_per_t * t > _SWEEP_CHUNK_SHELLS:
+            yield chunk
+            chunk, shells = [], 0
+        chunk.append(t)
+        shells += specs_per_t * t
+    yield chunk
+
+
+def _sweep_lines(method: str, ts: list) -> list:
+    """CSV rows of one chunk of T values.  alpha_worst is the doubled
+    torus of `build_*_spec(T)`; an increment build's alpha_best leaves its
+    outer shell with inc * (T - 1) helices (the same spec at T = 1)."""
     if method == "optimal":
-        spec = build_optimal_spec(t, "exact")
-        a_best = a_worst = doubled_alpha(spec)
-        q_single = spec.q
+        qs, alphas = doubled_alphas(optimal_tori(ts))
+        worst = best = alphas
     else:
         inc = int(method[3:])
-        worst = build_increment_spec(t, inc)
-        a_worst = doubled_alpha(worst)
-        q_single = worst.q
-        if t == 1:
-            a_best = a_worst
-        else:
-            best = build_increment_spec(t, inc, outer_count=inc * (t - 1))
-            a_best = doubled_alpha(best)
-    q2 = 2 * q_single
-    c2 = q2 * (q2 - 1)
-    bound = lower_bound_report(1, q2)
-    return {
-        "T": t,
-        "Q": q2,
-        "C": c2,
-        "alpha_best": a_best,
-        "alpha_worst": a_worst,
-        "ratio": a_worst / (bound.best_bound / c2 ** 0.75),
-    }
+        outer = [inc * t for t in ts] + [inc * max(t - 1, 1) for t in ts]
+        qs, alphas = doubled_alphas(increment_tori(ts + ts, inc, outer))
+        worst, best = alphas[:len(ts)], alphas[len(ts):]
+    lines = []
+    for t, q, a_best, a_worst in zip(ts, qs, best, worst):
+        q2 = 2 * q
+        c2 = q2 * (q2 - 1)
+        ratio = a_worst / (lower_bound_report(1, q2).best_bound / c2 ** 0.75)
+        lines.append(f"{t},{q2},{c2},{a_best:.12g},{a_worst:.12g},{ratio:.12g}")
+    return lines
 
 
 def cmd_sweep(args) -> int:
+    """alpha(T) of the doubled torus for T in [tmin, tmax], with its ratio to
+    the lower bound's.  Each chunk of T values is a few array passes
+    (`construct.increment_tori` / `optimal_tori`, then `doubled_alphas`),
+    run in order; the rows equal `construction_report(build_*_spec(T),
+    doubled=True)` bit for bit."""
     if args.tmax < args.tmin:
         _usage(f"sweep: --tmax {args.tmax} < --tmin {args.tmin}")
     if args.method not in TORUS_METHODS:
         _usage(f"sweep: unknown method {args.method!r}")
-    rows = parallel_map(
-        lambda t: _sweep_row(args.method, t), range(args.tmin, args.tmax + 1)
-    )
     lines = _csv_header(args)
     lines.append("T,Q,C,alpha_best,alpha_worst,alpha_over_lower_bound")
-    for r in rows:
-        lines.append(
-            f"{r['T']},{r['Q']},{r['C']},{r['alpha_best']:.12g},"
-            f"{r['alpha_worst']:.12g},{r['ratio']:.12g}"
-        )
+    specs_per_t = 1 if args.method == "optimal" else 2
+    for ts in _sweep_chunks(args.tmin, args.tmax, specs_per_t):
+        lines += _sweep_lines(args.method, ts)
     _write_csv(lines, args.out)
     return 0
 

@@ -4,7 +4,9 @@ Toroidal builds wrap concentric shells of unit-thickness helices (shell i at
 tube radius 2i, evenly phased) around a common circular core line of major
 radius R0, optionally around a central core component.  A TorusSpec holds
 its shells as three arrays of one length (tube radii, helix counts, phase
-offsets), so spec builders and length formulas work on whole arrays.  The
+offsets).  The spec builders and length formulas compute on a TorusBatch,
+the shells of many tori in one set of arrays: a sweep evaluates a chunk of
+T values in one batch, and a single spec is a batch of one.  The
 hole radius h = R0 - r_outer is sized so every shell satisfies the
 helix-packing constraint; two builds are provided:
 
@@ -47,8 +49,8 @@ import numpy as np
 
 from .curves import rotation_about_axis, sample_planar_curve, sample_toroidal_helix
 # Not called here; kept because perfbench/tracing.py wraps these attributes
-# (its toroidal_correction counter reads a scalar ratio; analytic_length
-# passes an array to _correction).
+# (its toroidal_correction counter reads a scalar ratio; _lengths passes
+# an array to _correction).
 from .distances import mutual_min_distance  # noqa: F401
 from .helices import _correction, aggregate_correction, max_helices
 from .helices import toroidal_correction  # noqa: F401
@@ -59,10 +61,14 @@ __all__ = [
     "PLANAR_FAMILIES",
     "OverlapError",
     "TorusSpec",
+    "TorusBatch",
     "ConstructionReport",
     "build_increment_spec",
     "build_optimal_spec",
+    "increment_tori",
+    "optimal_tori",
     "analytic_length",
+    "doubled_alphas",
     "construction_report",
     "realize_torus",
     "donut_double",
@@ -189,9 +195,7 @@ class TorusSpec:
         return int(self.has_core) + int(self.counts.sum())
 
     def crossing_number(self, doubled: bool = False) -> int:
-        q = self.q
-        single = self.p * q * (q - 1)
-        return 2 * single + 2 * q * q if doubled else single
+        return _crossing_number(self.q, self.p, doubled)
 
     def as_dict(self) -> dict:
         return {
@@ -206,6 +210,62 @@ class TorusSpec:
             "p": self.p,
             "t_shells": self.t_shells,
         }
+
+
+class TorusBatch(NamedTuple):
+    """Torus specs without phase offsets, as one set of arrays: the shells of
+    every torus in order (tube radii and helix counts), each torus's shell
+    count and major radius, and the core flag and winding number p they
+    share.  The spec builders and the length formulas compute on batches; a
+    sweep holds a chunk of T values in one, and a TorusSpec is a batch of
+    one (`TorusBatch.of`)."""
+
+    radii: np.ndarray
+    counts: np.ndarray
+    sizes: np.ndarray
+    majors: np.ndarray
+    has_core: bool
+    p: int = 1
+
+    @classmethod
+    def of(cls, spec: TorusSpec) -> TorusBatch:
+        return cls(spec.radii, spec.counts, np.array([spec.t_shells]),
+                   np.array([spec.major_radius]), spec.has_core, spec.p)
+
+    @property
+    def owner(self) -> np.ndarray:
+        """The index of the torus each shell belongs to."""
+        return np.repeat(np.arange(len(self.sizes)), self.sizes)
+
+    @property
+    def q(self) -> np.ndarray:
+        """Component count of each torus."""
+        totals = np.concatenate(([0], np.cumsum(self.counts)))
+        ends = np.cumsum(self.sizes)
+        return int(self.has_core) + totals[ends] - totals[ends - self.sizes]
+
+    @property
+    def outer_radii(self) -> np.ndarray:
+        """Outer shell radius of each torus (0 for a bare core)."""
+        last = np.concatenate(([0.0], self.radii))[np.cumsum(self.sizes)]
+        return np.where(self.sizes > 0, last, 0.0)
+
+
+def _crossing_number(q: int, p: int, doubled: bool) -> int:
+    """Crossing number of a T(pQ, Q) torus link of q components, or of its
+    donut double, a link of 2q components."""
+    single = p * q * (q - 1)
+    return 2 * single + 2 * q * q if doubled else single
+
+
+def _shell_index(ts) -> tuple:
+    """(sizes, index): the shell count T of each torus, and 1..T for each
+    torus in turn.  Rejects T < 1."""
+    sizes = np.asarray(ts, dtype=np.int64)
+    if sizes.min() < 1:
+        raise ValueError(f"need t_shells >= 1, got {sizes.min()}")
+    ends = np.cumsum(sizes)
+    return sizes, np.arange(1, ends[-1] + 1) - np.repeat(ends - sizes, sizes)
 
 
 def _hole_radius_required(radii, counts) -> np.ndarray:
@@ -223,6 +283,42 @@ def _hole_radius_required(radii, counts) -> np.ndarray:
     return counts * radii / np.sqrt(cap * cap - counts * counts)
 
 
+def increment_tori(ts, increment: int, outer_counts=None) -> TorusBatch:
+    """build_increment_spec for every T in `ts` at once: shell i (radius 2i)
+    of torus k holds increment*i helices, except its outer shell, which holds
+    outer_counts[k] when given; the hole of each torus is its largest
+    rectangle-rule requirement."""
+    sizes, index = _shell_index(ts)
+    if increment < 1:
+        raise ValueError(f"need increment >= 1, got {increment}")
+    counts = increment * index
+    outer = np.cumsum(sizes) - 1
+    if outer_counts is not None:
+        outer_counts = np.asarray(outer_counts, dtype=np.int64)
+        if outer_counts.min() < 1:
+            raise ValueError(f"outer_count must be >= 1, got {outer_counts.min()}")
+        counts[outer] = outer_counts
+    radii = 2.0 * index
+    holes = np.maximum.reduceat(_hole_radius_required(radii, counts), outer - sizes + 1)
+    return TorusBatch(radii, counts, sizes, holes + radii[outer], has_core=True)
+
+
+def optimal_tori(ts, count_mode: str = "exact") -> TorusBatch:
+    """build_optimal_spec for every T in `ts` at once, with one max_helices
+    call for every shell of every torus; shells that cannot host a helix
+    are left out."""
+    sizes, index = _shell_index(ts)
+    radii = 2.0 * index
+    counts = max_helices(radii, 2.0 * np.repeat(sizes, sizes), count_mode)
+    filled = counts >= 1
+    kept = np.bincount(np.repeat(np.arange(len(sizes)), sizes)[filled],
+                       minlength=len(sizes))
+    if not kept.all():
+        raise ValueError("no shell can host a single helix; t_shells too small")
+    return TorusBatch(radii[filled], counts[filled], kept, 4.0 * sizes,
+                      has_core=False)
+
+
 def build_increment_spec(
     t_shells: int,
     increment: int = 4,
@@ -235,21 +331,14 @@ def build_increment_spec(
     the outer shell's (for increment 4 exactly h = N_outer / sqrt(pi^2 - 4),
     i.e. hole circumference (2*pi/sqrt(pi^2-4)) * N_outer); a partly filled
     outer shell (`outer_count` helices) may need less room than the full
-    shell inside it, which then sets the hole.
+    shell inside it, which then sets the hole.  The spec is
+    `increment_tori` of this one T.
     """
-    if t_shells < 1:
-        raise ValueError(f"need t_shells >= 1, got {t_shells}")
-    if increment < 1:
-        raise ValueError(f"need increment >= 1, got {increment}")
-    index = np.arange(1, t_shells + 1)
-    counts = increment * index
-    if outer_count is not None:
-        if outer_count < 1:
-            raise ValueError(f"outer_count must be >= 1, got {outer_count}")
-        counts[-1] = outer_count
-    radii = 2.0 * index
-    h = _hole_radius_required(radii, counts).max()
-    return TorusSpec(radii, counts, has_core=True, major_radius=float(h + radii[-1]))
+    batch = increment_tori(
+        [t_shells], increment, None if outer_count is None else [outer_count]
+    )
+    return TorusSpec(batch.radii, batch.counts, has_core=True,
+                     major_radius=float(batch.majors[0]))
 
 
 def build_optimal_spec(t_shells: int, count_mode: str = "exact") -> TorusSpec:
@@ -259,18 +348,35 @@ def build_optimal_spec(t_shells: int, count_mode: str = "exact") -> TorusSpec:
     count_mode "exact" solves the pair constraint per shell; "approx" uses
     floor(N_a - 1), which reproduces the published component totals (e.g.
     doubled T=100 gives 2 x 26102 = 52204); exact counting packs ~0.4% more
-    helices.
+    helices.  The spec is `optimal_tori` of this one T, which a sweep calls
+    for a chunk of T values.
     """
-    if t_shells < 1:
-        raise ValueError(f"need t_shells >= 1, got {t_shells}")
-    radii = 2.0 * np.arange(1, t_shells + 1)
-    counts = max_helices(radii, 2.0 * t_shells, count_mode)
-    filled = counts >= 1
-    if not filled.any():
-        raise ValueError("no shell can host a single helix; t_shells too small")
-    return TorusSpec(
-        radii[filled], counts[filled], has_core=False, major_radius=4.0 * t_shells
+    batch = optimal_tori([t_shells], count_mode)
+    return TorusSpec(batch.radii, batch.counts, has_core=False,
+                     major_radius=float(batch.majors[0]))
+
+
+def _lengths(batch: TorusBatch) -> np.ndarray:
+    """Analytic centerline length of every torus of a batch (see
+    analytic_length), with one _correction call over the distinct ratios
+    R0/r of the batch; equal ratios give equal factors, so this changes no
+    bit.  Each torus sums its terms in shell order after the core's, with
+    the same scalar operations as a loop over its shells: a sequential
+    accumulate along one zero-padded row per torus."""
+    owner = batch.owner
+    r0 = batch.majors[owner]
+    ratios, inverse = np.unique(r0 / batch.radii, return_inverse=True)
+    factors = _correction(ratios, batch.p)[inverse]
+    hypots = np.array(
+        list(map(math.hypot, r0.tolist(), (batch.p * batch.radii).tolist()))
     )
+    terms = batch.counts * (2.0 * math.pi * hypots * factors)
+    table = np.zeros((len(batch.sizes), 1 + int(batch.sizes.max())))
+    if batch.has_core:
+        table[:, 0] = 2.0 * math.pi * batch.majors
+    starts = np.cumsum(batch.sizes) - batch.sizes
+    table[owner, 1 + np.arange(len(owner)) - starts[owner]] = terms
+    return np.add.accumulate(table, axis=1)[:, -1]
 
 
 def analytic_length(spec: TorusSpec) -> float:
@@ -279,16 +385,40 @@ def analytic_length(spec: TorusSpec) -> float:
     Each helix on shell radius r contributes 2*pi*sqrt(R0^2 + (p r)^2), the
     length of the equivalent straight helix (one axial turn of rise 2*pi*R0
     around a cylinder of circumference 2*pi*p*r), times the toroidal
-    correction at ratio R0/r, one array call for all shells.
-    The core adds 2*pi*R0.
+    correction at ratio R0/r.  The core adds 2*pi*R0.  This is the batch
+    formula that a sweep runs on a chunk of T values, on one spec.
     """
-    r0 = spec.major_radius
-    total = 2.0 * math.pi * r0 if spec.has_core else 0.0
-    radii = spec.radii
-    factors = _correction(r0 / radii, spec.p)
-    for r, n, factor in zip(radii.tolist(), spec.counts.tolist(), factors.tolist()):
-        total += n * (2.0 * math.pi * math.hypot(r0, spec.p * r) * factor)
-    return total
+    return float(_lengths(TorusBatch.of(spec))[0])
+
+
+def _inflated(batch: TorusBatch) -> tuple:
+    """(batch with each major radius raised to at least 2 r_outer + 2,
+    inflation factor of each torus): two congruent tori threaded through
+    each other sit at constant center-circle distance R0, so tube extents
+    r_outer + 1 each demand R0 >= 2 r_outer + 2."""
+    needed = 2.0 * batch.outer_radii + 2.0
+    short = batch.majors < needed
+    factors = np.where(short, needed / batch.majors, 1.0)
+    return batch._replace(majors=np.where(short, needed, batch.majors)), factors
+
+
+def _predicted(batch: TorusBatch, doubled: bool) -> tuple:
+    """(lengths, crossing numbers, alphas) that construction_report gives
+    for each torus of a batch realized as it stands (inflate it first for a
+    double), as lists of Python numbers."""
+    lengths = _lengths(batch)
+    if doubled:
+        lengths = 2.0 * lengths
+    crossings = [_crossing_number(q, batch.p, doubled) for q in batch.q.tolist()]
+    alphas = [length / c ** 0.75 for length, c in zip(lengths.tolist(), crossings)]
+    return lengths.tolist(), crossings, alphas
+
+
+def doubled_alphas(batch: TorusBatch) -> tuple:
+    """(q, alpha) lists: each torus's component count, and the predicted
+    alpha of its donut double, which is construction_report(spec,
+    doubled=True).alpha_predicted of its spec bit for bit."""
+    return batch.q.tolist(), _predicted(_inflated(batch)[0], doubled=True)[2]
 
 
 @dataclass
@@ -320,17 +450,16 @@ def construction_report(
     realized_spec = spec
     if doubled:
         realized_spec, inflation = _inflated_for_doubling(spec)
-    length = analytic_length(realized_spec)
-    if doubled:
-        length *= 2.0
-    crossings = spec.crossing_number(doubled)
+    (length,), (crossings,), (alpha,) = _predicted(
+        TorusBatch.of(realized_spec), doubled
+    )
     return ConstructionReport(
         spec=realized_spec,
         q=spec.q,
         p=spec.p,
         crossing_number=crossings,
         predicted_length=length,
-        alpha_predicted=length / crossings ** 0.75,
+        alpha_predicted=alpha,
         doubled=doubled,
         mirrored=mirrored,
         inflation=inflation,
@@ -383,17 +512,13 @@ def realize_torus(
 
 
 def _inflated_for_doubling(spec: TorusSpec) -> tuple:
-    """Smallest major radius >= 2 r_outer + 2 permitting donut doubling.
-
-    Returns (possibly inflated spec, inflation factor).  Two congruent tori
-    threaded through each other sit at constant center-circle distance R0, so
-    tube extents r_outer + 1 each demand R0 >= 2 r_outer + 2.
-    """
-    needed = 2.0 * spec.outer_radius + 2.0
-    if spec.major_radius >= needed:
+    """(spec, 1.0) when its major radius permits donut doubling, else (spec
+    at the smallest major radius 2 r_outer + 2 that does, inflation
+    factor); see _inflated."""
+    batch, factors = _inflated(TorusBatch.of(spec))
+    if batch.majors[0] == spec.major_radius:
         return spec, 1.0
-    factor = needed / spec.major_radius
-    return replace(spec, major_radius=needed), factor
+    return replace(spec, major_radius=float(batch.majors[0])), float(factors[0])
 
 
 def _threaded_copy(components, separation: float, mirror: bool = False) -> list:
@@ -471,7 +596,7 @@ def toroidal_pair(
     q = spec.q
     return LinkConfiguration(
         list(first.components) + second,
-        crossing_number=2 * q * (q - 1) + 2 * q * q,
+        crossing_number=spec.crossing_number(doubled=True),
         description=f"two threaded tori of {q} components each",
         metadata={"family": "toroidal_pair", "spec": spec.as_dict(),
                   "separation": separation},

@@ -20,7 +20,6 @@ set always contains the optimal pair.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .curves import PolyCurve
 
@@ -120,7 +119,11 @@ def _candidate_pairs(soup: _SegmentSoup, reach: float):
     each other, from a KD tree over the midpoints.  Two segments at distance
     r have midpoints at most r + max_seg apart, so a ball of radius
     max_seg + r holds every pair closer than r; the relative 1e-12 covers
-    rounding in the midpoint distances."""
+    rounding in the midpoint distances.  scipy.spatial is imported here, so
+    commands that never search distances (sweep, correction, bounds) do not
+    pay for it."""
+    from scipy.spatial import cKDTree
+
     pairs = cKDTree(soup.mids).query_pairs(
         reach * (1.0 + 1e-12), output_type="ndarray"
     )

@@ -15,7 +15,8 @@ array of shells at once: 65 equispaced samples bracket the smallest sample
 fixed number of safeguarded Newton steps on d(d^2)/dtheta polish it inside
 that bracket.  `max_helices` counts the helices per shell exactly, scanning n
 from the rectangular estimate N_a = pi*h*r/sqrt(h^2 + r^2) for every shell
-of a spec in one pass, or approximately as floor(N_a - 1).
+it is given in one pass (all shells of a sweep's chunk of tori at once), or
+approximately as floor(N_a - 1).
 
 Bending the cylinder into a torus changes each helix's arc length by a factor
 that is the mean over the tube angle t of a smooth 2*pi-periodic function.
@@ -192,8 +193,12 @@ def _correction(ratio: np.ndarray, p: int) -> np.ndarray:
             stacklevel=3,
         )
     # Each node is divided by the node count (exact: a power of two) before
-    # summing, so that the largest finite ratios do not overflow the sum.
-    nodes = np.hypot(p, ratio[..., None] - _COS_NODES) / _CORRECTION_NODES
+    # summing, so that the largest finite ratios do not overflow the sum; the
+    # passes run in place, so a chunk of ratios holds one (ratios x nodes)
+    # array.
+    nodes = ratio[..., None] - _COS_NODES
+    np.hypot(p, nodes, out=nodes)
+    nodes /= _CORRECTION_NODES
     return np.sum(nodes, axis=-1) / np.hypot(p, ratio)
 
 

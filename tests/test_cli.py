@@ -3,14 +3,25 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
 import pytest
 
-from ropebound import cli, distances
+import ropebound
+from ropebound import cli, construct, distances, helices
+from ropebound.bounds import lower_bound_report
 from ropebound.cli import main
+from ropebound.construct import (
+    build_increment_spec,
+    build_optimal_spec,
+    construction_report,
+)
 from ropebound.curves import rotation_about_axis, sample_planar_curve
 from ropebound.helices import toroidal_correction
 from ropebound.io_formats import export_geometry
@@ -447,8 +458,16 @@ def test_sweep_csv(tmp_path):
          "da8d2997c158a90cbf1688ba34e18fe167b6543690053de1044ad4e2ff6f83c9"),
         (["sweep", "inc5", "--tmin", "1", "--tmax", "30"],
          "c21c08c57d1854ab97f74d8857024c5f860c97206cf82099822effcc2bf605fb"),
+        # the three sweeps of the benchmark's alpha_sweep workload
+        (["sweep", "optimal", "--tmin", "1", "--tmax", "100"],
+         "4386102ad31ab9d79e9ce44065b93292b95f3e2688352ba77d6787d1e83d1345"),
+        (["sweep", "inc4", "--tmin", "101", "--tmax", "200"],
+         "df542d93042b7a51d1de6656e6077c64ad504e1fad6f0e9a62559e75e6532b47"),
+        (["sweep", "inc5", "--tmin", "101", "--tmax", "150"],
+         "0318b4d95ceda9a556f9a6ac954698ed1e618cc4d4928ffdb34ea611c6155486"),
     ],
-    ids=["inc4", "optimal", "inc4-from-1", "inc5-from-1"],
+    ids=["inc4", "optimal", "inc4-from-1", "inc5-from-1", "bench-optimal",
+         "bench-inc4", "bench-inc5"],
 )
 def test_sweep_csv_is_pinned(capsys, argv, digest):
     # sha256 of the whole CSV (header included): packing, hole radii and
@@ -458,10 +477,109 @@ def test_sweep_csv_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _one_spec_sweep_row(method, t):
+    """A sweep row computed one spec at a time, from construction_report."""
+    if method == "optimal":
+        worst = best = build_optimal_spec(t)
+    else:
+        inc = int(method[3:])
+        worst = build_increment_spec(t, inc)
+        best = build_increment_spec(t, inc, outer_count=inc * (t - 1)) if t > 1 else worst
+    a_worst = construction_report(worst, doubled=True).alpha_predicted
+    a_best = construction_report(best, doubled=True).alpha_predicted
+    q2 = 2 * worst.q
+    c2 = q2 * (q2 - 1)
+    ratio = a_worst / (lower_bound_report(1, q2).best_bound / c2 ** 0.75)
+    return f"{t},{q2},{c2},{a_best:.12g},{a_worst:.12g},{ratio:.12g}"
+
+
+@pytest.mark.parametrize("chunk_shells", [None, 64], ids=["one-chunk", "chunks"])
+@pytest.mark.parametrize("method", ["inc4", "inc5", "optimal"])
+def test_sweep_rows_equal_construction_reports(capsys, monkeypatch, method,
+                                               chunk_shells):
+    # every alpha the sweep's array passes compute equals construction_report
+    # of the spec it stands for, bit for bit; inc5's best and worst specs
+    # have different major radii for T >= 4.  With 64 shells a chunk, the
+    # increment sweeps run T >= 32 one T at a time.
+    if chunk_shells is not None:
+        monkeypatch.setattr(cli, "_SWEEP_CHUNK_SHELLS", chunk_shells)
+    alphas = {}
+
+    def recording(batch):
+        qs, batch_alphas = cli_doubled_alphas(batch)
+        outer = np.cumsum(batch.sizes) - 1
+        for t, n_outer, alpha in zip(batch.sizes.tolist(),
+                                     batch.counts[outer].tolist(), batch_alphas):
+            alphas[t, n_outer] = alpha
+        return qs, batch_alphas
+
+    cli_doubled_alphas = cli.doubled_alphas
+    monkeypatch.setattr(cli, "doubled_alphas", recording)
+    assert main(["sweep", method, "--tmin", "1", "--tmax", "40"]) == 0
+    rows = capsys.readouterr().out.splitlines()[3:]
+    assert rows == [_one_spec_sweep_row(method, t) for t in range(1, 41)]
+    for (t, n_outer), alpha in alphas.items():
+        if method == "optimal":
+            spec = build_optimal_spec(t)
+        else:
+            spec = build_increment_spec(t, int(method[3:]), outer_count=n_outer)
+        assert alpha == construction_report(spec, doubled=True).alpha_predicted
+    assert {t for t, _ in alphas} == set(range(1, 41))
+    assert len(alphas) == (40 if method == "optimal" else 79)
+
+
+def test_sweep_passes_stay_within_the_chunk_cap(capsys, monkeypatch):
+    # T = 1..300 is 45,150 shells; no packing or correction pass sees more
+    # rows than one chunk holds
+    largest = {"_min_gap": 0, "_correction": 0}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapper(first, *args):
+            largest[name] = max(largest[name], len(first))
+            return real(first, *args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(helices, "_min_gap")
+    spy(construct, "_correction")
+    assert main(["sweep", "optimal", "--tmin", "1", "--tmax", "300"]) == 0
+    capsys.readouterr()
+    assert cli._SWEEP_CHUNK_SHELLS == 8192
+    # the largest chunk is T = 128..180: 8162 shells, whose ratios R0/r
+    # take 8004 distinct values
+    assert largest == {"_min_gap": 8162, "_correction": 8004}
+
+
+def test_sweep_and_correction_table_do_not_import_scipy_spatial():
+    # only a distance search needs the KD tree; a build still gets it
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        from ropebound.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["sweep", "inc5", "--tmin", "1", "--tmax", "5"]) == 0
+            assert main(["correction", "--table"]) == 0
+        assert "scipy.spatial" not in sys.modules
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["build", "inc4", "--t", "1", "--points", "200"]) == 0
+        assert "scipy.spatial" in sys.modules
+        assert '"passed": true' in out.getvalue()
+    """)
+    src = os.path.dirname(os.path.dirname(ropebound.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_sweep_usage_errors():
     with pytest.raises(SystemExit) as err:
         main(["sweep", "inc4", "--tmin", "4", "--tmax", "2"])
     assert err.value.code == 2
+    for method in ("inc4", "optimal"):
+        assert main(["sweep", method, "--tmin", "0", "--tmax", "3"]) == 2
 
 
 def test_export_and_import_summary(capsys, tmp_path):
