@@ -129,9 +129,13 @@ def cmd_bounds(args) -> int:
 def cmd_build(args) -> int:
     method = args.method
     payload = {"run": _run_header(args)}
+    if args.mirror and not args.double:
+        _usage("build: --mirror reflects the second copy, so it needs --double")
     if method in TORUS_METHODS:
         if args.t is None:
             _usage(f"build {method}: requires --t (number of shells)")
+        if args.optimize:
+            _usage(f"build {method}: --optimize applies to planar families only")
         if method == "optimal":
             spec = build_optimal_spec(args.t, args.count_mode)
         else:
@@ -150,6 +154,8 @@ def cmd_build(args) -> int:
     elif method in PLANAR_FAMILIES:
         if args.q is None:
             _usage(f"build {method}: requires --q (component count)")
+        if args.double:
+            _usage(f"build {method}: --double applies to torus methods only")
         params = None
         if args.optimize:
             problem = OptimizationProblem(

@@ -474,8 +474,9 @@ def realize_torus(
     """Sample every component of a torus spec as polygonal curves.
 
     Components are ordered core first, then shells inside out, helices by
-    phase index; the link's `orbits` map every helix to its shell's first
-    helix, of which it is a rotation.  With check=True the link is measured
+    phase index.  A shell's helices are rotations of its first one about the
+    z axis, which measure_link finds from the coordinates: it measures their
+    self distance once per shell.  With check=True the link is measured
     and verified as a unit-tube embedding (`measure.verify`, absolute,
     default tolerance 0.01: clearance >= 1.99 within and between components,
     curvature radius >= 0.99, |lk| = p for every pair); a failure raises
@@ -484,11 +485,8 @@ def realize_torus(
     comps = []
     if spec.has_core:
         comps.append(sample_toroidal_helix(spec.major_radius, 0.0, n_points=n_points))
-    # a shell's helices are rotations of its first one about the z axis
-    orbits = list(range(len(comps)))
     shells = zip(spec.radii.tolist(), spec.counts.tolist(), spec.phases.tolist())
     for radius, count, phase in shells:
-        orbits += [len(comps)] * count
         for j in range(count):
             comps.append(
                 sample_toroidal_helix(
@@ -506,7 +504,6 @@ def realize_torus(
         crossing_number=spec.crossing_number(doubled=False),
         description=f"torus link of {spec.q} components, p={spec.p}",
         metadata={"family": "torus", "doubled": False, "spec": spec.as_dict()},
-        orbits=orbits,
     )
     return _checked(config) if check else config
 
@@ -545,10 +542,11 @@ def donut_double(
     along x by the (inflated) major radius, so its tube circle passes through
     the first torus' hole at constant clearance; mirror=True reflects the
     second copy through the xy plane first, producing the opposite-chirality
-    variant.  Components are copy 1 then copy 2, in realize_torus order, and
-    each copy-2 component joins the orbit of its copy-1 twin (both variants
-    are isometries).  check=True verifies the doubled link as realize_torus
-    does, expecting |lk| = 1 between the two copies.
+    variant.  Components are copy 1 then copy 2, in realize_torus order;
+    each copy-2 component is congruent to its copy-1 twin (both variants
+    are isometries), so measure_link puts the two in one class.  check=True
+    verifies the doubled link as realize_torus does, expecting |lk| = 1
+    between the two copies.
     """
     inflated, inflation = _inflated_for_doubling(spec)
     first = realize_torus(inflated, n_points=n_points, check=False)
@@ -564,7 +562,6 @@ def donut_double(
             "inflation": inflation,
             "spec": inflated.as_dict(),
         },
-        orbits=first.orbits * 2,
     )
     return _checked(config) if check else config
 
@@ -617,8 +614,9 @@ def build_planar_link(
     "gibbous" (adds gamma, delta), and "hybrid_square" (q-1 gibbous loops
     around a central rounded square in the xy plane; adds square_scale,
     square_flat_fraction).  Parameters missing from `params` take the
-    family's start values in FAMILIES.  The link's `orbits` map every ring
-    loop to loop 0, of which it is a rotation.  The link is not verified:
+    family's start values in FAMILIES.  Ring loop i is loop 0 rotated by
+    2*pi*i/(ring size) about the z axis, which measure_link finds from the
+    coordinates: it measures the ring once.  The link is not verified:
     it is scale-free, so whoever measures it verifies it (`measure.verify`
     with absolute=False finds it embeddable when no two components touch).
     """
@@ -663,15 +661,11 @@ def build_planar_link(
                 n_points=n_points,
             )
         )
-    # ring loop i is loop 0 rotated by 2*pi*i/n_ring about the z axis; the
-    # square is its own orbit
-    orbits = [0] * n_ring + [n_ring] * (len(comps) - n_ring)
     return LinkConfiguration(
         comps,
         crossing_number=q * (q - 1),
         description=f"planar {family} link of {q} components",
         metadata={"family": family, "q": q, "params": merged},
-        orbits=orbits,
     )
 
 

@@ -269,14 +269,22 @@ def min_curvature_radius(curve: PolyCurve) -> float:
     The circumradius through consecutive vertex triples is the discrete
     curvature radius; collinear triples contribute +inf.
     """
-    v = curve.vertices
-    if curve.closed:
-        a, b, c = v, np.roll(v, -1, axis=0), np.roll(v, -2, axis=0)
+    return float(min_curvature_radii(curve.vertices[None], curve.closed)[0])
+
+
+def min_curvature_radii(vertices: np.ndarray, closed: bool) -> np.ndarray:
+    """min_curvature_radius of each of m curves with one vertex count and
+    closedness, from their vertices (m, n, 3), in one pass."""
+    m, n = vertices.shape[:2]
+    if closed:
+        a = vertices
+        b, c = np.roll(vertices, -1, axis=1), np.roll(vertices, -2, axis=1)
     else:
-        if curve.n_vertices < 3:
-            return np.inf
-        a, b, c = v[:-2], v[1:-1], v[2:]
-    return float(np.min(_circumradii(a, b, c)))
+        if n < 3:
+            return np.full(m, np.inf)
+        a, b, c = vertices[:, :-2], vertices[:, 1:-1], vertices[:, 2:]
+    radii = _circumradii(a.reshape(-1, 3), b.reshape(-1, 3), c.reshape(-1, 3))
+    return radii.reshape(m, -1).min(axis=1)
 
 
 def _circumradii(a, b, c):

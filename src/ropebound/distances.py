@@ -12,9 +12,13 @@ when no sampled pair is admissible, the search runs at the scene diameter
 and sees every pair.  When no pair can be admissible at all (a single
 component whose arc window covers half its length, such as a circle under
 its bending window), there is no search.
-Results are exactly those of the brute-force scan: both routes use the same
-segment-pair kernel with the lower segment index first, and the candidate
-set always contains the optimal pair.
+A search may be restricted to the pairs with at least one segment among
+given representatives (`measure` passes the representatives of the orbits
+of a link's rotation group): the ball query then runs from those segments
+only, and the sampled bound counts only such pairs.
+Results are exactly those of the brute-force scan over the pairs searched:
+both routes use the same segment-pair kernel with the lower segment index
+first, and the candidate set always contains the optimal pair.
 """
 
 from __future__ import annotations
@@ -62,9 +66,12 @@ def segment_pair_distances(p1, d1, p2, d2) -> np.ndarray:
 
 
 class _SegmentSoup:
-    """Flattened segments of one or more curves, with component bookkeeping."""
+    """Flattened segments of one or more curves, with component bookkeeping.
+    `reps`, when given, marks the segments of which every searched pair has
+    at least one (the representatives of a symmetry's orbits); None, or a
+    mask of all segments, searches every pair."""
 
-    def __init__(self, curves):
+    def __init__(self, curves, reps=None):
         starts, dirs, labels, index_in_comp = [], [], [], []
         arc_mid, comp_nseg, comp_len, comp_closed = [], [], [], []
         for k, c in enumerate(curves):
@@ -91,6 +98,7 @@ class _SegmentSoup:
         self.comp_len = np.asarray(comp_len)
         self.comp_closed = np.asarray(comp_closed, dtype=bool)
         self.max_seg = float(np.linalg.norm(self.dirs, axis=1).max())
+        self.reps = None if reps is None or np.all(reps) else np.asarray(reps)
 
     def __len__(self):
         return len(self.starts)
@@ -116,22 +124,36 @@ _SELF_SAMPLES = 32
 
 def _candidate_pairs(soup: _SegmentSoup, reach: float):
     """All segment index pairs (i < j) whose midpoints lie within `reach` of
-    each other, from a KD tree over the midpoints.  Two segments at distance
-    r have midpoints at most r + max_seg apart, so a ball of radius
-    max_seg + r holds every pair closer than r; the relative 1e-12 covers
-    rounding in the midpoint distances.  scipy.spatial is imported here, so
-    commands that never search distances (sweep, correction, bounds) do not
-    pay for it."""
+    each other, from one KD-tree query over the midpoints; with `soup.reps`,
+    the query runs from the marked segments and keeps the pairs with one.
+    Two segments at distance r have midpoints at most r + max_seg apart, so
+    a ball of radius max_seg + r holds every pair closer than r; the
+    relative 1e-12 covers rounding in the midpoint distances.
+    scipy.spatial is imported here, so commands that never search distances
+    (sweep, correction, bounds) do not pay for it."""
     from scipy.spatial import cKDTree
 
-    pairs = cKDTree(soup.mids).query_pairs(
-        reach * (1.0 + 1e-12), output_type="ndarray"
+    reach = reach * (1.0 + 1e-12)
+    tree = cKDTree(soup.mids)
+    reps = soup.reps
+    if reps is None:
+        pairs = tree.query_pairs(reach, output_type="ndarray")
+        return pairs[:, 0], pairs[:, 1]
+    marked = np.flatnonzero(reps)
+    found = cKDTree(soup.mids[marked]).sparse_distance_matrix(
+        tree, reach, output_type="ndarray"
     )
-    return pairs[:, 0], pairs[:, 1]
+    i, j = marked[found["i"]], found["j"]
+    # a pair of two marked segments is found from both ends: keep it once
+    keep = (i < j) | ((i > j) & ~reps[j])
+    i, j = i[keep], j[keep]
+    return np.minimum(i, j), np.maximum(i, j)
 
 
 def _admissible(soup, ia, ib, inter, intra, arc_windows):
-    """Mask of candidate pairs that participate in the distance being measured."""
+    """Mask of candidate pairs that participate in the distance being
+    measured.  A component whose arc window is inf has no admissible self
+    pair."""
     same = soup.labels[ia] == soup.labels[ib]
     keep = np.zeros(len(ia), dtype=bool)
     if inter:
@@ -182,9 +204,10 @@ def _admissible_min(soup, ia, ib, inter, intra, arc_windows) -> float:
 def _sampled_bound(soup, inter, intra, arc_windows) -> float:
     """Where the search starts: the closest admissible pair among up to
     _BOUND_SAMPLES segments spread evenly along the components (at most
-    _SELF_SAMPLES per component in a pass of self pairs alone).  It is the
-    distance of an admissible pair, so a true upper bound, or inf when no
-    sampled pair is admissible."""
+    _SELF_SAMPLES per component in a pass of self pairs alone), counting
+    only pairs with a segment in `soup.reps`.  It is the distance of
+    a searched pair, so a true upper bound, or inf when no sampled pair is
+    admissible."""
     ncomp = len(soup.comp_nseg)
     per = max(1, _BOUND_SAMPLES // ncomp)
     if not inter:
@@ -194,7 +217,11 @@ def _sampled_bound(soup, inter, intra, arc_windows) -> float:
     rank = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per)
     seg = soup.first[lab] + rank * soup.comp_nseg[lab] // per[lab]
     ia, ib = np.triu_indices(len(seg), 1)
-    return _admissible_min(soup, seg[ia], seg[ib], inter, intra, arc_windows)
+    ia, ib = seg[ia], seg[ib]
+    if soup.reps is not None:
+        touch = soup.reps[ia] | soup.reps[ib]
+        ia, ib = ia[touch], ib[touch]
+    return _admissible_min(soup, ia, ib, inter, intra, arc_windows)
 
 
 def _widened(radius: float) -> float:
@@ -203,15 +230,17 @@ def _widened(radius: float) -> float:
     return radius * (1.0 + 1e-12) + 1e-300
 
 
-def _certified_min(curves, inter, intra, arc_windows) -> float:
+def _certified_min(curves, inter, intra, arc_windows, reps=None) -> float:
     """Exact minimum distance over the admissible segment pairs of `curves`:
     pairs of distinct components when `inter`, self pairs more than
     _SKIP_WINDOW segments and (with `arc_windows`, one per component) more
     than that arc length apart when `intra`; inf when no pair is admissible.
-    No candidate search when no pair can be admissible, else one: at the
-    sampled bound, or at the scene diameter when no sampled pair was
-    admissible."""
-    soup = _SegmentSoup(curves)
+    With `reps`, a mask over the segments of all curves in order, only
+    pairs with at least one marked segment count (the representatives of a
+    symmetry's orbits, `measure._symmetry`).  No candidate search when no
+    pair can be admissible, else one: at the sampled bound, or at the scene
+    diameter when no sampled pair was admissible."""
+    soup = _SegmentSoup(curves, reps)
     if not ((inter and len(soup.comp_nseg) > 1)
             or (intra and _self_pairs_possible(soup, arc_windows).any())):
         return np.inf
@@ -221,12 +250,14 @@ def _certified_min(curves, inter, intra, arc_windows) -> float:
     return _admissible_min(soup, ia, ib, inter, intra, arc_windows)
 
 
-def mutual_min_distance(curves) -> float:
-    """Exact minimum distance over all pairs of distinct components."""
+def mutual_min_distance(curves, reps=None) -> float:
+    """Exact minimum distance over all pairs of distinct components (with
+    `reps`, over the pairs with a marked segment; see _certified_min)."""
     curves = list(curves)
     if len(curves) < 2:
         return np.inf
-    return _certified_min(curves, inter=True, intra=False, arc_windows=None)
+    return _certified_min(curves, inter=True, intra=False, arc_windows=None,
+                          reps=reps)
 
 
 def min_distance_brute(a: PolyCurve, b: PolyCurve) -> float:

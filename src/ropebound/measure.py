@@ -9,15 +9,26 @@ normalized ropelength rescales the total centreline length by the worst
 violation, so it is invariant under uniform scaling and rigid motions.
 `verify` is the one place that decides whether measured metrics describe such
 an embedding.
+
+A link is measured modulo the symmetry its coordinates prove, whether it was
+built or read from a file (no field declares one): congruent components
+(`_symmetry`'s classes) share one self-distance search, and the
+inter-component search keeps the segment pairs that touch a representative
+of an orbit of the link's rotation group about z.  Every distance minimum is
+then within 2 eps of the whole link's (eps = 1e-12 of the link's extent),
+and verify judges such a link's clearance with that margin.  Curvature radii
+are measured on every component.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .curves import PolyCurve, min_curvature_radius
+from .curves import PolyCurve, min_curvature_radii, min_curvature_radius
 from .distances import _certified_min, mutual_min_distance
 from .linking import linking_matrix
 
@@ -34,6 +45,11 @@ __all__ = [
 # than 0, and anything this thin would normalize to a length above 1e9.
 _TOUCH_FRACTION = 1e-9
 
+# A symmetry is accepted when it moves every vertex within this fraction of
+# the link's extent (eps) of its image; rotated copies of built links agree
+# to a few 1e-15 of it.
+_SYMMETRY_EPS = 1e-12
+
 # Default of verify's `linking`: no linking numbers were computed.
 _UNMEASURED = object()
 
@@ -42,17 +58,14 @@ _UNMEASURED = object()
 class LinkConfiguration:
     """A multi-component polygonal link plus whatever is known about it.
 
-    `orbits`, when given, holds for each component the index of its orbit's
-    representative (a component congruent to it by an isometry), or None:
-    measure_link measures self distance once per orbit.  Constructors set it;
-    no file format stores it, so an imported link never claims a symmetry.
+    Nothing here declares a symmetry: measure_link finds the one its
+    coordinates prove (`_symmetry`), for built links and files alike.
     """
 
     components: list
     crossing_number: int | None = None
     description: str = ""
     metadata: dict = field(default_factory=dict)
-    orbits: tuple | None = None
 
     def __post_init__(self):
         self.components = list(self.components)
@@ -61,9 +74,6 @@ class LinkConfiguration:
         for c in self.components:
             if not isinstance(c, PolyCurve):
                 raise TypeError("components must be PolyCurve instances")
-        if self.orbits is not None:
-            self.orbits = tuple(self.orbits)
-            _check_orbits(self.orbits, len(self.components))
 
     @property
     def n_components(self) -> int:
@@ -78,7 +88,6 @@ class LinkConfiguration:
             crossing_number=self.crossing_number,
             description=self.description,
             metadata=dict(self.metadata),
-            orbits=self.orbits,
         )
 
     def transformed(self, rotation=None, translation=None) -> "LinkConfiguration":
@@ -87,33 +96,17 @@ class LinkConfiguration:
             crossing_number=self.crossing_number,
             description=self.description,
             metadata=dict(self.metadata),
-            orbits=self.orbits,
         )
-
-
-def _check_orbits(orbits: tuple, n: int):
-    """Raise ValueError unless `orbits` has one entry per component, each
-    None or the index of a representative that is its own representative."""
-    if len(orbits) != n:
-        raise ValueError(f"orbits needs {n} entries, one per component, "
-                         f"got {len(orbits)}")
-    for i, rep in enumerate(orbits):
-        if rep is None:
-            continue
-        if not (isinstance(rep, (int, np.integer)) and not isinstance(rep, bool)
-                and 0 <= rep < n):
-            raise ValueError(f"orbits[{i}] must be None or a component index, "
-                             f"got {rep!r}")
-        if orbits[rep] != rep:
-            raise ValueError(f"orbits[{i}] = {rep} names a component that is "
-                             f"not its own representative")
 
 
 @dataclass
 class LinkMetrics:
     """Summary measurements of a link configuration.  The inter-component
     and self minima are None when only the overall minimum was measured
-    (measure_thickness)."""
+    (measure_thickness).  `margin` is how far the distance minima may lie
+    above the whole link's when it was measured modulo a symmetry (2 eps),
+    else 0; verify subtracts it from the clearance, and it is not
+    reported."""
 
     total_length: float
     min_inter_distance: float | None
@@ -125,9 +118,11 @@ class LinkMetrics:
     crossing_number: int | None = None
     length_per_crossing: float | None = None
     alpha: float | None = None
+    margin: float = 0.0
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+        return {k: getattr(self, k) for k in self.__dataclass_fields__
+                if k != "margin"}
 
 
 def _as_configuration(config) -> LinkConfiguration:
@@ -141,7 +136,177 @@ def _arc_window(radius: float) -> float:
     return np.pi * radius if np.isfinite(radius) else np.inf
 
 
-def _metrics(config, radii, min_inter, min_self, min_overall) -> LinkMetrics:
+class _Symmetry(NamedTuple):
+    """What a link's coordinates prove about its symmetry (see _symmetry)."""
+
+    classes: np.ndarray  # each component's class representative
+    reps: np.ndarray | None  # per segment: represents its orbit; None: no group
+    margin: float  # 2 eps when a symmetry is used, else 0
+
+
+def _symmetry(comps) -> _Symmetry:
+    """Congruence classes and rotation group of a link, from its coordinates.
+
+    eps is _SYMMETRY_EPS times the link's extent, the largest spread of its
+    vertices along an axis, so it does not depend on where the link sits.
+
+    The rotation group is the largest cyclic group of rotations about the z
+    axis whose generator maps every vertex v of every component within
+    eps / k of vertex v of another component, or of vertex v + shift
+    (cyclically) of the component itself; each of its k elements is then
+    within eps.  The orders tried are the divisors of the gcd of the sizes
+    of the groups of components with matching chords (see _chords), largest
+    first.  Each orbit of segments under the group is represented by its
+    lowest index.
+
+    Two components are congruent when they have the same vertex count and
+    closedness and an isometry, proper or improper, maps one within eps of
+    the other vertex for vertex in index order: the components of an orbit
+    of the group are, and the orbits' first components are registered
+    against each other.  A class is represented by its first member.
+
+    Every segment pair is within 2 eps of a congruent pair with a
+    representative segment, and every component within eps of its class
+    representative, so distance minima over those are within 2 eps of the
+    minima over the whole link."""
+    q = len(comps)
+    shapes = {}
+    for i, c in enumerate(comps):
+        shapes.setdefault((c.n_vertices, c.closed), []).append(i)
+    stacks = [(np.array(idx), np.stack([comps[i].vertices for i in idx]), closed)
+              for (_, closed), idx in shapes.items()]
+    # one row per axis: numpy reduces rows far faster than (N, 3) columns
+    axes = np.concatenate([v.reshape(-1, 3) for _, v, _ in stacks]).T.copy()
+    eps = _SYMMETRY_EPS * float(np.ptp(axes, axis=1).max())
+    chords = [_chords(v) for _, v, _ in stacks]
+    sizes = [np.bincount(_matching(ch, eps).argmax(axis=1)) for ch in chords]
+    sizes = np.concatenate(sizes)
+    group = _rotation_group(comps, stacks, int(np.gcd.reduce(sizes[sizes > 1],
+                                                             initial=0)), eps)
+    orbit, reps = group if group is not None else (np.arange(q), None)
+    classes = orbit.copy()
+    for (idx, v, _), ch in zip(stacks, chords):
+        heads = np.flatnonzero(orbit[idx] == idx)
+        if len(heads) > 1:
+            classes[idx[heads]] = idx[heads][_congruent(v[heads], ch[heads], eps)]
+    classes = classes[orbit]
+    used = reps is not None or (classes != np.arange(q)).any()
+    return _Symmetry(classes, reps, 2.0 * eps if used else 0.0)
+
+
+def _chords(v: np.ndarray) -> np.ndarray:
+    """Distances from the first vertex to eight vertices spread along each
+    component, for m components `v` (m, n, 3): invariants of an isometry
+    that maps vertex for vertex in index order, which a congruence within
+    eps moves by at most 2 eps."""
+    spread = np.arange(1, 9) * v.shape[1] // 9
+    return np.linalg.norm(v[:, spread] - v[:, :1], axis=2)
+
+
+def _matching(chords: np.ndarray, eps: float) -> np.ndarray:
+    """(m, m) mask of component pairs whose chords match within 4 eps (a
+    congruence within eps, plus rounding)."""
+    return (np.abs(chords[:, None] - chords[None]) <= 4.0 * eps).all(axis=2)
+
+
+def _congruent(v: np.ndarray, chords: np.ndarray, eps: float) -> np.ndarray:
+    """Index of each component's class representative among the m
+    components `v` (m, n, 3) of one vertex count.  Each representative in
+    turn registers, in one batch, the later components whose chords match
+    its own: the least-squares isometry of the two vertex sequences must
+    move every vertex within eps of its partner."""
+    n = v.shape[1]
+    x = v - (np.ones(n) @ v / n)[:, None]
+    match = _matching(chords, eps)
+    rep = np.arange(len(v))
+    pending = rep.copy()
+    while pending.size > 1:
+        root, rest = pending[0], pending[1:]
+        near = rest[match[root, rest]]
+        if near.size:
+            u, _, vt = np.linalg.svd(x[root].T @ x[near])
+            miss = x[root] @ (u @ vt) - x[near]
+            fits = np.einsum("rni,rni->rn", miss, miss).max(axis=1) <= eps * eps
+            rep[near[fits]] = root
+        pending = rest[rep[rest] == rest]
+    return rep
+
+
+def _rotation_group(comps, stacks, order: int, eps: float):
+    """(orbit, reps) of the largest group of rotations about z whose order
+    divides `order` (see _symmetry), or None when there is none: the first
+    component of each component's orbit, and the segment mask of orbit
+    representatives.  A segment represents its orbit when its component is
+    the first of its orbit and its index is below the gcd of the
+    component's segment count and the vertex shift by which the group maps
+    the component onto itself."""
+    q = len(comps)
+    nseg = [c.n_segments for c in comps]
+    for k in range(order, 1, -1):
+        if order % k:
+            continue
+        image, shift = _rotation_images(stacks, q, k, eps / k)
+        if image is None:
+            continue
+        orbit, limit = [-1] * q, [0] * q
+        for i in range(q):
+            if orbit[i] >= 0:
+                continue
+            cycle, total, j = [i], shift[i], image[i]
+            while j != i:
+                cycle.append(j)
+                total += shift[j]
+                j = image[j]
+            # the generator's k-th power must be the identity
+            if k % len(cycle) or total * (k // len(cycle)) % nseg[i]:
+                break
+            for j in cycle:
+                orbit[j] = i
+            limit[i] = math.gcd(total % nseg[i], nseg[i])
+        else:
+            counts = np.array(nseg)
+            local = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
+                                                        counts)
+            return np.array(orbit), local < np.repeat(limit, counts)
+    return None
+
+
+def _rotation_images(stacks, q: int, k: int, tol: float) -> tuple:
+    """(image, shift) lists: the component onto which the rotation by
+    2 pi / k about z maps each component, and the vertex shift (0 unless
+    the component is its own image), when it maps each vertex v within
+    `tol` of vertex v + shift; (None, None) when some component has no
+    such image.  The image of the first vertex is looked up among the first
+    vertices of the components of its vertex count, and among the
+    component's own vertices when none is near."""
+    c, s = math.cos(2.0 * math.pi / k), math.sin(2.0 * math.pi / k)
+    turn = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+    image = np.zeros(q, dtype=np.int64)
+    shift = np.zeros(q, dtype=np.int64)
+    for idx, v, closed in stacks:
+        m = len(idx)
+        heads = v[:, 0] @ turn
+        d0 = np.sum((heads[:, None] - v[None, :, 0]) ** 2, axis=2)
+        to = d0.argmin(axis=1)
+        target = v[to]
+        for a in np.flatnonzero(d0[np.arange(m), to] > tol * tol):
+            d = np.sum((v[a] - heads[a]) ** 2, axis=1)
+            by = int(d.argmin())
+            if d[by] > tol * tol or not closed:
+                return None, None
+            to[a], shift[idx[a]] = a, by
+            target[a] = np.roll(v[a], -by, axis=0)
+        miss = v @ turn - target
+        if np.einsum("mni,mni->mn", miss, miss).max() > tol * tol:
+            return None, None
+        image[idx] = idx[to]
+    if not np.array_equal(np.sort(image), np.arange(q)):
+        return None, None
+    return image.tolist(), shift.tolist()
+
+
+def _metrics(config, radii, min_inter, min_self, min_overall,
+             margin) -> LinkMetrics:
     """LinkMetrics from the measured distances and curvature radii."""
     total_length = config.total_length()
     rho = min(radii)
@@ -166,7 +331,34 @@ def _metrics(config, radii, min_inter, min_self, min_overall) -> LinkMetrics:
         crossing_number=crossings,
         length_per_crossing=lpc,
         alpha=alpha,
+        margin=margin,
     )
+
+
+def _curvature(comps, classes) -> tuple:
+    """(radii, windows): the minimal curvature radius of every component,
+    and each component's arc window.  A class representative's window comes
+    from the smallest radius in its class, so its self search admits every
+    pair that a member's own window would; the other members get inf, which
+    admits no self pair.  Representatives are measured one at a time
+    (min_curvature_radius), the other members of each vertex count and
+    closedness in one batch."""
+    q = len(comps)
+    first = classes == np.arange(q)
+    radii = np.empty(q)
+    for i in np.flatnonzero(first):
+        radii[i] = min_curvature_radius(comps[i])
+    members = {}
+    for i in np.flatnonzero(~first):
+        members.setdefault((comps[i].n_vertices, comps[i].closed), []).append(i)
+    for (_, closed), idx in members.items():
+        radii[idx] = min_curvature_radii(
+            np.stack([comps[i].vertices for i in idx]), closed)
+    smallest = radii.copy()
+    np.minimum.at(smallest, classes, radii)
+    windows = np.full(q, np.inf)
+    windows[first] = [_arc_window(r) for r in smallest[first]]
+    return radii, windows
 
 
 def measure_link(config) -> LinkMetrics:
@@ -175,49 +367,54 @@ def measure_link(config) -> LinkMetrics:
     Self distances exclude pairs closer along the curve than pi times the
     component's minimal curvature radius (with a floor of a few segments):
     such pairs describe local bending, already accounted for by the curvature
-    term, rather than genuine self contact.  With `config.orbits` (set by
-    the torus and planar constructors), self distance is measured on each
-    orbit's representative only; curvature radii are measured on every
-    component.  A component whose excluded arc covers half its length (a
-    circle, a torus core) has no admissible self pair and contributes inf
-    without a search.
+    term, rather than genuine self contact.  A component whose excluded arc
+    covers half its length (a circle, a torus core) has no admissible self
+    pair and contributes inf without a search.
+
+    The link is measured modulo the symmetry its coordinates prove
+    (`_symmetry`), built or read from a file alike: self distances once per
+    congruence class, on its first member; the inter-component distance
+    over the segment pairs with a representative of an orbit of the
+    rotation group.  Each distance minimum is exact over the pairs searched
+    and within 2 eps of the whole link's; `margin` is then 2 eps, which
+    verify's clearance verdicts must clear, and 0 for a link measured in
+    full.  Curvature radii are measured on every component.
     """
     config = _as_configuration(config)
     comps = config.components
-    radii = [min_curvature_radius(c) for c in comps]
-    orbits = config.orbits or (None,) * len(comps)
+    sym = _symmetry(comps)
+    radii, windows = _curvature(comps, sym.classes)
 
-    min_inter = mutual_min_distance(comps) if len(comps) > 1 else np.inf
+    min_inter = (mutual_min_distance(comps, reps=sym.reps) if len(comps) > 1
+                 else np.inf)
     min_self = np.inf
-    for i, (c, r) in enumerate(zip(comps, radii)):
-        if orbits[i] not in (None, i):
-            continue
+    reps = ([None] * len(comps) if sym.reps is None else
+            np.split(sym.reps, np.cumsum([c.n_segments for c in comps])[:-1]))
+    for i in np.flatnonzero(sym.classes == np.arange(len(comps))):
         min_self = min(
             min_self,
-            _certified_min(
-                [c], inter=False, intra=True,
-                arc_windows=np.array([_arc_window(r)]),
-            ),
+            _certified_min([comps[i]], inter=False, intra=True,
+                           arc_windows=windows[i:i + 1], reps=reps[i]),
         )
-    return _metrics(config, radii, min_inter, min_self, min(min_inter, min_self))
+    return _metrics(config, radii, min_inter, min_self,
+                    min(min_inter, min_self), sym.margin)
 
 
 def measure_thickness(config) -> LinkMetrics:
     """Measure a link for its thickness alone, in one certified distance pass.
 
-    Inter-component and self pairs (with measure_link's exclusions) are
-    searched together, so `min_overall_distance`, `thickness` and
+    Inter-component and self pairs are searched together, the same pairs
+    as measure_link searches, so `min_overall_distance`, `thickness` and
     `normalized_length` equal measure_link's bit for bit, while
     `min_inter_distance` and `min_self_distance` are None (not measured).
     """
     config = _as_configuration(config)
     comps = config.components
-    radii = [min_curvature_radius(c) for c in comps]
-    min_overall = _certified_min(
-        comps, inter=True, intra=True,
-        arc_windows=np.array([_arc_window(r) for r in radii]),
-    )
-    return _metrics(config, radii, None, None, min_overall)
+    sym = _symmetry(comps)
+    radii, windows = _curvature(comps, sym.classes)
+    min_overall = _certified_min(comps, inter=True, intra=True,
+                                 arc_windows=windows, reps=sym.reps)
+    return _metrics(config, radii, None, None, min_overall, sym.margin)
 
 
 def _expected_linking(config: LinkConfiguration) -> np.ndarray | None:
@@ -254,20 +451,22 @@ def verify(
     construction, and holds when |linking| equals its expected pattern entry
     for entry (the matrix is computed here when not given); it is also
     reported, as failed, whenever the linking is undefined.  "passed" is the
-    conjunction of the individual checks.
+    conjunction of the individual checks.  The clearance verdicts hold with
+    `metrics.margin` to spare: a link measured modulo a symmetry passes only
+    when a clearance 2 eps below the measured one would, which bounds the
+    clearance of the whole link.  The curvature radius is every
+    component's, so its verdict takes no margin.
     """
+    clearance = metrics.min_overall_distance - metrics.margin
     if absolute:
         checks = {
-            "min_distance_ok": bool(
-                metrics.min_overall_distance >= 2.0 - tolerance
-            ),
+            "min_distance_ok": bool(clearance >= 2.0 - tolerance),
             "curvature_ok": bool(metrics.min_curvature_radius >= 1.0 - tolerance),
         }
     else:
         checks = {
             "embeddable": bool(
-                metrics.min_overall_distance
-                > _TOUCH_FRACTION * metrics.total_length
+                clearance > _TOUCH_FRACTION * metrics.total_length
             )
         }
     config = _as_configuration(config)

@@ -179,6 +179,8 @@ def minimize_params(
     """
     if restarts < 1:
         raise ValueError(f"need restarts >= 1, got {restarts}")
+    if maxfev < 1:
+        raise ValueError(f"need maxfev >= 1, got {maxfev}")
     rng = np.random.default_rng(problem.seed)
     lo, hi = problem.param_bounds.T
     span = hi - lo

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import ropebound
-from ropebound import cli, construct, distances, helices
+from ropebound import cli, construct, distances, helices, measure
 from ropebound.bounds import lower_bound_report
 from ropebound.cli import main
 from ropebound.construct import (
@@ -22,7 +22,11 @@ from ropebound.construct import (
     build_optimal_spec,
     construction_report,
 )
-from ropebound.curves import rotation_about_axis, sample_planar_curve
+from ropebound.curves import (
+    PolyCurve,
+    rotation_about_axis,
+    sample_planar_curve,
+)
 from ropebound.helices import toroidal_correction
 from ropebound.io_formats import export_geometry
 
@@ -415,6 +419,86 @@ def test_build_no_check_and_planar_skip_linking(capsys, monkeypatch):
         capsys, ["build", "circles", "--q", "3", "--points", "200"])
     assert code == 0
     assert payload["verification"] == {"embeddable": True, "passed": True}
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--family", "gibbous", "--q", "3", "--maxfev", "-3"],
+    ["optimize", "--family", "gibbous", "--q", "3", "--maxfev", "0"],
+    ["build", "gibbous", "--q", "3", "--optimize", "--maxfev", "0"],
+])
+def test_an_empty_evaluation_budget_exits_2(capsys, argv):
+    assert _exit_code(argv + ["--points", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: need maxfev >= 1")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["inc4", "--t", "1", "--mirror"], "--mirror reflects the second copy"),
+    (["circles", "--q", "3", "--mirror"], "--mirror reflects the second copy"),
+    (["circles", "--q", "3", "--double"], "--double applies to torus"),
+    (["gibbous", "--q", "3", "--double", "--mirror"],
+     "--double applies to torus"),
+    (["inc4", "--t", "1", "--optimize"], "--optimize applies to planar"),
+    (["optimal", "--t", "1", "--double", "--optimize"],
+     "--optimize applies to planar"),
+])
+def test_build_rejects_flags_that_do_not_apply(capsys, argv, message):
+    # a flag the method would silently drop is a usage error, not a build
+    # whose report describes something else
+    assert _exit_code(["build", *argv, "--points", "50"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_check_searches_self_distance_once_per_class(capsys, monkeypatch,
+                                                     tmp_path):
+    # a VECT file declares no symmetry; its coordinates prove one, so the
+    # 13 components of inc4 T=2 (core, 4 and 8 helices) take 3 self searches
+    path = str(tmp_path / "inc4.vect")
+    assert main(["build", "inc4", "--t", "2", "--points", "200",
+                 "--out", path]) == 0
+    capsys.readouterr()
+    intra = []
+    certified_min = measure._certified_min
+
+    def counting(curves, **kwargs):
+        if not kwargs["inter"]:
+            intra.append(len(curves))
+        return certified_min(curves, **kwargs)
+
+    monkeypatch.setattr(measure, "_certified_min", counting)
+    code, payload = _run_json(capsys, ["check", path])
+    assert code == 0 and payload["components"] == 13
+    assert intra == [1, 1, 1]
+
+
+@pytest.mark.parametrize("nudge, passed", [(0.0, True), (0.1, False)])
+def test_check_judges_the_curvature_of_every_copy(capsys, tmp_path, nudge,
+                                                  passed):
+    # inc4 T=2 moved to x = 1e12, with one vertex of helix 3 of shell 2
+    # pushed `nudge` out of the torus: a move below 1e-12 of the
+    # coordinates, yet that helix now bends far tighter than its twin, the
+    # helix opposite it (component 7), and check must report its radius.
+    # The exit code is not asserted: at 1e12 the linking matrix of this file
+    # comes out undefined, which fails check whatever the curvature
+    spec = build_increment_spec(2, 4)
+    link = construct.realize_torus(spec, n_points=200, check=False)
+    comps = [c.vertices + (1e12, 0.0, 0.0) for c in link.components]
+    vertex = link.components[11].vertices[17]
+    centre = spec.major_radius * np.array([*vertex[:2], 0.0]) / np.hypot(
+        *vertex[:2])
+    comps[11][17] += nudge * (vertex - centre) / np.linalg.norm(vertex - centre)
+    path = str(tmp_path / "far.vect")
+    export_geometry(measure.LinkConfiguration([PolyCurve(v) for v in comps]),
+                    path=path)
+    _, payload = _run_json(capsys, ["check", path])
+    radius = payload["metrics"]["min_curvature_radius"]
+    assert payload["verification"]["curvature_ok"] is passed
+    assert (radius > 5.0) if passed else (radius < 0.7)
+    if not passed:
+        assert payload["verification"]["passed"] is False
 
 
 def test_optimize_family_guard():

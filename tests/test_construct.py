@@ -1,7 +1,6 @@
 """Torus and planar link constructions: specs, realizations, doubling."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,10 +21,12 @@ from ropebound.construct import (
     realize_torus,
     toroidal_pair,
 )
+from ropebound.curves import PolyCurve
 from ropebound.distances import mutual_min_distance
 from ropebound.helices import toroidal_correction
+from ropebound.io_formats import export_geometry, import_geometry
 from ropebound.linking import linking_matrix
-from ropebound.measure import measure_link, verify
+from ropebound.measure import LinkConfiguration, measure_link, verify
 
 RHO5 = 2.0 + 10.0 / math.sqrt(4.0 * math.pi ** 2 - 25.0)
 
@@ -200,22 +201,62 @@ def test_realize_rejects_wrong_linking(monkeypatch):
 
 
 def test_realized_orbits_map_each_shell_to_its_first_helix():
+    # the classes come from the coordinates: a shell's helices are rotations
+    # of its first one, and a doubled link's copy-2 components are
+    # isometric images of their copy-1 twins
     spec = build_increment_spec(2, 4)  # core, 4 helices, 8 helices
     single = realize_torus(spec, n_points=60, check=False)
-    assert single.orbits == (0,) + (1,) * 4 + (5,) * 8
-    assert donut_double(spec, n_points=60, check=False).orbits == single.orbits * 2
+    classes = (0,) + (1,) * 4 + (5,) * 8
+    assert tuple(measure._symmetry(single.components).classes) == classes
+    for mirror in (False, True):
+        doubled = donut_double(spec, mirror=mirror, n_points=60, check=False)
+        assert tuple(measure._symmetry(doubled.components).classes) == classes * 2
     optimal = build_optimal_spec(2)  # no core
     n1, n2 = optimal.counts.tolist()
-    assert realize_torus(optimal, n_points=60, check=False).orbits == (
-        (0,) * n1 + (n1,) * n2
-    )
-    # rigid motions and scaling keep a link's orbits
-    assert single.scaled(2.0).orbits == single.transformed(
-        np.eye(3), (1.0, 0.0, 0.0)).orbits == single.orbits
+    link = realize_torus(optimal, n_points=60, check=False)
+    assert tuple(measure._symmetry(link.components).classes) == (
+        (0,) * n1 + (n1,) * n2)
+    # rigid motions and scaling keep the classes
+    for moved in (single.scaled(2.0),
+                  single.transformed(np.eye(3), (1.0, 0.0, 0.0))):
+        assert tuple(measure._symmetry(moved.components).classes) == classes
     # a planar ring's loops are rotations of loop 0; the square stands alone
-    assert build_planar_link(4, "gibbous", n_points=60).orbits == (0,) * 4
-    assert build_planar_link(5, "hybrid_square", n_points=60).orbits == (
-        (0,) * 4 + (4,))
+    planar = build_planar_link(4, "gibbous", n_points=60)
+    assert tuple(measure._symmetry(planar.components).classes) == (0,) * 4
+    hybrid = build_planar_link(5, "hybrid_square", n_points=60)
+    assert tuple(measure._symmetry(hybrid.components).classes) == (0,) * 4 + (4,)
+
+
+def _representatives(link):
+    """Per component, the indices of its segments that represent their
+    orbits under the detected rotation group (all of them without one)."""
+    reps = measure._symmetry(link.components).reps
+    if reps is None:
+        return [list(range(c.n_segments)) for c in link.components]
+    ends = np.cumsum([c.n_segments for c in link.components])
+    return [np.flatnonzero(reps[end - c.n_segments:end]).tolist()
+            for c, end in zip(link.components, ends)]
+
+
+def test_rotation_groups_of_the_built_links():
+    # a ring of q loops: C_q, loop 0 represents every loop
+    assert _representatives(build_planar_link(20, "gibbous", n_points=200)) == (
+        [list(range(200))] + [[]] * 19)
+    # hybrid_square q=5: C4, which maps the square to itself shifted by 50
+    # vertices, so its first 50 segments represent the rest
+    assert _representatives(build_planar_link(5, "hybrid_square",
+                                              n_points=200)) == (
+        [list(range(200))] + [[]] * 3 + [list(range(50))])
+    # inc4 T=3: C4 (counts 4, 8, 12); the core is mapped to itself
+    inc4 = _representatives(_torus_link("inc4", 3, "single", n_points=400))
+    assert inc4[0] == list(range(100))
+    assert [len(r) for r in inc4[1:]] == (
+        [400] + [0] * 3 + [400] * 2 + [0] * 6 + [400] * 3 + [0] * 9)
+    # optimal T=2 (counts 5 and 8) and doubled links have no group
+    for link in (_torus_link("optimal", 2, "single"),
+                 _torus_link("inc4", 1, "double"),
+                 _torus_link("inc5", 1, "mirror")):
+        assert measure._symmetry(link.components).reps is None
 
 
 def _torus_link(method, t, variant, n_points=120):
@@ -225,6 +266,23 @@ def _torus_link(method, t, variant, n_points=120):
         return realize_torus(spec, n_points=n_points, check=False)
     return donut_double(spec, mirror=variant == "mirror", n_points=n_points,
                         check=False)
+
+
+def _brute_force(link):
+    """(inter, self, overall, rho): the distance minima over every component
+    and every segment pair, each component's self pairs under its own
+    bending window, and the smallest curvature radius of any component."""
+    comps = link.components
+    radii = [measure.min_curvature_radius(c) for c in comps]
+    windows = np.array([measure._arc_window(r) for r in radii])
+    inter = mutual_min_distance(comps)
+    self_ = min(
+        measure._certified_min([c], inter=False, intra=True,
+                               arc_windows=windows[i:i + 1])
+        for i, c in enumerate(comps))
+    overall = measure._certified_min(comps, inter=True, intra=True,
+                                     arc_windows=windows)
+    return inter, self_, overall, min(radii)
 
 
 # (method, T of a torus or q of a planar family, variant)
@@ -239,20 +297,40 @@ _ORBIT_LINKS = [
 
 @pytest.mark.parametrize("method, size, variant", _ORBIT_LINKS)
 def test_orbit_measurement_matches_the_full_path(method, size, variant):
-    # sampled copies are rotations up to rounding, so a copy's self minimum
-    # may differ from its representative's in the last bits only
+    # every link here has a symmetry, so its distance minima are measured
+    # on orbit representatives: within 2 eps (the margin; eps scales with
+    # the link's extent) of the brute force over every component, and equal
+    # to it at the 12 digits a report prints
     if variant == "planar":
         link = build_planar_link(size, method, n_points=200)
     else:
         link = _torus_link(method, size, variant)
-    by_orbit = measure_link(link)
-    full = measure_link(replace(link, orbits=None))
-    assert _sig12(by_orbit.as_dict()) == _sig12(full.as_dict())
-    assert by_orbit.min_self_distance == pytest.approx(
-        full.min_self_distance, rel=1e-12)
+    metrics = measure_link(link)
+    points = np.concatenate([c.vertices for c in link.components])
+    extent = np.ptp(points, axis=0).max()
+    assert metrics.margin == 2.0 * measure._SYMMETRY_EPS * extent
+    inter, self_, overall, rho = _brute_force(link)
+    measured = (metrics.min_inter_distance, metrics.min_self_distance,
+                metrics.min_overall_distance)
+    for value, reference in zip(measured, (inter, self_, overall)):
+        if reference == np.inf:
+            assert value == np.inf
+        else:
+            assert abs(value - reference) <= metrics.margin
+            assert _sig12(value) == _sig12(reference)
+    # the curvature radius is every component's, exactly; the thickness and
+    # normalized length it bounds follow the clearance within the margin
+    assert metrics.min_curvature_radius == rho
+    thickness = min(overall / 2.0, rho)
+    assert abs(metrics.thickness - thickness) <= metrics.margin / 2.0
+    normalized = metrics.total_length / thickness
+    assert abs(metrics.normalized_length - normalized) <= (
+        normalized * metrics.margin / thickness)
+    assert _sig12(metrics.normalized_length) == _sig12(normalized)
 
 
-def test_measure_link_searches_self_distance_once_per_orbit(monkeypatch):
+def _self_searches(monkeypatch) -> list:
+    """Record the component count of every self search measure_link runs."""
     intra = []
     certified_min = measure._certified_min
 
@@ -262,12 +340,70 @@ def test_measure_link_searches_self_distance_once_per_orbit(monkeypatch):
         return certified_min(curves, **kwargs)
 
     monkeypatch.setattr(measure, "_certified_min", counting)
+    return intra
+
+
+def test_measure_link_searches_self_distance_once_per_orbit(monkeypatch):
+    intra = _self_searches(monkeypatch)
     link = _torus_link("inc4", 2, "double", n_points=80)  # 26 components
     measure_link(link)
     assert intra == [1, 1, 1]  # core, shell 1, shell 2
-    intra.clear()
-    measure_link(replace(link, orbits=None))
-    assert len(intra) == 26
+
+
+def _inc4_file(tmp_path, edit=None):
+    """inc4 T=2 at 120 points read back from a VECT file, after
+    `edit(vertices)` changed its vertices (components concatenated)."""
+    link = _torus_link("inc4", 2, "single")
+    vertices = np.concatenate([c.vertices for c in link.components])
+    if edit is not None:
+        edit(vertices)
+    ends = np.cumsum([c.n_vertices for c in link.components])
+    edited = LinkConfiguration(
+        [PolyCurve(v) for v in np.split(vertices, ends[:-1])])
+    return import_geometry(export_geometry(edited, path=str(tmp_path / "t.vect")))
+
+
+def test_a_moved_vertex_breaks_the_symmetry_it_touches(tmp_path, monkeypatch):
+    # helix 2 of shell 1 (component 3) has one vertex moved by 1e-6: it is
+    # congruent to nothing, so it gets its own class and its own self
+    # search, and no rotation maps the link onto itself, so every inter
+    # pair is searched; the other helices keep their classes
+    def move(vertices):
+        vertices[3 * 120 + 17, 0] += 1e-6
+
+    link = _inc4_file(tmp_path, move)
+    sym = measure._symmetry(link.components)
+    assert sym.classes.tolist() == [0, 1, 1, 3, 1] + [5] * 8
+    assert sym.reps is None
+    intra = _self_searches(monkeypatch)
+    metrics = measure_link(link)
+    assert intra == [1] * 4  # core, shell 1, the moved helix, shell 2
+    monkeypatch.undo()
+    # the inter pass, and so the clearance it sets, is the brute force bit
+    # for bit, as is the curvature radius; the self minimum comes from the
+    # class representatives
+    inter, self_, overall, rho = _brute_force(link)
+    assert metrics.min_inter_distance == inter
+    assert metrics.min_curvature_radius == rho
+    assert metrics.min_overall_distance == overall == inter
+    assert abs(metrics.min_self_distance - self_) <= metrics.margin
+
+
+def test_shuffled_components_measure_the_same(tmp_path):
+    link = _inc4_file(tmp_path)
+    order = np.random.default_rng(7).permutation(link.n_components)
+    shuffled = LinkConfiguration([link.components[i] for i in order])
+    # the same classes and group, with other representatives: the minima
+    # agree within the margin, and at the 12 digits a report prints
+    sym = measure._symmetry(shuffled.components)
+    assert len(set(sym.classes.tolist())) == 3 and sym.reps is not None
+    a, b = measure_link(link), measure_link(shuffled)
+    assert a.margin == b.margin > 0
+    for key, value in a.as_dict().items():
+        other = getattr(b, key)
+        if isinstance(value, float) and np.isfinite(value):
+            assert abs(value - other) <= a.margin, key
+        assert _sig12(value) == _sig12(other), key
 
 
 def test_inflate_for_doubling():

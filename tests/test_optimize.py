@@ -154,6 +154,15 @@ def test_problem_validation():
                         restarts=0)
 
 
+@pytest.mark.parametrize("maxfev", [0, -3])
+def test_minimize_params_rejects_an_empty_budget(maxfev):
+    # an evaluation budget below 1 is an error, as a restart count below 1
+    # is, not a run that spends the initial simplex anyway
+    problem = OptimizationProblem("gibbous", q=3, n_points=50)
+    with pytest.raises(ValueError, match=f"need maxfev >= 1, got {maxfev}"):
+        minimize_params(problem, restarts=1, maxfev=maxfev)
+
+
 @pytest.mark.parametrize("family", ["circles", "gibbous", "hybrid_square"])
 def test_planar_defaults_are_the_optimizer_start(family):
     problem = OptimizationProblem(family, q=5, n_points=150)
