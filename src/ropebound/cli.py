@@ -136,6 +136,8 @@ def cmd_build(args) -> int:
             _usage(f"build {method}: requires --t (number of shells)")
         if args.optimize:
             _usage(f"build {method}: --optimize applies to planar families only")
+        if args.q is not None:
+            _usage(f"build {method}: --q applies to planar families only")
         if method == "optimal":
             spec = build_optimal_spec(args.t, args.count_mode)
         else:
@@ -156,6 +158,10 @@ def cmd_build(args) -> int:
             _usage(f"build {method}: requires --q (component count)")
         if args.double:
             _usage(f"build {method}: --double applies to torus methods only")
+        if args.t is not None:
+            _usage(f"build {method}: --t applies to torus methods only")
+        if args.p != 1:
+            _usage(f"build {method}: --p applies to torus methods only")
         params = None
         if args.optimize:
             problem = OptimizationProblem(
@@ -227,7 +233,7 @@ def cmd_optimize(args) -> int:
         "best_params": dict(zip(problem.param_names, result["best_params"])),
         "best_value": result["best_value"],
         "evaluations": result["evaluations"],
-        "alpha": result["best_value"] / (args.q * (args.q - 1)) ** 0.75,
+        "alpha": result["best_value"] / bound.crossing_number ** 0.75,
         "lower_bound": bound.best_bound,
         "value_over_bound": result["best_value"] / bound.best_bound,
     }
@@ -268,10 +274,10 @@ def _sweep_lines(method: str, ts: list) -> list:
         worst, best = alphas[:len(ts)], alphas[len(ts):]
     lines = []
     for t, q, a_best, a_worst in zip(ts, qs, best, worst):
-        q2 = 2 * q
-        c2 = q2 * (q2 - 1)
-        ratio = a_worst / (lower_bound_report(1, q2).best_bound / c2 ** 0.75)
-        lines.append(f"{t},{q2},{c2},{a_best:.12g},{a_worst:.12g},{ratio:.12g}")
+        bound = lower_bound_report(1, 2 * q)
+        ratio = a_worst / bound.alpha_best
+        lines.append(f"{t},{bound.q},{bound.crossing_number},{a_best:.12g},"
+                     f"{a_worst:.12g},{ratio:.12g}")
     return lines
 
 

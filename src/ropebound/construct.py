@@ -67,7 +67,6 @@ __all__ = [
     "build_optimal_spec",
     "increment_tori",
     "optimal_tori",
-    "analytic_length",
     "doubled_alphas",
     "construction_report",
     "realize_torus",
@@ -185,10 +184,6 @@ class TorusSpec:
     @property
     def outer_radius(self) -> float:
         return float(self.radii[-1]) if len(self.radii) else 0.0
-
-    @property
-    def hole_radius(self) -> float:
-        return self.major_radius - self.outer_radius
 
     @property
     def q(self) -> int:
@@ -319,24 +314,16 @@ def optimal_tori(ts, count_mode: str = "exact") -> TorusBatch:
                       has_core=False)
 
 
-def build_increment_spec(
-    t_shells: int,
-    increment: int = 4,
-    outer_count: int | None = None,
-) -> TorusSpec:
+def build_increment_spec(t_shells: int, increment: int = 4) -> TorusSpec:
     """Torus spec with a core and increment*i helices on shell i (radius 2i).
 
     The hole radius is the largest requirement of the rectangle rule
-    h = N r / sqrt(pi^2 r^2 - N^2) over all shells.  With full shells that is
-    the outer shell's (for increment 4 exactly h = N_outer / sqrt(pi^2 - 4),
-    i.e. hole circumference (2*pi/sqrt(pi^2-4)) * N_outer); a partly filled
-    outer shell (`outer_count` helices) may need less room than the full
-    shell inside it, which then sets the hole.  The spec is
+    h = N r / sqrt(pi^2 r^2 - N^2) over all shells: the outer shell's (for
+    increment 4 exactly h = N_outer / sqrt(pi^2 - 4), i.e. hole
+    circumference (2*pi/sqrt(pi^2-4)) * N_outer).  The spec is
     `increment_tori` of this one T.
     """
-    batch = increment_tori(
-        [t_shells], increment, None if outer_count is None else [outer_count]
-    )
+    batch = increment_tori([t_shells], increment)
     return TorusSpec(batch.radii, batch.counts, has_core=True,
                      major_radius=float(batch.majors[0]))
 
@@ -357,12 +344,17 @@ def build_optimal_spec(t_shells: int, count_mode: str = "exact") -> TorusSpec:
 
 
 def _lengths(batch: TorusBatch) -> np.ndarray:
-    """Analytic centerline length of every torus of a batch (see
-    analytic_length), with one _correction call over the distinct ratios
-    R0/r of the batch; equal ratios give equal factors, so this changes no
-    bit.  Each torus sums its terms in shell order after the core's, with
-    the same scalar operations as a loop over its shells: a sequential
-    accumulate along one zero-padded row per torus."""
+    """Analytic centerline length of every torus of a batch.
+
+    Each helix on shell radius r contributes 2*pi*sqrt(R0^2 + (p r)^2), the
+    length of the equivalent straight helix (one axial turn of rise 2*pi*R0
+    around a cylinder of circumference 2*pi*p*r), times the toroidal
+    correction at ratio R0/r.  The core adds 2*pi*R0.  One _correction call
+    covers the distinct ratios R0/r of the batch; equal ratios give equal
+    factors, so this changes no bit.  Each torus sums its terms in shell
+    order after the core's, with the same scalar operations as a loop over
+    its shells: a sequential accumulate along one zero-padded row per
+    torus."""
     owner = batch.owner
     r0 = batch.majors[owner]
     ratios, inverse = np.unique(r0 / batch.radii, return_inverse=True)
@@ -377,18 +369,6 @@ def _lengths(batch: TorusBatch) -> np.ndarray:
     starts = np.cumsum(batch.sizes) - batch.sizes
     table[owner, 1 + np.arange(len(owner)) - starts[owner]] = terms
     return np.add.accumulate(table, axis=1)[:, -1]
-
-
-def analytic_length(spec: TorusSpec) -> float:
-    """Analytic centerline length of one realized torus.
-
-    Each helix on shell radius r contributes 2*pi*sqrt(R0^2 + (p r)^2), the
-    length of the equivalent straight helix (one axial turn of rise 2*pi*R0
-    around a cylinder of circumference 2*pi*p*r), times the toroidal
-    correction at ratio R0/r.  The core adds 2*pi*R0.  This is the batch
-    formula that a sweep runs on a chunk of T values, on one spec.
-    """
-    return float(_lengths(TorusBatch.of(spec))[0])
 
 
 def _inflated(batch: TorusBatch) -> tuple:

@@ -8,7 +8,7 @@ radius 1, so two curve centerlines may not approach closer than 2). Curves are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,9 +71,6 @@ class PolyCurve:
     def length(self) -> float:
         return float(self.segment_lengths().sum())
 
-    def scaled(self, factor: float) -> "PolyCurve":
-        return PolyCurve(self.vertices * float(factor), self.closed)
-
     def transformed(self, rotation=None, translation=None) -> "PolyCurve":
         v = self.vertices
         if rotation is not None:
@@ -81,9 +78,6 @@ class PolyCurve:
         if translation is not None:
             v = v + np.asarray(translation, dtype=float)
         return PolyCurve(v, self.closed)
-
-    def reversed(self) -> "PolyCurve":
-        return PolyCurve(self.vertices[::-1].copy(), self.closed)
 
 
 def rotation_about_axis(axis, angle: float) -> np.ndarray:

@@ -263,11 +263,10 @@ _WRITERS = {"vect": _to_vect, "csv": _to_csv, "json": _to_json}
 _SUFFIXES = {".vect": "vect", ".csv": "csv", ".json": "json"}
 
 
-def export_geometry(link, fmt: str | None = None, path: str = "") -> str:
+def export_geometry(link: LinkConfiguration, fmt: str | None = None,
+                    path: str = "") -> str:
     """Write a configuration to `path` in the given format ("vect", "csv",
     or "json"; inferred from the suffix when omitted).  Returns the path."""
-    if not isinstance(link, LinkConfiguration):
-        link = LinkConfiguration(list(link))
     if fmt is None:
         fmt = _SUFFIXES.get(os.path.splitext(path)[1].lower())
         if fmt is None:

@@ -135,8 +135,7 @@ def linking_matrix(curves) -> np.ndarray | None:
     labels = np.repeat(np.arange(q), [c.n_segments for c in curves])
     p0 = np.concatenate([c.segment_starts() for c in curves]) @ _FRAME.T
     p1 = np.concatenate([c.segment_ends() for c in curves]) @ _FRAME.T
-    scale = float(np.abs(p0).max())
-    margin = _EPS * scale
+    margin = _EPS * float(np.ptp(p0, axis=0).max())
     lo = np.minimum(p0[:, :2], p1[:, :2]) - margin
     hi = np.maximum(p0[:, :2], p1[:, :2]) + margin
 

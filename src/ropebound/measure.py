@@ -82,22 +82,6 @@ class LinkConfiguration:
     def total_length(self) -> float:
         return float(sum(c.length() for c in self.components))
 
-    def scaled(self, factor: float) -> "LinkConfiguration":
-        return LinkConfiguration(
-            [c.scaled(factor) for c in self.components],
-            crossing_number=self.crossing_number,
-            description=self.description,
-            metadata=dict(self.metadata),
-        )
-
-    def transformed(self, rotation=None, translation=None) -> "LinkConfiguration":
-        return LinkConfiguration(
-            [c.transformed(rotation, translation) for c in self.components],
-            crossing_number=self.crossing_number,
-            description=self.description,
-            metadata=dict(self.metadata),
-        )
-
 
 @dataclass
 class LinkMetrics:
@@ -123,12 +107,6 @@ class LinkMetrics:
     def as_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__
                 if k != "margin"}
-
-
-def _as_configuration(config) -> LinkConfiguration:
-    if isinstance(config, LinkConfiguration):
-        return config
-    return LinkConfiguration(list(config))
 
 
 def _arc_window(radius: float) -> float:
@@ -361,8 +339,8 @@ def _curvature(comps, classes) -> tuple:
     return radii, windows
 
 
-def measure_link(config) -> LinkMetrics:
-    """Measure a LinkConfiguration (or plain list of PolyCurve components).
+def measure_link(config: LinkConfiguration) -> LinkMetrics:
+    """Measure a LinkConfiguration.
 
     Self distances exclude pairs closer along the curve than pi times the
     component's minimal curvature radius (with a floor of a few segments):
@@ -380,7 +358,6 @@ def measure_link(config) -> LinkMetrics:
     verify's clearance verdicts must clear, and 0 for a link measured in
     full.  Curvature radii are measured on every component.
     """
-    config = _as_configuration(config)
     comps = config.components
     sym = _symmetry(comps)
     radii, windows = _curvature(comps, sym.classes)
@@ -400,7 +377,7 @@ def measure_link(config) -> LinkMetrics:
                     min(min_inter, min_self), sym.margin)
 
 
-def measure_thickness(config) -> LinkMetrics:
+def measure_thickness(config: LinkConfiguration) -> LinkMetrics:
     """Measure a link for its thickness alone, in one certified distance pass.
 
     Inter-component and self pairs are searched together, the same pairs
@@ -408,7 +385,6 @@ def measure_thickness(config) -> LinkMetrics:
     `normalized_length` equal measure_link's bit for bit, while
     `min_inter_distance` and `min_self_distance` are None (not measured).
     """
-    config = _as_configuration(config)
     comps = config.components
     sym = _symmetry(comps)
     radii, windows = _curvature(comps, sym.classes)
@@ -433,7 +409,7 @@ def _expected_linking(config: LinkConfiguration) -> np.ndarray | None:
 
 
 def verify(
-    config,
+    config: LinkConfiguration,
     metrics: LinkMetrics,
     linking=_UNMEASURED,
     absolute: bool = True,
@@ -469,7 +445,6 @@ def verify(
                 clearance > _TOUCH_FRACTION * metrics.total_length
             )
         }
-    config = _as_configuration(config)
     pattern = _expected_linking(config)
     if pattern is not None and linking is _UNMEASURED:
         linking = linking_matrix(config.components)

@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-def normalized_ropelength(link) -> float:
+def normalized_ropelength(link: LinkConfiguration) -> float:
     """Normalized ropelength of a configuration; +inf for configurations
     that cannot be thickened (touching or intersecting components)."""
     try:

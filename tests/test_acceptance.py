@@ -37,7 +37,7 @@ from ropebound.helices import (
 )
 from ropebound.io_formats import export_geometry, import_geometry
 from ropebound.linking import linking_matrix
-from ropebound.measure import measure_link, verify
+from ropebound.measure import LinkConfiguration, measure_link, verify
 from ropebound.optimize import (
     OptimizationProblem,
     minimize_params,
@@ -395,10 +395,12 @@ def test_criterion_8_reproducibility(tmp_path, capsys):
     # Normalized ropelength is invariant under scaling and rigid motion.
     link = build_planar_link(3, "circles", n_points=300)
     base = normalized_ropelength(link)
-    rel = abs(normalized_ropelength(link.scaled(37.0)) / base - 1.0)
+    scaled = LinkConfiguration([PolyCurve(37.0 * c.vertices) for c in link.components])
+    rel = abs(normalized_ropelength(scaled) / base - 1.0)
     _record(results, "scale invariance", rel <= 1e-9, f"rel {rel:.2e}")
     rot = rotation_about_axis((0.3, -1.0, 0.7), 1.1)
-    moved = link.transformed(rot, (4.0, -2.0, 9.0))
+    moved = LinkConfiguration([c.transformed(rot, (4.0, -2.0, 9.0))
+                               for c in link.components])
     rel = abs(normalized_ropelength(moved) / base - 1.0)
     _record(results, "rigid invariance", rel <= 1e-9, f"rel {rel:.2e}")
 

@@ -18,9 +18,11 @@ from ropebound import cli, construct, distances, helices, measure
 from ropebound.bounds import lower_bound_report
 from ropebound.cli import main
 from ropebound.construct import (
+    TorusSpec,
     build_increment_spec,
     build_optimal_spec,
     construction_report,
+    increment_tori,
 )
 from ropebound.curves import (
     PolyCurve,
@@ -29,6 +31,7 @@ from ropebound.curves import (
 )
 from ropebound.helices import toroidal_correction
 from ropebound.io_formats import export_geometry
+from ropebound.measure import LinkConfiguration
 
 
 def _run_json(capsys, argv):
@@ -336,7 +339,7 @@ def test_check_fails_thin_geometry(capsys, tmp_path):
     rot = rotation_about_axis((1.0, 0.0, 0.0), 0.5 * math.pi)
     other = circle.transformed(rot, np.array([1.0, 0.0, 0.0]))
     path = tmp_path / "thin.vect"
-    export_geometry([circle, other], path=str(path))
+    export_geometry(LinkConfiguration([circle, other]), path=str(path))
     assert main(["check", str(path)]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["verification"]["passed"] is False
@@ -349,7 +352,7 @@ def test_check_of_intersecting_components_fails_verification(capsys, tmp_path):
     other = circle.transformed(rotation_about_axis((1.0, 0.0, 0.0), 0.5 * math.pi),
                                (0.0, 0.0, 0.0))
     path = tmp_path / "crossing.vect"
-    export_geometry([circle, other], path=str(path))
+    export_geometry(LinkConfiguration([circle, other]), path=str(path))
     assert main(["check", str(path)]) == 1
     captured = capsys.readouterr()
     payload = json.loads(captured.out)
@@ -442,6 +445,11 @@ def test_an_empty_evaluation_budget_exits_2(capsys, argv):
     (["inc4", "--t", "1", "--optimize"], "--optimize applies to planar"),
     (["optimal", "--t", "1", "--double", "--optimize"],
      "--optimize applies to planar"),
+    (["circles", "--q", "3", "--t", "4"], "--t applies to torus"),
+    (["inc4", "--t", "1", "--q", "7"], "--q applies to planar"),
+    (["optimal", "--t", "1", "--q", "7"], "--q applies to planar"),
+    (["circles", "--q", "3", "--p", "2"], "--p applies to torus"),
+    (["gibbous", "--q", "3", "--p", "0"], "--p applies to torus"),
 ])
 def test_build_rejects_flags_that_do_not_apply(capsys, argv, message):
     # a flag the method would silently drop is a usage error, not a build
@@ -481,8 +489,8 @@ def test_check_judges_the_curvature_of_every_copy(capsys, tmp_path, nudge,
     # pushed `nudge` out of the torus: a move below 1e-12 of the
     # coordinates, yet that helix now bends far tighter than its twin, the
     # helix opposite it (component 7), and check must report its radius.
-    # The exit code is not asserted: at 1e12 the linking matrix of this file
-    # comes out undefined, which fails check whatever the curvature
+    # The linking numbers stay defined far from the origin, so the
+    # curvature alone decides the exit code
     spec = build_increment_spec(2, 4)
     link = construct.realize_torus(spec, n_points=200, check=False)
     comps = [c.vertices + (1e12, 0.0, 0.0) for c in link.components]
@@ -493,12 +501,13 @@ def test_check_judges_the_curvature_of_every_copy(capsys, tmp_path, nudge,
     path = str(tmp_path / "far.vect")
     export_geometry(measure.LinkConfiguration([PolyCurve(v) for v in comps]),
                     path=path)
-    _, payload = _run_json(capsys, ["check", path])
+    code, payload = _run_json(capsys, ["check", path])
     radius = payload["metrics"]["min_curvature_radius"]
+    assert payload["linking_matrix"] is not None
     assert payload["verification"]["curvature_ok"] is passed
     assert (radius > 5.0) if passed else (radius < 0.7)
-    if not passed:
-        assert payload["verification"]["passed"] is False
+    assert code == (0 if passed else 1)
+    assert payload["verification"]["passed"] is passed
 
 
 def test_optimize_family_guard():
@@ -561,6 +570,14 @@ def test_sweep_csv_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _increment_spec(t, inc, n_outer):
+    """build_increment_spec(t, inc) with n_outer helices on its outer shell:
+    `increment_tori` of this one T."""
+    batch = increment_tori([t], inc, [n_outer])
+    return TorusSpec(batch.radii, batch.counts, has_core=True,
+                     major_radius=float(batch.majors[0]))
+
+
 def _one_spec_sweep_row(method, t):
     """A sweep row computed one spec at a time, from construction_report."""
     if method == "optimal":
@@ -568,7 +585,7 @@ def _one_spec_sweep_row(method, t):
     else:
         inc = int(method[3:])
         worst = build_increment_spec(t, inc)
-        best = build_increment_spec(t, inc, outer_count=inc * (t - 1)) if t > 1 else worst
+        best = _increment_spec(t, inc, inc * (t - 1)) if t > 1 else worst
     a_worst = construction_report(worst, doubled=True).alpha_predicted
     a_best = construction_report(best, doubled=True).alpha_predicted
     q2 = 2 * worst.q
@@ -606,7 +623,7 @@ def test_sweep_rows_equal_construction_reports(capsys, monkeypatch, method,
         if method == "optimal":
             spec = build_optimal_spec(t)
         else:
-            spec = build_increment_spec(t, int(method[3:]), outer_count=n_outer)
+            spec = _increment_spec(t, int(method[3:]), n_outer)
         assert alpha == construction_report(spec, doubled=True).alpha_predicted
     assert {t for t, _ in alphas} == set(range(1, 41))
     assert len(alphas) == (40 if method == "optimal" else 79)
@@ -669,7 +686,7 @@ def test_sweep_usage_errors():
 def test_export_and_import_summary(capsys, tmp_path):
     circle = sample_planar_curve("circle", {"radius": 2.0}, n_points=60)
     src = tmp_path / "one.vect"
-    export_geometry([circle], path=str(src))
+    export_geometry(LinkConfiguration([circle]), path=str(src))
     dst = tmp_path / "one.json"
     assert main(["export", str(src), "--out", str(dst)]) == 0
     capsys.readouterr()

@@ -11,12 +11,12 @@ from ropebound.construct import (
     FAMILIES,
     OverlapError,
     TorusSpec,
-    analytic_length,
     build_increment_spec,
     build_optimal_spec,
     build_planar_link,
     construction_report,
     donut_double,
+    increment_tori,
     limiting_alpha,
     realize_torus,
     toroidal_pair,
@@ -40,7 +40,6 @@ def test_spec_counts_and_crossings():
     assert spec.crossing_number() == 20
     assert spec.crossing_number(doubled=True) == 2 * 20 + 2 * 25
     assert spec.outer_radius == 2.0
-    assert spec.hole_radius == 2.0
 
 
 # (positional arguments, keywords, expected message): one row per rejection
@@ -98,8 +97,8 @@ def test_increment_spec_geometry():
     s1 = build_increment_spec(1, 4)
     assert s1.counts.tolist() == [4]
     assert s1.has_core and s1.q == 5
-    assert s1.hole_radius == pytest.approx(4.0 / math.sqrt(math.pi ** 2 - 4.0),
-                                           rel=1e-12)
+    assert s1.major_radius - s1.outer_radius == pytest.approx(
+        4.0 / math.sqrt(math.pi ** 2 - 4.0), rel=1e-12)
     assert s1.major_radius == pytest.approx(3.6510323220553653, rel=1e-12)
     s2 = build_increment_spec(2, 4)
     assert s2.counts.tolist() == [4, 8]
@@ -113,20 +112,21 @@ def test_increment_spec_geometry():
 def test_increment_spec_outer_count():
     # a nearly empty outer shell needs less room than the full inner shell,
     # whose requirement then sets the hole
-    spec = build_increment_spec(2, 4, outer_count=1)
-    assert spec.counts.tolist() == [4, 1]
-    assert spec.hole_radius == pytest.approx(1.6510323220553653, rel=1e-12)
+    batch = increment_tori([2], 4, [1])
+    assert batch.counts.tolist() == [4, 1]
+    assert batch.majors[0] - batch.outer_radii[0] == pytest.approx(
+        1.6510323220553653, rel=1e-12)
     with pytest.raises(ValueError):
         build_increment_spec(0, 4)
     with pytest.raises(ValueError):
-        build_increment_spec(2, 4, outer_count=0)
+        increment_tori([2], 4, [0])
 
 
 def test_optimal_spec_counts():
     o1 = build_optimal_spec(1)
     assert o1.counts.tolist() == [4]
     assert not o1.has_core
-    assert o1.major_radius == 4.0 and o1.hole_radius == 2.0
+    assert o1.major_radius == 4.0 and o1.outer_radius == 2.0
     assert build_optimal_spec(2).counts.tolist() == [5, 8]
     assert build_optimal_spec(3).counts.tolist() == [5, 10, 13]
     # the safety-decrement estimate is never above the exact count
@@ -143,8 +143,9 @@ def test_analytic_length_matches_direct_formula():
     plain = 2 * math.pi * r0 + 4 * 2 * math.pi * math.hypot(r0, 2.0)
     corrected = 2 * math.pi * r0 + 4 * 2 * math.pi * math.hypot(r0, 2.0) * \
         toroidal_correction(r0 / 2.0, 1)
-    assert analytic_length(spec) == pytest.approx(corrected, rel=1e-12)
-    assert analytic_length(spec) > plain
+    length = construction_report(spec).predicted_length
+    assert length == pytest.approx(corrected, rel=1e-12)
+    assert length > plain
 
 
 def test_construction_report_single_and_doubled():
@@ -217,9 +218,9 @@ def test_realized_orbits_map_each_shell_to_its_first_helix():
     assert tuple(measure._symmetry(link.components).classes) == (
         (0,) * n1 + (n1,) * n2)
     # rigid motions and scaling keep the classes
-    for moved in (single.scaled(2.0),
-                  single.transformed(np.eye(3), (1.0, 0.0, 0.0))):
-        assert tuple(measure._symmetry(moved.components).classes) == classes
+    for rotation, shift in ((2.0 * np.eye(3), None), (np.eye(3), (1.0, 0.0, 0.0))):
+        moved = [c.transformed(rotation, shift) for c in single.components]
+        assert tuple(measure._symmetry(moved).classes) == classes
     # a planar ring's loops are rotations of loop 0; the square stands alone
     planar = build_planar_link(4, "gibbous", n_points=60)
     assert tuple(measure._symmetry(planar.components).classes) == (0,) * 4

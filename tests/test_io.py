@@ -129,12 +129,6 @@ def test_format_inference_and_overrides(tmp_path):
     assert back.crossing_number == 2
 
 
-def test_export_accepts_plain_curve_list(tmp_path):
-    curves = _hopf(30).components
-    path = export_geometry(list(curves), path=str(tmp_path / "plain.vect"))
-    assert import_geometry(path).n_components == 2
-
-
 def _expect_error(tmp_path, name, text, fragment):
     path = tmp_path / name
     path.write_text(text)

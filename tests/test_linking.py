@@ -51,7 +51,7 @@ def test_unlinked_circles_link_zero():
 
 def test_reversing_one_curve_flips_the_sign():
     a, b = _hopf_pair()
-    assert _lk(a, b.reversed()) == -_lk(a, b)
+    assert _lk(a, PolyCurve(b.vertices[::-1])) == -_lk(a, b)
 
 
 def test_symmetry_in_the_arguments():
@@ -64,6 +64,15 @@ def test_rigid_motion_invariance():
     rot = rotation_about_axis((1.0, -2.0, 0.5), 1.234)
     shift = (3.0, -7.0, 2.0)
     assert _lk(a.transformed(rot, shift), b.transformed(rot, shift)) == _lk(a, b)
+
+
+@pytest.mark.parametrize("x", [1e6, 1e9, 1e12])
+def test_distance_from_the_origin_keeps_the_matrix(x):
+    # the touching margin scales with the link's extent, not with its
+    # largest coordinate: far out, crossings still count as crossings
+    link = realize_torus(build_increment_spec(2, 4), n_points=200, check=False)
+    moved = [c.transformed(None, (x, 0.0, 0.0)) for c in link.components]
+    assert np.array_equal(linking_matrix(moved), linking_matrix(link.components))
 
 
 def test_torus_helices_link_by_winding():

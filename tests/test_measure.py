@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ropebound.curves import rotation_about_axis, sample_planar_curve
+from ropebound.curves import PolyCurve, rotation_about_axis, sample_planar_curve
 from ropebound.measure import (
     LinkConfiguration,
     LinkMetrics,
@@ -51,7 +51,8 @@ def test_metrics_fields_are_consistent():
 def test_scale_invariance_of_normalized_length():
     base = _tight_hopf(n=600)
     m0 = measure_link(base)
-    m3 = measure_link(base.scaled(3.0))
+    m3 = measure_link(LinkConfiguration(
+        [PolyCurve(3.0 * c.vertices) for c in base.components]))
     assert m3.normalized_length == pytest.approx(m0.normalized_length, rel=1e-9)
     assert m3.total_length == pytest.approx(3.0 * m0.total_length, rel=1e-12)
 
@@ -59,7 +60,8 @@ def test_scale_invariance_of_normalized_length():
 def test_rigid_motion_invariance_of_normalized_length():
     base = _tight_hopf(n=600)
     rot = rotation_about_axis((2.0, 1.0, -1.0), 0.9)
-    moved = base.transformed(rot, (5.0, -4.0, 3.0))
+    moved = LinkConfiguration(
+        [c.transformed(rot, (5.0, -4.0, 3.0)) for c in base.components])
     assert measure_link(moved).normalized_length == pytest.approx(
         measure_link(base).normalized_length, rel=1e-9
     )
@@ -68,7 +70,7 @@ def test_rigid_motion_invariance_of_normalized_length():
 def test_single_circle_normalized_by_curvature():
     # one loop has no admissible self pairs: thickness is the curvature radius
     c = sample_planar_curve("circle", {"radius": 2.0}, n_points=1000)
-    m = measure_link([c])
+    m = measure_link(LinkConfiguration([c]))
     assert not np.isfinite(m.min_inter_distance)
     assert not np.isfinite(m.min_self_distance)
     assert m.thickness == pytest.approx(2.0, abs=1e-8)
@@ -83,20 +85,10 @@ def test_self_distance_governs_a_pinched_loop():
     x = 10.0 * np.cos(t)
     y = 2.0 * np.sin(t) * np.abs(np.sin(0.5 * t)) + 0.25 * np.sin(t)
     z = 0.05 * np.sin(2 * t)
-    from ropebound.curves import PolyCurve
-
     loop = PolyCurve(np.column_stack((x, y, z)))
-    m = measure_link([loop])
+    m = measure_link(LinkConfiguration([loop]))
     assert np.isfinite(m.min_self_distance)
     assert m.min_overall_distance == m.min_self_distance
-
-
-def test_plain_component_lists_are_accepted():
-    a = sample_planar_curve("circle", {"radius": 2.0}, n_points=200)
-    b = a.transformed(None, (10.0, 0.0, 0.0))
-    m = measure_link([a, b])
-    assert m.min_inter_distance == pytest.approx(6.0, abs=1e-3)
-    assert m.crossing_number is None
 
 
 def _metrics(distance, radius, length=10.0):
@@ -240,4 +232,4 @@ def test_orbits_are_validated(orbits, message):
     with pytest.raises(TypeError):
         LinkConfiguration(comps, orbits=orbits)
     claimed = LinkConfiguration(comps, metadata={"orbits": list(orbits)})
-    assert measure_link(claimed) == measure_link(comps), message
+    assert measure_link(claimed) == measure_link(LinkConfiguration(comps)), message

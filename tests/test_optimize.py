@@ -13,7 +13,12 @@ from ropebound.construct import (
     toroidal_pair,
 )
 from ropebound.curves import PolyCurve, sample_planar_curve
-from ropebound.measure import measure_link, measure_thickness, verify
+from ropebound.measure import (
+    LinkConfiguration,
+    measure_link,
+    measure_thickness,
+    verify,
+)
 from ropebound.optimize import (
     OptimizationProblem,
     minimize_params,
@@ -52,12 +57,13 @@ def test_normalized_ropelength_scale_invariant():
                              n_points=200)
     base = normalized_ropelength(link)
     assert np.isfinite(base)
-    assert normalized_ropelength(link.scaled(3.0)) == pytest.approx(base, rel=1e-9)
+    scaled = LinkConfiguration([PolyCurve(3.0 * c.vertices) for c in link.components])
+    assert normalized_ropelength(scaled) == pytest.approx(base, rel=1e-9)
 
 
 def test_normalized_ropelength_infeasible_is_inf():
     circle = sample_planar_curve("circle", {"radius": 2.0}, n_points=100)
-    assert normalized_ropelength([circle, circle]) == np.inf
+    assert normalized_ropelength(LinkConfiguration([circle, circle])) == np.inf
 
 
 def _jittered(family, q, seed):
@@ -79,16 +85,19 @@ def _single_pass_cases():
     cases["toroidal_pair"] = toroidal_pair(6.4, 6.44, 0.0, 2.2, n_points=200)
     cases["inc4 torus"] = realize_torus(build_increment_spec(1, 4), n_points=200,
                                         check=False)
-    cases["crossing loops"] = [circle, circle.transformed(None, (1.0, 0.0, 0.0))]
-    cases["lone circle"] = [circle]  # its arc window excludes every self pair
+    cases["crossing loops"] = LinkConfiguration(
+        [circle, circle.transformed(None, (1.0, 0.0, 0.0))])
+    # its arc window excludes every self pair
+    cases["lone circle"] = LinkConfiguration([circle])
     t = np.linspace(0, 2 * math.pi, 600, endpoint=False)
     pinched = PolyCurve(np.column_stack((
         10.0 * np.cos(t),
         2.0 * np.sin(t) * np.abs(np.sin(0.5 * t)) + 0.25 * np.sin(t),
         0.05 * np.sin(2 * t),
     )))
-    cases["pinched loop beside a circle"] = [pinched, circle.transformed(
-        None, (0.0, 0.0, 8.0))]  # its self distance sets the thickness
+    # its self distance sets the thickness
+    cases["pinched loop beside a circle"] = LinkConfiguration(
+        [pinched, circle.transformed(None, (0.0, 0.0, 8.0))])
     return cases
 
 
@@ -132,8 +141,14 @@ def test_programming_errors_are_not_infeasible(monkeypatch):
     monkeypatch.setattr(OptimizationProblem, "build", broken_build)
     with pytest.raises(TypeError, match="broken build"):
         problem.objective(problem.initial_params)
-    with pytest.raises(TypeError):
-        normalized_ropelength(["not a curve"])
+
+    def broken_measure(*_args, **_kwargs):
+        raise TypeError("broken measure")
+
+    monkeypatch.setattr(optimize, "measure_thickness", broken_measure)
+    link = build_planar_link(3, "circles", n_points=60)
+    with pytest.raises(TypeError, match="broken measure"):
+        normalized_ropelength(link)
 
 
 def test_geometry_errors_are_infeasible(monkeypatch):
