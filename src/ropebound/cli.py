@@ -126,18 +126,37 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+# The flags that only one kind of build takes, with the end of the usage
+# error that any other build gets.
+_BUILD_KIND_FLAGS = {
+    "torus": (("t", "p", "double"), "applies to torus methods only"),
+    "optimal": (("count_mode",), "applies to the optimal method only"),
+    "planar": (("q", "optimize"), "applies to planar families only"),
+    "double": (("mirror",), "reflects the second copy, so it needs --double"),
+    "optimize": (("restarts", "maxfev"), "tunes --optimize, so it needs it"),
+}
+
+
+def _check_build_flags(args, defaults):
+    """Usage error for a flag that differs from its value in `defaults`
+    (what `build METHOD` alone parses to, --config defaults included) on a
+    build whose kinds do not take it: its method, "torus" or "planar", and
+    "double" or "optimize" when that flag is set."""
+    m = args.method
+    kinds = {m, "torus" if m in TORUS_METHODS else "planar",
+             *(k for k in ("double", "optimize") if getattr(args, k))}
+    for kind, (dests, reason) in _BUILD_KIND_FLAGS.items():
+        for dest in dests:
+            if kind not in kinds and getattr(args, dest) != getattr(defaults, dest):
+                _usage(f"build {m}: --{dest.replace('_', '-')} {reason}")
+
+
 def cmd_build(args) -> int:
     method = args.method
     payload = {"run": _run_header(args)}
-    if args.mirror and not args.double:
-        _usage("build: --mirror reflects the second copy, so it needs --double")
     if method in TORUS_METHODS:
         if args.t is None:
             _usage(f"build {method}: requires --t (number of shells)")
-        if args.optimize:
-            _usage(f"build {method}: --optimize applies to planar families only")
-        if args.q is not None:
-            _usage(f"build {method}: --q applies to planar families only")
         if method == "optimal":
             spec = build_optimal_spec(args.t, args.count_mode)
         else:
@@ -153,15 +172,9 @@ def cmd_build(args) -> int:
         else:
             link = realize_torus(spec, n_points=args.points, check=False)
         absolute = True
-    elif method in PLANAR_FAMILIES:
+    else:
         if args.q is None:
             _usage(f"build {method}: requires --q (component count)")
-        if args.double:
-            _usage(f"build {method}: --double applies to torus methods only")
-        if args.t is not None:
-            _usage(f"build {method}: --t applies to torus methods only")
-        if args.p != 1:
-            _usage(f"build {method}: --p applies to torus methods only")
         params = None
         if args.optimize:
             problem = OptimizationProblem(
@@ -178,8 +191,6 @@ def cmd_build(args) -> int:
             }
         link = build_planar_link(args.q, method, params, n_points=args.points)
         absolute = False
-    else:
-        _usage(f"unknown build method {method!r}")
 
     metrics = measure_link(link)
     payload["metrics"] = metrics.as_dict()
@@ -486,6 +497,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     if not math.isfinite(args.tolerance):
         _usage(f"--tolerance must be finite, got {args.tolerance}")
+    if args.subcommand == "build":
+        _check_build_flags(args, parser.parse_args(["build", args.method]))
     try:
         return args.func(args)
     except (ValueError, FormatError, OSError) as exc:

@@ -1,24 +1,27 @@
-"""Minimum distances between polygonal curves.
+"""Minimum distances of polygonal curves; the package's one near-pair search.
 
-Candidate segment pairs come from one KD-tree ball query over segment
-midpoints with radius max(segment length) + query radius, which is
-guaranteed to contain every segment pair closer than the query radius.  The
-query radius is a sampled upper bound: the closest admissible pair among a
-hundred-odd segments spread evenly along the components (at most 32 per
-component when only self pairs count), which on planar rings lies within a
-small factor of the true minimum and keeps the candidate set small.  Being
-an admissible pair's distance, it is always certified by that one search;
-when no sampled pair is admissible, the search runs at the scene diameter
-and sees every pair.  When no pair can be admissible at all (a single
-component whose arc window covers half its length, such as a circle under
-its bending window), there is no search.
-A search may be restricted to the pairs with at least one segment among
-given representatives (`measure` passes the representatives of the orbits
-of a link's rotation group): the ball query then runs from those segments
-only, and the sampled bound counts only such pairs.
-Results are exactly those of the brute-force scan over the pairs searched:
-both routes use the same segment-pair kernel with the lower segment index
-first, and the candidate set always contains the optimal pair.
+`_candidate_pairs` is one KD-tree query for every pair of points within a
+reach, which each caller (this module and `linking`) sizes to hold every
+pair it needs.  Here the points are segment midpoints and the reach is
+max(segment length) + query radius, which holds every segment pair closer
+than the query radius.
+
+The query radius is a sampled upper bound: the closest admissible pair
+among a hundred-odd segments spread evenly along the components (at most 32
+per component when only self pairs count), which on planar rings lies
+within a small factor of the true minimum and keeps the candidate set
+small.  Being an admissible pair's distance, it is certified by that one
+search; when no sampled pair is admissible, the search runs at the scene
+diameter and sees every pair.  When no pair can be admissible at all (a
+single component whose arc window covers half its length, such as a circle
+under its bending window), there is no search.  A search may be restricted
+to the pairs with at least one segment among given representatives
+(`measure` passes the representatives of the orbits of a link's rotation
+group): the query then runs from those segments only, and the sampled bound
+counts only such pairs.  Results are exactly those of the brute-force scan
+over the pairs searched: both routes use the same segment-pair kernel with
+the lower segment index first, and the candidate set always contains the
+optimal pair.
 """
 
 from __future__ import annotations
@@ -122,30 +125,27 @@ _BOUND_SAMPLES = 128
 _SELF_SAMPLES = 32
 
 
-def _candidate_pairs(soup: _SegmentSoup, reach: float):
-    """All segment index pairs (i < j) whose midpoints lie within `reach` of
-    each other, from one KD-tree query over the midpoints; with `soup.reps`,
-    the query runs from the marked segments and keeps the pairs with one.
-    Two segments at distance r have midpoints at most r + max_seg apart, so
-    a ball of radius max_seg + r holds every pair closer than r; the
-    relative 1e-12 covers rounding in the midpoint distances.
-    scipy.spatial is imported here, so commands that never search distances
-    (sweep, correction, bounds) do not pay for it."""
+def _candidate_pairs(points, reach: float, marked=None):
+    """All index pairs (i < j) of `points` (rows, any dimension) that lie
+    within `reach` of each other, from one KD-tree query; with `marked`, a
+    mask over the points, the query runs from the marked points and keeps
+    the pairs with one.  The relative 1e-12 covers rounding in the point
+    distances.  scipy.spatial is imported here, so commands that never
+    search (sweep, correction, bounds) do not pay for it."""
     from scipy.spatial import cKDTree
 
     reach = reach * (1.0 + 1e-12)
-    tree = cKDTree(soup.mids)
-    reps = soup.reps
-    if reps is None:
+    tree = cKDTree(points)
+    if marked is None:
         pairs = tree.query_pairs(reach, output_type="ndarray")
         return pairs[:, 0], pairs[:, 1]
-    marked = np.flatnonzero(reps)
-    found = cKDTree(soup.mids[marked]).sparse_distance_matrix(
+    rows = np.flatnonzero(marked)
+    found = cKDTree(points[rows]).sparse_distance_matrix(
         tree, reach, output_type="ndarray"
     )
-    i, j = marked[found["i"]], found["j"]
-    # a pair of two marked segments is found from both ends: keep it once
-    keep = (i < j) | ((i > j) & ~reps[j])
+    i, j = rows[found["i"]], found["j"]
+    # a pair of two marked points is found from both ends: keep it once
+    keep = (i < j) | ((i > j) & ~marked[j])
     i, j = i[keep], j[keep]
     return np.minimum(i, j), np.maximum(i, j)
 
@@ -246,7 +246,7 @@ def _certified_min(curves, inter, intra, arc_windows, reps=None) -> float:
         return np.inf
     start = _sampled_bound(soup, inter, intra, arc_windows)
     radius = _widened(start) if np.isfinite(start) else soup.scene_diameter()
-    ia, ib = _candidate_pairs(soup, soup.max_seg + radius)
+    ia, ib = _candidate_pairs(soup.mids, soup.max_seg + radius, soup.reps)
     return _admissible_min(soup, ia, ib, inter, intra, arc_windows)
 
 

@@ -3,9 +3,10 @@
 `linking_matrix` counts projected crossings (Qu & James, "Fast Linking
 Numbers for Topology Verification of Loopy Structures", ACM TOG 40(4), 2021).
 Every segment of every component is projected along one fixed direction
-that is not axis-aligned; a single sort-and-sweep over the projected
-bounding boxes yields the candidate segment pairs of different components;
-each candidate that crosses in the projection contributes the sign of its
+that is not axis-aligned.  The candidates are the segment pairs of different
+components whose projected bounding boxes overlap, found by the package's
+one near-pair search, `distances._candidate_pairs` (`_overlapping_boxes`).
+Each candidate that crosses in the projection contributes the sign of its
 crossing, and half the signed count between two components is their linking
 number, an exact integer with no tolerance involved.
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .curves import PolyCurve
+from .distances import _candidate_pairs
 
 __all__ = ["linking_matrix"]
 
@@ -80,13 +82,10 @@ def _gauss_linking_number(a: PolyCurve, b: PolyCurve) -> int | None:
     e1 = a.segment_ends()
     s2 = b.segment_starts()
     e2 = b.segment_ends()
-    n1, n2 = len(s1), len(s2)
+    n = len(s1) * len(s2)
     total = 0.0
-    ii, jj = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
-    ii, jj = ii.ravel(), jj.ravel()
-    for k in range(0, ii.size, _CHUNK):
-        i = ii[k : k + _CHUNK]
-        j = jj[k : k + _CHUNK]
+    for k in range(0, n, _CHUNK):
+        i, j = np.divmod(np.arange(k, min(k + _CHUNK, n)), len(s2))
         va = s1[i] - s2[j]
         vb = s1[i] - e2[j]
         vc = e1[i] - e2[j]
@@ -97,26 +96,17 @@ def _gauss_linking_number(a: PolyCurve, b: PolyCurve) -> int | None:
     return int(nearest) if abs(value - nearest) <= _GAUSS_TOL else None
 
 
-def _candidate_pairs(lo, hi):
-    """Index pairs (i, j) whose boxes [lo, hi] overlap in x, in batches of
-    about _CHUNK: one sort by the lower x bound, then for each box the run
-    of later boxes that start before it ends."""
-    order = np.argsort(lo[:, 0], kind="stable")
-    starts = lo[order, 0]
-    stop = np.searchsorted(starts, hi[order, 0], side="right")
-    counts = np.maximum(stop - np.arange(len(order)) - 1, 0)
-    ends = np.cumsum(counts)
-    first = 0
-    while first < len(order):
-        last = int(np.searchsorted(ends, ends[first] - counts[first] + _CHUNK,
-                                   side="right"))
-        last = max(last, first + 1)
-        n = counts[first:last]
-        if n.sum():
-            rows = np.repeat(np.arange(first, last), n)
-            offsets = np.arange(rows.size) - np.repeat(np.cumsum(n) - n, n)
-            yield order[rows], order[rows + 1 + offsets]
-        first = last
+def _overlapping_boxes(lo, hi, labels):
+    """Index pairs (i < j) of different labels whose boxes [lo, hi] overlap
+    on both axes, found among the centres within the largest diagonal (at
+    least any two half-diagonals; the pad covers rounding far out)."""
+    centres = 0.5 * (lo + hi)
+    pad = 4.0 * np.spacing(np.abs(centres).max())
+    a, b = _candidate_pairs(centres, np.hypot(*(hi - lo).T).max() + pad)
+    keep = labels[a] != labels[b]
+    for lo_k, hi_k in zip(lo.T, hi.T):
+        keep &= (lo_k[a] <= hi_k[b]) & (lo_k[b] <= hi_k[a])
+    return a[keep], b[keep]
 
 
 def linking_matrix(curves) -> np.ndarray | None:
@@ -139,15 +129,11 @@ def linking_matrix(curves) -> np.ndarray | None:
     lo = np.minimum(p0[:, :2], p1[:, :2]) - margin
     hi = np.maximum(p0[:, :2], p1[:, :2]) + margin
 
+    pairs_a, pairs_b = _overlapping_boxes(lo, hi, labels)
     signs = np.zeros((q, q), dtype=int)
     degenerate = np.zeros((q, q), dtype=bool)
-    for a, b in _candidate_pairs(lo, hi):
-        keep = (
-            (labels[a] != labels[b])
-            & (lo[a, 1] <= hi[b, 1])
-            & (lo[b, 1] <= hi[a, 1])
-        )
-        a, b = a[keep], b[keep]
+    for k in range(0, pairs_a.size, _CHUNK):
+        a, b = pairs_a[k : k + _CHUNK], pairs_b[k : k + _CHUNK]
         r = p1[a] - p0[a]
         s = p1[b] - p0[b]
         w = p0[b] - p0[a]

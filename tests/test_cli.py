@@ -450,6 +450,14 @@ def test_an_empty_evaluation_budget_exits_2(capsys, argv):
     (["optimal", "--t", "1", "--q", "7"], "--q applies to planar"),
     (["circles", "--q", "3", "--p", "2"], "--p applies to torus"),
     (["gibbous", "--q", "3", "--p", "0"], "--p applies to torus"),
+    (["inc4", "--t", "1", "--restarts", "3"], "--restarts tunes --optimize"),
+    (["inc4", "--t", "1", "--count-mode", "approx"],
+     "--count-mode applies to the optimal method"),
+    (["inc5", "--t", "1", "--double", "--count-mode", "approx"],
+     "--count-mode applies to the optimal method"),
+    (["circles", "--q", "3", "--maxfev", "7"], "--maxfev tunes --optimize"),
+    (["gibbous", "--q", "3", "--count-mode", "approx"],
+     "--count-mode applies to the optimal method"),
 ])
 def test_build_rejects_flags_that_do_not_apply(capsys, argv, message):
     # a flag the method would silently drop is a usage error, not a build
@@ -458,6 +466,32 @@ def test_build_rejects_flags_that_do_not_apply(capsys, argv, message):
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("config, argv, recorded", [
+    ({}, ["inc4", "--t", "1", "--restarts", "1", "--count-mode", "exact",
+          "--maxfev", "400"], {"restarts": 1, "count_mode": "exact"}),
+    ({}, ["circles", "--q", "3", "--p", "1", "--count-mode", "exact"],
+     {"p": 1}),
+    ({"q": 5}, ["inc4", "--t", "1"], {"q": 5}),
+    ({"p": 2, "t": 4, "restarts": "3"}, ["circles", "--q", "3"],
+     {"p": 2, "t": 4, "restarts": 3}),
+    ({"count_mode": "approx", "maxfev": 7}, ["inc5", "--t", "1", "--double"],
+     {"count_mode": "approx", "maxfev": 7}),
+])
+def test_build_accepts_default_and_config_values(capsys, tmp_path, config,
+                                                 argv, recorded):
+    # only a flag whose value differs from its default (or from its --config
+    # default) is judged: a config file preloads defaults for every
+    # subcommand, and a flag given its default value changes nothing; the
+    # report records every flag as before
+    cfg = tmp_path / "defaults.json"
+    cfg.write_text(json.dumps(config))
+    code, payload = _run_json(capsys, ["--config", str(cfg), "build", *argv,
+                                       "--points", "50", "--no-check"])
+    assert code == 0
+    flags = payload["run"]["flags"]
+    assert {key: flags[key] for key in recorded} == recorded
 
 
 def test_check_searches_self_distance_once_per_class(capsys, monkeypatch,

@@ -315,9 +315,9 @@ def test_torus_self_distances_search_once_or_not_at_all(monkeypatch):
     searches = []
     candidate_pairs = distances._candidate_pairs
 
-    def counting(soup, reach):
+    def counting(points, reach, marked=None):
         searches.append(reach)
-        return candidate_pairs(soup, reach)
+        return candidate_pairs(points, reach, marked)
 
     monkeypatch.setattr(distances, "_candidate_pairs", counting)
     core, helix = _torus()[:2]

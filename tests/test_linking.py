@@ -75,6 +75,56 @@ def test_distance_from_the_origin_keeps_the_matrix(x):
     assert np.array_equal(linking_matrix(moved), linking_matrix(link.components))
 
 
+def _projected_boxes(curves):
+    """The projected segment boxes linking_matrix builds, and their labels."""
+    labels = np.repeat(np.arange(len(curves)), [c.n_segments for c in curves])
+    frame = linking._FRAME.T
+    p0 = np.concatenate([c.segment_starts() for c in curves]) @ frame
+    p1 = np.concatenate([c.segment_ends() for c in curves]) @ frame
+    margin = linking._EPS * float(np.ptp(p0, axis=0).max())
+    lo = np.minimum(p0[:, :2], p1[:, :2]) - margin
+    return lo, np.maximum(p0[:, :2], p1[:, :2]) + margin, labels
+
+
+def _corner_touching_boxes():
+    # two 3-ulp boxes at 2^40 that touch corner to corner; each centre
+    # rounds half an ulp away from the other, so the centres lie 4 ulps apart
+    # on each axis, beyond the largest diagonal (3 * sqrt(2) ulps)
+    x = 2.0**40
+    u = float(np.spacing(x))
+    lo = np.array([[x + u, x + u], [x + 4 * u, x + 4 * u]])
+    return lo, lo + 3 * u, np.array([0, 1])
+
+
+_BOXES = {
+    "inc4 T=2": lambda: _projected_boxes(
+        realize_torus(build_increment_spec(2, 4), 200, False).components),
+    # square and gibbous segments of different lengths
+    "hybrid_square q=5": lambda: _projected_boxes(
+        build_planar_link(5, "hybrid_square", n_points=200).components),
+    "inc4 T=2 at x=1e12": lambda: _projected_boxes([
+        c.transformed(None, (1e12, 0.0, 0.0)) for c in
+        realize_torus(build_increment_spec(2, 4), 200, False).components]),
+    "corner-touching boxes at 2^40": _corner_touching_boxes,
+}
+
+
+@pytest.mark.parametrize("name", list(_BOXES))
+def test_box_pairs_are_the_brute_force_overlaps(name):
+    # the one KD-tree query over box centres, filtered, keeps exactly the
+    # pairs of different components whose boxes overlap on both axes
+    lo, hi, labels = _BOXES[name]()
+    a, b = linking._overlapping_boxes(lo, hi, labels)
+    overlap = labels[:, None] != labels[None, :]
+    for k in range(2):
+        overlap &= (lo[:, None, k] <= hi[None, :, k]) & (
+            lo[None, :, k] <= hi[:, None, k])
+    i, j = np.nonzero(np.triu(overlap, 1))
+    assert i.size > 0
+    assert sorted(zip(a.tolist(), b.tolist())) == list(
+        zip(i.tolist(), j.tolist()))
+
+
 def test_torus_helices_link_by_winding():
     # two helices of the same shell link once per mutual revolution; a p = 2
     # helix links the core circle twice... the core sees each strand p times
