@@ -62,7 +62,7 @@ class PolyCurve:
 
     def segment_ends(self) -> np.ndarray:
         if self.closed:
-            return np.roll(self.vertices, -1, axis=0)
+            return np.concatenate((self.vertices[1:], self.vertices[:1]))
         return self.vertices[1:]
 
     def segment_lengths(self) -> np.ndarray:
@@ -272,7 +272,8 @@ def min_curvature_radii(vertices: np.ndarray, closed: bool) -> np.ndarray:
     m, n = vertices.shape[:2]
     if closed:
         a = vertices
-        b, c = np.roll(vertices, -1, axis=1), np.roll(vertices, -2, axis=1)
+        b = np.concatenate((vertices[:, 1:], vertices[:, :1]), axis=1)
+        c = np.concatenate((vertices[:, 2:], vertices[:, :2]), axis=1)
     else:
         if n < 3:
             return np.full(m, np.inf)

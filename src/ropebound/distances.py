@@ -22,9 +22,23 @@ counts only such pairs.  Results are exactly those of the brute-force scan
 over the pairs searched: both routes use the same segment-pair kernel with
 the lower segment index first, and the candidate set always contains the
 optimal pair.
+
+`_candidate_pairs` builds its trees by sliding-midpoint splits
+(`balanced_tree=False`), which build and search faster here than median
+splits and return the same pair sets.  `_SegmentSoup` keeps its segments as
+one contiguous table of coordinate rows (start x, y, z, direction x, y, z,
+squared length).  The segment-pair kernel runs _KERNEL_PAIRS pairs at a
+time: a pass gathers its pairs' columns from the table with one `take` per
+side and computes on (3, m) rows, every step a ufunc that writes into the
+calling thread's workspace, so a pass allocates nothing.  Its dot products
+are summed x, z, y, the order `np.einsum("ij,ij->i")` sums an (m, 3) array
+in, so the distances are those of the einsum formulation bit for bit.
+`segment_pair_distances` takes (m, 3) arrays and runs the same kernel.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -39,33 +53,129 @@ __all__ = [
 
 _CHUNK = 1 << 20
 
+# Pairs per pass of the segment-pair kernel.  A pass writes into the calling
+# thread's _Workspace, allocated once: with fresh temporaries, passes of
+# this size ran at about 170 ns per pair, most of it page faults, and with
+# the workspace at about 60 ns (2 CPUs, numpy 2.4).
+_KERNEL_PAIRS = 1 << 13
+
 # Self pairs within this many segments along a curve are never admissible
 # (adjacent segments share a vertex).
 _SKIP_WINDOW = 5
+
+
+def _dot(u, v, tmp=None, out=None) -> np.ndarray:
+    """Dot products of the columns of two (3, m) coordinate-row arrays,
+    summed x, z, y: the order np.einsum("ij,ij->i") sums an (m, 3) array in,
+    so the kernel's distances equal those of the einsum formulation bit for
+    bit.  `tmp` (3, m) and `out` (m,), when given, receive the products and
+    the sums."""
+    w = np.multiply(u, v, out=tmp)
+    out = np.add(w[0], w[2], out=out)
+    return np.add(out, w[1], out=out)
+
+
+def _segment_rows(starts, dirs, rows=None, tmp=None) -> np.ndarray:
+    """The (7, m) coordinate rows of m segments given as (m, 3) starts and
+    directions: start x, y, z, direction x, y, z, squared length; written
+    into `rows` when given (`tmp`, (3, m), takes the squares)."""
+    if rows is None:
+        rows = np.empty((7, len(starts)))
+    rows[:3] = starts.T
+    rows[3:6] = dirs.T
+    _dot(rows[3:6], rows[3:6], tmp, rows[6])
+    return rows
+
+
+class _Workspace:
+    """The operands of one kernel pass of m pairs, cut from the calling
+    thread's buffers (`_workspace`): the gathered coordinate rows g and h
+    (7, m), the (3, m) rows r, u, v and the (m,) intermediates, each one
+    contiguous block."""
+
+    def __init__(self, floats, mask, m: int):
+        rows = floats[: _WORKSPACE_ROWS * m].reshape(_WORKSPACE_ROWS, m)
+        self.g, self.h = rows[0:7], rows[7:14]
+        self.r, self.u, self.v = rows[14:17], rows[17:20], rows[20:23]
+        (self.b, self.c, self.f, self.denom, self.s, self.t, self.x,
+         self.y) = rows[23:31]
+        self.mask = mask[:m]
+
+
+_WORKSPACE_ROWS = 31
+_buffers = threading.local()
+
+
+def _workspace(m: int) -> _Workspace:
+    """Operands for a pass of m pairs, from buffers that each thread
+    allocates once (for _KERNEL_PAIRS pairs), so that no pass touches fresh
+    pages.  They carry nothing from one pass to the next: a pass writes
+    every element it reads."""
+    mask = getattr(_buffers, "mask", None)
+    if mask is None or mask.size < m:
+        size = max(m, _KERNEL_PAIRS)
+        _buffers.floats = np.empty(_WORKSPACE_ROWS * size)
+        _buffers.mask = np.empty(size, dtype=bool)
+    return _Workspace(_buffers.floats, _buffers.mask, m)
+
+
+def _kernel(g, h, ws, out) -> None:
+    """The clamped closest-point distances of segment g[:, k] to segment
+    h[:, k], both (7, m) coordinate rows (`_segment_rows`), written to
+    `out` (m,); `ws` is a _Workspace of m pairs.  Every step is the ufunc
+    of the plain formula, in its order, so the bits are those of
+
+        r = p1 - p2;  b, c, f = d1.d2, d1.r, d2.r;  denom = a e - b b
+        s = clip((b f - c e) / denom) where denom > 0, else 0
+        t = (b s + f) / e
+        s = clip(-c / a) where t < 0, clip((b - c) / a) where t > 1
+        t = clip(t);  |r + s d1 - t d2|
+
+    with every clip to [0, 1]."""
+    p1, d1, a = g[:3], g[3:6], g[6]
+    p2, d2, e = h[:3], h[3:6], h[6]
+    r = np.subtract(p1, p2, out=ws.r)
+    b = _dot(d1, d2, ws.u, ws.b)
+    c = _dot(d1, r, ws.u, ws.c)
+    f = _dot(d2, r, ws.u, ws.f)
+    denom = np.multiply(a, e, out=ws.denom)
+    np.subtract(denom, np.multiply(b, b, out=ws.x), out=denom)
+    s, t, s_low, s_high = ws.s, ws.t, ws.x, ws.y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.subtract(np.multiply(b, f, out=s), np.multiply(c, e, out=s_low), out=s)
+        np.clip(np.divide(s, denom, out=s), 0.0, 1.0, out=s)
+        np.copyto(s, 0.0, where=np.logical_not(np.greater(denom, 0.0, out=ws.mask),
+                                                out=ws.mask))
+        np.divide(np.add(np.multiply(b, s, out=t), f, out=t), e, out=t)
+        np.clip(np.divide(np.negative(c, out=s_low), a, out=s_low), 0.0, 1.0,
+                out=s_low)
+        np.clip(np.divide(np.subtract(b, c, out=s_high), a, out=s_high), 0.0, 1.0,
+                out=s_high)
+    np.copyto(s, s_high, where=np.greater(t, 1.0, out=ws.mask))
+    np.copyto(s, s_low, where=np.less(t, 0.0, out=ws.mask))
+    np.clip(t, 0.0, 1.0, out=t)
+    diff = np.add(r, np.multiply(s, d1, out=ws.v), out=ws.v)
+    np.subtract(diff, np.multiply(t, d2, out=ws.u), out=diff)
+    np.sqrt(_dot(diff, diff, ws.u, out), out=out)
 
 
 def segment_pair_distances(p1, d1, p2, d2) -> np.ndarray:
     """Exact distances between segments [p1, p1+d1] and [p2, p2+d2], batched.
 
     Standard clamped closest-point computation; segments must have positive
-    length.  All arrays are (m, 3).
+    length.  All arrays are (m, 3); each kernel pass writes _KERNEL_PAIRS
+    of them into a workspace as coordinate rows.
     """
-    r = p1 - p2
-    a = np.einsum("ij,ij->i", d1, d1)
-    e = np.einsum("ij,ij->i", d2, d2)
-    b = np.einsum("ij,ij->i", d1, d2)
-    c = np.einsum("ij,ij->i", d1, r)
-    f = np.einsum("ij,ij->i", d2, r)
-    denom = a * e - b * b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(denom > 0.0, np.clip((b * f - c * e) / denom, 0.0, 1.0), 0.0)
-        t = (b * s + f) / e
-        s_low = np.clip(-c / a, 0.0, 1.0)
-        s_high = np.clip((b - c) / a, 0.0, 1.0)
-    s = np.where(t < 0.0, s_low, np.where(t > 1.0, s_high, s))
-    t = np.clip(t, 0.0, 1.0)
-    diff = r + s[:, None] * d1 - t[:, None] * d2
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    p1, d1, p2, d2 = (np.asarray(x, dtype=float) for x in (p1, d1, p2, d2))
+    out = np.empty(len(p1))
+    for k in range(0, out.size, _KERNEL_PAIRS):
+        chunk = slice(k, k + _KERNEL_PAIRS)
+        part = out[chunk]
+        ws = _workspace(part.size)
+        _segment_rows(p1[chunk], d1[chunk], ws.g, ws.u)
+        _segment_rows(p2[chunk], d2[chunk], ws.h, ws.u)
+        _kernel(ws.g, ws.h, ws, part)
+    return out
 
 
 class _SegmentSoup:
@@ -90,9 +200,10 @@ class _SegmentSoup:
             comp_nseg.append(len(s))
             comp_len.append(cum[-1])
             comp_closed.append(c.closed)
-        self.starts = np.concatenate(starts)
-        self.dirs = np.concatenate(dirs)
-        self.mids = self.starts + 0.5 * self.dirs
+        starts = np.concatenate(starts)
+        dirs = np.concatenate(dirs)
+        self.mids = starts + 0.5 * dirs
+        self.rows = _segment_rows(starts, dirs)
         self.labels = np.concatenate(labels)
         self.index_in_comp = np.concatenate(index_in_comp)
         self.arc_mid = np.concatenate(arc_mid)
@@ -100,11 +211,11 @@ class _SegmentSoup:
         self.first = np.cumsum(self.comp_nseg) - self.comp_nseg
         self.comp_len = np.asarray(comp_len)
         self.comp_closed = np.asarray(comp_closed, dtype=bool)
-        self.max_seg = float(np.linalg.norm(self.dirs, axis=1).max())
+        self.max_seg = float(np.linalg.norm(dirs, axis=1).max())
         self.reps = None if reps is None or np.all(reps) else np.asarray(reps)
 
     def __len__(self):
-        return len(self.starts)
+        return self.rows.shape[1]
 
     def scene_diameter(self) -> float:
         lo = self.mids.min(axis=0)
@@ -112,9 +223,18 @@ class _SegmentSoup:
         return float(np.linalg.norm(hi - lo)) + 2.0 * self.max_seg
 
     def pair_distances(self, ia, ib) -> np.ndarray:
-        return segment_pair_distances(
-            self.starts[ia], self.dirs[ia], self.starts[ib], self.dirs[ib]
-        )
+        """Distances of the segment pairs (ia[k], ib[k]), gathered from the
+        coordinate rows into a _Workspace, _KERNEL_PAIRS pairs at a time."""
+        out = np.empty(ia.size)
+        for k in range(0, out.size, _KERNEL_PAIRS):
+            chunk = slice(k, k + _KERNEL_PAIRS)
+            part = out[chunk]
+            ws = _workspace(part.size)
+            # mode="clip" writes straight into ws.g; "raise" would buffer it
+            self.rows.take(ia[chunk], axis=1, out=ws.g, mode="clip")
+            self.rows.take(ib[chunk], axis=1, out=ws.h, mode="clip")
+            _kernel(ws.g, ws.h, ws, part)
+        return out
 
 
 # Segments sampled for the upper bound that seeds the search radius: at most
@@ -135,18 +255,18 @@ def _candidate_pairs(points, reach: float, marked=None):
     from scipy.spatial import cKDTree
 
     reach = reach * (1.0 + 1e-12)
-    tree = cKDTree(points)
+    tree = cKDTree(points, balanced_tree=False)
     if marked is None:
         pairs = tree.query_pairs(reach, output_type="ndarray")
         return pairs[:, 0], pairs[:, 1]
     rows = np.flatnonzero(marked)
-    found = cKDTree(points[rows]).sparse_distance_matrix(
+    found = cKDTree(points[rows], balanced_tree=False).sparse_distance_matrix(
         tree, reach, output_type="ndarray"
     )
     i, j = rows[found["i"]], found["j"]
     # a pair of two marked points is found from both ends: keep it once
     keep = (i < j) | ((i > j) & ~marked[j])
-    i, j = i[keep], j[keep]
+    i, j = i.compress(keep), j.compress(keep)
     return np.minimum(i, j), np.maximum(i, j)
 
 
@@ -197,7 +317,10 @@ def _admissible_min(soup, ia, ib, inter, intra, arc_windows) -> float:
         ca, cb = ia[k : k + _CHUNK], ib[k : k + _CHUNK]
         keep = _admissible(soup, ca, cb, inter, intra, arc_windows)
         if keep.any():
-            best = min(best, float(soup.pair_distances(ca[keep], cb[keep]).min()))
+            # compress, not ca[keep]: on a scattered mask such as this one
+            # numpy's boolean indexing ran about 4x slower (40,000 pairs)
+            best = min(best, float(soup.pair_distances(
+                ca.compress(keep), cb.compress(keep)).min()))
     return best
 
 
@@ -220,7 +343,7 @@ def _sampled_bound(soup, inter, intra, arc_windows) -> float:
     ia, ib = seg[ia], seg[ib]
     if soup.reps is not None:
         touch = soup.reps[ia] | soup.reps[ib]
-        ia, ib = ia[touch], ib[touch]
+        ia, ib = ia.compress(touch), ib.compress(touch)
     return _admissible_min(soup, ia, ib, inter, intra, arc_windows)
 
 

@@ -3,10 +3,15 @@
 VECT is the plain-text polyline format consumed by standard knot-tightening
 pipelines: a `VECT` magic line, `<n_components> <n_vertices> <n_colors>`,
 per-component vertex counts (negated to mark closed loops), per-component
-color counts (always 0 here), then one `x y z` line per vertex with
-components concatenated in order.  CSV uses a `component,vertex,x,y,z`
-header; JSON stores the full configuration with provenance.  Coordinates are
-written with 17 significant digits, so round trips reproduce them exactly.
+color counts (always 0 here; read back, they must be non-negative and sum to
+n_colors), then one `x y z` line per vertex with components concatenated in
+order.  The vertex block is read in one `np.loadtxt` call; when that call
+refuses the block or reads it to another shape, the line-by-line parser
+reads it again and reports the first fault at its line and column.  Both
+parse a field as float() does, so an accepted file gives the same bits
+either way.  CSV uses a `component,vertex,x,y,z` header; JSON stores the
+full configuration with provenance.  Coordinates are written with 17
+significant digits, so round trips reproduce them exactly.
 """
 
 from __future__ import annotations
@@ -64,19 +69,22 @@ def _from_vect(text: str, path: str) -> LinkConfiguration:
     _require(len(header) == 3, path, 2,
              "expected '<n_components> <n_vertices> <n_colors>'")
     try:
-        n_comp, n_vert, _n_col = (int(v) for v in header)
+        n_comp, n_vert, n_col = (int(v) for v in header)
     except ValueError:
         raise FormatError(f"{path}:2: non-integer header field in {header}")
     _require(n_comp >= 1, path, 2, f"need at least one component, got {n_comp}")
-    counts_raw = lines[2].split()
-    _require(len(counts_raw) == n_comp, path, 3,
-             f"expected {n_comp} vertex counts, got {len(counts_raw)}")
-    try:
-        counts = [int(v) for v in counts_raw]
-    except ValueError:
-        raise FormatError(f"{path}:3: non-integer vertex count in {counts_raw}")
+    _require(n_col >= 0, path, 2, f"need a non-negative color total, got {n_col}")
+    counts = _count_line(lines[2], n_comp, path, 3, "vertex")
     _require(sum(abs(c) for c in counts) == n_vert, path, 3,
              "vertex counts do not sum to the header total")
+    colors = _count_line(lines[3], n_comp, path, 4, "color")
+    _require(min(colors) >= 0 and sum(colors) == n_col, path, 4,
+             "color counts must be non-negative and sum to the header total")
+    # the whole vertex block in one parse, when the file holds it; None
+    # leaves each component to the line parser, which reports the fault
+    verts = None
+    if 4 + n_vert <= len(lines):
+        verts = _bulk_vertices(lines[4 : 4 + n_vert])
     comps = []
     row = 4
     for k, count in enumerate(counts):
@@ -86,21 +94,59 @@ def _from_vect(text: str, path: str) -> LinkConfiguration:
         _require(row + n <= len(lines), path, len(lines) + 1,
                  "unexpected end of file inside vertex block")
         first = row + 1
-        block = [ln.split() for ln in lines[row : row + n]]
-        for i, fields in enumerate(block):
-            if len(fields) != 3:
-                # a non-numeric coordinate on an earlier line is reported first
-                _locate_non_numeric(block[:i], path, first)
-                raise FormatError(f"{path}:{first + i}: expected 3 coordinates, "
-                                  f"got {len(fields)}")
-        try:
-            verts = np.array(block, dtype=float)
-        except ValueError:
-            _locate_non_numeric(block, path, first)
-            raise
-        comps.append(_curve(verts, count < 0, path, first, k))
+        if verts is None:
+            vertices = _vertex_lines(lines[row : row + n], path, first)
+        else:
+            vertices = verts[row - 4 : row - 4 + n]
+        comps.append(_curve(vertices, count < 0, path, first, k))
         row += n
     return LinkConfiguration(comps, description=os.path.basename(path))
+
+
+def _count_line(line: str, n_comp: int, path: str, number: int, what: str):
+    """The n_comp integers of a VECT count line (vertex or color counts)."""
+    raw = line.split()
+    _require(len(raw) == n_comp, path, number,
+             f"expected {n_comp} {what} counts, got {len(raw)}")
+    try:
+        return [int(v) for v in raw]
+    except ValueError:
+        raise FormatError(f"{path}:{number}: non-integer {what} count in {raw}")
+
+
+def _bulk_vertices(lines):
+    """The (len(lines), 3) coordinates of a VECT vertex block from one
+    `np.loadtxt` call, or None when that call refuses the block or reads it
+    to another shape (a blank line, a line of other than 3 fields), so that
+    `_vertex_lines` finds and reports the fault.  Both parse each field as
+    float() does, so an accepted block gives the same bits either way."""
+    # an empty or all-blank block would only make loadtxt warn; the loop
+    # reports it
+    if not lines or not lines[0].split():
+        return None
+    try:
+        verts = np.loadtxt(lines, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return verts if verts.shape == (len(lines), 3) else None
+
+
+def _vertex_lines(lines, path: str, first: int) -> np.ndarray:
+    """The coordinates of VECT vertex lines, parsed line by line: the first
+    line of other than 3 fields, or the first non-numeric coordinate before
+    it, is reported at its line (and column)."""
+    block = [ln.split() for ln in lines]
+    for i, fields in enumerate(block):
+        if len(fields) != 3:
+            # a non-numeric coordinate on an earlier line is reported first
+            _locate_non_numeric(block[:i], path, first)
+            raise FormatError(f"{path}:{first + i}: expected 3 coordinates, "
+                              f"got {len(fields)}")
+    try:
+        return np.array(block, dtype=float)
+    except ValueError:
+        _locate_non_numeric(block, path, first)
+        raise
 
 
 def _locate_non_numeric(block, path: str, first: int):

@@ -8,7 +8,9 @@ components whose projected bounding boxes overlap, found by the package's
 one near-pair search, `distances._candidate_pairs` (`_overlapping_boxes`).
 Each candidate that crosses in the projection contributes the sign of its
 crossing, and half the signed count between two components is their linking
-number, an exact integer with no tolerance involved.
+number, an exact integer with no tolerance involved.  The crossing test
+reads each chunk of candidates from a (6, n) table of projected coordinate
+rows (start u, v, d, end u, v, d) by one `take` per side.
 
 A component pair is degenerate when one of its candidates is nearly
 parallel in the projection or crosses within _EPS of a segment end (or when
@@ -106,7 +108,7 @@ def _overlapping_boxes(lo, hi, labels):
     keep = labels[a] != labels[b]
     for lo_k, hi_k in zip(lo.T, hi.T):
         keep &= (lo_k[a] <= hi_k[b]) & (lo_k[b] <= hi_k[a])
-    return a[keep], b[keep]
+    return a.compress(keep), b.compress(keep)
 
 
 def linking_matrix(curves) -> np.ndarray | None:
@@ -128,26 +130,27 @@ def linking_matrix(curves) -> np.ndarray | None:
     margin = _EPS * float(np.ptp(p0, axis=0).max())
     lo = np.minimum(p0[:, :2], p1[:, :2]) - margin
     hi = np.maximum(p0[:, :2], p1[:, :2]) + margin
+    # coordinate rows (start u, v, d, end u, v, d), gathered per pair chunk
+    rows = np.concatenate((p0.T, p1.T))
 
     pairs_a, pairs_b = _overlapping_boxes(lo, hi, labels)
     signs = np.zeros((q, q), dtype=int)
     degenerate = np.zeros((q, q), dtype=bool)
     for k in range(0, pairs_a.size, _CHUNK):
         a, b = pairs_a[k : k + _CHUNK], pairs_b[k : k + _CHUNK]
-        r = p1[a] - p0[a]
-        s = p1[b] - p0[b]
-        w = p0[b] - p0[a]
-        den = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
-        parallel = np.abs(den) <= _EPS * np.hypot(r[:, 0], r[:, 1]) * np.hypot(
-            s[:, 0], s[:, 1]
-        )
+        ga, gb = rows.take(a, axis=1), rows.take(b, axis=1)
+        r = ga[3:] - ga[:3]
+        s = gb[3:] - gb[:3]
+        w = gb[:2] - ga[:2]
+        den = r[0] * s[1] - r[1] * s[0]
+        parallel = np.abs(den) <= _EPS * np.hypot(r[0], r[1]) * np.hypot(s[0], s[1])
         den = np.where(parallel, 1.0, den)
-        t = (w[:, 0] * s[:, 1] - w[:, 1] * s[:, 0]) / den
-        u = (w[:, 0] * r[:, 1] - w[:, 1] * r[:, 0]) / den
+        t = (w[0] * s[1] - w[1] * s[0]) / den
+        u = (w[0] * r[1] - w[1] * r[0]) / den
         near = ~parallel & (np.abs(t - 0.5) <= 0.5 + _EPS) & (
             np.abs(u - 0.5) <= 0.5 + _EPS
         )
-        gap = (p0[a, 2] + t * r[:, 2]) - (p0[b, 2] + u * s[:, 2])
+        gap = (ga[2] + t * r[2]) - (gb[2] + u * s[2])
         if np.any(near & (np.abs(gap) <= margin)):
             return None
         at_end = (np.abs(t - 0.5) >= 0.5 - _EPS) | (np.abs(u - 0.5) >= 0.5 - _EPS)

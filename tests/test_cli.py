@@ -298,6 +298,9 @@ _CORRUPT_FILES = [
     ("far.vect", "VECT\n2 6 0\n-3 -3\n0 0\n0 0 0\n1 0 0\n0 1 0\n"
      "1e160 0 0\n1e160 1 0\n1e160 0 1\n", "overflowing-scene-diameter-vect"),
     ("zero.vect", "VECT\n0 0 0\n\n\n", "vect-without-components"),
+    # no color-count line: the first vertex line must not be read as one
+    ("nocolor.vect", "VECT\n1 3 0\n-3\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n",
+     "vect-without-color-counts"),
     # a vertex total the file cannot hold is refused before any allocation
     ("alloc.vect",
      "VECT\n1 100000000000000000000 0\n-100000000000000000000\n0\n0 0 0\n",
@@ -757,6 +760,9 @@ def test_config_file_defaults(capsys, tmp_path):
         ["--config", str(cfg), "bounds", "--q", "3", "--points", "220"],
     )
     assert payload["run"]["flags"]["points"] == 220
+    # config defaults last one call: the next parses with the built-in ones
+    code, payload = _run_json(capsys, ["bounds", "--q", "3"])
+    assert payload["run"]["flags"]["points"] == 1000
 
 
 @pytest.mark.parametrize(

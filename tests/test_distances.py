@@ -1,6 +1,8 @@
 """Certified minimum-distance engine against brute force."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -162,6 +164,120 @@ def test_candidate_pairs_put_the_lower_segment_first():
         for j in range(i + 1, len(comps))
     )
     assert mutual_min_distance(comps) == brute
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("offset", [0.0, 1e12])
+@pytest.mark.parametrize("with_marked", [False, True], ids=["all", "marked"])
+def test_candidate_pairs_are_the_brute_force_pairs_within_reach(
+        dim, offset, with_marked):
+    # the search is pinned by the pair set it returns, whatever the tree
+    # layout: every pair (i < j) within reach, with a marked member when
+    # points are marked; a duplicated point pairs at distance 0
+    rng = np.random.default_rng(dim)
+    points = rng.uniform(size=(600, dim))
+    points[550:] = points[:50]
+    points += offset
+    reach = 0.15 if dim == 3 else 0.05
+    marked = rng.random(600) < 0.3 if with_marked else None
+    i, j = distances._candidate_pairs(points, reach, marked)
+    gap = np.linalg.norm(points[:, None] - points[None, :], axis=-1)
+    # no pair so near the reach that rounding could decide it
+    assert not np.any(np.abs(gap - reach) <= 1e-9 * reach)
+    within = np.triu(gap <= reach, 1)
+    if with_marked:
+        within &= marked[:, None] | marked[None, :]
+    brute_i, brute_j = np.nonzero(within)
+    assert brute_i.size > 500
+    assert sorted(zip(i.tolist(), j.tolist())) == list(
+        zip(brute_i.tolist(), brute_j.tolist()))
+
+
+def _einsum_distances(p1, d1, p2, d2):
+    """The (m, 3) einsum formulation of the clamped closest-point kernel,
+    which the coordinate-row kernel reproduces bit for bit."""
+    r = p1 - p2
+    a = np.einsum("ij,ij->i", d1, d1)
+    e = np.einsum("ij,ij->i", d2, d2)
+    b = np.einsum("ij,ij->i", d1, d2)
+    c = np.einsum("ij,ij->i", d1, r)
+    f = np.einsum("ij,ij->i", d2, r)
+    denom = a * e - b * b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(denom > 0.0, np.clip((b * f - c * e) / denom, 0.0, 1.0), 0.0)
+        t = (b * s + f) / e
+        s_low = np.clip(-c / a, 0.0, 1.0)
+        s_high = np.clip((b - c) / a, 0.0, 1.0)
+    s = np.where(t < 0.0, s_low, np.where(t > 1.0, s_high, s))
+    t = np.clip(t, 0.0, 1.0)
+    diff = r + s[:, None] * d1 - t[:, None] * d2
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def _kernel_segments():
+    """(starts, directions) of random segments followed by the special
+    cases: parallel, collinear overlapping, touching and very short."""
+    rng = np.random.default_rng(19)
+    starts = [rng.normal(size=(20000, 3)) * 10.0]
+    dirs = [rng.normal(size=(20000, 3))]
+    p = np.array([[0.3, -1.2, 2.0]])
+    d = np.array([[1.0, 0.5, -0.25]])
+    side = np.cross(d, [[0.0, 0.0, 1.0]])
+    for start, direction in (
+        (p, d), (p + side, 2.0 * d),             # parallel
+        (p + 0.5 * d, d), (p + 0.25 * d, 0.5 * d),  # collinear, overlapping
+        (p + d, side), (p + d, -d),               # touching at an end
+        (p + 0.5 * d, 1e-9 * side),               # touching mid-segment
+        (p + 0.5 * side, 1e-9 * d), (0.0 * p, 1e-100 * side),  # very short
+    ):
+        starts.append(start)
+        dirs.append(direction)
+    return np.concatenate(starts), np.concatenate(dirs)
+
+
+def test_row_kernel_is_the_public_kernel():
+    # _SegmentSoup.pair_distances gathers coordinate rows; on the same
+    # segments the public (m, 3) kernel and the einsum formula it replaced
+    # give the same bits, on random pairs and on every pair of the special
+    # cases (more than one kernel chunk of pairs in all)
+    curves = [PolyCurve([s, s + d], closed=False)
+              for s, d in zip(*_kernel_segments())]
+    soup = distances._SegmentSoup(curves)
+    starts = np.array([c.vertices[0] for c in curves])
+    dirs = np.array([c.vertices[1] for c in curves]) - starts
+    rng = np.random.default_rng(23)
+    special = np.arange(20000, len(starts))
+    ia, ib = np.meshgrid(special, special, indexing="ij")
+    ia = np.concatenate((rng.integers(0, len(starts), 30000), ia.ravel()))
+    ib = np.concatenate((rng.integers(0, len(starts), 30000), ib.ravel()))
+    ia, ib = ia[ia != ib], ib[ia != ib]
+    assert ia.size > distances._KERNEL_PAIRS
+    rows = soup.pair_distances(ia, ib)
+    public = segment_pair_distances(starts[ia], dirs[ia], starts[ib], dirs[ib])
+    assert rows.tobytes() == public.tobytes()
+    assert rows.tobytes() == _einsum_distances(
+        starts[ia], dirs[ia], starts[ib], dirs[ib]).tobytes()
+    assert np.all(np.isfinite(rows))
+    assert np.count_nonzero(rows == 0.0) >= 8
+
+
+def test_kernel_workspaces_are_per_thread():
+    # every thread runs the kernel in a workspace of its own: calls from
+    # more threads than cores, switching as often as the interpreter allows
+    # and overlapping where numpy releases the lock, give serial bits
+    rng = np.random.default_rng(29)
+    m = 3 * distances._KERNEL_PAIRS // 2
+    args = [tuple(rng.normal(size=(m, 3)) for _ in range(4)) for _ in range(6)]
+    serial = [segment_pair_distances(*a).tobytes() for a in args]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(segment_pair_distances, *a) for a in args * 4]
+            pooled = [f.result(timeout=60).tobytes() for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled == serial * 4
 
 
 def test_mutual_min_distance_on_planar_ring_matches_brute_force_exactly():

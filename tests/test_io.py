@@ -9,6 +9,7 @@ from ropebound.construct import build_increment_spec, realize_torus
 from ropebound.curves import PolyCurve, rotation_about_axis, sample_planar_curve
 from ropebound.io_formats import (
     FormatError,
+    _bulk_vertices,
     _to_csv,
     _to_vect,
     export_geometry,
@@ -117,6 +118,33 @@ def test_writers_match_a_per_float_reference():
     assert "\n-0 4.9406564584124654e-324 1.7976931348623157e+308\n" in _to_vect(link)
 
 
+def test_vect_import_keeps_the_bits_of_extreme_values(tmp_path):
+    # the writer's 17 digits and the bulk vertex parse give back every
+    # float64 bit, signed zero and subnormals included
+    link = _mixed_link()
+    link.components[0].vertices[:3] = [
+        [-0.0, 5e-324, 1e75],
+        [-1e75, -5e-324, 0.0],
+        [0.1, 1.0 / 3.0, -2.5e-300],
+    ]
+    back = import_geometry(export_geometry(link, path=str(tmp_path / "x.vect")))
+    for orig, again in zip(link.components, back.components):
+        assert orig.vertices.tobytes() == again.vertices.tobytes()
+    # PolyCurve refuses coordinates beyond 1e75, so the largest floats are
+    # checked at the parse, against float() on each field
+    link.components[0].vertices[:3] = [
+        [-0.0, 5e-324, 1.7976931348623157e308],
+        [-1.7976931348623157e308, -5e-324, 0.0],
+        [0.1, 1.0 / 3.0, -2.5e-300],
+    ]
+    path = export_geometry(link, path=str(tmp_path / "max.vect"))
+    lines = open(path).read().splitlines()[4:]
+    per_field = np.array([[float(v) for v in ln.split()] for ln in lines])
+    assert _bulk_vertices(lines).tobytes() == per_field.tobytes()
+    with pytest.raises(FormatError, match=r":5: component 0: vertices must be finite"):
+        import_geometry(path)
+
+
 def test_format_inference_and_overrides(tmp_path):
     link = _hopf(20)
     with pytest.raises(ValueError):
@@ -174,6 +202,68 @@ def test_vect_diagnostics(tmp_path):
         "VECT\n1 3 0\n-3\n0\n0 0 0\n1 0\n0 x 0\n",
         ":6: expected 3 coordinates, got 2",
     )
+    # line 4 holds one color count per component, summing to the header's
+    # n_colors: without it the first vertex line would be read as colors
+    _expect_error(
+        tmp_path, "j.vect",
+        "VECT\n1 3 0\n-3\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n",
+        ":4: expected 1 color counts, got 3",
+    )
+    _expect_error(
+        tmp_path, "k.vect",
+        "VECT\n2 6 7\n-3 -3\n7 x\n" + "0 0 0\n1 0 0\n0 1 0\n" * 2,
+        ":4: non-integer color count",
+    )
+    _expect_error(
+        tmp_path, "l.vect",
+        "VECT\n2 6 0\n-3 -3\n1 -1\n" + "0 0 0\n1 0 0\n0 1 0\n" * 2,
+        ":4: color counts must be non-negative and sum to the header total",
+    )
+    _expect_error(
+        tmp_path, "m.vect",
+        "VECT\n1 3 -1\n-3\n-1\n0 0 0\n1 0 0\n0 1 0\n",
+        ":2: need a non-negative color total, got -1",
+    )
+    _expect_error(
+        tmp_path, "n.vect",
+        "VECT\n1 3 2\n-3\n1\n0 0 0\n1 0 0\n0 1 0\n",
+        ":4: color counts must be non-negative and sum to the header total",
+    )
+    # the bulk vertex parse refuses each of these blocks (a comment, a blank
+    # line, 4 fields), and the line parser reports the fault
+    _expect_error(
+        tmp_path, "o.vect",
+        "VECT\n1 3 0\n-3\n0\n0 0 0\n1 0 0 # corner\n0 1 0\n",
+        ":6: expected 3 coordinates, got 5",
+    )
+    _expect_error(
+        tmp_path, "p.vect",
+        "VECT\n1 3 0\n-3\n0\n0 0 0\n\n1 0 0\n0 1 0\n",
+        ":6: expected 3 coordinates, got 0",
+    )
+    _expect_error(
+        tmp_path, "q.vect",
+        "VECT\n1 3 0\n-3\n0\n0 0 0 1\n1 0 0\n0 1 0\n",
+        ":5: expected 3 coordinates, got 4",
+    )
+    _expect_error(
+        tmp_path, "r.vect",
+        "VECT\n1 3 0\n-3\n0\n" + "0 0 0 0\n" * 3,
+        ":5: expected 3 coordinates, got 4",
+    )
+    _expect_error(
+        tmp_path, "s.vect",
+        "VECT\n2 6 0\n-3 -3\n0 0\n0 0 0\n1 0 0\n0 1 0\n\n\n\n",
+        ":8: expected 3 coordinates, got 0",
+    )
+    _expect_error(
+        tmp_path, "t.vect", "VECT\n1 0 0\n0\n0\n",
+        ":3: component 0 has fewer than 2 vertices",
+    )
+    crlf = tmp_path / "crlf.vect"
+    crlf.write_bytes(b"VECT\r\n1 3 0\r\n-3\r\n0\r\n0 0 0\r\n1 0.5 0\r\n0 1 0\r\n")
+    back = import_geometry(str(crlf))
+    assert back.components[0].vertices.tolist() == [[0, 0, 0], [1, 0.5, 0], [0, 1, 0]]
 
 
 def test_csv_diagnostics(tmp_path):
