@@ -213,7 +213,9 @@ def cmd_build(args) -> int:
 def cmd_check(args) -> int:
     link = import_geometry(args.file)
     metrics = measure_link(link)
-    linking = linking_matrix(link.components)
+    # linking numbers are defined for closed curves only
+    closed = all(c.closed for c in link.components)
+    linking = linking_matrix(link.components) if closed else None
     # a JSON file of a planar family is in loop units, so only embeddability
     # is checked; CSV and VECT files carry no family and are checked absolutely
     absolute = link.metadata.get("family") not in PLANAR_FAMILIES
@@ -223,8 +225,10 @@ def cmd_check(args) -> int:
         "components": link.n_components,
         "metrics": metrics.as_dict(),
         "linking_matrix": None if linking is None else linking.tolist(),
-        "verification": verify(link, metrics, linking, absolute=absolute,
-                               tolerance=args.tolerance),
+        "verification": (
+            verify(link, metrics, linking, absolute=absolute,
+                   tolerance=args.tolerance) if closed else
+            verify(link, metrics, absolute=absolute, tolerance=args.tolerance)),
     }
     _emit(payload, args.out)
     return 0 if payload["verification"]["passed"] else 1

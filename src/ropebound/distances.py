@@ -2,9 +2,15 @@
 
 `_candidate_pairs` is one KD-tree query for every pair of points within a
 reach, which each caller (this module and `linking`) sizes to hold every
-pair it needs.  Here the points are segment midpoints and the reach is
-max(segment length) + query radius, which holds every segment pair closer
-than the query radius.
+pair it needs.  Both callers query runs, not segments: each component is cut
+into runs of _RUN consecutive segments (`_run_starts`), a quarter of the
+points.  Here a run is bounded by a capsule, a line-swept sphere (Larsen,
+Gottschalk, Lin and Manocha, "Fast proximity queries with swept sphere
+volumes", 2000): its chord, from its first vertex to its last, swept by a
+ball whose radius is the largest distance of its vertices from the chord,
+padded for rounding (a ball about the chord midpoint where the chord
+degenerates).  The points are the chord midpoints and the reach is the query
+radius plus twice the largest radius about them that holds a run.
 
 The query radius is a sampled upper bound: the closest admissible pair
 among a hundred-odd segments spread evenly along the components (at most 32
@@ -14,14 +20,22 @@ small.  Being an admissible pair's distance, it is certified by that one
 search; when no sampled pair is admissible, the search runs at the scene
 diameter and sees every pair.  When no pair can be admissible at all (a
 single component whose arc window covers half its length, such as a circle
-under its bending window), there is no search.  A search may be restricted
-to the pairs with at least one segment among given representatives
-(`measure` passes the representatives of the orbits of a link's rotation
-group): the query then runs from those segments only, and the sampled bound
-counts only such pairs.  Results are exactly those of the brute-force scan
-over the pairs searched: both routes use the same segment-pair kernel with
-the lower segment index first, and the candidate set always contains the
-optimal pair.
+under its bending window), there is no search.  Run pairs are dropped before
+any segment pair is formed when they are of one component in a pass of
+inter-component pairs, when every pair of theirs lies within the skip or
+arc window of a self pass (a run is shorter than the skip window, so it
+holds no admissible self pair), or when their capsule bound (the kernel
+distance of the chords minus both radii) exceeds the query radius.  The
+survivors expand, _KERNEL_PAIRS segment pairs at most at a time, to the
+admissible pairs whose midpoints lie within the query radius plus both
+half-lengths, and those reach the segment-pair kernel.  A search may be
+restricted to the pairs with at least one segment among given
+representatives (`measure` passes the representatives of the orbits of a
+link's rotation group): the query then runs from the runs that hold one,
+and the sampled bound counts only such pairs.  Results are exactly those of
+the brute-force scan over the pairs searched: both routes use the same
+segment-pair kernel with the lower segment index first, and no bound on the
+way drops the optimal pair.
 
 `_candidate_pairs` builds its trees by sliding-midpoint splits
 (`balanced_tree=False`), which build and search faster here than median
@@ -62,6 +76,21 @@ _KERNEL_PAIRS = 1 << 13
 # Self pairs within this many segments along a curve are never admissible
 # (adjacent segments share a vertex).
 _SKIP_WINDOW = 5
+
+# Consecutive segments of one component per run, the unit of the near-pair
+# query.  At most _SKIP_WINDOW, so a run holds no admissible self pair.
+_RUN = 4
+
+# Rounding allowance of the bound tests, relative to the largest coordinate
+# (_SegmentSoup.slack), and of a run's chord distance, relative to the
+# chord's length: the kernel's closest points on nearly parallel chords can
+# be off by about sqrt(2^-53) of their length.
+_ROUNDING = 2.0 ** -40
+_CHORD_ROUNDING = 2.0 ** -20
+
+# A run whose chord is shorter than this fraction of its length is bounded
+# by a ball, since the kernel needs segments of positive length.
+_DEGENERATE = 2.0 ** -26
 
 
 def _dot(u, v, tmp=None, out=None) -> np.ndarray:
@@ -159,6 +188,22 @@ def _kernel(g, h, ws, out) -> None:
     np.sqrt(_dot(diff, diff, ws.u, out), out=out)
 
 
+def _pair_distances(rows, ia, ib) -> np.ndarray:
+    """Distances of the segment pairs (ia[k], ib[k]) of the coordinate rows
+    `rows` (7, n), gathered into a _Workspace, _KERNEL_PAIRS pairs at a
+    time."""
+    out = np.empty(ia.size)
+    for k in range(0, out.size, _KERNEL_PAIRS):
+        chunk = slice(k, k + _KERNEL_PAIRS)
+        part = out[chunk]
+        ws = _workspace(part.size)
+        # mode="clip" writes straight into ws.g; "raise" would buffer it
+        rows.take(ia[chunk], axis=1, out=ws.g, mode="clip")
+        rows.take(ib[chunk], axis=1, out=ws.h, mode="clip")
+        _kernel(ws.g, ws.h, ws, part)
+    return out
+
+
 def segment_pair_distances(p1, d1, p2, d2) -> np.ndarray:
     """Exact distances between segments [p1, p1+d1] and [p2, p2+d2], batched.
 
@@ -202,8 +247,10 @@ class _SegmentSoup:
             comp_closed.append(c.closed)
         starts = np.concatenate(starts)
         dirs = np.concatenate(dirs)
-        self.mids = starts + 0.5 * dirs
         self.rows = _segment_rows(starts, dirs)
+        # midpoints and half-lengths, as (3, n) and (n,) rows
+        self.mids = self.rows[:3] + 0.5 * self.rows[3:6]
+        self.half = 0.5 * np.sqrt(self.rows[6])
         self.labels = np.concatenate(labels)
         self.index_in_comp = np.concatenate(index_in_comp)
         self.arc_mid = np.concatenate(arc_mid)
@@ -211,30 +258,23 @@ class _SegmentSoup:
         self.first = np.cumsum(self.comp_nseg) - self.comp_nseg
         self.comp_len = np.asarray(comp_len)
         self.comp_closed = np.asarray(comp_closed, dtype=bool)
-        self.max_seg = float(np.linalg.norm(dirs, axis=1).max())
+        self.max_seg = 2.0 * float(self.half.max())
+        # what each bound test allows for rounding: the geometry is known to
+        # a few ulps of its largest coordinate
+        self.slack = _ROUNDING * (float(np.abs(self.mids).max()) + self.max_seg)
         self.reps = None if reps is None or np.all(reps) else np.asarray(reps)
 
     def __len__(self):
         return self.rows.shape[1]
 
     def scene_diameter(self) -> float:
-        lo = self.mids.min(axis=0)
-        hi = self.mids.max(axis=0)
+        lo = self.mids.min(axis=1)
+        hi = self.mids.max(axis=1)
         return float(np.linalg.norm(hi - lo)) + 2.0 * self.max_seg
 
     def pair_distances(self, ia, ib) -> np.ndarray:
-        """Distances of the segment pairs (ia[k], ib[k]), gathered from the
-        coordinate rows into a _Workspace, _KERNEL_PAIRS pairs at a time."""
-        out = np.empty(ia.size)
-        for k in range(0, out.size, _KERNEL_PAIRS):
-            chunk = slice(k, k + _KERNEL_PAIRS)
-            part = out[chunk]
-            ws = _workspace(part.size)
-            # mode="clip" writes straight into ws.g; "raise" would buffer it
-            self.rows.take(ia[chunk], axis=1, out=ws.g, mode="clip")
-            self.rows.take(ib[chunk], axis=1, out=ws.h, mode="clip")
-            _kernel(ws.g, ws.h, ws, part)
-        return out
+        """Distances of the segment pairs (ia[k], ib[k])."""
+        return _pair_distances(self.rows, ia, ib)
 
 
 # Segments sampled for the upper bound that seeds the search radius: at most
@@ -258,7 +298,8 @@ def _candidate_pairs(points, reach: float, marked=None):
     tree = cKDTree(points, balanced_tree=False)
     if marked is None:
         pairs = tree.query_pairs(reach, output_type="ndarray")
-        return pairs[:, 0], pairs[:, 1]
+        # contiguous rows: callers gather and compress along them
+        return np.ascontiguousarray(pairs.T)
     rows = np.flatnonzero(marked)
     found = cKDTree(points[rows], balanced_tree=False).sparse_distance_matrix(
         tree, reach, output_type="ndarray"
@@ -353,6 +394,137 @@ def _widened(radius: float) -> float:
     return radius * (1.0 + 1e-12) + 1e-300
 
 
+def _run_starts(counts) -> np.ndarray:
+    """First segment of every run, for components of `counts` segments in
+    order: runs of _RUN consecutive segments of one component, of which
+    the last holds the rest of its component."""
+    counts = np.asarray(counts)
+    per = -(-counts // _RUN)
+    local = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per)
+    return np.repeat(np.cumsum(counts) - counts, per) + _RUN * local
+
+
+def _members(first, size, runs):
+    """(segments, k): every segment of the runs `runs`, of `size` segments
+    from segment `first`, run after run and in order within a run, and the
+    position in `runs` of its run."""
+    count = size.take(runs)
+    k = np.repeat(np.arange(runs.size), count)
+    before = np.cumsum(count) - count
+    return np.arange(k.size) + np.repeat(first.take(runs) - before, count), k
+
+
+def _expand(first, size, ra, rb):
+    """The segment pairs (i, j) with i in run ra[k] and j in run rb[k], k
+    in order; i < j when every ra[k] precedes rb[k]."""
+    i, k = _members(first, size, ra)
+    j, at = _members(first, size, rb.take(k))
+    return i.take(at), j
+
+
+class _Runs:
+    """The runs of a _SegmentSoup (`_run_starts`), each bounded by a
+    capsule: its chord, from its first vertex to its last, and `dev`, the
+    largest distance of its vertices from the chord plus the rounding
+    allowances.  A segment lies within dev of the chord when both its ends
+    do, so every point of the run does.  A run whose chord degenerates (a
+    closed component of at most _RUN segments has a chord of length 0) is
+    a ball: dev is then measured from its first vertex, and the run lies
+    within `radius` of its chord midpoint.  `mids` (n, 3) are the chord
+    midpoints, and `radius`, half the chord plus dev, the radius about them
+    that holds the run."""
+
+    def __init__(self, soup):
+        n = len(soup)
+        self.first = _run_starts(soup.comp_nseg)
+        self.size = np.diff(self.first, append=n)
+        self.last = self.first + self.size - 1
+        self.labels = soup.labels[self.first]
+        starts = soup.rows[:3]
+        a = starts[:, self.first]
+        chord = starts[:, self.last] + soup.rows[3:6, self.last] - a
+        self.rows = _segment_rows(a.T, chord.T)
+        length = np.sqrt(self.rows[6])
+        self.ball = length < _DEGENERATE * np.add.reduceat(2.0 * soup.half,
+                                                           self.first)
+        # each vertex but the run's last (an end of its chord) against its
+        # run's chord, a ball's vertices against its first vertex
+        run = np.repeat(np.arange(self.first.size), self.size)
+        offset = starts - a[:, run]
+        along = chord[:, run]
+        t = _dot(offset, along) / np.where(self.ball, 1.0, self.rows[6])[run]
+        t = np.where(self.ball[run], 0.0, np.clip(t, 0.0, 1.0))
+        gap = offset - t * along
+        self.dev = (np.sqrt(np.maximum.reduceat(_dot(gap, gap), self.first))
+                    + _CHORD_ROUNDING * length + soup.slack)
+        self.mids = (a + 0.5 * chord).T
+        self.radius = 0.5 * length + self.dev
+        self.marked = (None if soup.reps is None
+                       else np.logical_or.reduceat(soup.reps, self.first))
+
+    def lower_bounds(self, ra, rb) -> np.ndarray:
+        """A lower bound on the kernel distance of every segment pair of run
+        ra[k] and run rb[k]: the chords' kernel distance minus both
+        deviations, or the midpoint distance minus both radii where a run
+        is a ball."""
+        ball = self.ball[ra] | self.ball[rb]
+        out = np.empty(ra.size)
+        if ball.any():
+            ka, kb = ra[ball], rb[ball]
+            out[ball] = (np.linalg.norm(self.mids[ka] - self.mids[kb], axis=1)
+                         - self.radius[ka] - self.radius[kb])
+            ra, rb = ra[~ball], rb[~ball]
+        out[~ball] = (_pair_distances(self.rows, ra, rb)
+                      - self.dev[ra] - self.dev[rb])
+        return out
+
+    def searched(self, soup, ra, rb, inter, intra, arc_windows) -> np.ndarray:
+        """Mask of the run pairs (ra[k] < rb[k]) that hold a pair
+        `_admissible` may keep: of distinct components when `inter`, and
+        when `intra`, of one component unless every pair lies within
+        _SKIP_WINDOW segments or within its arc window.  The widest
+        separations of two runs are taken from their outermost segments:
+        `_admissible` folds each separation x of a closed component to
+        min(x, total - x), which is at most min(widest, total - narrowest)."""
+        same = self.labels[ra] == self.labels[rb]
+        keep = ~same if inter else np.zeros(ra.size, dtype=bool)
+        if not (intra and same.any()):
+            return keep
+        lab = self.labels[ra]
+        closed = soup.comp_closed[lab]
+        lo = self.first[rb] - self.last[ra]
+        hi = self.last[rb] - self.first[ra]
+        wide = np.where(closed, np.minimum(hi, soup.comp_nseg[lab] - lo), hi)
+        ok = same & (wide > _SKIP_WINDOW)
+        if arc_windows is not None:
+            arc = soup.arc_mid
+            lo = arc[self.first[rb]] - arc[self.last[ra]]
+            hi = arc[self.last[rb]] - arc[self.first[ra]]
+            wide = np.where(closed, np.minimum(hi, soup.comp_len[lab] - lo), hi)
+            ok &= wide > arc_windows[lab]
+        return keep | ok
+
+
+def _near_min(soup, runs, ra, rb, radius, inter, intra, arc_windows) -> float:
+    """Minimum distance over the admissible segment pairs of the run pairs
+    (ra, rb) whose midpoints lie within radius plus both half-lengths, in
+    passes of at most _KERNEL_PAIRS pairs; inf when there are none."""
+    best = np.inf
+    step = _KERNEL_PAIRS // (_RUN * _RUN)
+    for k in range(0, ra.size, step):
+        ia, ib = _expand(runs.first, runs.size, ra[k : k + step], rb[k : k + step])
+        keep = _admissible(soup, ia, ib, inter, intra, arc_windows)
+        if soup.reps is not None:
+            keep &= soup.reps[ia] | soup.reps[ib]
+        gap = soup.mids.take(ia, axis=1) - soup.mids.take(ib, axis=1)
+        reach = radius + soup.half[ia] + soup.half[ib] + soup.slack
+        keep &= _dot(gap, gap) <= reach * reach
+        if keep.any():
+            best = min(best, float(soup.pair_distances(
+                ia.compress(keep), ib.compress(keep)).min()))
+    return best
+
+
 def _certified_min(curves, inter, intra, arc_windows, reps=None) -> float:
     """Exact minimum distance over the admissible segment pairs of `curves`:
     pairs of distinct components when `inter`, self pairs more than
@@ -361,16 +533,22 @@ def _certified_min(curves, inter, intra, arc_windows, reps=None) -> float:
     With `reps`, a mask over the segments of all curves in order, only
     pairs with at least one marked segment count (the representatives of a
     symmetry's orbits, `measure._symmetry`).  No candidate search when no
-    pair can be admissible, else one: at the sampled bound, or at the scene
-    diameter when no sampled pair was admissible."""
+    pair can be admissible, else one over the runs: at the sampled bound,
+    or at the scene diameter when no sampled pair was admissible."""
     soup = _SegmentSoup(curves, reps)
     if not ((inter and len(soup.comp_nseg) > 1)
             or (intra and _self_pairs_possible(soup, arc_windows).any())):
         return np.inf
     start = _sampled_bound(soup, inter, intra, arc_windows)
     radius = _widened(start) if np.isfinite(start) else soup.scene_diameter()
-    ia, ib = _candidate_pairs(soup.mids, soup.max_seg + radius, soup.reps)
-    return _admissible_min(soup, ia, ib, inter, intra, arc_windows)
+    runs = _Runs(soup)
+    ra, rb = _candidate_pairs(runs.mids, radius + 2.0 * runs.radius.max(),
+                              runs.marked)
+    keep = runs.searched(soup, ra, rb, inter, intra, arc_windows)
+    ra, rb = ra.compress(keep), rb.compress(keep)
+    keep = runs.lower_bounds(ra, rb) <= radius
+    ra, rb = ra.compress(keep), rb.compress(keep)
+    return _near_min(soup, runs, ra, rb, radius, inter, intra, arc_windows)
 
 
 def mutual_min_distance(curves, reps=None) -> float:

@@ -53,6 +53,10 @@ EPSILON_SAFE = 2.0 * math.pi - 6.0
 _BRACKET_SAMPLES = 65
 _NEWTON_STEPS = 8
 
+# Shells per block of _min_gap: each (shells x 65) bracket array of a block
+# stays near 1 MiB, whatever the number of shells.
+_GAP_BLOCK = 2048
+
 # Trapezoid nodes for the toroidal correction; cos t at each node.
 _CORRECTION_NODES = 64
 _COS_NODES = np.cos(2.0 * np.pi * np.arange(_CORRECTION_NODES) / _CORRECTION_NODES)
@@ -67,7 +71,17 @@ def helix_count_estimate(r, h):
 def _min_gap(a: np.ndarray, r: np.ndarray, h: np.ndarray) -> tuple:
     """Minimum of d^2(theta) over theta in [-a, 0] and its argmin,
     elementwise over equal-length 1-D arrays of phase gaps a, radii r and
-    hole radii h.  The result is never above the smallest bracket sample."""
+    hole radii h, _GAP_BLOCK shells at a time.  The result is never above
+    the smallest bracket sample."""
+    v, t = np.empty(len(a)), np.empty(len(a))
+    for k in range(0, len(a), _GAP_BLOCK):
+        block = slice(k, k + _GAP_BLOCK)
+        v[block], t[block] = _min_gap_block(a[block], r[block], h[block])
+    return v, t
+
+
+def _min_gap_block(a: np.ndarray, r: np.ndarray, h: np.ndarray) -> tuple:
+    """_min_gap on one block of shells."""
     r2 = r * r
     h2 = h * h
     rows = np.arange(len(a))

@@ -4,8 +4,11 @@
 Numbers for Topology Verification of Loopy Structures", ACM TOG 40(4), 2021).
 Every segment of every component is projected along one fixed direction
 that is not axis-aligned.  The candidates are the segment pairs of different
-components whose projected bounding boxes overlap, found by the package's
-one near-pair search, `distances._candidate_pairs` (`_overlapping_boxes`).
+components whose projected bounding boxes overlap (`_overlapping_boxes`).
+They are found by the package's one near-pair search,
+`distances._candidate_pairs`, over the runs of `distances`: the boxes of
+runs of _RUN consecutive segments, whose overlapping pairs of different
+components expand to their segment pairs.
 Each candidate that crosses in the projection contributes the sign of its
 crossing, and half the signed count between two components is their linking
 number, an exact integer with no tolerance involved.  The crossing test
@@ -30,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .curves import PolyCurve
-from .distances import _candidate_pairs
+from .distances import _candidate_pairs, _members, _run_starts
 
 __all__ = ["linking_matrix"]
 
@@ -98,17 +101,45 @@ def _gauss_linking_number(a: PolyCurve, b: PolyCurve) -> int | None:
     return int(nearest) if abs(value - nearest) <= _GAUSS_TOL else None
 
 
+def _overlapping(a, b, lo, hi, lo_b=None, hi_b=None):
+    """The index pairs (a[k], b[k]) whose boxes overlap on both axes: box i
+    of a spans rows lo[:, i] to hi[:, i] (2, n), box j of b rows lo_b[:, j]
+    to hi_b[:, j] (by default the same boxes)."""
+    if lo_b is None:
+        lo_b, hi_b = lo, hi
+    for k in range(2):
+        keep = (lo[k].take(a) <= hi_b[k].take(b)) & (lo_b[k].take(b) <= hi[k].take(a))
+        a, b = a.compress(keep), b.compress(keep)
+    return a, b
+
+
 def _overlapping_boxes(lo, hi, labels):
     """Index pairs (i < j) of different labels whose boxes [lo, hi] overlap
-    on both axes, found among the centres within the largest diagonal (at
-    least any two half-diagonals; the pad covers rounding far out)."""
-    centres = 0.5 * (lo + hi)
+    on both axes.  Segments are grouped in the runs of `distances` (labels
+    run in order, one per component), and a run's box is the union of its
+    segments' boxes.  The run pairs of different labels whose boxes overlap
+    are found among the run box centres within the largest run box diagonal
+    (at least any two half-diagonals; the pad covers rounding far out).
+    Each segment of the first run of such a pair whose box overlaps the
+    second run's box is paired with the second run's segments, and those
+    pairs are filtered by their own boxes."""
+    first = _run_starts(np.bincount(labels))
+    size = np.diff(first, append=labels.size)
+    run_lo = np.minimum.reduceat(lo, first)
+    run_hi = np.maximum.reduceat(hi, first)
+    centres = 0.5 * (run_lo + run_hi)
     pad = 4.0 * np.spacing(np.abs(centres).max())
-    a, b = _candidate_pairs(centres, np.hypot(*(hi - lo).T).max() + pad)
-    keep = labels[a] != labels[b]
-    for lo_k, hi_k in zip(lo.T, hi.T):
-        keep &= (lo_k[a] <= hi_k[b]) & (lo_k[b] <= hi_k[a])
-    return a.compress(keep), b.compress(keep)
+    ra, rb = _candidate_pairs(centres, np.hypot(*(run_hi - run_lo).T).max() + pad)
+    lo, hi, run_lo, run_hi = (x.T.copy() for x in (lo, hi, run_lo, run_hi))
+    ra, rb = _overlapping(ra, rb, run_lo, run_hi)
+    run_labels = labels[first]
+    keep = run_labels.take(ra) != run_labels.take(rb)
+    ra, rb = ra.compress(keep), rb.compress(keep)
+    a, k = _members(first, size, ra)
+    a, k = _overlapping(a, k, lo, hi, run_lo.take(rb, axis=1),
+                        run_hi.take(rb, axis=1))
+    b, at = _members(first, size, rb.take(k))
+    return _overlapping(a.take(at), b, lo, hi)
 
 
 def linking_matrix(curves) -> np.ndarray | None:

@@ -397,9 +397,11 @@ def _expected_linking(config: LinkConfiguration) -> np.ndarray | None:
     """Expected |linking number| of every pair of a torus link, from the
     spec in its metadata: p within one torus, 1 across the two copies of a
     doubled torus (copy 1 first, then copy 2), 0 on the diagonal.  None when
-    the metadata describes no torus construction."""
+    the metadata describes no torus construction, or when a component is
+    open (linking numbers are defined for closed curves only)."""
     meta = config.metadata
-    if meta.get("family") != "torus":
+    if meta.get("family") != "torus" or not all(
+            c.closed for c in config.components):
         return None
     q = config.n_components
     copy = np.arange(q) >= (q // 2 if meta.get("doubled") else q)

@@ -365,6 +365,28 @@ def test_check_of_intersecting_components_fails_verification(capsys, tmp_path):
     assert payload["verification"]["passed"] is False
 
 
+@pytest.mark.parametrize("text, code", [
+    ("VECT\n1 2 0\n2\n0\n0 0 0\n1 0 0\n", 0),
+    ("VECT\n2 4 0\n2 2\n0 0\n0 0 0\n1 0 0\n0 3 0\n1 3 0\n", 0),
+    # two open components 1 apart: clearance fails
+    ("VECT\n2 4 0\n2 2\n0 0\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n", 1),
+], ids=["one open", "two open", "two open too close"])
+def test_check_of_open_components_judges_clearance_and_curvature(
+        capsys, tmp_path, text, code):
+    # a positive VECT vertex count is an open polyline: it is measured, and
+    # has no linking number, so check reports none and judges no linking
+    path = tmp_path / "open.vect"
+    path.write_text(text)
+    assert main(["check", str(path)]) == code
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert captured.err == ""
+    assert payload["linking_matrix"] is None
+    assert set(payload["verification"]) == {
+        "min_distance_ok", "curvature_ok", "passed"}
+    assert payload["verification"]["passed"] is (code == 0)
+
+
 @pytest.mark.parametrize("extra", [[], ["--double"], ["--double", "--mirror"]])
 def test_build_torus_verifies_linking_pattern(capsys, monkeypatch, extra):
     seen = []

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from ropebound import distances
+from ropebound import distances, measure
 from ropebound.construct import (
     build_increment_spec,
     build_planar_link,
@@ -26,7 +26,7 @@ from ropebound.distances import (
     mutual_min_distance,
     segment_pair_distances,
 )
-from ropebound.measure import _arc_window
+from ropebound.measure import LinkConfiguration, _arc_window
 
 
 def _random_curve(rng, n=60, scale=5.0, offset=(0.0, 0.0, 0.0)):
@@ -363,6 +363,51 @@ def _open_arc_length(n_segments):
     return _open_arc(n_segments).length()
 
 
+def _small_polygons():
+    """Closed polygons of 3 to 6 segments side by side: one run covers a
+    triangle or a square, and its chord, from vertex 0 back to vertex 0,
+    has length 0."""
+    rng = np.random.default_rng(31)
+    return [PolyCurve(rng.normal(size=(n, 3)) + (1.5 * k, 0.0, 0.0))
+            for k, n in enumerate((3, 4, 5, 6, 3, 4))]
+
+
+def _looping_curve(chord, offset=(0.0, 0.0, 0.0), seed=41):
+    """An open curve of 12 runs: every other run loops back to within
+    `chord` of its first vertex (to that vertex itself when chord is 0), the
+    others travel on."""
+    rng = np.random.default_rng(seed)
+    pts = [np.asarray(offset, dtype=float)]
+    for j in range(12):
+        p = pts[-1]
+        u, w, step = rng.normal(size=(3, 3)) * 0.6
+        if j % 2 == 0:
+            away = rng.normal(size=3)
+            pts += [p + u, p + u + w, p + w, p + chord * away / np.linalg.norm(away)]
+        else:
+            pts += [p + u, p + u + w, p + u + w + step, p + 2.0 * (u + w + step)]
+    return PolyCurve(np.array(pts), closed=False)
+
+
+def _sticks():
+    """Open curves of 1, 2 and 3 segments, shorter than a run."""
+    rng = np.random.default_rng(43)
+    return [PolyCurve(rng.normal(size=(n + 1, 3)) + (0.8 * n, 0.0, 0.0),
+                      closed=False) for n in (1, 2, 3, 1, 3)]
+
+
+def _threaded_triangle():
+    """A 3-segment triangle threading a 1,500-segment unit circle: a coarse
+    component beside a fine one."""
+    triangle = PolyCurve(np.array([[0.5, -1.0, 0.0], [0.5, 1.0, 0.0],
+                                   [2.0, 0.0, 0.0]]))
+    return [_circle(n=1500), triangle]
+
+
+def _far_torus(offset=(1e12, 0.0, 0.0)):
+    return [c.transformed(None, offset) for c in _torus()]
+
+
 # (curves, inter, intra, arc windows: None, "bending" for pi times each
 # component's curvature radius, or an array); "none admissible" in a name
 # marks a case without a single admissible pair
@@ -410,6 +455,23 @@ _MODES = {
     "combined two circles, windows beyond half": (
         lambda: [_circle(), _circle(2.0).transformed(None, (0.5, 0.0, 0.3))],
         True, True, np.array([4.0, 7.0])),
+    "inter polygons of 3-6 segments": (_small_polygons, True, False, None),
+    "combined polygons of 3-6 segments": (_small_polygons, True, True, None),
+    "inter looping curves, chords 0 and 1e-12": (
+        lambda: [_looping_curve(0.0), _looping_curve(1e-12, (1.0, 0.5, 0.0), 47)],
+        True, False, None),
+    "intra looping curve, chord 0": (
+        lambda: [_looping_curve(0.0)], False, True, None),
+    "combined looping curves, chords 1e-7 and 1e-3": (
+        lambda: [_looping_curve(1e-7), _looping_curve(1e-3, (1.0, 0.5, 0.0), 47)],
+        True, True, np.array([1.0, 2.0])),
+    "inter open curves shorter than a run": (_sticks, True, False, None),
+    "combined open curves shorter than a run": (_sticks, True, True, None),
+    "inter triangle threading a fine circle": (
+        _threaded_triangle, True, False, None),
+    "inter torus at x=1e12": (_far_torus, True, False, None),
+    "combined torus at x=1e12, bending windows": (
+        _far_torus, True, True, "bending"),
 }
 
 
@@ -422,6 +484,85 @@ def test_certified_min_equals_brute_force_in_every_mode(name):
     fast = _certified_min(curves, inter=inter, intra=intra, arc_windows=windows)
     assert fast == _brute_min(curves, inter, intra, windows)
     assert (fast == np.inf) is ("none admissible" in name)
+
+
+def _masked_brute(curves, inter, intra, windows, reps):
+    """Brute-force reference over the admissible pairs with a marked
+    segment."""
+    soup = distances._SegmentSoup(curves)
+    ia, ib = np.triu_indices(len(soup), 1)
+    keep = reps[ia] | reps[ib]
+    return distances._admissible_min(soup, ia[keep], ib[keep], inter, intra,
+                                     windows)
+
+
+def _random_reps(curves, seed):
+    rng = np.random.default_rng(seed)
+    return rng.random(sum(c.n_segments for c in curves)) < 0.2
+
+
+_REPS = {
+    # the orbit representatives of the torus's rotation group
+    "torus, its orbits": (_torus, True, True, "bending",
+                          lambda c: measure._symmetry(c).reps),
+    # moved along the axis of its rotation group, which it keeps
+    "torus at z=1e12, inter": (lambda: _far_torus((0.0, 0.0, 1e12)), True, False,
+                               None, lambda c: measure._symmetry(c).reps),
+    "random pair, random marks": (_random_pair, True, True, np.array([2.0, 5.0]),
+                                  lambda c: _random_reps(c, 3)),
+    "looping curves, random marks": (
+        lambda: [_looping_curve(0.0), _looping_curve(1e-12, (1.0, 0.5, 0.0), 47)],
+        True, True, None, lambda c: _random_reps(c, 5)),
+    "threaded triangle, triangle marked": (
+        _threaded_triangle, True, False, None,
+        lambda c: np.arange(1503) >= 1500),
+}
+
+
+@pytest.mark.parametrize("name", list(_REPS))
+def test_certified_min_with_reps_equals_masked_brute_force(name):
+    make, inter, intra, windows, marks = _REPS[name]
+    curves = make()
+    if isinstance(windows, str):
+        windows = _bending_windows(curves)
+    reps = marks(curves)
+    assert reps is not None and not reps.all()
+    fast = _certified_min(curves, inter=inter, intra=intra, arc_windows=windows,
+                          reps=reps)
+    assert np.isfinite(fast)
+    assert fast == _masked_brute(curves, inter, intra, windows, reps)
+
+
+def test_measure_thickness_equals_masked_brute_force_far_out():
+    # one combined search, restricted to the orbit representatives, with the
+    # windows measure computes: the masked brute force over the same pairs
+    comps = _far_torus((0.0, 0.0, 1e12))
+    sym = measure._symmetry(comps)
+    assert sym.reps is not None
+    _, windows = measure._curvature(comps, sym.classes)
+    thick = measure.measure_thickness(LinkConfiguration(comps))
+    assert thick.min_overall_distance == _masked_brute(comps, True, True, windows,
+                                                       sym.reps)
+
+
+@pytest.mark.parametrize("curves", [
+    _small_polygons, _sticks, _threaded_triangle, _far_torus,
+    lambda: [_looping_curve(c, (0.0, 0.0, 2.0 * k), k)
+             for k, c in enumerate((0.0, 1e-12, 1e-7, 1e-3))],
+], ids=["polygons", "sticks", "threaded triangle", "torus at x=1e12",
+        "looping curves"])
+def test_run_bounds_hold_every_segment_pair(curves):
+    # a run's capsule (or ball) bound never exceeds the kernel distance of
+    # any of its segment pairs, however short its chord
+    soup = distances._SegmentSoup(curves())
+    runs = distances._Runs(soup)
+    ra, rb = np.triu_indices(runs.first.size, 1)
+    ia, ib = distances._expand(runs.first, runs.size, ra, rb)
+    d = soup.pair_distances(ia, ib)
+    per_pair = np.minimum.reduceat(d, np.cumsum(runs.size[ra] * runs.size[rb])
+                                   - runs.size[ra] * runs.size[rb])
+    assert np.all(runs.lower_bounds(ra, rb) <= per_pair)
+    assert distances._RUN <= distances._SKIP_WINDOW
 
 
 def test_torus_self_distances_search_once_or_not_at_all(monkeypatch):

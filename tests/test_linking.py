@@ -96,7 +96,27 @@ def _corner_touching_boxes():
     return lo, lo + 3 * u, np.array([0, 1])
 
 
+def _small_polygons():
+    """Closed polygons of 3 to 6 segments, each threading the next."""
+    return [PolyCurve(np.column_stack((
+        np.cos(t), np.sin(t) * math.cos(k), np.sin(t) * math.sin(k))) * 1.3
+        + (1.0 * k, 0.0, 0.0))
+        for k, n in enumerate((3, 4, 5, 6, 3, 4))
+        for t in [2.0 * math.pi * np.arange(n) / n]]
+
+
+def _threaded_triangle():
+    """A 3-segment triangle threading a 1,500-segment unit circle."""
+    circle = sample_planar_curve("circle", {"radius": 1.0}, n_points=1500)
+    triangle = PolyCurve(np.array([[0.5, -1.0, 0.0], [0.5, 1.0, 0.0],
+                                   [2.0, 0.0, 0.0]]))
+    return [circle, triangle]
+
+
 _BOXES = {
+    "polygons of 3-6 segments": lambda: _projected_boxes(_small_polygons()),
+    "triangle threading a fine circle": lambda: _projected_boxes(
+        _threaded_triangle()),
     "inc4 T=2": lambda: _projected_boxes(
         realize_torus(build_increment_spec(2, 4), 200, False).components),
     # square and gibbous segments of different lengths
@@ -123,6 +143,42 @@ def test_box_pairs_are_the_brute_force_overlaps(name):
     assert i.size > 0
     assert sorted(zip(a.tolist(), b.tolist())) == list(
         zip(i.tolist(), j.tolist()))
+
+
+def _segment_level_boxes(lo, hi, labels):
+    """The segment-level box search that runs replaced: one query over the
+    segment box centres at the largest segment box diagonal, filtered by
+    label and overlap."""
+    centres = 0.5 * (lo + hi)
+    pad = 4.0 * np.spacing(np.abs(centres).max())
+    a, b = linking._candidate_pairs(centres, np.hypot(*(hi - lo).T).max() + pad)
+    keep = labels[a] != labels[b]
+    for lo_k, hi_k in zip(lo.T, hi.T):
+        keep &= (lo_k[a] <= hi_k[b]) & (lo_k[b] <= hi_k[a])
+    return a[keep], b[keep]
+
+
+_RUN_LINKS = {
+    "polygons of 3-6 segments": _small_polygons,
+    "triangle threading a fine circle": _threaded_triangle,
+    "inc4 T=3 @400": lambda: realize_torus(
+        build_increment_spec(3, 4), 400, False).components,
+    "optimal T=2 doubled @200": lambda: donut_double(
+        build_optimal_spec(2), n_points=200, check=False).components,
+    "inc4 T=2 at x=1e12": lambda: [
+        c.transformed(None, (1e12, 0.0, 0.0)) for c in
+        realize_torus(build_increment_spec(2, 4), 200, False).components],
+}
+
+
+@pytest.mark.parametrize("name", list(_RUN_LINKS))
+def test_run_search_gives_the_segment_level_matrix(name, monkeypatch):
+    curves = _RUN_LINKS[name]()
+    runs = linking_matrix(curves)
+    monkeypatch.setattr(linking, "_overlapping_boxes", _segment_level_boxes)
+    segments = linking_matrix(curves)
+    assert runs is not None and np.array_equal(runs, segments)
+    assert np.any(runs[np.triu_indices(len(curves), 1)] != 0)
 
 
 def test_torus_helices_link_by_winding():
