@@ -9,14 +9,25 @@ order.  The vertex block is read in one `np.loadtxt` call; when that call
 refuses the block or reads it to another shape, the line-by-line parser
 reads it again and reports the first fault at its line and column.  Both
 parse a field as float() does, so an accepted file gives the same bits
-either way.  CSV uses a `component,vertex,x,y,z` header; JSON stores the
-full configuration with provenance.  Coordinates are written with 17
-significant digits, so round trips reproduce them exactly.
+either way.  CSV uses a `component,vertex,x,y,z` header and has no field
+for closedness, so it holds closed components only: `export_geometry`
+refuses CSV for a link with an open component.  JSON stores the full
+configuration with provenance.
+
+VECT and CSV coordinates are written as `'%.17g'` writes them, byte for
+byte, so round trips reproduce them exactly.  One array formatter,
+`_format_rows`, writes them in chunks of 2048 rows: a value with
+1e-4 <= |x| < 1e14 takes the array path (its 17 digits from an exact
+product with a power of ten, laid out in fixed notation), and every other
+value (0, -0, subnormals, smaller or larger magnitudes, nan, inf) is
+formatted by `'%.17g' % v` on its own and spliced in.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
 
 import numpy as np
@@ -47,6 +58,158 @@ def _curve(vertices, closed: bool, path: str, line: int, k: int) -> PolyCurve:
         raise FormatError(f"{path}:{line}: component {k}: {exc}")
 
 
+# The array formatter.  For 1e-4 <= |x| < 1e14, '%.17g' writes fixed
+# notation from the decimal exponent D in [-4, 13] and the digits of
+# N = round-half-even(|x| * 10**(16-D)), an integer in [10**16, 10**17)
+# that is computed exactly here.  Its tables are built at its first call,
+# so importing the module runs no numpy loop.  It uses only numpy loops that
+# measuring a link loads anyway (np.log rather than np.log10, int64
+# arithmetic, no sort), so writing a file adds no code pages to the peak
+# resident memory of a build or a check.
+_SLOT = 25  # bytes per value: any '%.17g' text fits in 24, the last is a separator
+_ROWS = 2048  # rows per chunk, which bounds the scratch arrays
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
+_LOG10_E = math.log10(math.e)
+
+
+def _split(a):
+    """(high, low) halves of a with high + low == a, each of at most 26
+    significant bits, so that a product of two halves is exact."""
+    high = _SPLIT * a
+    high -= high - a
+    return high, a - high
+
+
+@functools.cache
+def _pow10_halves():
+    """10**k for k = 0..20, exact doubles, and its two halves."""
+    pow10 = np.array([float(10**k) for k in range(21)])
+    return pow10, *_split(pow10)
+
+
+@functools.cache
+def _digit_quads():
+    """The 4 ASCII digits of 0..9999 as little-endian uint32, then the same
+    with trailing zeros as NUL (0 -> four NULs)."""
+    i = np.arange(10000)
+    quads = np.empty((2, 10000, 4), np.uint8)
+    for j, p in enumerate((1000, 100, 10, 1)):
+        digit = i // p % 10 + 48
+        quads[0, :, j] = digit
+        quads[1, :, j] = digit * (i % (10 * p) != 0)
+    return quads.view("<u4").ravel()
+
+
+def _times_pow10(a, k):
+    """(hi, lo) with hi + lo == a * 10**k exactly: Dekker's TwoProduct, with
+    10**k split ahead of time."""
+    pow10, high, low = _pow10_halves()
+    hi = a * pow10[k]
+    ah, al = _split(a)
+    bh, bl = high[k], low[k]
+    lo = ah * bh
+    lo -= hi
+    lo += ah * bl
+    lo += al * bh
+    al *= bl
+    lo += al
+    return hi, lo
+
+
+def _g17_slots(x) -> np.ndarray:
+    """(len(x), _SLOT) bytes: the '%.17g' text of each value of the 1-D
+    float64 array x, padded with NUL, with the last byte NUL."""
+    n = x.size
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e14)
+    a[~fast] = 1.0
+    # near a power of ten this D can be one off; the exact product, which
+    # must lie in [10**16, 10**17), moves it
+    d = np.clip(np.floor(np.log(a) * _LOG10_E), -4, 13).astype(np.intp)
+    hi, lo = _times_pow10(a, 16 - d)
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    moved = np.flatnonzero(low | high)
+    if moved.size:
+        d[moved] += high[moved].astype(np.intp) - low[moved]
+        hi[moved], lo[moved] = _times_pow10(a[moved], 16 - d[moved])
+    # rows grouped by D, in order, so that each layout below is a static slice
+    exponents = np.flatnonzero(np.bincount(d + 4)) - 4
+    rows_by_d = [np.flatnonzero(d == e) for e in exponents]
+    order = np.concatenate(rows_by_d)
+    # hi >= 1e16 > 2**53 is an even integer and |lo| <= 8, so rounding lo
+    # half to even rounds hi + lo so.  N stays below 10**17: the largest
+    # double below each 10**(D+1) is more than 8 units of N below it.
+    num = hi[order].astype(np.int64) + np.rint(lo[order]).astype(np.int64)
+    # the first digit and four 4-digit groups of N
+    top = num // 10**8
+    bottom = num - top * 10**8
+    mid = top // 10**4
+    groups = np.empty((5, n), np.int64)
+    groups[0] = top // 10**8
+    groups[1] = mid - groups[0] * 10**4
+    groups[2] = top - mid * 10**4
+    groups[3] = bottom // 10**4
+    groups[4] = bottom - groups[3] * 10**4
+    # a group is read from the stripped half of the quads when every later
+    # group is zero: N's trailing zeros become NUL
+    zero = groups[4] == 0
+    for j in (3, 2, 1):
+        np.add(groups[j], 10000, out=groups[j], where=zero)
+        zero &= groups[j] == 10000
+    groups[4] += 10000
+    # 3 bytes of padding keep the groups 4-byte aligned: the 17 digits of N
+    # are digits[:, 3:]
+    digits = np.empty((n, 20), np.uint8)
+    words = digits.view("<u4")
+    words[:, 0] = (groups[0] + 48) << 24
+    quads = _digit_quads()
+    for j in range(1, 5):
+        words[:, j] = quads[groups[j]]
+    digits = digits[:, 3:]
+    # one static layout per D: sign, then "<D+1 digits>.<16-D digits>" or
+    # "0.<-D-1 zeros><17 digits>"
+    out = np.zeros((n, _SLOT), np.uint8)
+    j = 0
+    for e, rows in zip(exponents.tolist(), rows_by_d):
+        i, j = j, j + rows.size
+        slot, dig = out[i:j], digits[i:j]
+        if e >= 0:
+            # the zeros of an integer part stay; an all-zero fraction goes
+            # with its point
+            slot[:, 1:e + 2] = np.maximum(dig[:, :e + 1], 48)
+            slot[:, e + 2] = 46 * (dig[:, e + 1] != 0)
+            slot[:, e + 3:19] = dig[:, e + 1:]
+        else:
+            slot[:, 1:2 - e] = 48
+            slot[:, 2] = 46
+            slot[:, 2 - e:19 - e] = dig
+    back = np.empty_like(order)
+    back[order] = np.arange(n)
+    out = out.view(f"V{_SLOT}").ravel().take(back).view(np.uint8).reshape(n, _SLOT)
+    out[:, 0] = 45 * (x < 0)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = ["%.17g" % v for v in x[slow].tolist()]
+        padded = np.array(text, dtype=f"S{_SLOT - 1}")  # NUL-padded
+        out[slow, :-1] = padded.view(np.uint8).reshape(-1, _SLOT - 1)
+    return out
+
+
+def _format_rows(values, sep: str) -> str:
+    """The rows of the 2-D float array `values`, each value as '%.17g'
+    formats it, values joined by `sep` and each row ended by a newline."""
+    values = np.asarray(values, dtype=np.float64)
+    parts = []
+    for i in range(0, len(values), _ROWS):
+        chunk = np.ascontiguousarray(values[i : i + _ROWS])
+        slots = _g17_slots(chunk.ravel())
+        slots[:, -1] = ord(sep)
+        slots.reshape(*chunk.shape, _SLOT)[:, -1, -1] = ord("\n")
+        parts.append(slots.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(parts)
+
+
 def _to_vect(link: LinkConfiguration) -> str:
     comps = link.components
     lines = ["VECT"]
@@ -56,8 +219,8 @@ def _to_vect(link: LinkConfiguration) -> str:
         str(-c.n_vertices if c.closed else c.n_vertices) for c in comps
     ))
     lines.append(" ".join("0" for _ in comps))
-    coords = np.concatenate([c.vertices for c in comps]).ravel().tolist()
-    return "\n".join(lines) + "\n" + "%.17g %.17g %.17g\n" * total % tuple(coords)
+    coords = np.concatenate([c.vertices for c in comps])
+    return "\n".join(lines) + "\n" + _format_rows(coords, " ")
 
 
 def _from_vect(text: str, path: str) -> LinkConfiguration:
@@ -176,8 +339,8 @@ def _to_csv(link: LinkConfiguration) -> str:
                          c.vertices))
         for k, c in enumerate(link.components)
     ])
-    return ("component,vertex,x,y,z\n"
-            + "%d,%d,%.17g,%.17g,%.17g\n" * len(rows) % tuple(rows.ravel().tolist()))
+    # component and vertex indices are integers, which '%.17g' writes as '%d'
+    return "component,vertex,x,y,z\n" + _format_rows(rows, ",")
 
 
 def _from_csv(text: str, path: str) -> LinkConfiguration:
@@ -312,7 +475,9 @@ _SUFFIXES = {".vect": "vect", ".csv": "csv", ".json": "json"}
 def export_geometry(link: LinkConfiguration, fmt: str | None = None,
                     path: str = "") -> str:
     """Write a configuration to `path` in the given format ("vect", "csv",
-    or "json"; inferred from the suffix when omitted).  Returns the path."""
+    or "json"; inferred from the suffix when omitted).  Returns the path.
+    CSV rows carry no closedness and read back closed, so a link with an
+    open component is refused in CSV (ValueError) and no file is written."""
     if fmt is None:
         fmt = _SUFFIXES.get(os.path.splitext(path)[1].lower())
         if fmt is None:
@@ -320,6 +485,11 @@ def export_geometry(link: LinkConfiguration, fmt: str | None = None,
     fmt = fmt.lower()
     if fmt not in _WRITERS:
         raise ValueError(f"unknown format {fmt!r}; choose vect, csv, or json")
+    if fmt == "csv":
+        opened = [k for k, c in enumerate(link.components) if not c.closed]
+        if opened:
+            raise ValueError(f"CSV holds closed components only, and component "
+                             f"{opened[0]} is open; write VECT or JSON")
     text = _WRITERS[fmt](link)
     with open(path, "w") as fh:
         fh.write(text)

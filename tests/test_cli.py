@@ -30,7 +30,7 @@ from ropebound.curves import (
     sample_planar_curve,
 )
 from ropebound.helices import toroidal_correction
-from ropebound.io_formats import export_geometry
+from ropebound.io_formats import export_geometry, import_geometry
 from ropebound.measure import LinkConfiguration
 
 
@@ -385,6 +385,23 @@ def test_check_of_open_components_judges_clearance_and_curvature(
     assert set(payload["verification"]) == {
         "min_distance_ok", "curvature_ok", "passed"}
     assert payload["verification"]["passed"] is (code == 0)
+
+
+def test_export_of_open_components_to_csv_exits_2_and_writes_nothing(
+        capsys, tmp_path):
+    # CSV rows carry no closedness and read back closed, so an open
+    # component would come back closed; VECT and JSON keep it
+    path = tmp_path / "open.vect"
+    path.write_text("VECT\n1 3 0\n3\n0\n0 0 0\n1 0 0\n1 1 0\n")
+    out = tmp_path / "open.csv"
+    assert main(["export", str(path), "--format", "csv", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "component 0 is open" in err and "VECT or JSON" in err
+    assert not out.exists()
+    for fmt in ("vect", "json"):
+        again = tmp_path / f"open.{fmt}"
+        assert main(["export", str(path), "--format", fmt, "--out", str(again)]) == 0
+        assert [c.closed for c in import_geometry(str(again)).components] == [False]
 
 
 @pytest.mark.parametrize("extra", [[], ["--double"], ["--double", "--mirror"]])

@@ -10,6 +10,7 @@ from ropebound.curves import PolyCurve, rotation_about_axis, sample_planar_curve
 from ropebound.io_formats import (
     FormatError,
     _bulk_vertices,
+    _format_rows,
     _to_csv,
     _to_vect,
     export_geometry,
@@ -116,6 +117,52 @@ def test_writers_match_a_per_float_reference():
     assert _to_vect(link) == "\n".join(vect) + "\n"
     assert _to_csv(link) == "\n".join(csv) + "\n"
     assert "\n-0 4.9406564584124654e-324 1.7976931348623157e+308\n" in _to_vect(link)
+
+
+def _g17_cases(rng) -> np.ndarray:
+    """About 1,050,000 float64 values, both signs, for the array formatter:
+    every decimal exponent of its fixed-notation range, the edges of that
+    range, values beyond it, and exact decimal ties."""
+    n = 220_000
+    # ties: c / 2**(17-D) with c odd, in [10**D, 10**(D+1)), has 18
+    # significant digits, the last a 5, which '%.17g' rounds half to even
+    ties = []
+    for d in range(-4, 14):
+        j = 17 - d
+        c = rng.integers(math.ceil(10.0**d * 2**j / 2),
+                         math.floor(10.0 ** (d + 1) * 2**j / 2), 1000)
+        ties.append(np.ldexp(2 * c + 1, -j))
+    # powers of ten and their 200 neighbours on either side
+    near_powers = [10.0 ** np.arange(-6, 17)]
+    for to in (0.0, np.inf):
+        step = near_powers[0]
+        for _ in range(200):
+            step = np.nextafter(step, to)
+            near_powers.append(step)
+    edges = np.array([1e-4, 1e14])
+    values = np.concatenate([
+        rng.uniform(-20.0, 20.0, n),
+        10.0 ** rng.uniform(-6.0, 16.0, n) * rng.choice([-1.0, 1.0], n),
+        rng.integers(0, 2**64, 25_000, dtype=np.uint64).view(np.float64),
+        *near_powers,
+        *ties,
+        np.arange(2**15) / 1024 + 12345678,
+        2.0**53 + np.arange(64) / 2,
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+        [0.0, 5e-324],
+    ])
+    return np.concatenate([values, -values])
+
+
+def test_array_formatter_matches_format_17g():
+    values = _g17_cases(np.random.default_rng(20))
+    assert values.size >= 10**6 and values.size % 3 == 0
+    # three to a row, as VECT writes them; split() takes both separators
+    got = _format_rows(values.reshape(-1, 3), " ").split()
+    want = [format(v, ".17g") for v in values.tolist()]
+    if got != want:
+        i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+        pytest.fail(f"{values[i]!r}: wrote {got[i]!r}, '%.17g' gives {want[i]!r}")
 
 
 def test_vect_import_keeps_the_bits_of_extreme_values(tmp_path):
