@@ -135,6 +135,7 @@ _BUILD_KIND_FLAGS = {
     "planar": (("q", "optimize"), "applies to planar families only"),
     "double": (("mirror",), "reflects the second copy, so it needs --double"),
     "optimize": (("restarts", "maxfev"), "tunes --optimize, so it needs it"),
+    "out": (("format",), "chooses the format of --out, so it needs it"),
 }
 
 
@@ -142,10 +143,10 @@ def _check_build_flags(args, defaults):
     """Usage error for a flag that differs from its value in `defaults`
     (what `build METHOD` alone parses to, --config defaults included) on a
     build whose kinds do not take it: its method, "torus" or "planar", and
-    "double" or "optimize" when that flag is set."""
+    "double", "optimize" or "out" when that flag is set."""
     m = args.method
     kinds = {m, "torus" if m in TORUS_METHODS else "planar",
-             *(k for k in ("double", "optimize") if getattr(args, k))}
+             *(k for k in ("double", "optimize", "out") if getattr(args, k))}
     for kind, (dests, reason) in _BUILD_KIND_FLAGS.items():
         for dest in dests:
             if kind not in kinds and getattr(args, dest) != getattr(defaults, dest):
@@ -463,8 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _install_config(parser, path: str):
     """Install the flag defaults of a JSON config file on the main parser
     and every subparser (subparsers parse into a fresh namespace, so each
-    needs its own defaults).  A file that cannot be read or parsed, or a
-    value of another type than its flag takes, is a usage error."""
+    needs its own defaults).  A file that cannot be read or parsed, a key
+    no parser takes, or a value its flag cannot take is a usage error."""
     try:
         with open(path) as fh:
             defaults = json.load(fh)
@@ -474,7 +475,11 @@ def _install_config(parser, path: str):
         parser.error("--config must contain a JSON object of flag defaults")
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
-    for sp in [parser, *sub.choices.values()]:
+    parsers = [parser, *sub.choices.values()]
+    dests = {a.dest for sp in parsers for a in sp._actions}
+    for key in (k for k in defaults if k not in dests):
+        _usage(f"--config {path}: unknown key {key!r}")
+    for sp in parsers:
         actions = {a.dest: a for a in sp._actions}
         known = {k: v for k, v in defaults.items() if k in actions}
         for key, value in known.items():

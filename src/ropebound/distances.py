@@ -12,30 +12,23 @@ padded for rounding (a ball about the chord midpoint where the chord
 degenerates).  The points are the chord midpoints and the reach is the query
 radius plus twice the largest radius about them that holds a run.
 
-The query radius is a sampled upper bound: the closest admissible pair
-among a hundred-odd segments spread evenly along the components (at most 32
-per component when only self pairs count), which on planar rings lies
-within a small factor of the true minimum and keeps the candidate set
-small.  Being an admissible pair's distance, it is certified by that one
-search; when no sampled pair is admissible, the search runs at the scene
-diameter and sees every pair.  When no pair can be admissible at all (a
-single component whose arc window covers half its length, such as a circle
-under its bending window), there is no search.  Run pairs are dropped before
-any segment pair is formed when they are of one component in a pass of
-inter-component pairs, when every pair of theirs lies within the skip or
-arc window of a self pass (a run is shorter than the skip window, so it
-holds no admissible self pair), or when their capsule bound (the kernel
-distance of the chords minus both radii) exceeds the query radius.  The
-survivors expand, _KERNEL_PAIRS segment pairs at most at a time, to the
-admissible pairs whose midpoints lie within the query radius plus both
-half-lengths, and those reach the segment-pair kernel.  A search may be
-restricted to the pairs with at least one segment among given
-representatives (`measure` passes the representatives of the orbits of a
-link's rotation group): the query then runs from the runs that hold one,
-and the sampled bound counts only such pairs.  Results are exactly those of
-the brute-force scan over the pairs searched: both routes use the same
-segment-pair kernel with the lower segment index first, and no bound on the
-way drops the optimal pair.
+Which segment pairs count is one rule, `_may_count`, asked of segment
+pairs, run pairs and whole components.  The query radius is a sampled upper
+bound: the closest counted pair among a hundred-odd segments spread evenly
+along the components (at most 32 per component when only self pairs
+count), which on planar rings lies within a small factor of the true
+minimum and which the one search certifies.  When no sampled pair counts,
+the search runs at the scene diameter, or not at all when no pair of whole
+components may count (a circle under its bending window).  With orbit
+representatives (from `measure`) the query runs from the runs that hold
+one.  Run pairs are dropped before any segment pair is formed when the rule
+drops them or their capsule bound (the kernel distance of the chords minus
+both radii) exceeds the query radius.  The survivors expand, _KERNEL_PAIRS
+segment pairs at most at a time, to the counted pairs whose midpoints lie
+within the query radius plus both half-lengths, which reach the kernel.
+Results are exactly those of the brute-force scan over the pairs counted:
+both routes use the same kernel with the lower segment index first, and no
+bound drops the optimal pair.
 
 `_candidate_pairs` builds its trees by sliding-midpoint splits
 (`balanced_tree=False`), which build and search faster here than median
@@ -227,11 +220,14 @@ class _SegmentSoup:
     """Flattened segments of one or more curves, with component bookkeeping.
     `reps`, when given, marks the segments of which every searched pair has
     at least one (the representatives of a symmetry's orbits); None, or a
-    mask of all segments, searches every pair."""
+    mask of all segments, searches every pair.  `next_rep[i]` is the first
+    representative at or after segment i (n after the last), and a
+    separation x on component k folds to min(x, fold - x) for `fold_nseg[k]`
+    and `fold_len[k]` (an open one's, 2n and inf, never do)."""
 
     def __init__(self, curves, reps=None):
-        starts, dirs, labels, index_in_comp = [], [], [], []
-        arc_mid, comp_nseg, comp_len, comp_closed = [], [], [], []
+        starts, dirs, labels = [], [], []
+        arc_mid, comp_nseg, comp_len, closed = [], [], [], []
         for k, c in enumerate(curves):
             s = c.segment_starts()
             d = c.segment_ends() - s
@@ -240,11 +236,10 @@ class _SegmentSoup:
             starts.append(s)
             dirs.append(d)
             labels.append(np.full(len(s), k))
-            index_in_comp.append(np.arange(len(s)))
             arc_mid.append(cum[:-1] + 0.5 * lens)
             comp_nseg.append(len(s))
             comp_len.append(cum[-1])
-            comp_closed.append(c.closed)
+            closed.append(c.closed)
         starts = np.concatenate(starts)
         dirs = np.concatenate(dirs)
         self.rows = _segment_rows(starts, dirs)
@@ -252,17 +247,18 @@ class _SegmentSoup:
         self.mids = self.rows[:3] + 0.5 * self.rows[3:6]
         self.half = 0.5 * np.sqrt(self.rows[6])
         self.labels = np.concatenate(labels)
-        self.index_in_comp = np.concatenate(index_in_comp)
         self.arc_mid = np.concatenate(arc_mid)
         self.comp_nseg = np.asarray(comp_nseg)
         self.first = np.cumsum(self.comp_nseg) - self.comp_nseg
-        self.comp_len = np.asarray(comp_len)
-        self.comp_closed = np.asarray(comp_closed, dtype=bool)
+        self.fold_nseg = np.where(closed, self.comp_nseg, 2 * self.comp_nseg)
+        self.fold_len = np.where(closed, comp_len, np.inf)
         self.max_seg = 2.0 * float(self.half.max())
         # what each bound test allows for rounding: the geometry is known to
         # a few ulps of its largest coordinate
         self.slack = _ROUNDING * (float(np.abs(self.mids).max()) + self.max_seg)
-        self.reps = None if reps is None or np.all(reps) else np.asarray(reps)
+        self.next_rep = (None if reps is None or np.all(reps) else
+                         np.minimum.accumulate(np.where(
+                             reps, np.arange(len(reps)), len(reps))[::-1])[::-1])
 
     def __len__(self):
         return self.rows.shape[1]
@@ -311,52 +307,84 @@ def _candidate_pairs(points, reach: float, marked=None):
     return np.minimum(i, j), np.maximum(i, j)
 
 
-def _admissible(soup, ia, ib, inter, intra, arc_windows):
-    """Mask of candidate pairs that participate in the distance being
-    measured.  A component whose arc window is inf has no admissible self
-    pair."""
-    same = soup.labels[ia] == soup.labels[ib]
-    keep = np.zeros(len(ia), dtype=bool)
-    if inter:
-        keep |= ~same
+def _holds_rep(next_rep, first, last) -> np.ndarray:
+    """Whether each stretch of segments [first, last] holds a representative."""
+    return next_rep.take(first) <= last
+
+
+def _widest(pos, units, ia, ib, fold) -> np.ndarray:
+    """The widest folded separation of units ia and ib (`_may_count`), in
+    segments, or in arc lengths `pos`; single segments need no half."""
+    if units is None:
+        hi = ib - ia if pos is None else pos.take(ib) - pos.take(ia)
+        return np.minimum(hi, fold - hi)
+    first, last = units if pos is None else (pos.take(u) for u in units)
+    hi = last.take(ib) - first.take(ia)
+    wide = np.minimum(hi, fold - (first.take(ib) - last.take(ia)))
+    return np.minimum(wide, fold // 2 if pos is None else 0.5 * fold, out=wide)
+
+
+def _may_count(soup, units, ia, ib, inter, intra, arc_windows) -> np.ndarray:
+    """The pair-exclusion rule, stated once for segment pairs, run pairs and
+    whole components: whether some segment pair of units ia[k] and ib[k]
+    (ia[k] not after ib[k]; a unit is a segment when `units` is None, else a
+    stretch of one component, `units` the (first, last) arrays) may count
+    toward the distance measured.  A segment pair counts if
+
+    - its segments are on distinct components and `inter`; or on one,
+      `intra`, more than _SKIP_WINDOW segments and (with `arc_windows`, one
+      per component) more than its window of arc between midpoints apart,
+      each separation x folded to min(x, total - x) on a closed component;
+    - with representatives (`_SegmentSoup.next_rep`), one segment is one.
+
+    A stretch is tested at its widest: separations over [lo, hi],
+    lo = pos(b.first) - pos(a.last), hi = pos(b.last) - pos(a.first), fold
+    to at most min(hi, total - lo, half) (hi if open), half n // 2 segments
+    or half the length; it holds a representative if the first one from its
+    first segment on is not after its last.  The answer is exact for single
+    segments, never false where a pair counts, and for a component with
+    itself exact under an infinite window, or without representatives if
+    open or without windows."""
+    if soup.next_rep is not None:
+        if units is None:
+            held = (_holds_rep(soup.next_rep, ia, ia)
+                    | _holds_rep(soup.next_rep, ib, ib))
+        else:
+            holds = _holds_rep(soup.next_rep, *units)
+            held = holds.take(ia) | holds.take(ib)
+        if not held.all():
+            # separations only of the pairs with a representative
+            at = np.flatnonzero(held)
+            held[at] = _apart(soup, units, ia.take(at), ib.take(at), inter,
+                              intra, arc_windows)
+            return held
+    return _apart(soup, units, ia, ib, inter, intra, arc_windows)
+
+
+def _apart(soup, units, ia, ib, inter, intra, arc_windows) -> np.ndarray:
+    """The first condition of `_may_count`: distinct components, or one
+    component and separations that clear the skip and arc windows."""
+    labels = soup.labels if units is None else soup.labels.take(units[0])
+    comp = labels.take(ia)
+    same = comp == labels.take(ib)
+    keep = ~same if inter else np.zeros(same.size, dtype=bool)
     if intra and same.any():
-        lab = soup.labels[ia]
-        di = np.abs(soup.index_in_comp[ia] - soup.index_in_comp[ib])
-        nseg = soup.comp_nseg[lab]
-        cyc = soup.comp_closed[lab]
-        di = np.where(cyc, np.minimum(di, nseg - di), di)
-        ok = same & (di > _SKIP_WINDOW)
+        ok = same & (_widest(None, units, ia, ib, soup.fold_nseg.take(comp))
+                     > _SKIP_WINDOW)
         if arc_windows is not None:
-            da = np.abs(soup.arc_mid[ia] - soup.arc_mid[ib])
-            total = soup.comp_len[lab]
-            da = np.where(cyc, np.minimum(da, total - da), da)
-            ok &= da > arc_windows[lab]
+            ok &= (_widest(soup.arc_mid, units, ia, ib, soup.fold_len.take(comp))
+                   > arc_windows.take(comp))
         keep |= ok
     return keep
 
 
-def _self_pairs_possible(soup, arc_windows) -> np.ndarray:
-    """Per component, whether `_admissible` can keep any of its self pairs:
-    the widest separations it can compute must clear its thresholds.  On a
-    closed component the folded separations are at most half the segments
-    and half the length; on an open one they are those of its first and
-    last segments."""
-    closed = soup.comp_closed
-    ok = np.where(closed, soup.comp_nseg // 2, soup.comp_nseg - 1) > _SKIP_WINDOW
-    if arc_windows is not None:
-        last = soup.first + soup.comp_nseg - 1
-        span = soup.arc_mid[last] - soup.arc_mid[soup.first]
-        ok &= np.where(closed, 0.5 * soup.comp_len, span) > arc_windows
-    return ok
-
-
 def _admissible_min(soup, ia, ib, inter, intra, arc_windows) -> float:
-    """Minimum distance over the admissible pairs among (ia, ib); inf when
-    none is admissible."""
+    """Minimum distance over the segment pairs among (ia, ib), ia[k] < ib[k],
+    that `_may_count` keeps; inf when it keeps none."""
     best = np.inf
     for k in range(0, ia.size, _CHUNK):
         ca, cb = ia[k : k + _CHUNK], ib[k : k + _CHUNK]
-        keep = _admissible(soup, ca, cb, inter, intra, arc_windows)
+        keep = _may_count(soup, None, ca, cb, inter, intra, arc_windows)
         if keep.any():
             # compress, not ca[keep]: on a scattered mask such as this one
             # numpy's boolean indexing ran about 4x slower (40,000 pairs)
@@ -366,12 +394,11 @@ def _admissible_min(soup, ia, ib, inter, intra, arc_windows) -> float:
 
 
 def _sampled_bound(soup, inter, intra, arc_windows) -> float:
-    """Where the search starts: the closest admissible pair among up to
-    _BOUND_SAMPLES segments spread evenly along the components (at most
-    _SELF_SAMPLES per component in a pass of self pairs alone), counting
-    only pairs with a segment in `soup.reps`.  It is the distance of
-    a searched pair, so a true upper bound, or inf when no sampled pair is
-    admissible."""
+    """Where the search starts: the closest pair that `_may_count` keeps
+    among up to _BOUND_SAMPLES segments spread evenly along the components
+    (at most _SELF_SAMPLES per component in a pass of self pairs alone).
+    It is the distance of a searched pair, so a true upper bound, or inf
+    when no sampled pair is kept."""
     ncomp = len(soup.comp_nseg)
     per = max(1, _BOUND_SAMPLES // ncomp)
     if not inter:
@@ -381,11 +408,7 @@ def _sampled_bound(soup, inter, intra, arc_windows) -> float:
     rank = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per)
     seg = soup.first[lab] + rank * soup.comp_nseg[lab] // per[lab]
     ia, ib = np.triu_indices(len(seg), 1)
-    ia, ib = seg[ia], seg[ib]
-    if soup.reps is not None:
-        touch = soup.reps[ia] | soup.reps[ib]
-        ia, ib = ia.compress(touch), ib.compress(touch)
-    return _admissible_min(soup, ia, ib, inter, intra, arc_windows)
+    return _admissible_min(soup, seg[ia], seg[ib], inter, intra, arc_windows)
 
 
 def _widened(radius: float) -> float:
@@ -439,7 +462,6 @@ class _Runs:
         self.first = _run_starts(soup.comp_nseg)
         self.size = np.diff(self.first, append=n)
         self.last = self.first + self.size - 1
-        self.labels = soup.labels[self.first]
         starts = soup.rows[:3]
         a = starts[:, self.first]
         chord = starts[:, self.last] + soup.rows[3:6, self.last] - a
@@ -459,8 +481,8 @@ class _Runs:
                     + _CHORD_ROUNDING * length + soup.slack)
         self.mids = (a + 0.5 * chord).T
         self.radius = 0.5 * length + self.dev
-        self.marked = (None if soup.reps is None
-                       else np.logical_or.reduceat(soup.reps, self.first))
+        self.marked = (None if soup.next_rep is None
+                       else _holds_rep(soup.next_rep, self.first, self.last))
 
     def lower_bounds(self, ra, rb) -> np.ndarray:
         """A lower bound on the kernel distance of every segment pair of run
@@ -478,44 +500,16 @@ class _Runs:
                       - self.dev[ra] - self.dev[rb])
         return out
 
-    def searched(self, soup, ra, rb, inter, intra, arc_windows) -> np.ndarray:
-        """Mask of the run pairs (ra[k] < rb[k]) that hold a pair
-        `_admissible` may keep: of distinct components when `inter`, and
-        when `intra`, of one component unless every pair lies within
-        _SKIP_WINDOW segments or within its arc window.  The widest
-        separations of two runs are taken from their outermost segments:
-        `_admissible` folds each separation x of a closed component to
-        min(x, total - x), which is at most min(widest, total - narrowest)."""
-        same = self.labels[ra] == self.labels[rb]
-        keep = ~same if inter else np.zeros(ra.size, dtype=bool)
-        if not (intra and same.any()):
-            return keep
-        lab = self.labels[ra]
-        closed = soup.comp_closed[lab]
-        lo = self.first[rb] - self.last[ra]
-        hi = self.last[rb] - self.first[ra]
-        wide = np.where(closed, np.minimum(hi, soup.comp_nseg[lab] - lo), hi)
-        ok = same & (wide > _SKIP_WINDOW)
-        if arc_windows is not None:
-            arc = soup.arc_mid
-            lo = arc[self.first[rb]] - arc[self.last[ra]]
-            hi = arc[self.last[rb]] - arc[self.first[ra]]
-            wide = np.where(closed, np.minimum(hi, soup.comp_len[lab] - lo), hi)
-            ok &= wide > arc_windows[lab]
-        return keep | ok
-
 
 def _near_min(soup, runs, ra, rb, radius, inter, intra, arc_windows) -> float:
-    """Minimum distance over the admissible segment pairs of the run pairs
-    (ra, rb) whose midpoints lie within radius plus both half-lengths, in
-    passes of at most _KERNEL_PAIRS pairs; inf when there are none."""
+    """Minimum distance over the segment pairs of run pairs (ra, rb) that
+    `_may_count` keeps and whose midpoints lie within radius plus both
+    half-lengths, in passes of at most _KERNEL_PAIRS pairs; inf if none."""
     best = np.inf
     step = _KERNEL_PAIRS // (_RUN * _RUN)
     for k in range(0, ra.size, step):
         ia, ib = _expand(runs.first, runs.size, ra[k : k + step], rb[k : k + step])
-        keep = _admissible(soup, ia, ib, inter, intra, arc_windows)
-        if soup.reps is not None:
-            keep &= soup.reps[ia] | soup.reps[ib]
+        keep = _may_count(soup, None, ia, ib, inter, intra, arc_windows)
         gap = soup.mids.take(ia, axis=1) - soup.mids.take(ib, axis=1)
         reach = radius + soup.half[ia] + soup.half[ib] + soup.slack
         keep &= _dot(gap, gap) <= reach * reach
@@ -526,25 +520,32 @@ def _near_min(soup, runs, ra, rb, radius, inter, intra, arc_windows) -> float:
 
 
 def _certified_min(curves, inter, intra, arc_windows, reps=None) -> float:
-    """Exact minimum distance over the admissible segment pairs of `curves`:
-    pairs of distinct components when `inter`, self pairs more than
-    _SKIP_WINDOW segments and (with `arc_windows`, one per component) more
-    than that arc length apart when `intra`; inf when no pair is admissible.
-    With `reps`, a mask over the segments of all curves in order, only
-    pairs with at least one marked segment count (the representatives of a
-    symmetry's orbits, `measure._symmetry`).  No candidate search when no
-    pair can be admissible, else one over the runs: at the sampled bound,
-    or at the scene diameter when no sampled pair was admissible."""
+    """Exact minimum distance over the segment pairs of `curves` that
+    `_may_count` keeps: pairs of distinct components when `inter`, self
+    pairs outside the skip window and (with `arc_windows`, one per
+    component) the arc window when `intra`, and with `reps`, a mask over
+    the segments of all curves in order, only pairs with a marked segment
+    (the representatives of a symmetry's orbits, `measure._symmetry`); inf
+    when it keeps none.  One search over the runs, at the sampled bound, or
+    if no sampled pair was kept, at the scene diameter if it keeps a pair of
+    whole components."""
     soup = _SegmentSoup(curves, reps)
-    if not ((inter and len(soup.comp_nseg) > 1)
-            or (intra and _self_pairs_possible(soup, arc_windows).any())):
-        return np.inf
     start = _sampled_bound(soup, inter, intra, arc_windows)
-    radius = _widened(start) if np.isfinite(start) else soup.scene_diameter()
+    if np.isfinite(start):
+        radius = _widened(start)
+    else:
+        # each component with itself, and the first with every other one
+        q = soup.first.size
+        ca, cb = np.r_[:q, np.zeros(q - 1, dtype=int)], np.r_[:q, 1:q]
+        whole = (soup.first, soup.first + soup.comp_nseg - 1)
+        if not _may_count(soup, whole, ca, cb, inter, intra, arc_windows).any():
+            return np.inf
+        radius = soup.scene_diameter()
     runs = _Runs(soup)
     ra, rb = _candidate_pairs(runs.mids, radius + 2.0 * runs.radius.max(),
                               runs.marked)
-    keep = runs.searched(soup, ra, rb, inter, intra, arc_windows)
+    keep = _may_count(soup, (runs.first, runs.last), ra, rb, inter, intra,
+                      arc_windows)
     ra, rb = ra.compress(keep), rb.compress(keep)
     keep = runs.lower_bounds(ra, rb) <= radius
     ra, rb = ra.compress(keep), rb.compress(keep)
@@ -554,9 +555,6 @@ def _certified_min(curves, inter, intra, arc_windows, reps=None) -> float:
 def mutual_min_distance(curves, reps=None) -> float:
     """Exact minimum distance over all pairs of distinct components (with
     `reps`, over the pairs with a marked segment; see _certified_min)."""
-    curves = list(curves)
-    if len(curves) < 2:
-        return np.inf
     return _certified_min(curves, inter=True, intra=False, arc_windows=None,
                           reps=reps)
 

@@ -109,11 +109,6 @@ class LinkMetrics:
                 if k != "margin"}
 
 
-def _arc_window(radius: float) -> float:
-    """Arc length within which a component's self pairs count as bending."""
-    return np.pi * radius if np.isfinite(radius) else np.inf
-
-
 class _Symmetry(NamedTuple):
     """What a link's coordinates prove about its symmetry (see _symmetry)."""
 
@@ -315,7 +310,7 @@ def _metrics(config, radii, min_inter, min_self, min_overall,
 
 def _curvature(comps, classes) -> tuple:
     """(radii, windows): the minimal curvature radius of every component,
-    and each component's arc window.  A class representative's window comes
+    and each component's arc window, pi times a radius.  A class representative's window comes
     from the smallest radius in its class, so its self search admits every
     pair that a member's own window would; the other members get inf, which
     admits no self pair.  Representatives are measured one at a time
@@ -335,19 +330,20 @@ def _curvature(comps, classes) -> tuple:
     smallest = radii.copy()
     np.minimum.at(smallest, classes, radii)
     windows = np.full(q, np.inf)
-    windows[first] = [_arc_window(r) for r in smallest[first]]
+    windows[first] = np.pi * smallest[first]
     return radii, windows
 
 
 def measure_link(config: LinkConfiguration) -> LinkMetrics:
     """Measure a LinkConfiguration.
 
-    Self distances exclude pairs closer along the curve than pi times the
-    component's minimal curvature radius (with a floor of a few segments):
-    such pairs describe local bending, already accounted for by the curvature
-    term, rather than genuine self contact.  A component whose excluded arc
-    covers half its length (a circle, a torus core) has no admissible self
-    pair and contributes inf without a search.
+    Which segment pairs count is the rule of `distances._may_count`, under
+    an arc window of pi times each component's minimal curvature radius
+    (`_curvature`): self pairs closer along the curve describe local
+    bending, already accounted for by the curvature term, rather than
+    genuine self contact.  A component whose window covers half its length
+    (a circle, a torus core) has no such pair and contributes inf without a
+    search.
 
     The link is measured modulo the symmetry its coordinates prove
     (`_symmetry`), built or read from a file alike: self distances once per

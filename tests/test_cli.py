@@ -510,6 +510,22 @@ def test_build_rejects_flags_that_do_not_apply(capsys, argv, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["inc4", "--t", "1", "--points", "50", "--format", "csv"],
+    ["gibbous", "--q", "3", "--points", "50", "--report", "{dir}/r.json",
+     "--format", "json"],
+])
+def test_build_rejects_format_without_out(capsys, tmp_path, argv):
+    # --format chooses the format of --out: without it there is no geometry
+    # to write, so the flag would be dropped; no report is written either
+    argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+    assert _exit_code(["build", *argv]) == 2
+    captured = capsys.readouterr()
+    assert "--format chooses the format of --out" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("config, argv, recorded", [
     ({}, ["inc4", "--t", "1", "--restarts", "1", "--count-mode", "exact",
           "--maxfev", "400"], {"restarts": 1, "count_mode": "exact"}),
@@ -823,6 +839,17 @@ def test_config_file_errors_exit_2(capsys, tmp_path, text, argv):
     assert _exit_code(["--config", str(cfg)] + argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: --config")
+    assert captured.out == ""
+
+
+def test_config_file_unknown_key_exits_2(capsys, tmp_path):
+    # a misspelt key would otherwise be ignored; a key that some other
+    # subcommand takes stays a default (test_build_accepts_default_and_config_values)
+    cfg = tmp_path / "defaults.json"
+    cfg.write_text(json.dumps({"points": 150, "tolerence": 0.5}))
+    assert _exit_code(["--config", str(cfg), "bounds", "--q", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --config {cfg}: unknown key 'tolerence'\n"
     assert captured.out == ""
 
 

@@ -275,7 +275,7 @@ def _brute_force(link):
     bending window, and the smallest curvature radius of any component."""
     comps = link.components
     radii = [measure.min_curvature_radius(c) for c in comps]
-    windows = np.array([measure._arc_window(r) for r in radii])
+    windows = np.pi * np.asarray(radii)
     inter = mutual_min_distance(comps)
     self_ = min(
         measure._certified_min([c], inter=False, intra=True,

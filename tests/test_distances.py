@@ -26,7 +26,7 @@ from ropebound.distances import (
     mutual_min_distance,
     segment_pair_distances,
 )
-from ropebound.measure import LinkConfiguration, _arc_window
+from ropebound.measure import LinkConfiguration
 
 
 def _random_curve(rng, n=60, scale=5.0, offset=(0.0, 0.0, 0.0)):
@@ -330,7 +330,7 @@ def _brute_min(curves, inter, intra, windows):
 
 
 def _bending_windows(curves):
-    return np.array([_arc_window(min_curvature_radius(c)) for c in curves])
+    return np.array([np.pi * min_curvature_radius(c) for c in curves])
 
 
 def _random_pair():
@@ -545,6 +545,99 @@ def test_measure_thickness_equals_masked_brute_force_far_out():
                                                        sym.reps)
 
 
+def _rule_scene(seed):
+    """Random open and closed curves (a closed 11-segment one, whose widest
+    folded separation is _SKIP_WINDOW segments, among them), per-component
+    arc windows (finite, within 1e-9 of half the length either side, or
+    inf; or no windows at all) and a sparse mask of representatives, or
+    none."""
+    rng = np.random.default_rng(seed)
+    shapes = [(11, True)] + [(int(rng.integers(3, 40)), bool(rng.random() < 0.5))
+                             for _ in range(int(rng.integers(1, 4)))]
+    curves = []
+    for k in rng.permutation(len(shapes)):
+        n, closed = shapes[k]
+        m = n + (not closed)
+        curves.append(PolyCurve(rng.normal(size=(m, 3))
+                                * rng.uniform(0.1, 3.0, size=(m, 1)), closed))
+    windows = None
+    if rng.random() < 0.8:
+        windows = np.array([rng.choice([
+            rng.uniform(0.0, 0.6) * c.length(),
+            0.5 * c.length() * (1.0 + rng.choice([-1e-9, 1e-9])),
+            np.inf]) for c in curves])
+    n = sum(c.n_segments for c in curves)
+    reps = rng.random(n) < 0.1 if rng.random() < 0.5 else None
+    return curves, windows, reps
+
+
+def _rule(curves, inter, intra, windows, reps):
+    """The pair-exclusion rule from first principles: (n, n) mask of the
+    segment pairs that count, i < j."""
+    comp, index, arc, nseg, total, closed = [], [], [], [], [], []
+    for k, c in enumerate(curves):
+        lens = np.linalg.norm(c.segment_ends() - c.segment_starts(), axis=1)
+        m = len(lens)
+        comp += [k] * m
+        index += range(m)
+        arc += list(np.concatenate(([0.0], np.cumsum(lens)))[:-1] + 0.5 * lens)
+        nseg += [m] * m
+        total += [float(lens.sum())] * m
+        closed += [c.closed] * m
+    comp, index, arc, nseg, total, closed = map(
+        np.array, (comp, index, arc, nseg, total, closed))
+    same = comp[:, None] == comp[None, :]
+    d = np.abs(index[:, None] - index[None, :])
+    d = np.where(closed[:, None], np.minimum(d, nseg[:, None] - d), d)
+    ok = intra & same & (d > distances._SKIP_WINDOW)
+    if windows is not None:
+        x = np.abs(arc[:, None] - arc[None, :])
+        x = np.where(closed[:, None], np.minimum(x, total[:, None] - x), x)
+        ok &= x > windows[comp][:, None]
+    keep = (inter & ~same) | ok
+    if reps is not None:
+        keep &= reps[:, None] | reps[None, :]
+    return np.triu(keep, 1)
+
+
+@pytest.mark.parametrize("seed", range(24))
+@pytest.mark.parametrize("inter, intra", [(True, False), (False, True),
+                                          (True, True)])
+def test_may_count_states_the_rule_at_every_granularity(seed, inter, intra):
+    curves, windows, reps = _rule_scene(seed)
+    soup = distances._SegmentSoup(curves, reps)
+    rule = _rule(curves, inter, intra, windows, reps)
+
+    def may_count(units, ia, ib):
+        return distances._may_count(soup, units, ia, ib, inter, intra, windows)
+
+    # segment pairs: exactly the rule
+    ia, ib = np.triu_indices(len(soup), 1)
+    assert np.array_equal(may_count(None, ia, ib), rule[ia, ib])
+    # run pairs, a run with itself included: never a drop of a counted pair
+    runs = distances._Runs(soup)
+    ra, rb = np.triu_indices(runs.first.size)
+    held = np.array([rule[f:l + 1, g:k + 1].any() for f, l, g, k in zip(
+        runs.first[ra], runs.last[ra], runs.first[rb], runs.last[rb])])
+    kept = may_count((runs.first, runs.last), ra, rb)
+    assert not (held & ~kept).any()
+    # whole components: never a drop, and exactly "some pair counts" for
+    # distinct components, under an infinite window, and without
+    # representatives on an open component or without windows, where one
+    # pair has the widest separations
+    first = soup.first
+    last = first + soup.comp_nseg - 1
+    ca, cb = np.triu_indices(first.size)
+    held = np.array([rule[first[a]:last[a] + 1, first[b]:last[b] + 1].any()
+                     for a, b in zip(ca, cb)])
+    kept = may_count((first, last), ca, cb)
+    assert not (held & ~kept).any()
+    window = np.zeros(ca.size) if windows is None else windows[ca]
+    exact = (ca != cb) | np.isinf(window) | ((reps is None) & (
+        ~np.array([c.closed for c in curves])[ca] | (windows is None)))
+    assert np.array_equal(kept[exact], held[exact])
+
+
 @pytest.mark.parametrize("curves", [
     _small_polygons, _sticks, _threaded_triangle, _far_torus,
     lambda: [_looping_curve(c, (0.0, 0.0, 2.0 * k), k)
@@ -600,7 +693,7 @@ def test_sampled_self_start_certifies_a_trefoil():
     # search below the chord from vertex 0 to vertex n/2 (2.0 here), and the
     # minimum stays the brute-force one bit for bit
     c = _trefoil(1500)
-    window = _arc_window(min_curvature_radius(c))
+    window = np.pi * min_curvature_radius(c)
     soup = distances._SegmentSoup([c])
     start = distances._sampled_bound(soup, False, True, np.array([window]))
     assert start < 0.7 * np.linalg.norm(c.vertices[0] - c.vertices[750])
