@@ -30,6 +30,16 @@ Results are exactly those of the brute-force scan over the pairs counted:
 both routes use the same kernel with the lower segment index first, and no
 bound drops the optimal pair.
 
+`measure_link` asks for its inter-component and self minima together
+(`_certified_min` with `split`): one segment table and one set of runs, the
+inter pairs from the query above, and the self pairs of most components by
+index (`_self_min`).  On a torus helix or a planar loop the self minimum
+lies across the component, so a query at the sampled bound would return
+all or nearly all of its run pairs; such a component has every pair of
+its runs enumerated, and no query is built for it.  A component whose
+extent the bound does not reach across (a coiled knot) still goes through
+a query.
+
 `_candidate_pairs` builds its trees by sliding-midpoint splits
 (`balanced_tree=False`), which build and search faster here than median
 splits and return the same pair sets.  `_SegmentSoup` keeps its segments as
@@ -45,6 +55,7 @@ in, so the distances are those of the einsum formulation bit for bit.
 
 from __future__ import annotations
 
+import functools
 import threading
 
 import numpy as np
@@ -263,6 +274,12 @@ class _SegmentSoup:
     def __len__(self):
         return self.rows.shape[1]
 
+    @functools.cached_property
+    def runs(self) -> "_Runs":
+        """The runs of these segments, built at the first search that
+        needs them."""
+        return _Runs(self)
+
     def scene_diameter(self) -> float:
         lo = self.mids.min(axis=1)
         hi = self.mids.max(axis=1)
@@ -393,21 +410,36 @@ def _admissible_min(soup, ia, ib, inter, intra, arc_windows) -> float:
     return best
 
 
-def _sampled_bound(soup, inter, intra, arc_windows) -> float:
+def _pairs(sizes) -> tuple:
+    """(i, j): every index pair i < j within each block of consecutive
+    items, for blocks of `sizes` items in order; np.triu_indices(n, 1) for
+    one block of n."""
+    sizes = np.asarray(sizes)
+    n = int(sizes.sum())
+    after = np.repeat(np.cumsum(sizes), sizes) - np.arange(1, n + 1)
+    i = np.repeat(np.arange(n), after)
+    j = np.arange(i.size) - np.repeat(np.cumsum(after) - after
+                                      - np.arange(1, n + 1), after)
+    return i, j
+
+
+def _sampled_bound(soup, inter, intra, arc_windows, per=None) -> float:
     """Where the search starts: the closest pair that `_may_count` keeps
-    among up to _BOUND_SAMPLES segments spread evenly along the components
-    (at most _SELF_SAMPLES per component in a pass of self pairs alone).
-    It is the distance of a searched pair, so a true upper bound, or inf
-    when no sampled pair is kept."""
+    among `per[k]` segments spread evenly along each component k, by
+    default up to _BOUND_SAMPLES over all components (at most _SELF_SAMPLES
+    per component in a pass of self pairs alone, which pairs samples of one
+    component only).  It is the distance of a searched pair, so a true
+    upper bound, or inf when no sampled pair is kept."""
     ncomp = len(soup.comp_nseg)
-    per = max(1, _BOUND_SAMPLES // ncomp)
-    if not inter:
-        per = min(per, _SELF_SAMPLES)
-    per = np.minimum(per, soup.comp_nseg)
+    if per is None:
+        per = max(1, _BOUND_SAMPLES // ncomp)
+        if not inter:
+            per = min(per, _SELF_SAMPLES)
+        per = np.minimum(per, soup.comp_nseg)
     lab = np.repeat(np.arange(ncomp), per)
     rank = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per)
     seg = soup.first[lab] + rank * soup.comp_nseg[lab] // per[lab]
-    ia, ib = np.triu_indices(len(seg), 1)
+    ia, ib = _pairs([seg.size] if inter else per)
     return _admissible_min(soup, seg[ia], seg[ib], inter, intra, arc_windows)
 
 
@@ -519,17 +551,35 @@ def _near_min(soup, runs, ra, rb, radius, inter, intra, arc_windows) -> float:
     return best
 
 
-def _certified_min(curves, inter, intra, arc_windows, reps=None) -> float:
-    """Exact minimum distance over the segment pairs of `curves` that
-    `_may_count` keeps: pairs of distinct components when `inter`, self
-    pairs outside the skip window and (with `arc_windows`, one per
-    component) the arc window when `intra`, and with `reps`, a mask over
-    the segments of all curves in order, only pairs with a marked segment
-    (the representatives of a symmetry's orbits, `measure._symmetry`); inf
-    when it keeps none.  One search over the runs, at the sampled bound, or
-    if no sampled pair was kept, at the scene diameter if it keeps a pair of
-    whole components."""
-    soup = _SegmentSoup(curves, reps)
+def _run_pairs(soup, at, radius, inter, intra, arc_windows,
+               sizes=None) -> tuple:
+    """The run pairs among the runs `at` (None: every run) that
+    `_may_count` keeps and whose capsule bound lies within `radius`: every
+    pair within each block of `sizes` consecutive runs of `at`, by index,
+    or without `sizes` those that one query returns at `radius` plus twice
+    their largest radius."""
+    runs = soup.runs
+    if sizes is not None:
+        ra, rb = _pairs(sizes)
+    else:
+        mids, marked, reach = runs.mids, runs.marked, runs.radius
+        if at is not None:
+            mids, reach = mids.take(at, axis=0), reach.take(at)
+            marked = None if marked is None else marked.take(at)
+        ra, rb = _candidate_pairs(mids, radius + 2.0 * reach.max(), marked)
+    if at is not None:
+        ra, rb = at.take(ra), at.take(rb)
+    keep = _may_count(soup, (runs.first, runs.last), ra, rb, inter, intra,
+                      arc_windows)
+    ra, rb = ra.compress(keep), rb.compress(keep)
+    keep = runs.lower_bounds(ra, rb) <= radius
+    return ra.compress(keep), rb.compress(keep)
+
+
+def _search(soup, inter, intra, arc_windows) -> float:
+    """The single-radius search of `_certified_min`: one query over the
+    runs, at the sampled bound, or if no sampled pair was kept, at the scene
+    diameter if the rule keeps a pair of whole components."""
     start = _sampled_bound(soup, inter, intra, arc_windows)
     if np.isfinite(start):
         radius = _widened(start)
@@ -541,15 +591,72 @@ def _certified_min(curves, inter, intra, arc_windows, reps=None) -> float:
         if not _may_count(soup, whole, ca, cb, inter, intra, arc_windows).any():
             return np.inf
         radius = soup.scene_diameter()
-    runs = _Runs(soup)
-    ra, rb = _candidate_pairs(runs.mids, radius + 2.0 * runs.radius.max(),
-                              runs.marked)
-    keep = _may_count(soup, (runs.first, runs.last), ra, rb, inter, intra,
-                      arc_windows)
-    ra, rb = ra.compress(keep), rb.compress(keep)
-    keep = runs.lower_bounds(ra, rb) <= radius
-    ra, rb = ra.compress(keep), rb.compress(keep)
-    return _near_min(soup, runs, ra, rb, radius, inter, intra, arc_windows)
+    ra, rb = _run_pairs(soup, None, radius, inter, intra, arc_windows)
+    return _near_min(soup, soup.runs, ra, rb, radius, inter, intra,
+                     arc_windows)
+
+
+def _self_min(soup, arc_windows) -> float:
+    """Exact minimum over the self pairs that `_may_count` keeps (intra
+    alone, under `arc_windows`), over the runs of the components that may
+    keep one, at the closest kept pair among up to _SELF_SAMPLES segments
+    spread evenly along each (inf when none is kept: every pair counts).
+
+    A component has every pair of its runs enumerated by index when that
+    radius plus twice its largest run radius, the reach of a query at that
+    radius, covers its extent, the largest distance of a run midpoint from
+    the centre of their bounding box: such a query would return a fixed
+    share of its run pairs at least (on a built helix or planar loop, all
+    or nearly all of them), so enumerating them costs at most a constant
+    times the query.  The other components go through one query, so no
+    input turns quadratic."""
+    q = soup.first.size
+    whole = (soup.first, soup.first + soup.comp_nseg - 1)
+    searched = _may_count(soup, whole, np.arange(q), np.arange(q), False, True,
+                          arc_windows)
+    if not searched.any():
+        return np.inf
+    per = np.where(searched, np.minimum(_SELF_SAMPLES, soup.comp_nseg), 0)
+    radius = _widened(_sampled_bound(soup, False, True, arc_windows, per))
+    runs = soup.runs
+    start = np.searchsorted(runs.first, soup.first)  # each component's runs
+    count = np.diff(start, append=runs.first.size)
+    lo = np.minimum.reduceat(runs.mids, start)
+    hi = np.maximum.reduceat(runs.mids, start)
+    centre = np.repeat(0.5 * (lo + hi), count, axis=0)
+    extent = np.maximum.reduceat(np.linalg.norm(runs.mids - centre, axis=1),
+                                 start)
+    wide = searched & (radius + 2.0 * np.maximum.reduceat(runs.radius, start)
+                       >= extent)
+    ra, rb = _run_pairs(soup, _members(start, count, np.flatnonzero(wide))[0],
+                        radius, False, True, arc_windows, count.compress(wide))
+    tree = np.flatnonzero(searched & ~wide)
+    if tree.size:
+        ta, tb = _run_pairs(soup, _members(start, count, tree)[0], radius,
+                            False, True, arc_windows)
+        ra, rb = np.concatenate((ra, ta)), np.concatenate((rb, tb))
+    return _near_min(soup, runs, ra, rb, radius, False, True, arc_windows)
+
+
+def _certified_min(curves, inter, intra, arc_windows, reps=None,
+                   split=False):
+    """Exact minimum distance over the segment pairs of `curves` that
+    `_may_count` keeps: pairs of distinct components when `inter`, self
+    pairs outside the skip window and (with `arc_windows`, one per
+    component) the arc window when `intra`, and with `reps`, a mask over
+    the segments of all curves in order, only pairs with a marked segment
+    (the representatives of a symmetry's orbits, `measure._symmetry`); inf
+    when it keeps none.  One search over the runs (`_search`).
+
+    With `split` (`inter` and `intra` both set), the pair (inter minimum,
+    self minimum) from one segment table and one set of runs: the inter
+    pairs from the query of `_search`, the self pairs mostly by index
+    (`_self_min`)."""
+    soup = _SegmentSoup(curves, reps)
+    if split:
+        return (_search(soup, True, False, None),
+                _self_min(soup, arc_windows))
+    return _search(soup, inter, intra, arc_windows)
 
 
 def mutual_min_distance(curves, reps=None) -> float:

@@ -11,13 +11,14 @@ violation, so it is invariant under uniform scaling and rigid motions.
 an embedding.
 
 A link is measured modulo the symmetry its coordinates prove, whether it was
-built or read from a file (no field declares one): congruent components
-(`_symmetry`'s classes) share one self-distance search, and the
-inter-component search keeps the segment pairs that touch a representative
-of an orbit of the link's rotation group about z.  Every distance minimum is
-then within 2 eps of the whole link's (eps = 1e-12 of the link's extent),
-and verify judges such a link's clearance with that margin.  Curvature radii
-are measured on every component.
+built or read from a file (no field declares one), in one distance search
+over one segment table: the self pairs of each class of congruent
+components (`_symmetry`'s classes) are searched on its first member only,
+and the inter-component pairs are those that touch a representative of an
+orbit of the link's rotation group about z.  Every distance minimum is then
+within 2 eps of the whole link's (eps = 1e-12 of the link's extent), and
+verify judges such a link's clearance with that margin.  Curvature radii
+are measured on every component, in one batch per vertex count.
 """
 
 from __future__ import annotations
@@ -28,8 +29,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import PolyCurve, min_curvature_radii, min_curvature_radius
-from .distances import _certified_min, mutual_min_distance
+from .curves import PolyCurve, min_curvature_radii
+# Not called here; kept because perfbench/tracing.py wraps these attributes.
+from .curves import min_curvature_radius  # noqa: F401
+from .distances import _certified_min
+from .distances import mutual_min_distance  # noqa: F401
 from .linking import linking_matrix
 
 __all__ = [
@@ -310,23 +314,20 @@ def _metrics(config, radii, min_inter, min_self, min_overall,
 
 def _curvature(comps, classes) -> tuple:
     """(radii, windows): the minimal curvature radius of every component,
-    and each component's arc window, pi times a radius.  A class representative's window comes
-    from the smallest radius in its class, so its self search admits every
-    pair that a member's own window would; the other members get inf, which
-    admits no self pair.  Representatives are measured one at a time
-    (min_curvature_radius), the other members of each vertex count and
-    closedness in one batch."""
+    measured in one batch per vertex count and closedness
+    (min_curvature_radii), and each component's arc window, pi times a
+    radius.  A class representative's window comes from the smallest
+    radius in its class, so it admits every self pair that a member's own
+    window would; the other members get inf, which admits no self pair."""
     q = len(comps)
-    first = classes == np.arange(q)
+    shapes = {}
+    for i, c in enumerate(comps):
+        shapes.setdefault((c.n_vertices, c.closed), []).append(i)
     radii = np.empty(q)
-    for i in np.flatnonzero(first):
-        radii[i] = min_curvature_radius(comps[i])
-    members = {}
-    for i in np.flatnonzero(~first):
-        members.setdefault((comps[i].n_vertices, comps[i].closed), []).append(i)
-    for (_, closed), idx in members.items():
+    for (_, closed), idx in shapes.items():
         radii[idx] = min_curvature_radii(
             np.stack([comps[i].vertices for i in idx]), closed)
+    first = classes == np.arange(q)
     smallest = radii.copy()
     np.minimum.at(smallest, classes, radii)
     windows = np.full(q, np.inf)
@@ -342,33 +343,25 @@ def measure_link(config: LinkConfiguration) -> LinkMetrics:
     (`_curvature`): self pairs closer along the curve describe local
     bending, already accounted for by the curvature term, rather than
     genuine self contact.  A component whose window covers half its length
-    (a circle, a torus core) has no such pair and contributes inf without a
-    search.
+    (a circle, a torus core) has no such pair and contributes inf.
 
     The link is measured modulo the symmetry its coordinates prove
-    (`_symmetry`), built or read from a file alike: self distances once per
-    congruence class, on its first member; the inter-component distance
-    over the segment pairs with a representative of an orbit of the
-    rotation group.  Each distance minimum is exact over the pairs searched
-    and within 2 eps of the whole link's; `margin` is then 2 eps, which
-    verify's clearance verdicts must clear, and 0 for a link measured in
-    full.  Curvature radii are measured on every component.
+    (`_symmetry`), built or read from a file alike, in one search over one
+    segment table (`distances._certified_min` with `split`): the
+    inter-component minimum over the segment pairs with a representative of
+    an orbit of the rotation group, and the self minimum over the first
+    member of each congruence class (the others get an infinite window).
+    Each distance minimum is exact over the pairs searched and within 2 eps
+    of the whole link's; `margin` is then 2 eps, which verify's clearance
+    verdicts must clear, and 0 for a link measured in full.  Curvature
+    radii are measured on every component.
     """
     comps = config.components
     sym = _symmetry(comps)
     radii, windows = _curvature(comps, sym.classes)
-
-    min_inter = (mutual_min_distance(comps, reps=sym.reps) if len(comps) > 1
-                 else np.inf)
-    min_self = np.inf
-    reps = ([None] * len(comps) if sym.reps is None else
-            np.split(sym.reps, np.cumsum([c.n_segments for c in comps])[:-1]))
-    for i in np.flatnonzero(sym.classes == np.arange(len(comps))):
-        min_self = min(
-            min_self,
-            _certified_min([comps[i]], inter=False, intra=True,
-                           arc_windows=windows[i:i + 1], reps=reps[i]),
-        )
+    min_inter, min_self = _certified_min(comps, inter=True, intra=True,
+                                         arc_windows=windows, reps=sym.reps,
+                                         split=True)
     return _metrics(config, radii, min_inter, min_self,
                     min(min_inter, min_self), sym.margin)
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ropebound import measure
+from ropebound import distances, measure
 from ropebound.cli import _sig12
 from ropebound.construct import (
     FAMILIES,
@@ -330,25 +330,37 @@ def test_orbit_measurement_matches_the_full_path(method, size, variant):
     assert _sig12(metrics.normalized_length) == _sig12(normalized)
 
 
-def _self_searches(monkeypatch) -> list:
-    """Record the component count of every self search measure_link runs."""
-    intra = []
-    certified_min = measure._certified_min
+def _searches(monkeypatch) -> list:
+    """Record every certified search measure runs: its component count and
+    the components that hold its self candidates, the run pairs of a self
+    pass that reach the segment kernel."""
+    searches = []
+    certified_min, near_min = measure._certified_min, distances._near_min
 
-    def counting(curves, **kwargs):
-        if not kwargs["inter"]:
-            intra.append(len(curves))
-        return certified_min(curves, **kwargs)
+    def search(curves, *args, **kwargs):
+        searches.append((len(curves), set()))
+        return certified_min(curves, *args, **kwargs)
 
-    monkeypatch.setattr(measure, "_certified_min", counting)
-    return intra
+    def near(soup, runs, ra, rb, radius, inter, intra, arc_windows):
+        if intra and not inter:
+            held = soup.labels.take(runs.first.take(np.concatenate((ra, rb))))
+            searches[-1][1].update(held.tolist())
+        return near_min(soup, runs, ra, rb, radius, inter, intra, arc_windows)
+
+    monkeypatch.setattr(measure, "_certified_min", search)
+    monkeypatch.setattr(distances, "_near_min", near)
+    return searches
 
 
 def test_measure_link_searches_self_distance_once_per_orbit(monkeypatch):
-    intra = _self_searches(monkeypatch)
+    searches = _searches(monkeypatch)
     link = _torus_link("inc4", 2, "double", n_points=80)  # 26 components
+    classes = set(measure._symmetry(link.components).classes.tolist())
     measure_link(link)
-    assert intra == [1, 1, 1]  # core, shell 1, shell 2
+    # one search, whose self candidates lie on first members of classes
+    # (core, shell 1, shell 2) only
+    (count, held), = searches
+    assert count == 26 and held and held <= classes
 
 
 def _inc4_file(tmp_path, edit=None):
@@ -376,9 +388,12 @@ def test_a_moved_vertex_breaks_the_symmetry_it_touches(tmp_path, monkeypatch):
     sym = measure._symmetry(link.components)
     assert sym.classes.tolist() == [0, 1, 1, 3, 1] + [5] * 8
     assert sym.reps is None
-    intra = _self_searches(monkeypatch)
+    searches = _searches(monkeypatch)
     metrics = measure_link(link)
-    assert intra == [1] * 4  # core, shell 1, the moved helix, shell 2
+    # one search, whose self candidates lie on first members of classes
+    # (core, shell 1, the moved helix, shell 2) only
+    (count, held), = searches
+    assert count == 13 and held and held <= {0, 1, 3, 5}
     monkeypatch.undo()
     # the inter pass, and so the clearance it sets, is the brute force bit
     # for bit, as is the curvature radius; the self minimum comes from the

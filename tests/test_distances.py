@@ -26,6 +26,7 @@ from ropebound.distances import (
     mutual_min_distance,
     segment_pair_distances,
 )
+from ropebound.io_formats import export_geometry, import_geometry
 from ropebound.measure import LinkConfiguration
 
 
@@ -545,6 +546,59 @@ def test_measure_thickness_equals_masked_brute_force_far_out():
                                                        sym.reps)
 
 
+def _split_references(curves, windows, reps):
+    """(inter, self) brute-force minima: over every pair of distinct
+    components (min_distance_brute) and every component under its window
+    (min_self_distance_brute); with `reps`, the masked brute force of each
+    kind."""
+    if reps is not None:
+        return (_masked_brute(curves, True, False, None, reps),
+                _masked_brute(curves, False, True, windows, reps))
+    inter = min((min_distance_brute(a, b) for i, a in enumerate(curves)
+                 for b in curves[i + 1:]), default=np.inf)
+    self_ = min(min_self_distance_brute(
+        c, None if windows is None else windows[k])
+        for k, c in enumerate(curves))
+    return inter, self_
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["all", "symmetry"])
+@pytest.mark.parametrize("name", list(_MODES))
+def test_one_search_minima_equal_brute_force_of_each_kind(name, symmetric):
+    # measure_link's one search returns the inter and the self minimum; each
+    # equals the brute force of its kind bit for bit, with every component
+    # searched under the mode's windows, or modulo the symmetry measure
+    # finds, self pairs on class representatives under their windows
+    make, _, _, windows = _MODES[name]
+    curves = make()
+    if symmetric:
+        sym = measure._symmetry(curves)
+        reps, windows = sym.reps, measure._curvature(curves, sym.classes)[1]
+    else:
+        reps = None
+        if isinstance(windows, str):
+            windows = _bending_windows(curves)
+    split = _certified_min(curves, inter=True, intra=True, arc_windows=windows,
+                           reps=reps, split=True)
+    assert split == _split_references(curves, windows, reps)
+
+
+def test_one_search_minima_of_a_file_equal_brute_force(tmp_path):
+    # inc4 T=2 read back from VECT: no symmetry is declared, the one its
+    # coordinates prove restricts both kinds, and each equals its masked
+    # brute force bit for bit
+    link = realize_torus(build_increment_spec(2, 4), n_points=120, check=False)
+    path = str(tmp_path / "inc4.vect")
+    curves = import_geometry(export_geometry(link, path=path)).components
+    sym = measure._symmetry(curves)
+    assert sym.reps is not None and len(set(sym.classes.tolist())) == 3
+    windows = measure._curvature(curves, sym.classes)[1]
+    split = _certified_min(curves, inter=True, intra=True, arc_windows=windows,
+                           reps=sym.reps, split=True)
+    assert split == _split_references(curves, windows, sym.reps)
+    assert all(np.isfinite(split))
+
+
 def _rule_scene(seed):
     """Random open and closed curves (a closed 11-segment one, whose widest
     folded separation is _SKIP_WINDOW segments, among them), per-component
@@ -677,6 +731,52 @@ def test_torus_self_distances_search_once_or_not_at_all(monkeypatch):
                            arc_windows=_bending_windows([curve]))
         assert len(searches) == expected
         assert bool(np.isfinite(d)) is finite
+
+
+def _queries(monkeypatch) -> list:
+    """Record the point count of every `_candidate_pairs` query."""
+    queries = []
+    candidate_pairs = distances._candidate_pairs
+
+    def counting(points, reach, marked=None):
+        queries.append(len(points))
+        return candidate_pairs(points, reach, marked)
+
+    monkeypatch.setattr(distances, "_candidate_pairs", counting)
+    return queries
+
+
+def test_measure_link_of_a_torus_queries_once(monkeypatch):
+    # inc4 T=3 at 400 points: a query at the sampled self bound would reach
+    # across every helix, so each helix class has its run pairs enumerated
+    # by index (the core has no self pair); the one query is the inter
+    # pass's, over the runs of all 25 components
+    link = realize_torus(build_increment_spec(3, 4), n_points=400, check=False)
+    queries = _queries(monkeypatch)
+    measure.measure_link(link)
+    assert queries == [25 * 400 // distances._RUN]
+
+
+def _coiled_knot(n=400, major=4.0, minor=1.0):
+    """A (2, 7) torus knot on a thin tube: its self minimum, across the
+    tube, lies far below its extent."""
+    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    ring = major + minor * np.cos(7.0 * t)
+    return PolyCurve(np.column_stack((ring * np.cos(2.0 * t),
+                                      ring * np.sin(2.0 * t),
+                                      minor * np.sin(7.0 * t))))
+
+
+def test_a_coiled_knot_takes_the_query(monkeypatch):
+    # a single component has no inter pass, so the one query is the self
+    # search's, over the knot's runs; its minimum is the brute force's
+    knot = _coiled_knot()
+    queries = _queries(monkeypatch)
+    metrics = measure.measure_link(LinkConfiguration([knot]))
+    assert queries == [400 // distances._RUN]
+    window = np.pi * min_curvature_radius(knot)
+    assert metrics.min_self_distance == min_self_distance_brute(knot, window)
+    assert metrics.min_self_distance < 0.3 * np.ptp(knot.vertices, axis=0).max()
 
 
 def _trefoil(n):
