@@ -297,6 +297,10 @@ class _SegmentSoup:
 _BOUND_SAMPLES = 128
 _SELF_SAMPLES = 32
 
+# Run pairs per block that `_self_min` enumerates by index: a component of
+# 250 runs (1,000 segments) holds 31,125.
+_INDEXED_PAIRS = 1 << 15
+
 
 def _candidate_pairs(points, reach: float, marked=None):
     """All index pairs (i < j) of `points` (rows, any dimension) that lie
@@ -608,8 +612,10 @@ def _self_min(soup, arc_windows) -> float:
     the centre of their bounding box: such a query would return a fixed
     share of its run pairs at least (on a built helix or planar loop, all
     or nearly all of them), so enumerating them costs at most a constant
-    times the query.  The other components go through one query, so no
-    input turns quadratic."""
+    times the query.  They are enumerated in blocks of whole components,
+    a new block starting once _INDEXED_PAIRS run pairs are out, so a link
+    of many classes holds about one component's pairs at a time.  The other
+    components go through one query, so no input turns quadratic."""
     q = soup.first.size
     whole = (soup.first, soup.first + soup.comp_nseg - 1)
     searched = _may_count(soup, whole, np.arange(q), np.arange(q), False, True,
@@ -628,13 +634,17 @@ def _self_min(soup, arc_windows) -> float:
                                  start)
     wide = searched & (radius + 2.0 * np.maximum.reduceat(runs.radius, start)
                        >= extent)
-    ra, rb = _run_pairs(soup, _members(start, count, np.flatnonzero(wide))[0],
-                        radius, False, True, arc_windows, count.compress(wide))
+    comps = np.flatnonzero(wide)
+    size = count.take(comps) * (count.take(comps) - 1) // 2
+    block = (np.cumsum(size) - size) // _INDEXED_PAIRS
+    found = [_run_pairs(soup, _members(start, count, at)[0], radius, False,
+                        True, arc_windows, count.take(at))
+             for at in np.split(comps, np.flatnonzero(np.diff(block)) + 1)]
     tree = np.flatnonzero(searched & ~wide)
     if tree.size:
-        ta, tb = _run_pairs(soup, _members(start, count, tree)[0], radius,
-                            False, True, arc_windows)
-        ra, rb = np.concatenate((ra, ta)), np.concatenate((rb, tb))
+        found.append(_run_pairs(soup, _members(start, count, tree)[0], radius,
+                                False, True, arc_windows))
+    ra, rb = (np.concatenate(side) for side in zip(*found))
     return _near_min(soup, runs, ra, rb, radius, False, True, arc_windows)
 
 
@@ -648,14 +658,19 @@ def _certified_min(curves, inter, intra, arc_windows, reps=None,
     (the representatives of a symmetry's orbits, `measure._symmetry`); inf
     when it keeps none.  One search over the runs (`_search`).
 
-    With `split` (`inter` and `intra` both set), the pair (inter minimum,
-    self minimum) from one segment table and one set of runs: the inter
-    pairs from the query of `_search`, the self pairs mostly by index
-    (`_self_min`)."""
+    With `split` (`inter` and `intra` both set, else ValueError), the pair
+    (inter minimum, self minimum) from one segment table and one set of
+    runs: the inter pairs from the query of `_search` (inf for one
+    component, without a search), the self pairs mostly by index
+    (`_self_min`).  It is a flag here rather than a function of its own so
+    that perfbench/tracing.py, which wraps `measure._certified_min`, sees
+    the call."""
     soup = _SegmentSoup(curves, reps)
     if split:
-        return (_search(soup, True, False, None),
-                _self_min(soup, arc_windows))
+        if not (inter and intra):
+            raise ValueError("split needs both inter and intra pairs")
+        return (_search(soup, True, False, None) if len(curves) > 1
+                else np.inf, _self_min(soup, arc_windows))
     return _search(soup, inter, intra, arc_windows)
 
 

@@ -201,36 +201,13 @@ def test_non_finite_tolerance_exits_2(capsys, tmp_path, subcommand, tolerance):
     assert captured.out == ""
 
 
-def _searches(monkeypatch) -> list:
-    """Record every certified search measure runs: its component count and
-    the components that hold its self candidates, the run pairs of a self
-    pass that reach the segment kernel."""
-    searches = []
-    certified_min, near_min = measure._certified_min, distances._near_min
-
-    def search(curves, *args, **kwargs):
-        searches.append((len(curves), set()))
-        return certified_min(curves, *args, **kwargs)
-
-    def near(soup, runs, ra, rb, radius, inter, intra, arc_windows):
-        if intra and not inter:
-            held = soup.labels.take(runs.first.take(np.concatenate((ra, rb))))
-            searches[-1][1].update(held.tolist())
-        return near_min(soup, runs, ra, rb, radius, inter, intra, arc_windows)
-
-    monkeypatch.setattr(measure, "_certified_min", search)
-    monkeypatch.setattr(distances, "_near_min", near)
-    return searches
-
-
-def test_build_searches_component_clearance_once(capsys, monkeypatch):
+def test_build_searches_component_clearance_once(capsys, searches):
     # build measures its link once, in one search over the 5 components
-    # (core and 4 congruent helices) whose self candidates lie on helix 1,
-    # the first of its class (the core has no self pair)
-    searches = _searches(monkeypatch)
+    # (core and 4 congruent helices) whose self pairs are searched on
+    # helix 1 alone, the first of its class (the core has no self pair)
     assert main(["build", "inc4", "--t", "1", "--points", "200"]) == 0
     capsys.readouterr()
-    assert searches == [(5, {1})]
+    assert searches == [(5, {1}, {1})]
 
 
 # One valid triangle; the malformed JSON rows below append one field to it.
@@ -570,20 +547,22 @@ def test_build_accepts_default_and_config_values(capsys, tmp_path, config,
     assert {key: flags[key] for key in recorded} == recorded
 
 
-def test_check_searches_self_distance_once_per_class(capsys, monkeypatch,
+def test_check_searches_self_distance_once_per_class(capsys, searches,
                                                      tmp_path):
     # a VECT file declares no symmetry; its coordinates prove one, so the
     # 13 components of inc4 T=2 (core, 4 and 8 helices) take one search
-    # whose self candidates lie on first members of classes only
+    # whose self pairs are those of the first helix of each shell (the core
+    # has no self pair)
     path = str(tmp_path / "inc4.vect")
     assert main(["build", "inc4", "--t", "2", "--points", "200",
                  "--out", path]) == 0
     capsys.readouterr()
-    searches = _searches(monkeypatch)
+    searches.clear()
     code, payload = _run_json(capsys, ["check", path])
     assert code == 0 and payload["components"] == 13
-    (count, held), = searches
-    assert count == 13 and held and held <= {0, 1, 5}
+    (count, searched, held), = searches
+    assert count == 13 and searched == {1, 5}
+    assert held and held <= searched
 
 
 @pytest.mark.parametrize("nudge, passed", [(0.0, True), (0.1, False)])

@@ -330,37 +330,15 @@ def test_orbit_measurement_matches_the_full_path(method, size, variant):
     assert _sig12(metrics.normalized_length) == _sig12(normalized)
 
 
-def _searches(monkeypatch) -> list:
-    """Record every certified search measure runs: its component count and
-    the components that hold its self candidates, the run pairs of a self
-    pass that reach the segment kernel."""
-    searches = []
-    certified_min, near_min = measure._certified_min, distances._near_min
-
-    def search(curves, *args, **kwargs):
-        searches.append((len(curves), set()))
-        return certified_min(curves, *args, **kwargs)
-
-    def near(soup, runs, ra, rb, radius, inter, intra, arc_windows):
-        if intra and not inter:
-            held = soup.labels.take(runs.first.take(np.concatenate((ra, rb))))
-            searches[-1][1].update(held.tolist())
-        return near_min(soup, runs, ra, rb, radius, inter, intra, arc_windows)
-
-    monkeypatch.setattr(measure, "_certified_min", search)
-    monkeypatch.setattr(distances, "_near_min", near)
-    return searches
-
-
-def test_measure_link_searches_self_distance_once_per_orbit(monkeypatch):
-    searches = _searches(monkeypatch)
+def test_measure_link_searches_self_distance_once_per_orbit(searches):
     link = _torus_link("inc4", 2, "double", n_points=80)  # 26 components
     classes = set(measure._symmetry(link.components).classes.tolist())
     measure_link(link)
-    # one search, whose self candidates lie on first members of classes
-    # (core, shell 1, shell 2) only
-    (count, held), = searches
-    assert count == 26 and held and held <= classes
+    # one search, whose self pairs are those of the first members of the
+    # classes of shell 1 and shell 2 only (the cores have no self pair)
+    (count, searched, held), = searches
+    assert count == 26 and searched == classes - {0} == {1, 5}
+    assert held and held <= searched
 
 
 def _inc4_file(tmp_path, edit=None):
@@ -376,7 +354,8 @@ def _inc4_file(tmp_path, edit=None):
     return import_geometry(export_geometry(edited, path=str(tmp_path / "t.vect")))
 
 
-def test_a_moved_vertex_breaks_the_symmetry_it_touches(tmp_path, monkeypatch):
+def test_a_moved_vertex_breaks_the_symmetry_it_touches(tmp_path, monkeypatch,
+                                                      searches):
     # helix 2 of shell 1 (component 3) has one vertex moved by 1e-6: it is
     # congruent to nothing, so it gets its own class and its own self
     # search, and no rotation maps the link onto itself, so every inter
@@ -388,12 +367,13 @@ def test_a_moved_vertex_breaks_the_symmetry_it_touches(tmp_path, monkeypatch):
     sym = measure._symmetry(link.components)
     assert sym.classes.tolist() == [0, 1, 1, 3, 1] + [5] * 8
     assert sym.reps is None
-    searches = _searches(monkeypatch)
+    searches.clear()
     metrics = measure_link(link)
-    # one search, whose self candidates lie on first members of classes
-    # (core, shell 1, the moved helix, shell 2) only
-    (count, held), = searches
-    assert count == 13 and held and held <= {0, 1, 3, 5}
+    # one search, whose self pairs are those of the first members of shell
+    # 1, the moved helix and shell 2 (the core has no self pair)
+    (count, searched, held), = searches
+    assert count == 13 and searched == {1, 3, 5}
+    assert held and held <= searched
     monkeypatch.undo()
     # the inter pass, and so the clearance it sets, is the brute force bit
     # for bit, as is the curvature radius; the self minimum comes from the

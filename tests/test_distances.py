@@ -772,11 +772,53 @@ def test_a_coiled_knot_takes_the_query(monkeypatch):
     # search's, over the knot's runs; its minimum is the brute force's
     knot = _coiled_knot()
     queries = _queries(monkeypatch)
+    monkeypatch.setattr(distances, "_search", None)  # no inter pass to run
     metrics = measure.measure_link(LinkConfiguration([knot]))
     assert queries == [400 // distances._RUN]
+    assert metrics.min_inter_distance == np.inf
     window = np.pi * min_curvature_radius(knot)
     assert metrics.min_self_distance == min_self_distance_brute(knot, window)
     assert metrics.min_self_distance < 0.3 * np.ptp(knot.vertices, axis=0).max()
+
+
+def test_a_link_without_symmetry_enumerates_its_runs_in_blocks(monkeypatch):
+    # inc4 T=2 with every component nudged differently proves no symmetry,
+    # so each of its 12 helices is a class of its own; with blocks capped
+    # at the run pairs of two helices, the self pass enumerates them in
+    # several blocks, each within the cap plus one helix, every helix once,
+    # and both minima stay the brute force of their kind bit for bit
+    link = realize_torus(build_increment_spec(2, 4), n_points=120, check=False)
+    curves = []
+    for k, c in enumerate(link.components):
+        v = c.vertices.copy()
+        v[17, 0] += 1e-6 * (k + 1)
+        curves.append(PolyCurve(v))
+    sym = measure._symmetry(curves)
+    assert sym.classes.tolist() == list(range(13)) and sym.reps is None
+    windows = measure._curvature(curves, sym.classes)[1]
+    whole = _certified_min(curves, inter=True, intra=True,
+                           arc_windows=windows, split=True)
+    helix = 120 // distances._RUN
+    monkeypatch.setattr(distances, "_INDEXED_PAIRS", helix * (helix - 1))
+    blocks = []
+    run_pairs = distances._run_pairs
+
+    def recording(soup, at, radius, inter, intra, arc_windows, sizes=None):
+        if sizes is not None:
+            blocks.append(sizes.tolist())
+        return run_pairs(soup, at, radius, inter, intra, arc_windows, sizes)
+
+    monkeypatch.setattr(distances, "_run_pairs", recording)
+    split = _certified_min(curves, inter=True, intra=True, arc_windows=windows,
+                           split=True)
+    assert len(blocks) > 1 and sum(blocks, []) == [helix] * 12
+    for sizes in blocks:
+        pairs = sum(n * (n - 1) // 2 for n in sizes)
+        assert pairs <= distances._INDEXED_PAIRS + helix * (helix - 1) // 2
+    assert split == whole == _split_references(curves, windows, None)
+    with pytest.raises(ValueError, match="split"):
+        _certified_min(curves, inter=True, intra=False, arc_windows=None,
+                       split=True)
 
 
 def _trefoil(n):
