@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
@@ -160,11 +159,9 @@ def cmd_build(args) -> int:
         if args.t is None:
             _usage(f"build {method}: requires --t (number of shells)")
         if method == "optimal":
-            spec = build_optimal_spec(args.t, args.count_mode)
+            spec = build_optimal_spec(args.t, args.count_mode, p=args.p)
         else:
-            spec = build_increment_spec(args.t, int(method[3:]))
-        if args.p != 1:
-            spec = replace(spec, p=args.p)
+            spec = build_increment_spec(args.t, int(method[3:]), p=args.p)
         report = construction_report(spec, doubled=args.double, mirrored=args.mirror)
         payload["construction"] = report.as_dict()
         if args.double:

@@ -8,7 +8,8 @@ offsets).  The spec builders and length formulas compute on a TorusBatch,
 the shells of many tori in one set of arrays: a sweep evaluates a chunk of
 T values in one batch, and a single spec is a batch of one.  The
 hole radius h = R0 - r_outer is sized so every shell satisfies the
-helix-packing constraint; two builds are provided:
+helix-packing constraint; a helix winding p times around the tube packs as
+one winding once around a hole p times smaller.  Two builds are provided:
 
 * increment: shell i carries increment * i helices (increment 4 fills each
   shell to the rectangle rule exactly; increment 5 overfills, forcing a wider
@@ -253,12 +254,14 @@ def _crossing_number(q: int, p: int, doubled: bool) -> int:
     return 2 * single + 2 * q * q if doubled else single
 
 
-def _shell_index(ts) -> tuple:
+def _shell_index(ts, p: int) -> tuple:
     """(sizes, index): the shell count T of each torus, and 1..T for each
-    torus in turn.  Rejects T < 1."""
+    torus in turn.  Rejects T < 1 and p < 1."""
     sizes = np.asarray(ts, dtype=np.int64)
     if sizes.min() < 1:
         raise ValueError(f"need t_shells >= 1, got {sizes.min()}")
+    if p < 1:
+        raise ValueError(f"need p >= 1, got {p}")
     ends = np.cumsum(sizes)
     return sizes, np.arange(1, ends[-1] + 1) - np.repeat(ends - sizes, sizes)
 
@@ -278,14 +281,22 @@ def _hole_radius_required(radii, counts) -> np.ndarray:
     return counts * radii / np.sqrt(cap * cap - counts * counts)
 
 
-def increment_tori(ts, increment: int, outer_counts=None) -> TorusBatch:
+def increment_tori(ts, increment: int, outer_counts=None, p: int = 1) -> TorusBatch:
     """build_increment_spec for every T in `ts` at once: shell i (radius 2i)
     of torus k holds increment*i helices, except its outer shell, which holds
-    outer_counts[k] when given; the hole of each torus is its largest
-    rectangle-rule requirement."""
-    sizes, index = _shell_index(ts)
+    outer_counts[k] when given; the hole of each torus is p times its
+    largest rectangle-rule requirement, since a helix of p windings packs
+    like one of a hole p times smaller.  An increment above 4 overfills its
+    shells, and for p > 1 that hole leaves helices closer than 2, so it is
+    refused."""
+    sizes, index = _shell_index(ts, p)
     if increment < 1:
         raise ValueError(f"need increment >= 1, got {increment}")
+    if p > 1 and increment > 4:
+        raise ValueError(
+            f"increment {increment} with p = {p}: the rectangle-rule hole of "
+            f"an overfilled shell leaves helices closer than 2 for p > 1"
+        )
     counts = increment * index
     outer = np.cumsum(sizes) - 1
     if outer_counts is not None:
@@ -294,43 +305,49 @@ def increment_tori(ts, increment: int, outer_counts=None) -> TorusBatch:
             raise ValueError(f"outer_count must be >= 1, got {outer_counts.min()}")
         counts[outer] = outer_counts
     radii = 2.0 * index
-    holes = np.maximum.reduceat(_hole_radius_required(radii, counts), outer - sizes + 1)
-    return TorusBatch(radii, counts, sizes, holes + radii[outer], has_core=True)
+    holes = p * np.maximum.reduceat(_hole_radius_required(radii, counts),
+                                    outer - sizes + 1)
+    return TorusBatch(radii, counts, sizes, holes + radii[outer], has_core=True,
+                      p=p)
 
 
-def optimal_tori(ts, count_mode: str = "exact") -> TorusBatch:
+def optimal_tori(ts, count_mode: str = "exact", p: int = 1) -> TorusBatch:
     """build_optimal_spec for every T in `ts` at once, with one max_helices
     call for every shell of every torus; shells that cannot host a helix
     are left out."""
-    sizes, index = _shell_index(ts)
+    sizes, index = _shell_index(ts, p)
     radii = 2.0 * index
-    counts = max_helices(radii, 2.0 * np.repeat(sizes, sizes), count_mode)
+    counts = max_helices(radii, 2.0 * np.repeat(sizes, sizes) / p, count_mode)
     filled = counts >= 1
     kept = np.bincount(np.repeat(np.arange(len(sizes)), sizes)[filled],
                        minlength=len(sizes))
     if not kept.all():
         raise ValueError("no shell can host a single helix; t_shells too small")
     return TorusBatch(radii[filled], counts[filled], kept, 4.0 * sizes,
-                      has_core=False)
+                      has_core=False, p=p)
 
 
-def build_increment_spec(t_shells: int, increment: int = 4) -> TorusSpec:
-    """Torus spec with a core and increment*i helices on shell i (radius 2i).
+def build_increment_spec(t_shells: int, increment: int = 4,
+                         p: int = 1) -> TorusSpec:
+    """Torus spec with a core and increment*i helices on shell i (radius 2i),
+    each winding p times around the tube.
 
     The hole radius is the largest requirement of the rectangle rule
     h = N r / sqrt(pi^2 r^2 - N^2) over all shells: the outer shell's (for
     increment 4 exactly h = N_outer / sqrt(pi^2 - 4), i.e. hole
-    circumference (2*pi/sqrt(pi^2-4)) * N_outer).  The spec is
+    circumference (2*pi/sqrt(pi^2-4)) * N_outer), times p.  The spec is
     `increment_tori` of this one T.
     """
-    batch = increment_tori([t_shells], increment)
+    batch = increment_tori([t_shells], increment, p=p)
     return TorusSpec(batch.radii, batch.counts, has_core=True,
-                     major_radius=float(batch.majors[0]))
+                     major_radius=float(batch.majors[0]), p=p)
 
 
-def build_optimal_spec(t_shells: int, count_mode: str = "exact") -> TorusSpec:
+def build_optimal_spec(t_shells: int, count_mode: str = "exact",
+                       p: int = 1) -> TorusSpec:
     """Capacity-filling torus spec: shell i at radius 2i, hole radius 2T,
-    major radius 4T, no core; each shell holds max_helices(2i, 2T) helices.
+    major radius 4T, no core; each shell holds max_helices(2i, 2T/p)
+    helices of p windings.
 
     count_mode "exact" solves the pair constraint per shell; "approx" uses
     floor(N_a - 1), which reproduces the published component totals (e.g.
@@ -338,9 +355,9 @@ def build_optimal_spec(t_shells: int, count_mode: str = "exact") -> TorusSpec:
     helices.  The spec is `optimal_tori` of this one T, which a sweep calls
     for a chunk of T values.
     """
-    batch = optimal_tori([t_shells], count_mode)
+    batch = optimal_tori([t_shells], count_mode, p)
     return TorusSpec(batch.radii, batch.counts, has_core=False,
-                     major_radius=float(batch.majors[0]))
+                     major_radius=float(batch.majors[0]), p=p)
 
 
 def _lengths(batch: TorusBatch) -> np.ndarray:
@@ -385,12 +402,14 @@ def _inflated(batch: TorusBatch) -> tuple:
 def _predicted(batch: TorusBatch, doubled: bool) -> tuple:
     """(lengths, crossing numbers, alphas) that construction_report gives
     for each torus of a batch realized as it stands (inflate it first for a
-    double), as lists of Python numbers."""
+    double), as lists of Python numbers; the alpha of a link without
+    crossings (a single helix) is None."""
     lengths = _lengths(batch)
     if doubled:
         lengths = 2.0 * lengths
     crossings = [_crossing_number(q, batch.p, doubled) for q in batch.q.tolist()]
-    alphas = [length / c ** 0.75 for length, c in zip(lengths.tolist(), crossings)]
+    alphas = [length / c ** 0.75 if c else None
+              for length, c in zip(lengths.tolist(), crossings)]
     return lengths.tolist(), crossings, alphas
 
 
@@ -410,7 +429,7 @@ class ConstructionReport:
     p: int
     crossing_number: int
     predicted_length: float
-    alpha_predicted: float
+    alpha_predicted: float | None
     doubled: bool = False
     mirrored: bool = False
     inflation: float = 1.0

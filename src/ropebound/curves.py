@@ -105,9 +105,11 @@ def sample_toroidal_helix(
         x = (R0 + r cos(p t)) cos(t + f),
         y = (R0 + r cos(p t)) sin(t + f),
         z = r sin(p t),
-    with f = 2*pi*shell_index/n_shell + phase, so the n_shell helices of a
-    shell are evenly staggered rigid rotations of one another.  minor_radius 0
-    degenerates to the circle of radius R0 in the xy plane.
+    with f = 2*pi*shell_index/(n_shell*p) + phase, so the n_shell helices of
+    a shell are rigid rotations of one another, evenly staggered around the
+    tube (at any longitude, helix j's tube angle is 2*pi*j/n_shell behind
+    helix 0's).  minor_radius 0 degenerates to the circle of radius R0 in
+    the xy plane.
     """
     if n_points < 3:
         raise ValueError(f"n_points must be >= 3, got {n_points}")
@@ -121,7 +123,7 @@ def sample_toroidal_helix(
     if n_shell < 1 or not (0 <= shell_index < n_shell):
         raise ValueError("need 0 <= shell_index < n_shell")
     t = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
-    f = 2.0 * np.pi * shell_index / n_shell + phase
+    f = 2.0 * np.pi * shell_index / (n_shell * p) + phase
     radial = major_radius + minor_radius * np.cos(p * t)
     xyz = np.column_stack(
         (radial * np.cos(t + f), radial * np.sin(t + f), minor_radius * np.sin(p * t))

@@ -6,39 +6,37 @@ pair it needs.  Both callers query runs, not segments: each component is cut
 into runs of _RUN consecutive segments (`_run_starts`), a quarter of the
 points.  Here a run is bounded by a capsule, a line-swept sphere (Larsen,
 Gottschalk, Lin and Manocha, "Fast proximity queries with swept sphere
-volumes", 2000): its chord, from its first vertex to its last, swept by a
-ball whose radius is the largest distance of its vertices from the chord,
-padded for rounding (a ball about the chord midpoint where the chord
-degenerates).  The points are the chord midpoints and the reach is the query
-radius plus twice the largest radius about them that holds a run.
+volumes", 2000): its chord, from its first vertex to its last (its first
+segment where that chord degenerates), swept by a sphere whose radius is the
+largest distance of its vertices from the chord, padded for rounding.  The
+points are the chord midpoints and the reach is the query radius plus twice
+the largest radius about them that holds a run.
 
 Which segment pairs count is one rule, `_may_count`, asked of segment
-pairs, run pairs and whole components.  The query radius is a sampled upper
-bound: the closest counted pair among a hundred-odd segments spread evenly
-along the components (at most 32 per component when only self pairs
-count), which on planar rings lies within a small factor of the true
-minimum and which the one search certifies.  When no sampled pair counts,
-the search runs at the scene diameter, or not at all when no pair of whole
-components may count (a circle under its bending window).  With orbit
-representatives (from `measure`) the query runs from the runs that hold
-one.  Run pairs are dropped before any segment pair is formed when the rule
-drops them or their capsule bound (the kernel distance of the chords minus
-both radii) exceeds the query radius.  The survivors expand, _KERNEL_PAIRS
-segment pairs at most at a time, to the counted pairs whose midpoints lie
-within the query radius plus both half-lengths, which reach the kernel.
-Results are exactly those of the brute-force scan over the pairs counted:
-both routes use the same kernel with the lower segment index first, and no
-bound drops the optimal pair.
+pairs, run pairs and whole components.  A search over two or more
+components (`_search`) queries at a sampled upper bound: the closest
+counted pair among a hundred-odd segments spread evenly along the
+components, which on planar rings lies within a small factor of the true
+minimum and which the one search certifies.  With orbit representatives
+(from `measure`) the query runs from the runs that hold one.  Run pairs are
+dropped before any segment pair is formed when the rule drops them or their
+capsule bound (the kernel distance of the chords minus both radii) exceeds
+the query radius.  The survivors expand, _KERNEL_PAIRS segment pairs at
+most at a time, to the counted pairs whose midpoints lie within the query
+radius plus both half-lengths, which reach the kernel.  Results are exactly
+those of the brute-force scan over the pairs counted: both routes use the
+same kernel with the lower segment index first, and no bound drops the
+optimal pair.
 
-`measure_link` asks for its inter-component and self minima together
-(`_certified_min` with `split`): one segment table and one set of runs, the
-inter pairs from the query above, and the self pairs of most components by
-index (`_self_min`).  On a torus helix or a planar loop the self minimum
-lies across the component, so a query at the sampled bound would return
-all or nearly all of its run pairs; such a component has every pair of
-its runs enumerated, and no query is built for it.  A component whose
-extent the bound does not reach across (a coiled knot) still goes through
-a query.
+Self pairs are searched on their own (`_self_min`): for a request of self
+pairs alone or of one component, and for `measure_link`, which asks for its
+inter-component and self minima together (`_certified_min` with `split`)
+from one segment table and one set of runs.  On a torus helix or a planar
+loop the self minimum lies across the component, so a query at the sampled
+bound would return all or nearly all of its run pairs; such a component has
+every pair of its runs enumerated, and no query is built for it.  A
+component whose extent the bound does not reach across (a coiled knot)
+still goes through a query.
 
 `_candidate_pairs` builds its trees by sliding-midpoint splits
 (`balanced_tree=False`), which build and search faster here than median
@@ -93,7 +91,8 @@ _ROUNDING = 2.0 ** -40
 _CHORD_ROUNDING = 2.0 ** -20
 
 # A run whose chord is shorter than this fraction of its length is bounded
-# by a ball, since the kernel needs segments of positive length.
+# about its first segment instead, since the kernel needs segments of
+# positive length.
 _DEGENERATE = 2.0 ** -26
 
 
@@ -263,10 +262,10 @@ class _SegmentSoup:
         self.first = np.cumsum(self.comp_nseg) - self.comp_nseg
         self.fold_nseg = np.where(closed, self.comp_nseg, 2 * self.comp_nseg)
         self.fold_len = np.where(closed, comp_len, np.inf)
-        self.max_seg = 2.0 * float(self.half.max())
         # what each bound test allows for rounding: the geometry is known to
         # a few ulps of its largest coordinate
-        self.slack = _ROUNDING * (float(np.abs(self.mids).max()) + self.max_seg)
+        self.slack = _ROUNDING * (float(np.abs(self.mids).max())
+                                  + 2.0 * float(self.half.max()))
         self.next_rep = (None if reps is None or np.all(reps) else
                          np.minimum.accumulate(np.where(
                              reps, np.arange(len(reps)), len(reps))[::-1])[::-1])
@@ -280,11 +279,6 @@ class _SegmentSoup:
         needs them."""
         return _Runs(self)
 
-    def scene_diameter(self) -> float:
-        lo = self.mids.min(axis=1)
-        hi = self.mids.max(axis=1)
-        return float(np.linalg.norm(hi - lo)) + 2.0 * self.max_seg
-
     def pair_distances(self, ia, ib) -> np.ndarray:
         """Distances of the segment pairs (ia[k], ib[k])."""
         return _pair_distances(self.rows, ia, ib)
@@ -292,8 +286,8 @@ class _SegmentSoup:
 
 # Segments sampled for the upper bound that seeds the search radius: at most
 # _BOUND_SAMPLES over all components together (8128 segment pairs), and at
-# most _SELF_SAMPLES per component in a pass of self pairs alone: on a torus
-# helix, 128 samples cost more than their tighter start saves.
+# most _SELF_SAMPLES per component in `_self_min`: on a torus helix, 128
+# samples cost more than their tighter start saves.
 _BOUND_SAMPLES = 128
 _SELF_SAMPLES = 32
 
@@ -428,18 +422,14 @@ def _pairs(sizes) -> tuple:
 
 
 def _sampled_bound(soup, inter, intra, arc_windows, per=None) -> float:
-    """Where the search starts: the closest pair that `_may_count` keeps
+    """Where a search starts: the closest pair that `_may_count` keeps
     among `per[k]` segments spread evenly along each component k, by
-    default up to _BOUND_SAMPLES over all components (at most _SELF_SAMPLES
-    per component in a pass of self pairs alone, which pairs samples of one
-    component only).  It is the distance of a searched pair, so a true
-    upper bound, or inf when no sampled pair is kept."""
+    default up to _BOUND_SAMPLES over all components; without `inter`, only
+    samples of one component are paired.  It is the distance of a searched
+    pair, so a true upper bound, or inf when no sampled pair is kept."""
     ncomp = len(soup.comp_nseg)
     if per is None:
-        per = max(1, _BOUND_SAMPLES // ncomp)
-        if not inter:
-            per = min(per, _SELF_SAMPLES)
-        per = np.minimum(per, soup.comp_nseg)
+        per = np.minimum(max(1, _BOUND_SAMPLES // ncomp), soup.comp_nseg)
     lab = np.repeat(np.arange(ncomp), per)
     rank = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per)
     seg = soup.first[lab] + rank * soup.comp_nseg[lab] // per[lab]
@@ -483,37 +473,38 @@ def _expand(first, size, ra, rb):
 
 class _Runs:
     """The runs of a _SegmentSoup (`_run_starts`), each bounded by a
-    capsule: its chord, from its first vertex to its last, and `dev`, the
-    largest distance of its vertices from the chord plus the rounding
-    allowances.  A segment lies within dev of the chord when both its ends
-    do, so every point of the run does.  A run whose chord degenerates (a
-    closed component of at most _RUN segments has a chord of length 0) is
-    a ball: dev is then measured from its first vertex, and the run lies
-    within `radius` of its chord midpoint.  `mids` (n, 3) are the chord
-    midpoints, and `radius`, half the chord plus dev, the radius about them
-    that holds the run."""
+    capsule: its chord, from its first vertex to its last, or its first
+    segment where that chord is shorter than _DEGENERATE of the run's
+    length (a closed component of at most _RUN segments has a chord of
+    length 0), and `dev`, a bound on the distance of its vertices (its
+    last end included) from the chord plus the rounding allowances.  A
+    segment lies within dev of the chord when both its ends do, so every
+    point of the run does.  `mids` (n, 3) are the chord midpoints, and `radius`,
+    half the chord plus dev, the radius about them that holds the run."""
 
     def __init__(self, soup):
         n = len(soup)
         self.first = _run_starts(soup.comp_nseg)
         self.size = np.diff(self.first, append=n)
         self.last = self.first + self.size - 1
-        starts = soup.rows[:3]
+        starts, dirs = soup.rows[:3], soup.rows[3:6]
         a = starts[:, self.first]
-        chord = starts[:, self.last] + soup.rows[3:6, self.last] - a
+        chord = starts[:, self.last] + dirs[:, self.last] - a
+        span = np.sqrt(_dot(chord, chord))
+        short = span < _DEGENERATE * np.add.reduceat(2.0 * soup.half, self.first)
+        chord[:, short] = dirs[:, self.first[short]]
         self.rows = _segment_rows(a.T, chord.T)
         length = np.sqrt(self.rows[6])
-        self.ball = length < _DEGENERATE * np.add.reduceat(2.0 * soup.half,
-                                                           self.first)
-        # each vertex but the run's last (an end of its chord) against its
-        # run's chord, a ball's vertices against its first vertex
+        # each vertex but the run's last against its run's chord; the last
+        # is the chord's end, or within `span` of the first vertex where
+        # the first segment stands in for the chord
         run = np.repeat(np.arange(self.first.size), self.size)
         offset = starts - a[:, run]
         along = chord[:, run]
-        t = _dot(offset, along) / np.where(self.ball, 1.0, self.rows[6])[run]
-        t = np.where(self.ball[run], 0.0, np.clip(t, 0.0, 1.0))
+        t = np.clip(_dot(offset, along) / self.rows[6][run], 0.0, 1.0)
         gap = offset - t * along
-        self.dev = (np.sqrt(np.maximum.reduceat(_dot(gap, gap), self.first))
+        far = np.sqrt(np.maximum.reduceat(_dot(gap, gap), self.first))
+        self.dev = (np.maximum(far, np.where(short, span, 0.0))
                     + _CHORD_ROUNDING * length + soup.slack)
         self.mids = (a + 0.5 * chord).T
         self.radius = 0.5 * length + self.dev
@@ -523,18 +514,8 @@ class _Runs:
     def lower_bounds(self, ra, rb) -> np.ndarray:
         """A lower bound on the kernel distance of every segment pair of run
         ra[k] and run rb[k]: the chords' kernel distance minus both
-        deviations, or the midpoint distance minus both radii where a run
-        is a ball."""
-        ball = self.ball[ra] | self.ball[rb]
-        out = np.empty(ra.size)
-        if ball.any():
-            ka, kb = ra[ball], rb[ball]
-            out[ball] = (np.linalg.norm(self.mids[ka] - self.mids[kb], axis=1)
-                         - self.radius[ka] - self.radius[kb])
-            ra, rb = ra[~ball], rb[~ball]
-        out[~ball] = (_pair_distances(self.rows, ra, rb)
-                      - self.dev[ra] - self.dev[rb])
-        return out
+        deviations."""
+        return _pair_distances(self.rows, ra, rb) - self.dev[ra] - self.dev[rb]
 
 
 def _near_min(soup, runs, ra, rb, radius, inter, intra, arc_windows) -> float:
@@ -580,23 +561,16 @@ def _run_pairs(soup, at, radius, inter, intra, arc_windows,
     return ra.compress(keep), rb.compress(keep)
 
 
-def _search(soup, inter, intra, arc_windows) -> float:
-    """The single-radius search of `_certified_min`: one query over the
-    runs, at the sampled bound, or if no sampled pair was kept, at the scene
-    diameter if the rule keeps a pair of whole components."""
-    start = _sampled_bound(soup, inter, intra, arc_windows)
-    if np.isfinite(start):
-        radius = _widened(start)
-    else:
-        # each component with itself, and the first with every other one
-        q = soup.first.size
-        ca, cb = np.r_[:q, np.zeros(q - 1, dtype=int)], np.r_[:q, 1:q]
-        whole = (soup.first, soup.first + soup.comp_nseg - 1)
-        if not _may_count(soup, whole, ca, cb, inter, intra, arc_windows).any():
-            return np.inf
-        radius = soup.scene_diameter()
-    ra, rb = _run_pairs(soup, None, radius, inter, intra, arc_windows)
-    return _near_min(soup, soup.runs, ra, rb, radius, inter, intra,
+def _search(soup, intra, arc_windows) -> float:
+    """The search of `_certified_min` over two or more components: inter
+    pairs, and self pairs with `intra`, from one query over the runs at the
+    sampled bound.  That bound holds a counted inter pair, since segment 0
+    is sampled and represents its orbit under `measure`'s symmetry; should a
+    hand-made `reps` mask leave no sampled pair, the radius is inf and the
+    query returns every pair."""
+    radius = _widened(_sampled_bound(soup, True, intra, arc_windows))
+    ra, rb = _run_pairs(soup, None, radius, True, intra, arc_windows)
+    return _near_min(soup, soup.runs, ra, rb, radius, True, intra,
                      arc_windows)
 
 
@@ -656,29 +630,31 @@ def _certified_min(curves, inter, intra, arc_windows, reps=None,
     component) the arc window when `intra`, and with `reps`, a mask over
     the segments of all curves in order, only pairs with a marked segment
     (the representatives of a symmetry's orbits, `measure._symmetry`); inf
-    when it keeps none.  One search over the runs (`_search`).
+    when it keeps none.  Inter pairs of two or more components are one
+    search over the runs (`_search`, self pairs included with `intra`);
+    self pairs alone, or one component, go to `_self_min`.
 
     With `split` (`inter` and `intra` both set, else ValueError), the pair
     (inter minimum, self minimum) from one segment table and one set of
-    runs: the inter pairs from the query of `_search` (inf for one
-    component, without a search), the self pairs mostly by index
-    (`_self_min`).  It is a flag here rather than a function of its own so
-    that perfbench/tracing.py, which wraps `measure._certified_min`, sees
-    the call."""
+    runs: the inter pairs from `_search` (inf for one component, without a
+    search), the self pairs from `_self_min`.  It is a flag here rather
+    than a function of its own so that perfbench/tracing.py, which wraps
+    `measure._certified_min`, sees the call."""
     soup = _SegmentSoup(curves, reps)
+    searched = inter and len(curves) > 1
     if split:
         if not (inter and intra):
             raise ValueError("split needs both inter and intra pairs")
-        return (_search(soup, True, False, None) if len(curves) > 1
-                else np.inf, _self_min(soup, arc_windows))
-    return _search(soup, inter, intra, arc_windows)
+        return (_search(soup, False, None) if searched else np.inf,
+                _self_min(soup, arc_windows))
+    if searched:
+        return _search(soup, intra, arc_windows)
+    return _self_min(soup, arc_windows) if intra else np.inf
 
 
-def mutual_min_distance(curves, reps=None) -> float:
-    """Exact minimum distance over all pairs of distinct components (with
-    `reps`, over the pairs with a marked segment; see _certified_min)."""
-    return _certified_min(curves, inter=True, intra=False, arc_windows=None,
-                          reps=reps)
+def mutual_min_distance(curves) -> float:
+    """Exact minimum distance over all pairs of distinct components."""
+    return _certified_min(curves, inter=True, intra=False, arc_windows=None)
 
 
 def min_distance_brute(a: PolyCurve, b: PolyCurve) -> float:

@@ -119,6 +119,7 @@ class _Symmetry(NamedTuple):
     classes: np.ndarray  # each component's class representative
     reps: np.ndarray | None  # per segment: represents its orbit; None: no group
     margin: float  # 2 eps when a symmetry is used, else 0
+    stacks: list  # per shape: (component indices, (m, n, 3) vertices, closed)
 
 
 def _symmetry(comps) -> _Symmetry:
@@ -168,7 +169,7 @@ def _symmetry(comps) -> _Symmetry:
             classes[idx[heads]] = idx[heads][_congruent(v[heads], ch[heads], eps)]
     classes = classes[orbit]
     used = reps is not None or (classes != np.arange(q)).any()
-    return _Symmetry(classes, reps, 2.0 * eps if used else 0.0)
+    return _Symmetry(classes, reps, 2.0 * eps if used else 0.0, stacks)
 
 
 def _chords(v: np.ndarray) -> np.ndarray:
@@ -312,27 +313,30 @@ def _metrics(config, radii, min_inter, min_self, min_overall,
     )
 
 
-def _curvature(comps, classes) -> tuple:
+def _curvature(sym: _Symmetry) -> tuple:
     """(radii, windows): the minimal curvature radius of every component,
-    measured in one batch per vertex count and closedness
-    (min_curvature_radii), and each component's arc window, pi times a
+    measured in one batch per vertex count and closedness (`sym.stacks`,
+    min_curvature_radii), and each component's arc window, pi times a
     radius.  A class representative's window comes from the smallest
     radius in its class, so it admits every self pair that a member's own
     window would; the other members get inf, which admits no self pair."""
-    q = len(comps)
-    shapes = {}
-    for i, c in enumerate(comps):
-        shapes.setdefault((c.n_vertices, c.closed), []).append(i)
+    q = len(sym.classes)
     radii = np.empty(q)
-    for (_, closed), idx in shapes.items():
-        radii[idx] = min_curvature_radii(
-            np.stack([comps[i].vertices for i in idx]), closed)
-    first = classes == np.arange(q)
+    for idx, v, closed in sym.stacks:
+        radii[idx] = min_curvature_radii(v, closed)
+    first = sym.classes == np.arange(q)
     smallest = radii.copy()
-    np.minimum.at(smallest, classes, radii)
+    np.minimum.at(smallest, sym.classes, radii)
     windows = np.full(q, np.inf)
     windows[first] = np.pi * smallest[first]
     return radii, windows
+
+
+def _prepared(comps) -> tuple:
+    """(radii, windows, reps, margin) of a link (`_symmetry`, `_curvature`):
+    the vertex stacks are freed before the distance search."""
+    sym = _symmetry(comps)
+    return (*_curvature(sym), sym.reps, sym.margin)
 
 
 def measure_link(config: LinkConfiguration) -> LinkMetrics:
@@ -357,13 +361,12 @@ def measure_link(config: LinkConfiguration) -> LinkMetrics:
     radii are measured on every component.
     """
     comps = config.components
-    sym = _symmetry(comps)
-    radii, windows = _curvature(comps, sym.classes)
+    radii, windows, reps, margin = _prepared(comps)
     min_inter, min_self = _certified_min(comps, inter=True, intra=True,
-                                         arc_windows=windows, reps=sym.reps,
+                                         arc_windows=windows, reps=reps,
                                          split=True)
     return _metrics(config, radii, min_inter, min_self,
-                    min(min_inter, min_self), sym.margin)
+                    min(min_inter, min_self), margin)
 
 
 def measure_thickness(config: LinkConfiguration) -> LinkMetrics:
@@ -375,11 +378,10 @@ def measure_thickness(config: LinkConfiguration) -> LinkMetrics:
     `min_inter_distance` and `min_self_distance` are None (not measured).
     """
     comps = config.components
-    sym = _symmetry(comps)
-    radii, windows = _curvature(comps, sym.classes)
+    radii, windows, reps, margin = _prepared(comps)
     min_overall = _certified_min(comps, inter=True, intra=True,
-                                 arc_windows=windows, reps=sym.reps)
-    return _metrics(config, radii, None, None, min_overall, sym.margin)
+                                 arc_windows=windows, reps=reps)
+    return _metrics(config, radii, None, None, min_overall, margin)
 
 
 def _expected_linking(config: LinkConfiguration) -> np.ndarray | None:

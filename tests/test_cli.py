@@ -420,19 +420,40 @@ def test_build_torus_verifies_linking_pattern(capsys, monkeypatch, extra):
 
 
 def test_build_torus_expects_spec_p(capsys, monkeypatch):
-    # inc4 packs its shell for p = 1; with --p 2 the helices intersect, so
-    # the linking is undefined and the build fails verification
-    code, payload = _run_json(
-        capsys, ["build", "inc4", "--t", "1", "--points", "200", "--p", "2"])
+    # inc4 packs its shell for --p 2 (a hole twice the rectangle rule's), so
+    # the build verifies, and every pair links twice
+    argv = ["build", "inc4", "--t", "1", "--points", "200", "--p", "2"]
+    code, payload = _run_json(capsys, argv)
+    assert code == 0
+    assert payload["verification"]["linking_ok"] is True
+    assert payload["verification"]["min_distance_ok"] is True
+    assert payload["construction"]["spec"]["p"] == 2
+    # the expected pattern is |lk| = 2 for every pair: once fails
+    monkeypatch.setattr(cli, "linking_matrix",
+                        lambda curves: 1 - np.eye(len(curves), dtype=int))
+    code, payload = _run_json(capsys, argv)
     assert code == 1
     assert payload["verification"]["linking_ok"] is False
-    assert payload["verification"]["min_distance_ok"] is False
-    # the expected pattern is |lk| = 2 for every pair
-    monkeypatch.setattr(cli, "linking_matrix",
-                        lambda curves: 2 * (1 - np.eye(len(curves), dtype=int)))
-    code, payload = _run_json(
-        capsys, ["build", "inc4", "--t", "1", "--points", "200", "--p", "2"])
-    assert payload["verification"]["linking_ok"] is True
+
+
+@pytest.mark.parametrize("method", ["inc4", "inc5", "optimal"])
+def test_build_torus_refuses_p_below_one(capsys, method):
+    assert _exit_code(["build", method, "--t", "1", "--p", "0",
+                       "--points", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: need p >= 1, got 0\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_build_inc5_refuses_p_above_one(capsys, p):
+    # inc5's rectangle-rule hole overfills its shells, which for p > 1
+    # leaves helices closer than 2: a usage error, not a failed build
+    assert _exit_code(["build", "inc5", "--t", "1", "--p", p,
+                       "--points", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "p > 1" in captured.err
+    assert captured.out == ""
 
 
 def test_build_torus_with_wrong_linking_fails(capsys, monkeypatch):

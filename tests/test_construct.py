@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ropebound import distances, measure
+from ropebound.bounds import lower_bound_report
 from ropebound.cli import _sig12
 from ropebound.construct import (
     FAMILIES,
@@ -177,6 +178,46 @@ def test_realized_components_all_pairwise_linked():
     off = lm[np.triu_indices(5, 1)]
     assert np.all(off == off[0])
     assert abs(off[0]) == 1
+
+
+@pytest.mark.parametrize("doubled", [False, True], ids=["single", "doubled"])
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("method", ["inc4", "optimal"])
+def test_torus_links_of_p_windings_verify(method, p, t, doubled):
+    # shells packed for helices of p windings (inc4: a hole p times the
+    # rectangle rule's; optimal: max_helices(2i, 2T/p)), staggered by
+    # 2 pi j / (n p): the link verifies, with |lk| = p within a torus and
+    # 1 across copies, and its predicted length is the realized one within
+    # the sampling error
+    spec = (build_optimal_spec(t, p=p) if method == "optimal"
+            else build_increment_spec(t, 4, p=p))
+    assert spec.p == p
+    link = (donut_double(spec, n_points=400, check=False) if doubled
+            else realize_torus(spec, n_points=400, check=False))
+    metrics = measure_link(link)
+    lk = np.abs(linking_matrix(link.components))
+    assert verify(link, metrics, lk)["passed"]
+    q = spec.q
+    assert np.all(lk[:q, :q][np.triu_indices(q, 1)] == p)
+    assert np.all(lk[:q, q:] == 1)
+    report = construction_report(spec, doubled=doubled)
+    assert report.predicted_length == pytest.approx(metrics.total_length,
+                                                    rel=2e-4)
+    if q >= 2:
+        # a doubled link holds the single torus, a T(pQ, Q) link, so the
+        # bound holds for it too; the report is "conditional" for p > 1,
+        # since its Wegner term counts the strands through a component's
+        # disk heuristically
+        bound = lower_bound_report(p, q)
+        assert bound.rigor_flag == "conditional"
+        assert metrics.normalized_length >= bound.best_bound
+
+
+def test_increment_tori_refuse_an_overfilled_shell_for_p_above_one():
+    with pytest.raises(ValueError, match="p > 1"):
+        build_increment_spec(1, 5, p=2)
+    assert build_increment_spec(1, 5).p == 1
 
 
 def test_realize_rejects_overcrowded_spec():

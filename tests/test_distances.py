@@ -540,7 +540,7 @@ def test_measure_thickness_equals_masked_brute_force_far_out():
     comps = _far_torus((0.0, 0.0, 1e12))
     sym = measure._symmetry(comps)
     assert sym.reps is not None
-    _, windows = measure._curvature(comps, sym.classes)
+    _, windows = measure._curvature(sym)
     thick = measure.measure_thickness(LinkConfiguration(comps))
     assert thick.min_overall_distance == _masked_brute(comps, True, True, windows,
                                                        sym.reps)
@@ -573,7 +573,7 @@ def test_one_search_minima_equal_brute_force_of_each_kind(name, symmetric):
     curves = make()
     if symmetric:
         sym = measure._symmetry(curves)
-        reps, windows = sym.reps, measure._curvature(curves, sym.classes)[1]
+        reps, windows = sym.reps, measure._curvature(sym)[1]
     else:
         reps = None
         if isinstance(windows, str):
@@ -592,11 +592,44 @@ def test_one_search_minima_of_a_file_equal_brute_force(tmp_path):
     curves = import_geometry(export_geometry(link, path=path)).components
     sym = measure._symmetry(curves)
     assert sym.reps is not None and len(set(sym.classes.tolist())) == 3
-    windows = measure._curvature(curves, sym.classes)[1]
+    windows = measure._curvature(sym)[1]
     split = _certified_min(curves, inter=True, intra=True, arc_windows=windows,
                            reps=sym.reps, split=True)
     assert split == _split_references(curves, windows, sym.reps)
     assert all(np.isfinite(split))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _random_pair()[:1], lambda: _torus()[1:2], lambda: _torus()[:1],
+    lambda: [_trefoil(300)], lambda: [_coiled_knot()],
+], ids=["random curve", "torus helix", "torus core", "trefoil", "coiled knot"])
+def test_one_component_asked_for_both_kinds_is_its_self_minimum(make,
+                                                                monkeypatch):
+    # a single component has no inter pair, so a request for both kinds is
+    # the self pass's, bit for bit the brute force under its window
+    monkeypatch.setattr(distances, "_search", None)  # no inter pass to run
+    curves = make()
+    windows = _bending_windows(curves)
+    fast = _certified_min(curves, inter=True, intra=True, arc_windows=windows)
+    assert fast == min_self_distance_brute(curves[0], windows[0])
+
+
+@pytest.mark.parametrize("intra", [False, True], ids=["inter", "combined"])
+def test_a_mask_marking_no_sampled_segment_searches_every_pair(intra):
+    # segment 3 of the first curve is marked alone and is not one of the
+    # segments the sampled bound spreads along each curve, so no sampled
+    # pair counts: the search runs at an infinite radius and still equals
+    # the masked brute force
+    curves = _random_pair()
+    reps = np.zeros(sum(c.n_segments for c in curves), dtype=bool)
+    reps[3] = True
+    windows = np.array([2.0, 5.0]) if intra else None
+    soup = distances._SegmentSoup(curves, reps)
+    assert distances._sampled_bound(soup, True, intra, windows) == np.inf
+    fast = _certified_min(curves, inter=True, intra=intra, arc_windows=windows,
+                          reps=reps)
+    assert np.isfinite(fast)
+    assert fast == _masked_brute(curves, True, intra, windows, reps)
 
 
 def _rule_scene(seed):
@@ -692,15 +725,52 @@ def test_may_count_states_the_rule_at_every_granularity(seed, inter, intra):
     assert np.array_equal(kept[exact], held[exact])
 
 
+def _closed_loops():
+    """Closed loops of 3 and 4 segments: each is one run whose chord, from
+    vertex 0 back to vertex 0, has length 0."""
+    rng = np.random.default_rng(53)
+    return [PolyCurve(rng.normal(size=(n, 3)) + (0.0, 0.0, 0.7 * k))
+            for k, n in enumerate((3, 4, 3, 4))]
+
+
+def _nearly_closing_run():
+    """An open curve of three runs whose first run starts with a segment
+    1/1000 as long as the others and ends 1e-9 of the run's length from
+    its first vertex, beside a square."""
+    head = np.array([[0.0, 0.0, 0.0], [1e-3, 0.0, 0.0], [1.0, 1.0, 0.0],
+                     [0.0, 1.0, 0.5]])
+    length = np.linalg.norm(np.diff(head, axis=0), axis=1).sum()
+    length += np.linalg.norm(head[-1])
+    back = 1e-9 * length * np.array([0.0, -0.6, 0.8])
+    tail = back + np.array([[0.5, -1.0, 0.2], [1.3, -1.4, 0.0], [2.0, -0.8, 0.4],
+                            [2.6, -1.5, 0.1], [3.0, -0.5, 0.3], [3.8, -1.1, 0.0],
+                            [4.2, -0.2, 0.5], [5.0, -0.9, 0.2]])
+    curve = PolyCurve(np.vstack((head, back, tail)), closed=False)
+    square = PolyCurve(np.array([[0.2, 0.3, 1.0], [0.9, 0.3, 1.0],
+                                 [0.9, 1.0, 1.0], [0.2, 1.0, 1.0]]))
+    return [curve, square]
+
+
+def test_a_nearly_closing_run_is_bounded_about_its_first_segment():
+    # its chord is below _DEGENERATE of its length, so the capsule's axis is
+    # its first segment
+    soup = distances._SegmentSoup(_nearly_closing_run())
+    runs = distances._Runs(soup)
+    assert runs.first.tolist() == [0, 4, 8, 12]
+    assert np.array_equal(runs.rows[:, 0], soup.rows[:, 0])
+
+
 @pytest.mark.parametrize("curves", [
     _small_polygons, _sticks, _threaded_triangle, _far_torus,
     lambda: [_looping_curve(c, (0.0, 0.0, 2.0 * k), k)
              for k, c in enumerate((0.0, 1e-12, 1e-7, 1e-3))],
+    _closed_loops, _nearly_closing_run,
 ], ids=["polygons", "sticks", "threaded triangle", "torus at x=1e12",
-        "looping curves"])
+        "looping curves", "closed 3- and 4-segment loops",
+        "nearly closing run"])
 def test_run_bounds_hold_every_segment_pair(curves):
-    # a run's capsule (or ball) bound never exceeds the kernel distance of
-    # any of its segment pairs, however short its chord
+    # a run's capsule bound never exceeds the kernel distance of any of its
+    # segment pairs, however short its chord
     soup = distances._SegmentSoup(curves())
     runs = distances._Runs(soup)
     ra, rb = np.triu_indices(runs.first.size, 1)
@@ -714,8 +784,9 @@ def test_run_bounds_hold_every_segment_pair(curves):
 
 def test_torus_self_distances_search_once_or_not_at_all(monkeypatch):
     # a helix's self search starts at its sampled bound, an admissible pair,
-    # and certifies in one search; the core circle's bending window covers
-    # half its length, so no self pair can be admissible: no search, inf
+    # which reaches across the helix, so its runs are enumerated by index
+    # and no query is made; the core circle's bending window covers half its
+    # length, so no self pair can be admissible: no search, inf
     searches = []
     candidate_pairs = distances._candidate_pairs
 
@@ -725,11 +796,11 @@ def test_torus_self_distances_search_once_or_not_at_all(monkeypatch):
 
     monkeypatch.setattr(distances, "_candidate_pairs", counting)
     core, helix = _torus()[:2]
-    for curve, expected, finite in ((helix, 1, True), (core, 0, False)):
+    for curve, finite in ((helix, True), (core, False)):
         searches.clear()
         d = _certified_min([curve], inter=False, intra=True,
                            arc_windows=_bending_windows([curve]))
-        assert len(searches) == expected
+        assert len(searches) == 0
         assert bool(np.isfinite(d)) is finite
 
 
@@ -795,7 +866,7 @@ def test_a_link_without_symmetry_enumerates_its_runs_in_blocks(monkeypatch):
         curves.append(PolyCurve(v))
     sym = measure._symmetry(curves)
     assert sym.classes.tolist() == list(range(13)) and sym.reps is None
-    windows = measure._curvature(curves, sym.classes)[1]
+    windows = measure._curvature(sym)[1]
     whole = _certified_min(curves, inter=True, intra=True,
                            arc_windows=windows, split=True)
     helix = 120 // distances._RUN
@@ -837,7 +908,8 @@ def test_sampled_self_start_certifies_a_trefoil():
     c = _trefoil(1500)
     window = np.pi * min_curvature_radius(c)
     soup = distances._SegmentSoup([c])
-    start = distances._sampled_bound(soup, False, True, np.array([window]))
+    start = distances._sampled_bound(soup, False, True, np.array([window]),
+                                     np.array([distances._SELF_SAMPLES]))
     assert start < 0.7 * np.linalg.norm(c.vertices[0] - c.vertices[750])
     fast = _self_min(c, window)
     assert start >= fast
