@@ -48,7 +48,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import rotation_about_axis, sample_planar_curve, sample_toroidal_helix
+from .curves import PolyCurve, _placed, _planar_shape, rotation_about_axis
+from .curves import sample_toroidal_helix
+# Not called here; kept because perfbench/tracing.py wraps this attribute.
+from .curves import sample_planar_curve  # noqa: F401
 # Not called here; kept because perfbench/tracing.py wraps these attributes
 # (its toroidal_correction counter reads a scalar ratio; _lengths passes
 # an array to _correction).
@@ -613,7 +616,11 @@ def build_planar_link(
     "gibbous" (adds gamma, delta), and "hybrid_square" (q-1 gibbous loops
     around a central rounded square in the xy plane; adds square_scale,
     square_flat_fraction).  Parameters missing from `params` take the
-    family's start values in FAMILIES.  Ring loop i is loop 0 rotated by
+    family's start values in FAMILIES.  The base shape is sampled once and
+    the ring placed in one batch (`curves._placed`: one matmul per
+    placement step over all loops, each loop with the bits of a placement
+    of its own), the square through the same routine; the loops' vertices
+    are rows of one array, checked once.  Ring loop i is loop 0 rotated by
     2*pi*i/(ring size) about the z axis, which measure_link finds from the
     coordinates: it measures the ring once.  The link is not verified:
     it is scale-free, so whoever measures it verifies it (`measure.verify`
@@ -629,37 +636,20 @@ def build_planar_link(
             raise ValueError(f"unknown parameter {key!r} for family {family!r}")
         merged[key] = float(value)
 
-    rho, psi = merged["rho"], merged["psi"]
     shape = "circle" if family == "circles" else "gibbous"
     shape_params = {k: merged[k] for k in ("gamma", "delta") if k in merged}
-
-    comps = []
     n_ring = q - 1 if family == "hybrid_square" else q
-    for i in range(n_ring):
-        comps.append(
-            sample_planar_curve(
-                shape,
-                shape_params,
-                placement={
-                    "azimuth": 2.0 * math.pi * i / n_ring,
-                    "displacement": rho,
-                    "inclination": psi,
-                },
-                n_points=n_points,
-            )
-        )
+    ring = _placed(_planar_shape(shape, shape_params, n_points),
+                   2.0 * math.pi * np.arange(n_ring) / n_ring, merged["rho"],
+                   merged["psi"])
+    comps = PolyCurve._of_stack(ring)
     if family == "hybrid_square":
-        comps.append(
-            sample_planar_curve(
-                "rounded_square",
-                {
-                    "scale": merged["square_scale"],
-                    "flat_fraction": merged["square_flat_fraction"],
-                },
-                placement={"inclination": 0.5 * math.pi},
-                n_points=n_points,
-            )
-        )
+        square = _planar_shape("rounded_square", {
+            "scale": merged["square_scale"],
+            "flat_fraction": merged["square_flat_fraction"],
+        }, n_points)
+        comps += PolyCurve._of_stack(_placed(square, np.zeros(1), 0.0,
+                                             0.5 * math.pi))
     return LinkConfiguration(
         comps,
         crossing_number=q * (q - 1),

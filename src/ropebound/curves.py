@@ -9,6 +9,7 @@ radius 1, so two curve centerlines may not approach closer than 2). Curves are
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,29 @@ __all__ = [
 _MAX_COORDINATE = 1e75
 
 
+def _segments(v: np.ndarray, closed: bool) -> tuple:
+    """(dirs, lens): the segment directions (end minus start) and lengths
+    of curves of one vertex count and closedness, vertices v (..., n, 3);
+    a closed curve's last segment returns to its first vertex."""
+    ends = (np.concatenate((v[..., 1:, :], v[..., :1, :]), axis=-2) if closed
+            else v[..., 1:, :])
+    dirs = ends - (v if closed else v[..., :-1, :])
+    return dirs, np.linalg.norm(dirs, axis=-1)
+
+
+def _checked(v: np.ndarray, closed: bool) -> None:
+    """Raise ValueError unless the curves with vertices v (..., n, 3) have
+    finite coordinates of at most _MAX_COORDINATE and distinct consecutive
+    vertices."""
+    if not (np.abs(v) <= _MAX_COORDINATE).all():
+        raise ValueError(
+            "vertices must be finite, with coordinates at most "
+            f"{_MAX_COORDINATE:g} in magnitude"
+        )
+    if _segments(v, closed)[1].min() <= 0.0:
+        raise ValueError("consecutive vertices must be distinct")
+
+
 @dataclass
 class PolyCurve:
     """A polygonal curve in R^3, closed by default."""
@@ -40,14 +64,20 @@ class PolyCurve:
         minimum = 3 if self.closed else 2
         if v.shape[0] < minimum:
             raise ValueError(f"need at least {minimum} vertices, got {v.shape[0]}")
-        if not (np.abs(v) <= _MAX_COORDINATE).all():
-            raise ValueError(
-                "vertices must be finite, with coordinates at most "
-                f"{_MAX_COORDINATE:g} in magnitude"
-            )
+        _checked(v, self.closed)
         self.vertices = v
-        if self.segment_lengths().min() <= 0.0:
-            raise ValueError("consecutive vertices must be distinct")
+
+    @classmethod
+    def _of_stack(cls, vertices: np.ndarray, closed: bool = True) -> list:
+        """The curves of a stack of m vertex arrays (m, n, 3), checked as
+        one: each curve's vertices are a view of its row."""
+        _checked(vertices, closed)
+        curves = []
+        for v in vertices:
+            curve = object.__new__(cls)
+            curve.vertices, curve.closed = v, closed
+            curves.append(curve)
+        return curves
 
     @property
     def n_vertices(self) -> int:
@@ -66,7 +96,7 @@ class PolyCurve:
         return self.vertices[1:]
 
     def segment_lengths(self) -> np.ndarray:
-        return np.linalg.norm(self.segment_ends() - self.segment_starts(), axis=1)
+        return _segments(self.vertices, self.closed)[1]
 
     def length(self) -> float:
         return float(self.segment_lengths().sum())
@@ -80,14 +110,22 @@ class PolyCurve:
         return PolyCurve(v, self.closed)
 
 
-def rotation_about_axis(axis, angle: float) -> np.ndarray:
-    """Rotation matrix for a right-handed rotation by `angle` about `axis`."""
+def rotation_about_axis(axis, angle) -> np.ndarray:
+    """Rotation matrix for a right-handed rotation by `angle` about `axis`.
+    Axes (m, 3) or angles (m,) give the m matrices (m, 3, 3), each with the
+    bits of a call of its own: the axes are normalized by one dot product
+    each, as np.linalg.norm takes a vector's, and every entry is the same
+    elementwise formula."""
     u = np.asarray(axis, dtype=float)
-    u = u / np.linalg.norm(u)
-    c, s = np.cos(angle), np.sin(angle)
-    ux, uy, uz = u
-    cross = np.array([[0.0, -uz, uy], [uz, 0.0, -ux], [-uy, ux, 0.0]])
-    return c * np.eye(3) + s * cross + (1.0 - c) * np.outer(u, u)
+    u = u / np.sqrt(np.matmul(u[..., None, :], u[..., :, None])[..., 0])
+    c = np.cos(angle)[..., None, None]
+    s = np.sin(angle)[..., None, None]
+    ux, uy, uz = np.moveaxis(u, -1, 0)
+    zero = np.zeros_like(ux)
+    cross = np.stack([np.stack(row, axis=-1) for row in
+                      ((zero, -uz, uy), (uz, zero, -ux), (-uy, ux, zero))], axis=-2)
+    outer = u[..., :, None] * u[..., None, :]
+    return c * np.eye(3) + s * cross + (1.0 - c) * outer
 
 
 def sample_toroidal_helix(
@@ -207,8 +245,22 @@ def sample_planar_curve(
     the origin, its plane containing the z axis.  Placement applies, in order:
     rotate about z by `azimuth`, translate by `displacement` along the rotated
     radial direction, then tilt by `inclination` about that radial direction
-    with the curve centre fixed.
+    with the curve centre fixed (`_placed`, of one loop).
     """
+    base = _planar_shape(shape, shape_params, n_points)
+    pl = dict(placement or {})
+    azimuth = float(pl.pop("azimuth", 0.0))
+    displacement = float(pl.pop("displacement", 0.0))
+    inclination = float(pl.pop("inclination", 0.0))
+    if pl:
+        raise ValueError(f"unknown placement keys: {sorted(pl)}")
+    return PolyCurve(_placed(base, np.array([azimuth]), displacement,
+                             inclination)[0])
+
+
+def _planar_shape(shape: str, shape_params: dict | None, n_points: int):
+    """The (n, 3) base curve of a planar loop (see sample_planar_curve), in
+    the xz plane and centred at the origin."""
     if n_points < 3:
         raise ValueError("n_points must be >= 3")
     sp = dict(shape_params or {})
@@ -240,23 +292,31 @@ def sample_planar_curve(
         raise ValueError(f"unknown planar shape {shape!r}")
     if sp:
         raise ValueError(f"unused shape_params for {shape!r}: {sorted(sp)}")
+    return np.column_stack((u, np.zeros_like(u), v))
 
-    xyz = np.column_stack((u, np.zeros_like(u), v))
-    pl = dict(placement or {})
-    azimuth = float(pl.pop("azimuth", 0.0))
-    displacement = float(pl.pop("displacement", 0.0))
-    inclination = float(pl.pop("inclination", 0.0))
-    if pl:
-        raise ValueError(f"unknown placement keys: {sorted(pl)}")
-    if azimuth != 0.0:
-        xyz = xyz @ rotation_about_axis((0.0, 0.0, 1.0), azimuth).T
-    radial = np.array([np.cos(azimuth), np.sin(azimuth), 0.0])
-    center = displacement * radial
-    xyz = xyz + center
+
+def _placed(base: np.ndarray, azimuths: np.ndarray, displacement: float,
+            inclination: float) -> np.ndarray:
+    """The base curve (n, 3) placed at each of m azimuths, (m, n, 3): turned
+    about z by its azimuth (a loop at azimuth 0 is not turned), moved by
+    `displacement` along its radial direction, then tilted by `inclination`
+    about that direction with its centre fixed (not at all for inclination
+    0).  Each step is one batched matmul over the loops, so every loop has
+    the bits of a placement of its own."""
+    xyz = np.empty((azimuths.size,) + base.shape)
+    turned = azimuths != 0.0
+    xyz[~turned] = base
+    if turned.any():
+        rot = rotation_about_axis((0.0, 0.0, 1.0), azimuths[turned])
+        xyz[turned] = np.matmul(base, rot.transpose(0, 2, 1))
+    radial = np.column_stack((np.cos(azimuths), np.sin(azimuths),
+                              np.zeros(azimuths.size)))
+    center = (displacement * radial)[:, None]
+    xyz += center
     if inclination != 0.0:
         rot = rotation_about_axis(radial, inclination)
-        xyz = center + (xyz - center) @ rot.T
-    return PolyCurve(xyz, closed=True)
+        xyz = center + np.matmul(xyz - center, rot.transpose(0, 2, 1))
+    return xyz
 
 
 def min_curvature_radius(curve: PolyCurve) -> float:
@@ -265,33 +325,63 @@ def min_curvature_radius(curve: PolyCurve) -> float:
     The circumradius through consecutive vertex triples is the discrete
     curvature radius; collinear triples contribute +inf.
     """
-    return float(min_curvature_radii(curve.vertices[None], curve.closed)[0])
+    v = curve.vertices[None]
+    return float(min_curvature_radii(v, curve.closed,
+                                     *_segments(v, curve.closed))[0])
 
 
-def min_curvature_radii(vertices: np.ndarray, closed: bool) -> np.ndarray:
+def min_curvature_radii(vertices: np.ndarray, closed: bool, dirs: np.ndarray,
+                        lens: np.ndarray) -> np.ndarray:
     """min_curvature_radius of each of m curves with one vertex count and
-    closedness, from their vertices (m, n, 3), in one pass."""
+    closedness, from their vertices (m, n, 3) and their segment directions
+    and lengths (`_segments`), in one pass: the sides ab and bc of the
+    triangle at each vertex triple are two consecutive segments."""
     m, n = vertices.shape[:2]
     if closed:
         a = vertices
-        b = np.concatenate((vertices[:, 1:], vertices[:, :1]), axis=1)
         c = np.concatenate((vertices[:, 2:], vertices[:, :2]), axis=1)
+        ba, ab, bc = dirs, lens, np.roll(lens, -1, axis=1)
     else:
         if n < 3:
             return np.full(m, np.inf)
-        a, b, c = vertices[:, :-2], vertices[:, 1:-1], vertices[:, 2:]
-    radii = _circumradii(a.reshape(-1, 3), b.reshape(-1, 3), c.reshape(-1, 3))
-    return radii.reshape(m, -1).min(axis=1)
+        a, c = vertices[:, :-2], vertices[:, 2:]
+        ba, ab, bc = dirs[:, :-1], lens[:, :-1], lens[:, 1:]
+    return _circumradii(a, ba, c, ab, bc).reshape(m, -1).min(axis=1)
 
 
-def _circumradii(a, b, c):
-    """Circumradius of each triangle (a_i, b_i, c_i); +inf where collinear."""
-    ab = np.linalg.norm(b - a, axis=1)
-    bc = np.linalg.norm(c - b, axis=1)
-    ca = np.linalg.norm(a - c, axis=1)
-    cross = np.cross(b - a, c - a)
-    area2 = np.linalg.norm(cross, axis=1)  # 2 * triangle area
+def _circumradii(a, ba, c, ab, bc):
+    """Circumradius of each triangle (a_i, b_i, c_i), given the side
+    b_i - a_i and the side lengths |ab| and |bc|; +inf where collinear."""
+    ca = np.linalg.norm(a - c, axis=-1)
+    cross = np.cross(ba, c - a)
+    area2 = np.linalg.norm(cross, axis=-1)  # 2 * triangle area
     with np.errstate(divide="ignore", invalid="ignore"):
         radii = ab * bc * ca / (2.0 * area2)
     radii[area2 <= 1e-14 * (ab * bc)] = np.inf
     return radii
+
+
+class _Stack(NamedTuple):
+    """Curves of one vertex count and closedness, stacked: their indices in
+    a link, vertices (m, n, 3), closedness, and segment directions (m, s, 3)
+    and lengths (m, s) (`_segments`), the one segment table that a link's
+    measurement reads."""
+
+    idx: np.ndarray
+    vertices: np.ndarray
+    closed: bool
+    dirs: np.ndarray
+    lens: np.ndarray
+
+
+def _stacks(curves) -> list:
+    """The curves as _Stacks, one per vertex count and closedness, in the
+    order of their first curves."""
+    shapes = {}
+    for i, c in enumerate(curves):
+        shapes.setdefault((c.n_vertices, c.closed), []).append(i)
+    stacks = []
+    for (_, closed), idx in shapes.items():
+        v = np.stack([curves[i].vertices for i in idx])
+        stacks.append(_Stack(np.array(idx), v, closed, *_segments(v, closed)))
+    return stacks

@@ -58,7 +58,7 @@ import threading
 
 import numpy as np
 
-from .curves import PolyCurve
+from .curves import PolyCurve, _stacks
 
 __all__ = [
     "segment_pair_distances",
@@ -227,39 +227,45 @@ def segment_pair_distances(p1, d1, p2, d2) -> np.ndarray:
 
 
 class _SegmentSoup:
-    """Flattened segments of one or more curves, with component bookkeeping.
-    `reps`, when given, marks the segments of which every searched pair has
-    at least one (the representatives of a symmetry's orbits); None, or a
-    mask of all segments, searches every pair.  `next_rep[i]` is the first
-    representative at or after segment i (n after the last), and a
-    separation x on component k folds to min(x, fold - x) for `fold_nseg[k]`
-    and `fold_len[k]` (an open one's, 2n and inf, never do)."""
+    """Flattened segments of one or more curves, with component bookkeeping,
+    in component order.  They are built from the curves' segment table, one
+    `curves._Stack` per vertex count and closedness (`stacks`, or grouped
+    here when not given): each stack's rows, arc-length midpoints (a
+    row-wise cumsum) and lengths are written in one pass, with no loop over
+    components.  `reps`, when given, marks the segments of which every
+    searched pair has at least one (the representatives of a symmetry's
+    orbits); None, or a mask of all segments, searches every pair.
+    `next_rep[i]` is the first representative at or after segment i (n
+    after the last), and a separation x on component k folds to
+    min(x, fold - x) for `fold_nseg[k]` and `fold_len[k]` (an open one's,
+    2n and inf, never do)."""
 
-    def __init__(self, curves, reps=None):
-        starts, dirs, labels = [], [], []
-        arc_mid, comp_nseg, comp_len, closed = [], [], [], []
-        for k, c in enumerate(curves):
-            s = c.segment_starts()
-            d = c.segment_ends() - s
-            lens = np.linalg.norm(d, axis=1)
-            cum = np.concatenate(([0.0], np.cumsum(lens)))
-            starts.append(s)
-            dirs.append(d)
-            labels.append(np.full(len(s), k))
-            arc_mid.append(cum[:-1] + 0.5 * lens)
-            comp_nseg.append(len(s))
-            comp_len.append(cum[-1])
-            closed.append(c.closed)
-        starts = np.concatenate(starts)
-        dirs = np.concatenate(dirs)
-        self.rows = _segment_rows(starts, dirs)
+    def __init__(self, curves, reps=None, stacks=None):
+        stacks = _stacks(curves) if stacks is None else stacks
+        q = len(curves)
+        self.comp_nseg = np.empty(q, dtype=np.int64)
+        comp_len, closed = np.empty(q), np.empty(q, dtype=bool)
+        for st in stacks:
+            self.comp_nseg[st.idx] = st.lens.shape[1]
+            closed[st.idx] = st.closed
+        self.first = np.cumsum(self.comp_nseg) - self.comp_nseg
+        self.rows = np.empty((7, int(self.comp_nseg.sum())))
+        self.arc_mid = np.empty(self.rows.shape[1])
+        for st in stacks:
+            m, n = st.lens.shape
+            at = (self.first[st.idx][:, None] + np.arange(n)).ravel()
+            self.rows[:3, at] = st.vertices[:, :n].reshape(-1, 3).T
+            self.rows[3:6, at] = st.dirs.reshape(-1, 3).T
+            cum = np.cumsum(st.lens, axis=1)
+            before = np.zeros((m, n))
+            before[:, 1:] = cum[:, :-1]
+            self.arc_mid[at] = (before + 0.5 * st.lens).ravel()
+            comp_len[st.idx] = cum[:, -1]
+        _dot(self.rows[3:6], self.rows[3:6], out=self.rows[6])
         # midpoints and half-lengths, as (3, n) and (n,) rows
         self.mids = self.rows[:3] + 0.5 * self.rows[3:6]
         self.half = 0.5 * np.sqrt(self.rows[6])
-        self.labels = np.concatenate(labels)
-        self.arc_mid = np.concatenate(arc_mid)
-        self.comp_nseg = np.asarray(comp_nseg)
-        self.first = np.cumsum(self.comp_nseg) - self.comp_nseg
+        self.labels = np.repeat(np.arange(q), self.comp_nseg)
         self.fold_nseg = np.where(closed, self.comp_nseg, 2 * self.comp_nseg)
         self.fold_len = np.where(closed, comp_len, np.inf)
         # what each bound test allows for rounding: the geometry is known to
@@ -623,7 +629,7 @@ def _self_min(soup, arc_windows) -> float:
 
 
 def _certified_min(curves, inter, intra, arc_windows, reps=None,
-                   split=False):
+                   split=False, soup=None):
     """Exact minimum distance over the segment pairs of `curves` that
     `_may_count` keeps: pairs of distinct components when `inter`, self
     pairs outside the skip window and (with `arc_windows`, one per
@@ -639,8 +645,9 @@ def _certified_min(curves, inter, intra, arc_windows, reps=None,
     runs: the inter pairs from `_search` (inf for one component, without a
     search), the self pairs from `_self_min`.  It is a flag here rather
     than a function of its own so that perfbench/tracing.py, which wraps
-    `measure._certified_min`, sees the call."""
-    soup = _SegmentSoup(curves, reps)
+    `measure._certified_min`, sees the call.  `soup`, the curves'
+    `_SegmentSoup` with `reps`, is passed by a caller that has built it."""
+    soup = _SegmentSoup(curves, reps) if soup is None else soup
     searched = inter and len(curves) > 1
     if split:
         if not (inter and intra):

@@ -29,10 +29,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import PolyCurve, min_curvature_radii
+from .curves import PolyCurve, _stacks, min_curvature_radii
 # Not called here; kept because perfbench/tracing.py wraps these attributes.
 from .curves import min_curvature_radius  # noqa: F401
-from .distances import _certified_min
+from .distances import _SegmentSoup, _certified_min
 from .distances import mutual_min_distance  # noqa: F401
 from .linking import linking_matrix
 
@@ -119,7 +119,7 @@ class _Symmetry(NamedTuple):
     classes: np.ndarray  # each component's class representative
     reps: np.ndarray | None  # per segment: represents its orbit; None: no group
     margin: float  # 2 eps when a symmetry is used, else 0
-    stacks: list  # per shape: (component indices, (m, n, 3) vertices, closed)
+    stacks: list  # per shape: the segment table (`curves._Stack`)
 
 
 def _symmetry(comps) -> _Symmetry:
@@ -130,11 +130,10 @@ def _symmetry(comps) -> _Symmetry:
 
     The rotation group is the largest cyclic group of rotations about the z
     axis whose generator maps every vertex v of every component within
-    eps / k of vertex v of another component, or of vertex v + shift
-    (cyclically) of the component itself; each of its k elements is then
-    within eps.  The orders tried are the divisors of the gcd of the sizes
-    of the groups of components with matching chords (see _chords), largest
-    first.  Each orbit of segments under the group is represented by its
+    eps / k of vertex v + shift (cyclically) of a component, its image; each
+    of its k elements is then within eps.  The orders tried are the
+    divisors of the gcd of the sizes of the groups of components with
+    matching chords (see _chords), largest first.  Each orbit of segments under the group is represented by its
     lowest index.
 
     Two components are congruent when they have the same vertex count and
@@ -148,25 +147,23 @@ def _symmetry(comps) -> _Symmetry:
     representative, so distance minima over those are within 2 eps of the
     minima over the whole link."""
     q = len(comps)
-    shapes = {}
-    for i, c in enumerate(comps):
-        shapes.setdefault((c.n_vertices, c.closed), []).append(i)
-    stacks = [(np.array(idx), np.stack([comps[i].vertices for i in idx]), closed)
-              for (_, closed), idx in shapes.items()]
+    stacks = _stacks(comps)
     # one row per axis: numpy reduces rows far faster than (N, 3) columns
-    axes = np.concatenate([v.reshape(-1, 3) for _, v, _ in stacks]).T.copy()
+    axes = np.concatenate([st.vertices.reshape(-1, 3) for st in stacks]).T.copy()
     eps = _SYMMETRY_EPS * float(np.ptp(axes, axis=1).max())
-    chords = [_chords(v) for _, v, _ in stacks]
+    chords = [_chords(st.vertices) for st in stacks]
     sizes = [np.bincount(_matching(ch, eps).argmax(axis=1)) for ch in chords]
     sizes = np.concatenate(sizes)
     group = _rotation_group(comps, stacks, int(np.gcd.reduce(sizes[sizes > 1],
                                                              initial=0)), eps)
     orbit, reps = group if group is not None else (np.arange(q), None)
     classes = orbit.copy()
-    for (idx, v, _), ch in zip(stacks, chords):
+    for st, ch in zip(stacks, chords):
+        idx = st.idx
         heads = np.flatnonzero(orbit[idx] == idx)
         if len(heads) > 1:
-            classes[idx[heads]] = idx[heads][_congruent(v[heads], ch[heads], eps)]
+            classes[idx[heads]] = idx[heads][_congruent(st.vertices[heads],
+                                                        ch[heads], eps)]
     classes = classes[orbit]
     used = reps is not None or (classes != np.arange(q)).any()
     return _Symmetry(classes, reps, 2.0 * eps if used else 0.0, stacks)
@@ -251,29 +248,33 @@ def _rotation_group(comps, stacks, order: int, eps: float):
 
 def _rotation_images(stacks, q: int, k: int, tol: float) -> tuple:
     """(image, shift) lists: the component onto which the rotation by
-    2 pi / k about z maps each component, and the vertex shift (0 unless
-    the component is its own image), when it maps each vertex v within
-    `tol` of vertex v + shift; (None, None) when some component has no
+    2 pi / k about z maps each component, and the vertex shift on that
+    image, when it maps each vertex v within `tol` of vertex v + shift
+    (cyclically) of the image; (None, None) when some component has no
     such image.  The image of the first vertex is looked up among the first
-    vertices of the components of its vertex count, and among the
-    component's own vertices when none is near."""
+    vertices of the components of its vertex count, and among all their
+    vertices when none is near: a helix winding p times around a torus tube
+    maps onto the first helix of its shell n/p vertices along it."""
     c, s = math.cos(2.0 * math.pi / k), math.sin(2.0 * math.pi / k)
     turn = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
     image = np.zeros(q, dtype=np.int64)
     shift = np.zeros(q, dtype=np.int64)
-    for idx, v, closed in stacks:
-        m = len(idx)
+    for st in stacks:
+        idx, v = st.idx, st.vertices
+        m, n = v.shape[:2]
         heads = v[:, 0] @ turn
         d0 = np.sum((heads[:, None] - v[None, :, 0]) ** 2, axis=2)
         to = d0.argmin(axis=1)
         target = v[to]
+        flat = v.reshape(-1, 3)
         for a in np.flatnonzero(d0[np.arange(m), to] > tol * tol):
-            d = np.sum((v[a] - heads[a]) ** 2, axis=1)
-            by = int(d.argmin())
-            if d[by] > tol * tol or not closed:
+            # a vertex within tol lies within tol in z: measure only those
+            near = np.flatnonzero(np.abs(flat[:, 2] - heads[a, 2]) <= 2.0 * tol)
+            d = np.sum((flat[near] - heads[a]) ** 2, axis=1)
+            if not st.closed or not near.size or d.min() > tol * tol:
                 return None, None
-            to[a], shift[idx[a]] = a, by
-            target[a] = np.roll(v[a], -by, axis=0)
+            to[a], shift[idx[a]] = divmod(int(near[d.argmin()]), n)
+            target[a] = np.roll(v[to[a]], -shift[idx[a]], axis=0)
         miss = v @ turn - target
         if np.einsum("mni,mni->mn", miss, miss).max() > tol * tol:
             return None, None
@@ -283,10 +284,10 @@ def _rotation_images(stacks, q: int, k: int, tol: float) -> tuple:
     return image.tolist(), shift.tolist()
 
 
-def _metrics(config, radii, min_inter, min_self, min_overall,
+def _metrics(config, total_length, radii, min_inter, min_self, min_overall,
              margin) -> LinkMetrics:
-    """LinkMetrics from the measured distances and curvature radii."""
-    total_length = config.total_length()
+    """LinkMetrics from the measured length, distances and curvature
+    radii."""
     rho = min(radii)
     thickness = min(min_overall / 2.0, rho) if np.isfinite(min_overall) else rho
     normalized = total_length / thickness if thickness > 0 else np.inf
@@ -315,15 +316,17 @@ def _metrics(config, radii, min_inter, min_self, min_overall,
 
 def _curvature(sym: _Symmetry) -> tuple:
     """(radii, windows): the minimal curvature radius of every component,
-    measured in one batch per vertex count and closedness (`sym.stacks`,
-    min_curvature_radii), and each component's arc window, pi times a
-    radius.  A class representative's window comes from the smallest
-    radius in its class, so it admits every self pair that a member's own
-    window would; the other members get inf, which admits no self pair."""
+    measured in one batch per vertex count and closedness from the segment
+    table (`sym.stacks`, min_curvature_radii), and each component's arc
+    window, pi times a radius.  A class representative's window comes from
+    the smallest radius in its class, so it admits every self pair that a
+    member's own window would; the other members get inf, which admits no
+    self pair."""
     q = len(sym.classes)
     radii = np.empty(q)
-    for idx, v, closed in sym.stacks:
-        radii[idx] = min_curvature_radii(v, closed)
+    for st in sym.stacks:
+        radii[st.idx] = min_curvature_radii(st.vertices, st.closed, st.dirs,
+                                            st.lens)
     first = sym.classes == np.arange(q)
     smallest = radii.copy()
     np.minimum.at(smallest, sym.classes, radii)
@@ -332,11 +335,25 @@ def _curvature(sym: _Symmetry) -> tuple:
     return radii, windows
 
 
+def _total_length(stacks, q: int) -> float:
+    """LinkConfiguration.total_length from the segment table: each
+    component's segment lengths summed along its row, then added in
+    component order, so the bits are the same."""
+    lengths = np.empty(q)
+    for st in stacks:
+        lengths[st.idx] = st.lens.sum(axis=1)
+    return float(sum(lengths.tolist()))
+
+
 def _prepared(comps) -> tuple:
-    """(radii, windows, reps, margin) of a link (`_symmetry`, `_curvature`):
-    the vertex stacks are freed before the distance search."""
+    """(radii, windows, total length, margin, soup) of a link: its
+    curvature (`_curvature`), length and symmetry margin (`_symmetry`),
+    and the segment table of its distance search, built from the
+    per-shape stacks, which are freed before the search."""
     sym = _symmetry(comps)
-    return (*_curvature(sym), sym.reps, sym.margin)
+    radii, windows = _curvature(sym)
+    return (radii, windows, _total_length(sym.stacks, len(comps)), sym.margin,
+            _SegmentSoup(comps, sym.reps, sym.stacks))
 
 
 def measure_link(config: LinkConfiguration) -> LinkMetrics:
@@ -358,14 +375,17 @@ def measure_link(config: LinkConfiguration) -> LinkMetrics:
     Each distance minimum is exact over the pairs searched and within 2 eps
     of the whole link's; `margin` is then 2 eps, which verify's clearance
     verdicts must clear, and 0 for a link measured in full.  Curvature
-    radii are measured on every component.
+    radii are measured on every component.  The segment directions and
+    lengths are computed once per shape of component (`curves._Stack`):
+    the total length, the curvature radii and the search's segment table
+    read them.
     """
     comps = config.components
-    radii, windows, reps, margin = _prepared(comps)
+    radii, windows, total_length, margin, soup = _prepared(comps)
     min_inter, min_self = _certified_min(comps, inter=True, intra=True,
-                                         arc_windows=windows, reps=reps,
-                                         split=True)
-    return _metrics(config, radii, min_inter, min_self,
+                                         arc_windows=windows, split=True,
+                                         soup=soup)
+    return _metrics(config, total_length, radii, min_inter, min_self,
                     min(min_inter, min_self), margin)
 
 
@@ -378,10 +398,11 @@ def measure_thickness(config: LinkConfiguration) -> LinkMetrics:
     `min_inter_distance` and `min_self_distance` are None (not measured).
     """
     comps = config.components
-    radii, windows, reps, margin = _prepared(comps)
+    radii, windows, total_length, margin, soup = _prepared(comps)
     min_overall = _certified_min(comps, inter=True, intra=True,
-                                 arc_windows=windows, reps=reps)
-    return _metrics(config, radii, None, None, min_overall, margin)
+                                 arc_windows=windows, soup=soup)
+    return _metrics(config, total_length, radii, None, None, min_overall,
+                    margin)
 
 
 def _expected_linking(config: LinkConfiguration) -> np.ndarray | None:

@@ -883,3 +883,26 @@ def test_check_asserts_the_linking_pattern_of_a_json_spec(capsys, tmp_path,
     assert check["verification"]["linking_ok"] is not tampered
     assert check["verification"]["min_distance_ok"] is True
     assert check["verification"]["passed"] is not tampered
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        ("build gibbous --q 20 --points 200", "build-gibbous-q20.json"),
+        ("build hybrid_square --q 5 --points 200", "build-hybrid_square-q5.json"),
+        ("build circles --q 8 --points 200", "build-circles-q8.json"),
+        ("optimize --family gibbous --q 3 --restarts 1 --maxfev 6 --points 200",
+         "optimize-gibbous-q3.json"),
+    ],
+    ids=["gibbous", "hybrid_square", "circles", "optimize"],
+)
+def test_planar_reports_are_golden(capsys, argv, name):
+    # the whole report, byte for byte, as these commands printed it before
+    # the ring was placed in one batch and each link was measured from one
+    # segment table per shape of component
+    assert main(argv.split()) == 0
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()

@@ -301,6 +301,31 @@ def test_rotation_groups_of_the_built_links():
         assert measure._symmetry(link.components).reps is None
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_tori_of_p_windings_keep_the_rotation_group_of_p_one(p):
+    # with the 2 pi j/(n p) stagger the generator maps a shell's last
+    # helices onto its first ones, n/p vertices along them: the image of a
+    # first vertex is found among all vertices of the components of its
+    # shape, so inc4 T=2 keeps C4 and a quarter of its segments represent
+    # their orbits, as at p = 1 (408 points: the core maps onto itself 102
+    # vertices along, and 408/p is whole)
+    links = {k: realize_torus(build_increment_spec(2, 4, p=k), n_points=408,
+                              check=False) for k in (1, p)}
+    reps = {k: measure._symmetry(link.components).reps
+            for k, link in links.items()}
+    assert int(reps[p].sum()) == int(reps[1].sum()) == 13 * 408 // 4
+    # the minima over those representatives are within the margin (2 eps)
+    # of the search over every component
+    metrics = measure_link(links[p])
+    assert metrics.margin > 0.0
+    inter, self_, overall, rho = _brute_force(links[p])
+    measured = (metrics.min_inter_distance, metrics.min_self_distance,
+                metrics.min_overall_distance)
+    for value, reference in zip(measured, (inter, self_, overall)):
+        assert abs(value - reference) <= metrics.margin
+    assert metrics.min_curvature_radius == rho
+
+
 def _torus_link(method, t, variant, n_points=120):
     spec = build_optimal_spec(t) if method == "optimal" else (
         build_increment_spec(t, int(method[3:])))

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from ropebound.construct import FAMILIES, PLANAR_FAMILIES, build_planar_link
 from ropebound.curves import (
     PolyCurve,
+    _planar_shape,
     min_curvature_radius,
     rotation_about_axis,
     sample_cylindrical_helix,
@@ -159,3 +161,96 @@ def test_unknown_shape_and_params_raise():
         sample_planar_curve("pentagon")
     with pytest.raises(ValueError):
         sample_planar_curve("circle", {"radius": 1.0, "bogus": 2.0})
+
+
+def _rotation_of_one_call(axis, angle):
+    """One rotation matrix as rotation_about_axis formed it before it took
+    stacks: a norm of one vector and np.outer."""
+    u = np.asarray(axis, dtype=float)
+    u = u / np.linalg.norm(u)
+    c, s = np.cos(angle), np.sin(angle)
+    ux, uy, uz = u
+    cross = np.array([[0.0, -uz, uy], [uz, 0.0, -ux], [-uy, ux, 0.0]])
+    return c * np.eye(3) + s * cross + (1.0 - c) * np.outer(u, u)
+
+
+def test_stacked_rotations_have_the_bits_of_single_calls():
+    rng = np.random.default_rng(11)
+    axes = rng.normal(size=(64, 3)) * rng.uniform(0.1, 10.0, (64, 1))
+    angles = rng.uniform(-7.0, 7.0, 64)
+    cases = [
+        (axes, angles, [_rotation_of_one_call(u, a) for u, a in zip(axes, angles)]),
+        (axes, 0.7, [_rotation_of_one_call(u, 0.7) for u in axes]),
+        ((0.0, 0.0, 1.0), angles,
+         [_rotation_of_one_call((0.0, 0.0, 1.0), a) for a in angles]),
+        (axes[0], angles[0], _rotation_of_one_call(axes[0], angles[0])),
+    ]
+    for axis, angle, expected in cases:
+        assert rotation_about_axis(axis, angle).tobytes() == (
+            np.asarray(expected).tobytes())
+
+
+def _placed_by_loop(base, azimuth, displacement, inclination):
+    """One loop placed as sample_planar_curve placed it before the ring was
+    placed in one batch: two rotation matrices of its own."""
+    xyz = base
+    if azimuth != 0.0:
+        xyz = xyz @ _rotation_of_one_call((0.0, 0.0, 1.0), azimuth).T
+    radial = np.array([np.cos(azimuth), np.sin(azimuth), 0.0])
+    center = displacement * radial
+    xyz = xyz + center
+    if inclination != 0.0:
+        rot = _rotation_of_one_call(radial, inclination)
+        xyz = center + (xyz - center) @ rot.T
+    return xyz
+
+
+def _planar_link_by_loop(q, family, params, n_points):
+    """The vertices of build_planar_link(q, family, params, n_points), one
+    loop at a time."""
+    merged = dict(zip(FAMILIES[family].names, FAMILIES[family].start))
+    merged.update(params)
+    shape = "circle" if family == "circles" else "gibbous"
+    base = _planar_shape(shape, {k: merged[k] for k in ("gamma", "delta")
+                                 if k in merged}, n_points)
+    ring = q - 1 if family == "hybrid_square" else q
+    loops = [_placed_by_loop(base, 2.0 * math.pi * i / ring, merged["rho"],
+                             merged["psi"]) for i in range(ring)]
+    if family == "hybrid_square":
+        square = _planar_shape("rounded_square", {
+            "scale": merged["square_scale"],
+            "flat_fraction": merged["square_flat_fraction"]}, n_points)
+        loops.append(_placed_by_loop(square, 0.0, 0.0, 0.5 * math.pi))
+    return loops
+
+
+def _interior(family):
+    """A point inside the family's box, away from its start."""
+    return {name: lo + 0.37 * (hi - lo) for name, (lo, hi) in
+            zip(FAMILIES[family].names, FAMILIES[family].bounds)}
+
+
+@pytest.mark.parametrize("family", PLANAR_FAMILIES)
+@pytest.mark.parametrize("point", ["start", "interior", "psi=0"])
+@pytest.mark.parametrize("q", [2, 7])
+def test_planar_rings_are_placed_with_the_bits_of_one_loop_at_a_time(
+        family, point, q):
+    # the ring is one batched placement and the square goes through the
+    # same routine; every vertex keeps the bits of the per-loop placement
+    params = {"start": {}, "interior": _interior(family),
+              "psi=0": {"psi": 0.0}}[point]
+    link = build_planar_link(q, family, params, n_points=150)
+    expected = _planar_link_by_loop(q, family, params, 150)
+    assert len(link.components) == len(expected) == q
+    for curve, vertices in zip(link.components, expected):
+        assert curve.closed
+        assert curve.vertices.tobytes() == vertices.tobytes()
+
+
+def test_a_placed_loop_has_the_bits_of_its_own_placement():
+    # sample_planar_curve places one loop through the ring's routine
+    one = sample_planar_curve(
+        "circle", placement={"azimuth": 2.5, "displacement": 0.4,
+                             "inclination": 0.9}, n_points=150)
+    assert one.vertices.tobytes() == _placed_by_loop(
+        _planar_shape("circle", {}, 150), 2.5, 0.4, 0.9).tobytes()

@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 from ropebound.curves import PolyCurve, rotation_about_axis, sample_planar_curve
+from ropebound.distances import _SegmentSoup, _segment_rows
 from ropebound.measure import (
     LinkConfiguration,
     LinkMetrics,
+    _curvature,
     _expected_linking,
+    _symmetry,
+    _total_length,
     measure_link,
     verify,
 )
@@ -233,3 +237,82 @@ def test_orbits_are_validated(orbits, message):
         LinkConfiguration(comps, orbits=orbits)
     claimed = LinkConfiguration(comps, metadata={"orbits": list(orbits)})
     assert measure_link(claimed) == measure_link(LinkConfiguration(comps)), message
+
+
+def _mixed_link():
+    """Closed components of two vertex counts and one open component,
+    interleaved, so no stack of one shape is a block of components."""
+    a = sample_planar_curve("circle", {"radius": 2.0}, n_points=90)
+    b = sample_planar_curve(
+        "gibbous", {"gamma": 1.3, "delta": 0.1},
+        placement={"azimuth": 0.4, "displacement": 1.5, "inclination": 1.0},
+        n_points=130)
+    t = np.linspace(0.0, 3.0, 130)
+    arc = PolyCurve(np.column_stack((2.0 * t - 3.0, np.full(130, 0.5),
+                                     np.sin(t))), closed=False)
+    c = sample_planar_curve(
+        "circle", {"radius": 1.0},
+        placement={"azimuth": 2.0, "displacement": 2.5, "inclination": 0.3},
+        n_points=90)
+    # loops of very different lengths, so the total depends on the order
+    # in which component lengths are added
+    loops = [sample_planar_curve("circle", {"radius": 10.0 ** k}, n_points=90)
+             .transformed(None, (0.0, 3.0 * 10.0 ** k + 20.0, 0.0))
+             for k in (5, -1, -1, 0, -2, 1)]
+    return LinkConfiguration([a, b, arc, c, b.transformed(None, (0.0, 0.0, 3.0)),
+                              *loops])
+
+
+def _table_of_one_component(curve):
+    """(starts, dirs, lengths, arc-length midpoints, length, curvature
+    radius) of one component, computed on its own as before the segment
+    table was stacked per shape."""
+    v = curve.vertices
+    ends = np.roll(v, -1, axis=0) if curve.closed else v[1:]
+    starts = v if curve.closed else v[:-1]
+    dirs = ends - starts
+    lens = np.linalg.norm(dirs, axis=1)
+    cum = np.concatenate(([0.0], np.cumsum(lens)))
+    if curve.closed:
+        a, b, c = v, np.roll(v, -1, axis=0), np.roll(v, -2, axis=0)
+    else:
+        a, b, c = v[:-2], v[1:-1], v[2:]
+    ab = np.linalg.norm(b - a, axis=1)
+    bc = np.linalg.norm(c - b, axis=1)
+    ca = np.linalg.norm(a - c, axis=1)
+    area2 = np.linalg.norm(np.cross(b - a, c - a), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radii = ab * bc * ca / (2.0 * area2)
+    radii[area2 <= 1e-14 * (ab * bc)] = np.inf
+    return starts, dirs, lens, cum[:-1] + 0.5 * lens, cum[-1], radii.min()
+
+
+def test_the_stacked_segment_table_has_the_bits_of_each_component():
+    link = _mixed_link()
+    comps = link.components
+    sym = _symmetry(comps)
+    assert len(sym.stacks) == 3
+    starts, dirs, lens, arc_mid, length, radius = zip(
+        *map(_table_of_one_component, comps))
+    rows = _segment_rows(np.concatenate(starts), np.concatenate(dirs))
+    closed = np.array([c.closed for c in comps])
+    for soup in (_SegmentSoup(comps), _SegmentSoup(comps, stacks=sym.stacks)):
+        assert soup.rows.tobytes() == rows.tobytes()
+        assert soup.arc_mid.tobytes() == np.concatenate(arc_mid).tobytes()
+        assert soup.fold_len.tobytes() == np.where(closed, length,
+                                                   np.inf).tobytes()
+        assert soup.labels.tolist() == [k for k, c in enumerate(comps)
+                                        for _ in range(c.n_segments)]
+    # each component's lengths, their sums, the total length and the
+    # curvature radii read the same table
+    for st in sym.stacks:
+        for i, row in zip(st.idx, st.lens):
+            assert row.tobytes() == lens[i].tobytes()
+            assert float(row.sum()) == comps[i].length() == float(lens[i].sum())
+    total = sum(float(x.sum()) for x in lens)
+    assert total != float(np.sum([x.sum() for x in lens]))  # order matters
+    assert _total_length(sym.stacks, len(comps)) == link.total_length() == total
+    assert _curvature(sym)[0].tolist() == list(radius)
+    metrics = measure_link(link)
+    assert metrics.total_length == link.total_length()
+    assert metrics.min_curvature_radius == min(radius)
