@@ -34,7 +34,27 @@ def _segments(v: np.ndarray, closed: bool) -> tuple:
     ends = (np.concatenate((v[..., 1:, :], v[..., :1, :]), axis=-2) if closed
             else v[..., 1:, :])
     dirs = ends - (v if closed else v[..., :-1, :])
-    return dirs, np.linalg.norm(dirs, axis=-1)
+    return dirs, _length(dirs)
+
+
+def _length(v: np.ndarray) -> np.ndarray:
+    """The lengths of vectors v (..., 3): np.linalg.norm(v, axis=-1), the
+    same sum of squares in its order, without its copies, in a quarter of
+    its time."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return np.sqrt(x * x + y * y + z * z)
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """np.cross(u, v) of vectors (..., 3), by its formula, without its
+    Python-level passes."""
+    out = np.empty(np.broadcast_shapes(u.shape, v.shape))
+    ux, uy, uz = u[..., 0], u[..., 1], u[..., 2]
+    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
+    np.subtract(uy * vz, uz * vy, out=out[..., 0])
+    np.subtract(uz * vx, ux * vz, out=out[..., 1])
+    np.subtract(ux * vy, uy * vx, out=out[..., 2])
+    return out
 
 
 def _checked(v: np.ndarray, closed: bool) -> None:
@@ -212,7 +232,6 @@ def _rounded_square_xy(scale: float, flat_fraction: float, n_points: int):
     side = np.floor(u / (flat + quarter)).astype(int)  # 0..3
     along = u - side * (flat + quarter)
     # Local frame per side k: start at the beginning of side k's flat run.
-    pts = np.empty((n_points, 2))
     on_flat = along < flat
     # side 0: flat runs along +y on the x = s edge from y = -f*s
     a = np.where(on_flat, along, flat)
@@ -221,15 +240,11 @@ def _rounded_square_xy(scale: float, flat_fraction: float, n_points: int):
     # flat part then corner arc (center at (s - c, f*s) for side 0)
     x0 = np.where(on_flat, s, (s - c) + c * np.cos(ang))
     y0 = np.where(on_flat, -f * s + a, f * s + c * np.sin(ang))
-    # rotate by 90 deg per side index
-    for k in range(4):
-        m = side == k
-        if not m.any():
-            continue
-        ck, sk = np.cos(0.5 * np.pi * k), np.sin(0.5 * np.pi * k)
-        pts[m, 0] = ck * x0[m] - sk * y0[m]
-        pts[m, 1] = sk * x0[m] + ck * y0[m]
-    return pts[:, 0], pts[:, 1]
+    # rotate by 90 deg per side index, each point by its side's angle (one
+    # scalar cos and sin per side, as a per-side pass took them)
+    ck = np.array([np.cos(0.5 * np.pi * k) for k in range(4)]).take(side)
+    sk = np.array([np.sin(0.5 * np.pi * k) for k in range(4)]).take(side)
+    return ck * x0 - sk * y0, sk * x0 + ck * y0
 
 
 def sample_planar_curve(
@@ -352,9 +367,8 @@ def min_curvature_radii(vertices: np.ndarray, closed: bool, dirs: np.ndarray,
 def _circumradii(a, ba, c, ab, bc):
     """Circumradius of each triangle (a_i, b_i, c_i), given the side
     b_i - a_i and the side lengths |ab| and |bc|; +inf where collinear."""
-    ca = np.linalg.norm(a - c, axis=-1)
-    cross = np.cross(ba, c - a)
-    area2 = np.linalg.norm(cross, axis=-1)  # 2 * triangle area
+    ca = _length(a - c)
+    area2 = _length(_cross(ba, c - a))  # 2 * triangle area
     with np.errstate(divide="ignore", invalid="ignore"):
         radii = ab * bc * ca / (2.0 * area2)
     radii[area2 <= 1e-14 * (ab * bc)] = np.inf

@@ -17,16 +17,17 @@ pairs, run pairs and whole components.  A search over two or more
 components (`_search`) queries at a sampled upper bound: the closest
 counted pair among a hundred-odd segments spread evenly along the
 components, which on planar rings lies within a small factor of the true
-minimum and which the one search certifies.  With orbit representatives
-(from `measure`) the query runs from the runs that hold one.  Run pairs are
-dropped before any segment pair is formed when the rule drops them or their
-capsule bound (the kernel distance of the chords minus both radii) exceeds
-the query radius.  The survivors expand, _KERNEL_PAIRS segment pairs at
-most at a time, to the counted pairs whose midpoints lie within the query
-radius plus both half-lengths, which reach the kernel.  Results are exactly
-those of the brute-force scan over the pairs counted: both routes use the
-same kernel with the lower segment index first, and no bound drops the
-optimal pair.
+minimum and which the one search certifies.  With a symmetry's orbits
+(from `measure`) one segment pair of each orbit counts, whose lower segment
+represents its orbit, and where few runs hold a representative the query
+runs from those.  Run pairs are dropped before any segment pair is formed
+when the rule drops them or their capsule bound (the kernel distance of
+the chords minus both radii) exceeds the query radius.  The survivors
+expand, _KERNEL_PAIRS segment pairs at most at a time, to the counted pairs
+whose midpoints lie within the query radius plus both half-lengths, which
+reach the kernel.  Results are exactly those of the brute-force scan over
+the pairs counted: both routes use the same kernel with the lower segment
+index first, and no bound drops the optimal pair.
 
 Self pairs are searched on their own (`_self_min`): for a request of self
 pairs alone or of one component, and for `measure_link`, which asks for its
@@ -58,7 +59,7 @@ import threading
 
 import numpy as np
 
-from .curves import PolyCurve, _stacks
+from .curves import PolyCurve, _length, _stacks
 
 __all__ = [
     "segment_pair_distances",
@@ -151,6 +152,16 @@ def _workspace(m: int) -> _Workspace:
     return _Workspace(_buffers.floats, _buffers.mask, m)
 
 
+def _scratch(size: int) -> np.ndarray:
+    """`size` floats for work between kernel passes, which overwrite them:
+    cut from the calling thread's kernel buffers (`_workspace`) when they
+    hold that many, so the caller writes into pages already touched, else
+    a fresh array, so the buffers never grow for it."""
+    _workspace(0)
+    floats = _buffers.floats
+    return floats[:size] if floats.size >= size else np.empty(size)
+
+
 def _kernel(g, h, ws, out) -> None:
     """The clamped closest-point distances of segment g[:, k] to segment
     h[:, k], both (7, m) coordinate rows (`_segment_rows`), written to
@@ -232,15 +243,16 @@ class _SegmentSoup:
     `curves._Stack` per vertex count and closedness (`stacks`, or grouped
     here when not given): each stack's rows, arc-length midpoints (a
     row-wise cumsum) and lengths are written in one pass, with no loop over
-    components.  `reps`, when given, marks the segments of which every
-    searched pair has at least one (the representatives of a symmetry's
-    orbits); None, or a mask of all segments, searches every pair.
-    `next_rep[i]` is the first representative at or after segment i (n
-    after the last), and a separation x on component k folds to
+    components.  `orbit_min`, when given, is the lowest segment index of
+    each segment's orbit under a symmetry (`measure._symmetry`), and a
+    segment is its orbit's representative when that is its own; None, or
+    every segment its own orbit, searches every pair.  `next_rep[i]` is the
+    first representative at or after segment i (n after the last), and a
+    separation x on component k folds to
     min(x, fold - x) for `fold_nseg[k]` and `fold_len[k]` (an open one's,
     2n and inf, never do)."""
 
-    def __init__(self, curves, reps=None, stacks=None):
+    def __init__(self, curves, orbit_min=None, stacks=None):
         stacks = _stacks(curves) if stacks is None else stacks
         q = len(curves)
         self.comp_nseg = np.empty(q, dtype=np.int64)
@@ -272,9 +284,13 @@ class _SegmentSoup:
         # a few ulps of its largest coordinate
         self.slack = _ROUNDING * (float(np.abs(self.mids).max())
                                   + 2.0 * float(self.half.max()))
-        self.next_rep = (None if reps is None or np.all(reps) else
+        index = np.arange(len(self.labels))
+        if orbit_min is not None and np.array_equal(orbit_min, index):
+            orbit_min = None
+        self.orbit_min = orbit_min
+        self.next_rep = (None if orbit_min is None else
                          np.minimum.accumulate(np.where(
-                             reps, np.arange(len(reps)), len(reps))[::-1])[::-1])
+                             orbit_min == index, index, index.size)[::-1])[::-1])
 
     def __len__(self):
         return self.rows.shape[1]
@@ -297,6 +313,13 @@ class _SegmentSoup:
 _BOUND_SAMPLES = 128
 _SELF_SAMPLES = 32
 
+# The largest share of runs holding a representative at which the run
+# query starts from those runs alone (`_candidate_pairs` with `marked`).  A
+# marked query costs about 2.5 times a plain one per pair it returns: on
+# tori of a half-turn alone (half the runs marked) the plain query and the
+# rule's filter were faster, from a group of order 4 on the marked query.
+_MARKED_SHARE = 0.35
+
 # Run pairs per block that `_self_min` enumerates by index: a component of
 # 250 runs (1,000 segments) holds 31,125.
 _INDEXED_PAIRS = 1 << 15
@@ -306,9 +329,10 @@ def _candidate_pairs(points, reach: float, marked=None):
     """All index pairs (i < j) of `points` (rows, any dimension) that lie
     within `reach` of each other, from one KD-tree query; with `marked`, a
     mask over the points, the query runs from the marked points and keeps
-    the pairs with one.  The relative 1e-12 covers rounding in the point
-    distances.  scipy.spatial is imported here, so commands that never
-    search (sweep, correction, bounds) do not pay for it."""
+    the pairs whose lower index is marked.  The relative 1e-12 covers
+    rounding in the point distances.  scipy.spatial is imported here, so
+    commands that never search (sweep, correction, bounds) do not pay for
+    it."""
     from scipy.spatial import cKDTree
 
     reach = reach * (1.0 + 1e-12)
@@ -322,15 +346,23 @@ def _candidate_pairs(points, reach: float, marked=None):
         tree, reach, output_type="ndarray"
     )
     i, j = rows[found["i"]], found["j"]
-    # a pair of two marked points is found from both ends: keep it once
-    keep = (i < j) | ((i > j) & ~marked[j])
-    i, j = i.compress(keep), j.compress(keep)
-    return np.minimum(i, j), np.maximum(i, j)
+    keep = i < j
+    return i.compress(keep), j.compress(keep)
 
 
-def _holds_rep(next_rep, first, last) -> np.ndarray:
-    """Whether each stretch of segments [first, last] holds a representative."""
-    return next_rep.take(first) <= last
+def _lowest_first(soup, units, ia, ib) -> np.ndarray:
+    """The orbit condition of `_may_count`, for segments or stretches ia[k]
+    and ib[k] (`units` as there).  A stretch is tested with its least
+    representative (`_SegmentSoup.next_rep`, after its last: none) and
+    the other's largest orbit minimum; the stretches tile the segments in
+    order (runs, or whole components), so one pass finds those."""
+    low = soup.orbit_min
+    if units is None:
+        return (low.take(ia) == ia) & (low.take(ib) >= ia)
+    first, last = units
+    lead = soup.next_rep.take(first).take(ia)
+    return (lead <= last.take(ia)) & (
+        np.maximum.reduceat(low, first).take(ib) >= lead)
 
 
 def _widest(pos, units, ia, ib, fold) -> np.ndarray:
@@ -356,25 +388,22 @@ def _may_count(soup, units, ia, ib, inter, intra, arc_windows) -> np.ndarray:
       `intra`, more than _SKIP_WINDOW segments and (with `arc_windows`, one
       per component) more than its window of arc between midpoints apart,
       each separation x folded to min(x, total - x) on a closed component;
-    - with representatives (`_SegmentSoup.next_rep`), one segment is one.
+    - with orbits (`_SegmentSoup.orbit_min`), the lower segment a is the
+      lowest of its orbit and the other's orbit has no index below a: one
+      pair of each orbit of segment pairs, or a few where an element fixes
+      a segment (`_lowest_first`).
 
     A stretch is tested at its widest: separations over [lo, hi],
     lo = pos(b.first) - pos(a.last), hi = pos(b.last) - pos(a.first), fold
     to at most min(hi, total - lo, half) (hi if open), half n // 2 segments
-    or half the length; it holds a representative if the first one from its
-    first segment on is not after its last.  The answer is exact for single
-    segments, never false where a pair counts, and for a component with
-    itself exact under an infinite window, or without representatives if
-    open or without windows."""
-    if soup.next_rep is not None:
-        if units is None:
-            held = (_holds_rep(soup.next_rep, ia, ia)
-                    | _holds_rep(soup.next_rep, ib, ib))
-        else:
-            holds = _holds_rep(soup.next_rep, *units)
-            held = holds.take(ia) | holds.take(ib)
+    or half the length.  The answer is exact for single segments and for
+    distinct stretches' orbit condition, never false where a pair counts,
+    and for a component with itself exact under an infinite window, or
+    without orbits if open or without windows."""
+    if soup.orbit_min is not None:
+        held = _lowest_first(soup, units, ia, ib)
         if not held.all():
-            # separations only of the pairs with a representative
+            # separations only of the pairs the orbit condition keeps
             at = np.flatnonzero(held)
             held[at] = _apart(soup, units, ia.take(at), ib.take(at), inter,
                               intra, arc_windows)
@@ -414,13 +443,16 @@ def _admissible_min(soup, ia, ib, inter, intra, arc_windows) -> float:
     return best
 
 
-def _pairs(sizes) -> tuple:
+def _pairs(sizes, lower=None) -> tuple:
     """(i, j): every index pair i < j within each block of consecutive
     items, for blocks of `sizes` items in order; np.triu_indices(n, 1) for
-    one block of n."""
+    one block of n.  With `lower`, a mask over the items, only the pairs
+    whose i it marks."""
     sizes = np.asarray(sizes)
     n = int(sizes.sum())
     after = np.repeat(np.cumsum(sizes), sizes) - np.arange(1, n + 1)
+    if lower is not None:
+        after *= lower
     i = np.repeat(np.arange(n), after)
     j = np.arange(i.size) - np.repeat(np.cumsum(after) - after
                                       - np.arange(1, n + 1), after)
@@ -439,7 +471,9 @@ def _sampled_bound(soup, inter, intra, arc_windows, per=None) -> float:
     lab = np.repeat(np.arange(ncomp), per)
     rank = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per)
     seg = soup.first[lab] + rank * soup.comp_nseg[lab] // per[lab]
-    ia, ib = _pairs([seg.size] if inter else per)
+    # a kept pair's lower segment represents its orbit
+    lead = None if soup.orbit_min is None else soup.orbit_min.take(seg) == seg
+    ia, ib = _pairs([seg.size] if inter else per, lead)
     return _admissible_min(soup, seg[ia], seg[ib], inter, intra, arc_windows)
 
 
@@ -486,7 +520,9 @@ class _Runs:
     last end included) from the chord plus the rounding allowances.  A
     segment lies within dev of the chord when both its ends do, so every
     point of the run does.  `mids` (n, 3) are the chord midpoints, and `radius`,
-    half the chord plus dev, the radius about them that holds the run."""
+    half the chord plus dev, the radius about them that holds the run.
+    `marked`, the runs that hold an orbit's representative, is kept for the
+    query when at most _MARKED_SHARE of them do, else None."""
 
     def __init__(self, soup):
         n = len(soup)
@@ -514,8 +550,11 @@ class _Runs:
                     + _CHORD_ROUNDING * length + soup.slack)
         self.mids = (a + 0.5 * chord).T
         self.radius = 0.5 * length + self.dev
-        self.marked = (None if soup.next_rep is None
-                       else _holds_rep(soup.next_rep, self.first, self.last))
+        self.marked = None
+        if soup.orbit_min is not None:
+            marked = soup.next_rep.take(self.first) <= self.last
+            if np.count_nonzero(marked) <= _MARKED_SHARE * marked.size:
+                self.marked = marked
 
     def lower_bounds(self, ra, rb) -> np.ndarray:
         """A lower bound on the kernel distance of every segment pair of run
@@ -546,12 +585,16 @@ def _run_pairs(soup, at, radius, inter, intra, arc_windows,
                sizes=None) -> tuple:
     """The run pairs among the runs `at` (None: every run) that
     `_may_count` keeps and whose capsule bound lies within `radius`: every
-    pair within each block of `sizes` consecutive runs of `at`, by index,
-    or without `sizes` those that one query returns at `radius` plus twice
-    their largest radius."""
+    pair within each block of `sizes` consecutive runs of `at`, by index
+    (with orbits, those whose lower run holds a representative), or without
+    `sizes` those that one query returns at `radius` plus twice their
+    largest radius."""
     runs = soup.runs
     if sizes is not None:
-        ra, rb = _pairs(sizes)
+        # a kept pair's lower run holds a representative
+        lead = None if soup.orbit_min is None else (
+            soup.next_rep.take(runs.first.take(at)) <= runs.last.take(at))
+        ra, rb = _pairs(sizes, lead)
     else:
         mids, marked, reach = runs.mids, runs.marked, runs.radius
         if at is not None:
@@ -570,10 +613,9 @@ def _run_pairs(soup, at, radius, inter, intra, arc_windows,
 def _search(soup, intra, arc_windows) -> float:
     """The search of `_certified_min` over two or more components: inter
     pairs, and self pairs with `intra`, from one query over the runs at the
-    sampled bound.  That bound holds a counted inter pair, since segment 0
-    is sampled and represents its orbit under `measure`'s symmetry; should a
-    hand-made `reps` mask leave no sampled pair, the radius is inf and the
-    query returns every pair."""
+    sampled bound.  That bound holds a counted inter pair: segment 0 is
+    sampled and is the lowest of its orbit, and no orbit lies below it, so
+    it pairs with every sampled segment of another component."""
     radius = _widened(_sampled_bound(soup, True, intra, arc_windows))
     ra, rb = _run_pairs(soup, None, radius, True, intra, arc_windows)
     return _near_min(soup, soup.runs, ra, rb, radius, True, intra,
@@ -610,8 +652,7 @@ def _self_min(soup, arc_windows) -> float:
     lo = np.minimum.reduceat(runs.mids, start)
     hi = np.maximum.reduceat(runs.mids, start)
     centre = np.repeat(0.5 * (lo + hi), count, axis=0)
-    extent = np.maximum.reduceat(np.linalg.norm(runs.mids - centre, axis=1),
-                                 start)
+    extent = np.maximum.reduceat(_length(runs.mids - centre), start)
     wide = searched & (radius + 2.0 * np.maximum.reduceat(runs.radius, start)
                        >= extent)
     comps = np.flatnonzero(wide)
@@ -628,14 +669,14 @@ def _self_min(soup, arc_windows) -> float:
     return _near_min(soup, runs, ra, rb, radius, False, True, arc_windows)
 
 
-def _certified_min(curves, inter, intra, arc_windows, reps=None,
+def _certified_min(curves, inter, intra, arc_windows, orbit_min=None,
                    split=False, soup=None):
     """Exact minimum distance over the segment pairs of `curves` that
     `_may_count` keeps: pairs of distinct components when `inter`, self
     pairs outside the skip window and (with `arc_windows`, one per
-    component) the arc window when `intra`, and with `reps`, a mask over
-    the segments of all curves in order, only pairs with a marked segment
-    (the representatives of a symmetry's orbits, `measure._symmetry`); inf
+    component) the arc window when `intra`, and with `orbit_min`, the
+    lowest index of each segment's orbit under a symmetry of all curves in
+    order (`measure._symmetry`), one pair per orbit of segment pairs; inf
     when it keeps none.  Inter pairs of two or more components are one
     search over the runs (`_search`, self pairs included with `intra`);
     self pairs alone, or one component, go to `_self_min`.
@@ -646,8 +687,9 @@ def _certified_min(curves, inter, intra, arc_windows, reps=None,
     search), the self pairs from `_self_min`.  It is a flag here rather
     than a function of its own so that perfbench/tracing.py, which wraps
     `measure._certified_min`, sees the call.  `soup`, the curves'
-    `_SegmentSoup` with `reps`, is passed by a caller that has built it."""
-    soup = _SegmentSoup(curves, reps) if soup is None else soup
+    `_SegmentSoup` with `orbit_min`, is passed by a caller that has built
+    it."""
+    soup = _SegmentSoup(curves, orbit_min) if soup is None else soup
     searched = inter and len(curves) > 1
     if split:
         if not (inter and intra):

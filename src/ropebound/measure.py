@@ -12,24 +12,26 @@ an embedding.
 
 A link is measured modulo the symmetry its coordinates prove, whether it was
 built or read from a file (no field declares one), in one distance search
-over one segment table: the self pairs of each class of congruent
-components (`_symmetry`'s classes) are searched on its first member only,
-and the inter-component pairs are those that touch a representative of an
-orbit of the link's rotation group about z.  Every distance minimum is then
-within 2 eps of the whole link's (eps = 1e-12 of the link's extent), and
-verify judges such a link's clearance with that margin.  Curvature radii
-are measured on every component, in one batch per vertex count.
+over one segment table.  The symmetry is a group of rotations about the
+centroid of the vertices, half-turns included (`_symmetry`): rotations
+about the principal axis of the vertices' second-moment tensor that stands
+apart, and half-turns about axes perpendicular to it.  The search keeps
+one segment pair per orbit of that group, and the self pairs of each class
+of congruent components only on its first member.  Every distance minimum
+is then within 2 eps of the whole link's (eps = 1e-12 of the link's
+extent), and verify judges such a link's clearance with that margin.
+Curvature radii are measured on every component, in one batch per vertex
+count.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .curves import PolyCurve, _stacks, min_curvature_radii
+from .curves import PolyCurve, _length, _stacks, min_curvature_radii
 # Not called here; kept because perfbench/tracing.py wraps these attributes.
 from .curves import min_curvature_radius  # noqa: F401
 from .distances import _SegmentSoup, _certified_min
@@ -117,24 +119,23 @@ class _Symmetry(NamedTuple):
     """What a link's coordinates prove about its symmetry (see _symmetry)."""
 
     classes: np.ndarray  # each component's class representative
-    reps: np.ndarray | None  # per segment: represents its orbit; None: no group
+    group: np.ndarray | None  # elements' index maps (`_groups`); None: none
+    orbit_min: np.ndarray | None  # per segment: its orbit's lowest index
     margin: float  # 2 eps when a symmetry is used, else 0
     stacks: list  # per shape: the segment table (`curves._Stack`)
 
 
 def _symmetry(comps) -> _Symmetry:
-    """Congruence classes and rotation group of a link, from its coordinates.
+    """Congruence classes and symmetry group of a link, from its coordinates.
 
     eps is _SYMMETRY_EPS times the link's extent, the largest spread of its
     vertices along an axis, so it does not depend on where the link sits.
 
-    The rotation group is the largest cyclic group of rotations about the z
-    axis whose generator maps every vertex v of every component within
-    eps / k of vertex v + shift (cyclically) of a component, its image; each
-    of its k elements is then within eps.  The orders tried are the
-    divisors of the gcd of the sizes of the groups of components with
-    matching chords (see _chords), largest first.  Each orbit of segments under the group is represented by its
-    lowest index.
+    The group is one of proper isometries that fix the centroid of the
+    vertices (`_groups`): every element maps every vertex v of every
+    component within eps of vertex +-v + shift (cyclically) of a component,
+    its image.  It acts on the segments, and each segment's orbit is known
+    by its lowest index (`orbit_min`).
 
     Two components are congruent when they have the same vertex count and
     closedness and an isometry, proper or improper, maps one within eps of
@@ -142,10 +143,13 @@ def _symmetry(comps) -> _Symmetry:
     of the group are, and the orbits' first components are registered
     against each other.  A class is represented by its first member.
 
-    Every segment pair is within 2 eps of a congruent pair with a
-    representative segment, and every component within eps of its class
-    representative, so distance minima over those are within 2 eps of the
-    minima over the whole link."""
+    Every segment pair is within 2 eps of a pair of its orbit whose first
+    segment is the lowest of its own orbit and not above the lowest of the
+    other's (`distances._may_count`), and every component within eps of its
+    class representative, so distance minima over those are within 2 eps
+    of the minima over the whole link."""
+    from ._groups import _generators, _orbits
+
     q = len(comps)
     stacks = _stacks(comps)
     # one row per axis: numpy reduces rows far faster than (N, 3) columns
@@ -154,9 +158,10 @@ def _symmetry(comps) -> _Symmetry:
     chords = [_chords(st.vertices) for st in stacks]
     sizes = [np.bincount(_matching(ch, eps).argmax(axis=1)) for ch in chords]
     sizes = np.concatenate(sizes)
-    group = _rotation_group(comps, stacks, int(np.gcd.reduce(sizes[sizes > 1],
-                                                             initial=0)), eps)
-    orbit, reps = group if group is not None else (np.arange(q), None)
+    found = _generators(stacks, axes, int(np.gcd.reduce(sizes[sizes > 1],
+                                                         initial=0)), eps)
+    group, orbit_min = _orbits(stacks, *found)
+    orbit = np.arange(q) if group is None else group[:, 0].min(axis=0)
     classes = orbit.copy()
     for st, ch in zip(stacks, chords):
         idx = st.idx
@@ -165,8 +170,9 @@ def _symmetry(comps) -> _Symmetry:
             classes[idx[heads]] = idx[heads][_congruent(st.vertices[heads],
                                                         ch[heads], eps)]
     classes = classes[orbit]
-    used = reps is not None or (classes != np.arange(q)).any()
-    return _Symmetry(classes, reps, 2.0 * eps if used else 0.0, stacks)
+    used = orbit_min is not None or (classes != np.arange(q)).any()
+    return _Symmetry(classes, group, orbit_min, 2.0 * eps if used else 0.0,
+                     stacks)
 
 
 def _chords(v: np.ndarray) -> np.ndarray:
@@ -175,7 +181,7 @@ def _chords(v: np.ndarray) -> np.ndarray:
     that maps vertex for vertex in index order, which a congruence within
     eps moves by at most 2 eps."""
     spread = np.arange(1, 9) * v.shape[1] // 9
-    return np.linalg.norm(v[:, spread] - v[:, :1], axis=2)
+    return _length(v[:, spread] - v[:, :1])
 
 
 def _matching(chords: np.ndarray, eps: float) -> np.ndarray:
@@ -205,83 +211,6 @@ def _congruent(v: np.ndarray, chords: np.ndarray, eps: float) -> np.ndarray:
             rep[near[fits]] = root
         pending = rest[rep[rest] == rest]
     return rep
-
-
-def _rotation_group(comps, stacks, order: int, eps: float):
-    """(orbit, reps) of the largest group of rotations about z whose order
-    divides `order` (see _symmetry), or None when there is none: the first
-    component of each component's orbit, and the segment mask of orbit
-    representatives.  A segment represents its orbit when its component is
-    the first of its orbit and its index is below the gcd of the
-    component's segment count and the vertex shift by which the group maps
-    the component onto itself."""
-    q = len(comps)
-    nseg = [c.n_segments for c in comps]
-    for k in range(order, 1, -1):
-        if order % k:
-            continue
-        image, shift = _rotation_images(stacks, q, k, eps / k)
-        if image is None:
-            continue
-        orbit, limit = [-1] * q, [0] * q
-        for i in range(q):
-            if orbit[i] >= 0:
-                continue
-            cycle, total, j = [i], shift[i], image[i]
-            while j != i:
-                cycle.append(j)
-                total += shift[j]
-                j = image[j]
-            # the generator's k-th power must be the identity
-            if k % len(cycle) or total * (k // len(cycle)) % nseg[i]:
-                break
-            for j in cycle:
-                orbit[j] = i
-            limit[i] = math.gcd(total % nseg[i], nseg[i])
-        else:
-            counts = np.array(nseg)
-            local = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
-                                                        counts)
-            return np.array(orbit), local < np.repeat(limit, counts)
-    return None
-
-
-def _rotation_images(stacks, q: int, k: int, tol: float) -> tuple:
-    """(image, shift) lists: the component onto which the rotation by
-    2 pi / k about z maps each component, and the vertex shift on that
-    image, when it maps each vertex v within `tol` of vertex v + shift
-    (cyclically) of the image; (None, None) when some component has no
-    such image.  The image of the first vertex is looked up among the first
-    vertices of the components of its vertex count, and among all their
-    vertices when none is near: a helix winding p times around a torus tube
-    maps onto the first helix of its shell n/p vertices along it."""
-    c, s = math.cos(2.0 * math.pi / k), math.sin(2.0 * math.pi / k)
-    turn = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-    image = np.zeros(q, dtype=np.int64)
-    shift = np.zeros(q, dtype=np.int64)
-    for st in stacks:
-        idx, v = st.idx, st.vertices
-        m, n = v.shape[:2]
-        heads = v[:, 0] @ turn
-        d0 = np.sum((heads[:, None] - v[None, :, 0]) ** 2, axis=2)
-        to = d0.argmin(axis=1)
-        target = v[to]
-        flat = v.reshape(-1, 3)
-        for a in np.flatnonzero(d0[np.arange(m), to] > tol * tol):
-            # a vertex within tol lies within tol in z: measure only those
-            near = np.flatnonzero(np.abs(flat[:, 2] - heads[a, 2]) <= 2.0 * tol)
-            d = np.sum((flat[near] - heads[a]) ** 2, axis=1)
-            if not st.closed or not near.size or d.min() > tol * tol:
-                return None, None
-            to[a], shift[idx[a]] = divmod(int(near[d.argmin()]), n)
-            target[a] = np.roll(v[to[a]], -shift[idx[a]], axis=0)
-        miss = v @ turn - target
-        if np.einsum("mni,mni->mn", miss, miss).max() > tol * tol:
-            return None, None
-        image[idx] = idx[to]
-    if not np.array_equal(np.sort(image), np.arange(q)):
-        return None, None
-    return image.tolist(), shift.tolist()
 
 
 def _metrics(config, total_length, radii, min_inter, min_self, min_overall,
@@ -353,7 +282,7 @@ def _prepared(comps) -> tuple:
     sym = _symmetry(comps)
     radii, windows = _curvature(sym)
     return (radii, windows, _total_length(sym.stacks, len(comps)), sym.margin,
-            _SegmentSoup(comps, sym.reps, sym.stacks))
+            _SegmentSoup(comps, sym.orbit_min, sym.stacks))
 
 
 def measure_link(config: LinkConfiguration) -> LinkMetrics:
@@ -368,10 +297,10 @@ def measure_link(config: LinkConfiguration) -> LinkMetrics:
 
     The link is measured modulo the symmetry its coordinates prove
     (`_symmetry`), built or read from a file alike, in one search over one
-    segment table (`distances._certified_min` with `split`): the
-    inter-component minimum over the segment pairs with a representative of
-    an orbit of the rotation group, and the self minimum over the first
-    member of each congruence class (the others get an infinite window).
+    segment table (`distances._certified_min` with `split`): both minima
+    over one segment pair of each orbit of the symmetry group, and the self
+    minimum over the first member of each congruence class only (the
+    others get an infinite window).
     Each distance minimum is exact over the pairs searched and within 2 eps
     of the whole link's; `margin` is then 2 eps, which verify's clearance
     verdicts must clear, and 0 for a link measured in full.  Curvature

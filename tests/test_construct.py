@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ropebound import distances, measure
+from ropebound import _groups, distances, measure
 from ropebound.bounds import lower_bound_report
 from ropebound.cli import _sig12
 from ropebound.construct import (
@@ -22,7 +22,7 @@ from ropebound.construct import (
     realize_torus,
     toroidal_pair,
 )
-from ropebound.curves import PolyCurve
+from ropebound.curves import PolyCurve, rotation_about_axis
 from ropebound.distances import mutual_min_distance
 from ropebound.helices import toroidal_correction
 from ropebound.io_formats import export_geometry, import_geometry
@@ -271,49 +271,52 @@ def test_realized_orbits_map_each_shell_to_its_first_helix():
 
 def _representatives(link):
     """Per component, the indices of its segments that represent their
-    orbits under the detected rotation group (all of them without one)."""
-    reps = measure._symmetry(link.components).reps
-    if reps is None:
+    orbits under the detected group (all of them without one)."""
+    orbit_min = measure._symmetry(link.components).orbit_min
+    if orbit_min is None:
         return [list(range(c.n_segments)) for c in link.components]
+    own = orbit_min == np.arange(orbit_min.size)
     ends = np.cumsum([c.n_segments for c in link.components])
-    return [np.flatnonzero(reps[end - c.n_segments:end]).tolist()
+    return [np.flatnonzero(own[end - c.n_segments:end]).tolist()
             for c, end in zip(link.components, ends)]
 
 
 def test_rotation_groups_of_the_built_links():
-    # a ring of q loops: C_q, loop 0 represents every loop
+    # a ring of q loops: D_q, whose half-turns map loop 0 onto itself
+    # reversed, so the first half of loop 0 represents every loop
     assert _representatives(build_planar_link(20, "gibbous", n_points=200)) == (
-        [list(range(200))] + [[]] * 19)
-    # hybrid_square q=5: C4, which maps the square to itself shifted by 50
-    # vertices, so its first 50 segments represent the rest
+        [list(range(100))] + [[]] * 19)
+    # hybrid_square q=5: C4 and no half-turn; C4 maps the square to itself
+    # shifted by 50 vertices, so its first 50 segments represent the rest
     assert _representatives(build_planar_link(5, "hybrid_square",
                                               n_points=200)) == (
         [list(range(200))] + [[]] * 3 + [list(range(50))])
-    # inc4 T=3: C4 (counts 4, 8, 12); the core is mapped to itself
+    # inc4 T=3: D4 (counts 4, 8, 12); all eight elements map the core to
+    # itself, and two map some helices to themselves
     inc4 = _representatives(_torus_link("inc4", 3, "single", n_points=400))
-    assert inc4[0] == list(range(100))
+    assert inc4[0] == list(range(50))
     assert [len(r) for r in inc4[1:]] == (
-        [400] + [0] * 3 + [400] * 2 + [0] * 6 + [400] * 3 + [0] * 9)
-    # optimal T=2 (counts 5 and 8) and doubled links have no group
-    for link in (_torus_link("optimal", 2, "single"),
-                 _torus_link("inc4", 1, "double"),
-                 _torus_link("inc5", 1, "mirror")):
-        assert measure._symmetry(link.components).reps is None
+        [200] + [0] * 3 + [200] * 2 + [0] * 6 + [200, 400] + [0] * 10)
+    # optimal T=2 (counts 5 and 8) and the mirrored double keep a half-turn
+    # about the x axis alone; the double also swaps its copies
+    for link, order in ((_torus_link("optimal", 2, "single"), 2),
+                        (_torus_link("inc4", 1, "double"), 4),
+                        (_torus_link("inc5", 1, "mirror"), 2)):
+        assert len(measure._symmetry(link.components).group) == order
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_tori_of_p_windings_keep_the_rotation_group_of_p_one(p):
     # with the 2 pi j/(n p) stagger the generator maps a shell's last
     # helices onto its first ones, n/p vertices along them: the image of a
-    # first vertex is found among all vertices of the components of its
-    # shape, so inc4 T=2 keeps C4 and a quarter of its segments represent
-    # their orbits, as at p = 1 (408 points: the core maps onto itself 102
+    # peak is found among the tops of the components of its shape, so
+    # inc4 T=2 keeps D4 and an eighth of its segments represent their
+    # orbits, as at p = 1 (408 points: the core maps onto itself 102
     # vertices along, and 408/p is whole)
     links = {k: realize_torus(build_increment_spec(2, 4, p=k), n_points=408,
                               check=False) for k in (1, p)}
-    reps = {k: measure._symmetry(link.components).reps
-            for k, link in links.items()}
-    assert int(reps[p].sum()) == int(reps[1].sum()) == 13 * 408 // 4
+    reps = {k: _representatives(link) for k, link in links.items()}
+    assert sum(map(len, reps[p])) == sum(map(len, reps[1])) == 13 * 408 // 8
     # the minima over those representatives are within the margin (2 eps)
     # of the search over every component
     metrics = measure_link(links[p])
@@ -324,6 +327,162 @@ def test_tori_of_p_windings_keep_the_rotation_group_of_p_one(p):
     for value, reference in zip(measured, (inter, self_, overall)):
         assert abs(value - reference) <= metrics.margin
     assert metrics.min_curvature_radius == rho
+
+
+def _vertex_maps(link, group):
+    """Each element's index map of `group` (measure._symmetry) as a
+    permutation of the link's vertices, all components in order."""
+    comps = link.components
+    count = np.array([c.n_vertices for c in comps])
+    start = np.cumsum(count) - count
+    return [np.concatenate([start[to] + (s * np.arange(n) + c) % n
+                            for to, s, c, n in zip(*element, count)])
+            for element in group]
+
+
+def _segment_maps(link, group):
+    """Each element's index map of `group` as a permutation of the link's
+    segments: segment t of a component, from vertex t to t + 1, goes to the
+    segment between the images of those vertices."""
+    comps = link.components
+    count = np.array([c.n_segments for c in comps])
+    start = np.cumsum(count) - count
+    return [np.concatenate([start[to] + np.where(s > 0, np.arange(n) + c,
+                                                 c - 1 - np.arange(n)) % n
+                            for to, s, c, n in zip(*element, count)])
+            for element in group]
+
+
+def _group_link(method, size, variant):
+    if variant == "planar":
+        return build_planar_link(size, method, n_points=200)
+    if variant.startswith("p="):
+        return realize_torus(build_increment_spec(size, 4, p=int(variant[2:])),
+                             n_points=408, check=False)
+    return _torus_link(method, size, variant)
+
+
+# (method, T of a torus or q of a planar family, variant, group order)
+_GROUP_ORDERS = [
+    ("inc4", 1, "single", 8), ("inc4", 2, "single", 8), ("inc4", 3, "single", 8),
+    ("inc4", 1, "double", 4), ("inc4", 2, "double", 4), ("inc4", 1, "mirror", 2),
+    ("inc4", 2, "p=2", 8), ("inc4", 2, "p=3", 8),
+    ("inc5", 1, "single", 10), ("inc5", 1, "double", 2), ("inc5", 1, "mirror", 2),
+    ("optimal", 1, "single", 8), ("optimal", 1, "double", 4),
+    ("optimal", 1, "mirror", 2), ("optimal", 2, "single", 2),
+    ("optimal", 2, "double", 2), ("optimal", 2, "mirror", 2),
+    ("gibbous", 3, "planar", 6), ("gibbous", 20, "planar", 40),
+    ("circles", 8, "planar", 16), ("hybrid_square", 5, "planar", 4),
+]
+
+
+@pytest.mark.parametrize("method, size, variant, order", _GROUP_ORDERS)
+def test_every_element_of_the_group_maps_every_vertex_within_eps(
+        method, size, variant, order):
+    # the group found is D4 for single inc4 and optimal T=1 tori, D5 for
+    # inc5, the x half-turn and the copy swap for a double of a D4 torus,
+    # the x half-turn alone for mirrored doubles, doubled inc5 and optimal
+    # T=2, D_q for a ring of q loops and C4 for hybrid_square; its index
+    # maps are closed under composition, and the best rigid motion of each
+    # onto its image (Kabsch) is a proper rotation that moves every vertex
+    # within eps
+    link = _group_link(method, size, variant)
+    group = measure._symmetry(link.components).group
+    assert len(group) == order
+    maps = _vertex_maps(link, group)
+    keys = {m.tobytes() for m in maps}
+    assert len(keys) == order
+    assert all(a.take(b).tobytes() in keys for a in maps for b in maps)
+    points = np.concatenate([c.vertices for c in link.components])
+    eps = measure._SYMMETRY_EPS * np.ptp(points, axis=0).max()
+    centre = points.mean(axis=0)
+    for image in maps:
+        target = points[image]
+        u, _, vt = np.linalg.svd((points - centre).T @ (target - centre))
+        turn = vt.T @ u.T
+        assert np.linalg.det(turn) > 0.0
+        miss = (points - centre) @ turn.T + centre - target
+        assert np.sqrt(np.einsum("ij,ij->i", miss, miss)).max() <= eps
+
+
+@pytest.mark.parametrize("method, size, variant, n_points", [
+    ("inc4", 3, "p=3", 402), ("inc4", 3, "single", 400),
+    ("hybrid_square", 5, "planar", 200), ("inc5", 1, "double", 400),
+    ("optimal", 2, "single", 400),
+])
+def test_a_failing_candidate_is_rejected_on_the_peaks(monkeypatch, method, size,
+                                                      variant, n_points):
+    # every candidate rotation is first tested on each component's peak,
+    # which finds its image among few vertices; only a candidate whose
+    # peaks all land is tested on every vertex, and on these links every
+    # such test passes: no full scan is spent on a failing candidate (inc4
+    # T=3 p=3 @402 tries C4 first, which its core's 100.5-vertex quarter
+    # turn cannot be)
+    if variant.startswith("p="):
+        link = realize_torus(build_increment_spec(size, 4, p=int(variant[2:])),
+                             n_points=n_points, check=False)
+    elif variant == "planar":
+        link = build_planar_link(size, method, n_points=n_points)
+    else:
+        link = _torus_link(method, size, variant, n_points=n_points)
+    fits, peaks = _groups._Frame.fits, _groups._Frame.peak_images
+    tried, scanned = [], []
+
+    def peak_images(self, turn, tol):
+        maps = peaks(self, turn, tol)
+        tried.append(maps is not None)
+        return maps
+
+    def full(self, turn, maps, tol):
+        scanned.append(fits(self, turn, maps, tol))
+        return scanned[-1]
+
+    monkeypatch.setattr(_groups._Frame, "peak_images", peak_images)
+    monkeypatch.setattr(_groups._Frame, "fits", full)
+    measure._symmetry(link.components)
+    assert scanned and all(scanned) and len(scanned) == sum(tried)
+
+
+def test_a_turned_and_shifted_torus_keeps_its_group():
+    # inc4 T=2 turned about an axis along no coordinate axis, then shifted:
+    # the tensor's axes follow it, so the same D4 is found, and the minima
+    # stay within the margin of the unmoved link's
+    link = _torus_link("inc4", 2, "single")
+    turn = rotation_about_axis((0.3, -0.5, 0.8), 1.1)
+    moved = LinkConfiguration([c.transformed(turn, (3.0, -2.0, 5.0))
+                               for c in link.components])
+    assert len(measure._symmetry(moved.components).group) == len(
+        measure._symmetry(link.components).group) == 8
+    still, metrics = measure_link(link), measure_link(moved)
+    assert metrics.margin > 0.0
+    for key in ("min_inter_distance", "min_self_distance",
+                "min_overall_distance"):
+        assert abs(getattr(metrics, key) - getattr(still, key)) <= metrics.margin
+
+
+@pytest.mark.parametrize("variant", ["single", "double", "mirror"])
+def test_the_kept_segment_pairs_meet_every_orbit(variant):
+    # inc4 T=1 at 24 points: every segment's orbit minimum is the least of
+    # its images, and some image of every segment pair is one that the
+    # orbit rule keeps; at most two per orbit are kept, where an element
+    # maps a segment onto itself
+    link = _torus_link("inc4", 1, variant, n_points=24)
+    sym = measure._symmetry(link.components)
+    maps = _segment_maps(link, sym.group)
+    low = sym.orbit_min
+    assert np.array_equal(low, np.min(maps, axis=0))
+    ia, ib = np.triu_indices(low.size, 1)
+    met = np.zeros(ia.size, dtype=bool)
+    orbit = np.full(ia.size, low.size * low.size)
+    for perm in maps:
+        a, b = perm[ia], perm[ib]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        met |= (low[lo] == lo) & (low[hi] >= lo)
+        np.minimum(orbit, lo * low.size + hi, out=orbit)
+    assert met.all()
+    kept = int(((low[ia] == ia) & (low[ib] >= ia)).sum())
+    orbits = np.unique(orbit).size
+    assert orbits <= kept <= 2 * orbits
 
 
 def _torus_link(method, t, variant, n_points=120):
@@ -432,7 +591,7 @@ def test_a_moved_vertex_breaks_the_symmetry_it_touches(tmp_path, monkeypatch,
     link = _inc4_file(tmp_path, move)
     sym = measure._symmetry(link.components)
     assert sym.classes.tolist() == [0, 1, 1, 3, 1] + [5] * 8
-    assert sym.reps is None
+    assert sym.group is None and sym.orbit_min is None
     searches.clear()
     metrics = measure_link(link)
     # one search, whose self pairs are those of the first members of shell
@@ -458,7 +617,7 @@ def test_shuffled_components_measure_the_same(tmp_path):
     # the same classes and group, with other representatives: the minima
     # agree within the margin, and at the 12 digits a report prints
     sym = measure._symmetry(shuffled.components)
-    assert len(set(sym.classes.tolist())) == 3 and sym.reps is not None
+    assert len(set(sym.classes.tolist())) == 3 and sym.group is not None
     a, b = measure_link(link), measure_link(shuffled)
     assert a.margin == b.margin > 0
     for key, value in a.as_dict().items():

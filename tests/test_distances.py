@@ -173,21 +173,21 @@ def test_candidate_pairs_put_the_lower_segment_first():
 def test_candidate_pairs_are_the_brute_force_pairs_within_reach(
         dim, offset, with_marked):
     # the search is pinned by the pair set it returns, whatever the tree
-    # layout: every pair (i < j) within reach, with a marked member when
-    # points are marked; a duplicated point pairs at distance 0
+    # layout: every pair (i < j) within reach, i marked when points are
+    # marked; a duplicated point pairs at distance 0
     rng = np.random.default_rng(dim)
     points = rng.uniform(size=(600, dim))
     points[550:] = points[:50]
     points += offset
     reach = 0.15 if dim == 3 else 0.05
-    marked = rng.random(600) < 0.3 if with_marked else None
+    marked = rng.random(600) < 0.5 if with_marked else None
     i, j = distances._candidate_pairs(points, reach, marked)
     gap = np.linalg.norm(points[:, None] - points[None, :], axis=-1)
     # no pair so near the reach that rounding could decide it
     assert not np.any(np.abs(gap - reach) <= 1e-9 * reach)
     within = np.triu(gap <= reach, 1)
     if with_marked:
-        within &= marked[:, None] | marked[None, :]
+        within &= marked[:, None]
     brute_i, brute_j = np.nonzero(within)
     assert brute_i.size > 500
     assert sorted(zip(i.tolist(), j.tolist())) == list(
@@ -487,73 +487,92 @@ def test_certified_min_equals_brute_force_in_every_mode(name):
     assert (fast == np.inf) is ("none admissible" in name)
 
 
-def _masked_brute(curves, inter, intra, windows, reps):
-    """Brute-force reference over the admissible pairs with a marked
-    segment."""
+def _orbit_rule(orbit_min, ia, ib):
+    """Which segment pairs (ia[k] < ib[k]) the orbit rule keeps: the lower
+    segment is the lowest of its orbit, and the other's orbit has no index
+    below it."""
+    return (orbit_min[ia] == ia) & (orbit_min[ib] >= ia)
+
+
+def _masked_brute(curves, inter, intra, windows, orbit_min):
+    """Brute-force reference over the admissible pairs that the orbit rule
+    keeps."""
     soup = distances._SegmentSoup(curves)
     ia, ib = np.triu_indices(len(soup), 1)
-    keep = reps[ia] | reps[ib]
+    keep = _orbit_rule(orbit_min, ia, ib)
     return distances._admissible_min(soup, ia[keep], ib[keep], inter, intra,
                                      windows)
 
 
-def _random_reps(curves, seed):
+def _random_orbits(n, rng, size=5):
+    """Each of n segments' orbit minimum, for a random partition of them
+    into orbits of about `size`."""
+    label = rng.integers(0, max(1, n // size), n)
+    low = np.full(label.max() + 1, n)
+    np.minimum.at(low, label, np.arange(n))
+    return low[label]
+
+
+def _scattered_orbits(curves, seed):
     rng = np.random.default_rng(seed)
-    return rng.random(sum(c.n_segments for c in curves)) < 0.2
+    return _random_orbits(sum(c.n_segments for c in curves), rng)
 
 
 _REPS = {
-    # the orbit representatives of the torus's rotation group
+    # the orbits of the torus's symmetry group
     "torus, its orbits": (_torus, True, True, "bending",
-                          lambda c: measure._symmetry(c).reps),
+                          lambda c: measure._symmetry(c).orbit_min),
     # moved along the axis of its rotation group, which it keeps
     "torus at z=1e12, inter": (lambda: _far_torus((0.0, 0.0, 1e12)), True, False,
-                               None, lambda c: measure._symmetry(c).reps),
-    "random pair, random marks": (_random_pair, True, True, np.array([2.0, 5.0]),
-                                  lambda c: _random_reps(c, 3)),
-    "looping curves, random marks": (
+                               None, lambda c: measure._symmetry(c).orbit_min),
+    "random pair, random orbits": (_random_pair, True, True, np.array([2.0, 5.0]),
+                                  lambda c: _scattered_orbits(c, 3)),
+    "looping curves, random orbits": (
         lambda: [_looping_curve(0.0), _looping_curve(1e-12, (1.0, 0.5, 0.0), 47)],
-        True, True, None, lambda c: _random_reps(c, 5)),
-    "threaded triangle, triangle marked": (
+        True, True, None, lambda c: _scattered_orbits(c, 5)),
+    # the circle in orbits of five segments 300 apart: a fifth of the runs
+    # hold a representative, so the run query starts from those alone
+    "threaded triangle, circle in five orbits": (
         _threaded_triangle, True, False, None,
-        lambda c: np.arange(1503) >= 1500),
+        lambda c: np.concatenate((np.arange(1500) % 300, np.arange(1500, 1503)))),
 }
 
 
 @pytest.mark.parametrize("name", list(_REPS))
 def test_certified_min_with_reps_equals_masked_brute_force(name):
-    make, inter, intra, windows, marks = _REPS[name]
+    make, inter, intra, windows, orbits = _REPS[name]
     curves = make()
     if isinstance(windows, str):
         windows = _bending_windows(curves)
-    reps = marks(curves)
-    assert reps is not None and not reps.all()
+    orbit_min = orbits(curves)
+    assert orbit_min is not None
+    assert not np.array_equal(orbit_min, np.arange(orbit_min.size))
     fast = _certified_min(curves, inter=inter, intra=intra, arc_windows=windows,
-                          reps=reps)
+                          orbit_min=orbit_min)
     assert np.isfinite(fast)
-    assert fast == _masked_brute(curves, inter, intra, windows, reps)
+    assert fast == _masked_brute(curves, inter, intra, windows, orbit_min)
 
 
 def test_measure_thickness_equals_masked_brute_force_far_out():
-    # one combined search, restricted to the orbit representatives, with the
+    # one combined search, restricted to one pair per orbit, with the
     # windows measure computes: the masked brute force over the same pairs
     comps = _far_torus((0.0, 0.0, 1e12))
     sym = measure._symmetry(comps)
-    assert sym.reps is not None
+    assert sym.orbit_min is not None
     _, windows = measure._curvature(sym)
     thick = measure.measure_thickness(LinkConfiguration(comps))
     assert thick.min_overall_distance == _masked_brute(comps, True, True, windows,
-                                                       sym.reps)
+                                                       sym.orbit_min)
 
 
-def _split_references(curves, windows, reps):
+def _split_references(curves, windows, orbit_min):
     """(inter, self) brute-force minima: over every pair of distinct
     components (min_distance_brute) and every component under its window
-    (min_self_distance_brute); with `reps`, the masked brute force of each
-    kind."""
-    if reps is not None:
-        return (_masked_brute(curves, True, False, None, reps),
-                _masked_brute(curves, False, True, windows, reps))
+    (min_self_distance_brute); with `orbit_min`, the brute force of each
+    kind over the pairs the orbit rule keeps."""
+    if orbit_min is not None:
+        return (_masked_brute(curves, True, False, None, orbit_min),
+                _masked_brute(curves, False, True, windows, orbit_min))
     inter = min((min_distance_brute(a, b) for i, a in enumerate(curves)
                  for b in curves[i + 1:]), default=np.inf)
     self_ = min(min_self_distance_brute(
@@ -573,14 +592,14 @@ def test_one_search_minima_equal_brute_force_of_each_kind(name, symmetric):
     curves = make()
     if symmetric:
         sym = measure._symmetry(curves)
-        reps, windows = sym.reps, measure._curvature(sym)[1]
+        orbit_min, windows = sym.orbit_min, measure._curvature(sym)[1]
     else:
-        reps = None
+        orbit_min = None
         if isinstance(windows, str):
             windows = _bending_windows(curves)
     split = _certified_min(curves, inter=True, intra=True, arc_windows=windows,
-                           reps=reps, split=True)
-    assert split == _split_references(curves, windows, reps)
+                           orbit_min=orbit_min, split=True)
+    assert split == _split_references(curves, windows, orbit_min)
 
 
 def test_one_search_minima_of_a_file_equal_brute_force(tmp_path):
@@ -591,11 +610,11 @@ def test_one_search_minima_of_a_file_equal_brute_force(tmp_path):
     path = str(tmp_path / "inc4.vect")
     curves = import_geometry(export_geometry(link, path=path)).components
     sym = measure._symmetry(curves)
-    assert sym.reps is not None and len(set(sym.classes.tolist())) == 3
+    assert sym.orbit_min is not None and len(set(sym.classes.tolist())) == 3
     windows = measure._curvature(sym)[1]
     split = _certified_min(curves, inter=True, intra=True, arc_windows=windows,
-                           reps=sym.reps, split=True)
-    assert split == _split_references(curves, windows, sym.reps)
+                           orbit_min=sym.orbit_min, split=True)
+    assert split == _split_references(curves, windows, sym.orbit_min)
     assert all(np.isfinite(split))
 
 
@@ -615,29 +634,33 @@ def test_one_component_asked_for_both_kinds_is_its_self_minimum(make,
 
 
 @pytest.mark.parametrize("intra", [False, True], ids=["inter", "combined"])
-def test_a_mask_marking_no_sampled_segment_searches_every_pair(intra):
-    # segment 3 of the first curve is marked alone and is not one of the
-    # segments the sampled bound spreads along each curve, so no sampled
-    # pair counts: the search runs at an infinite radius and still equals
-    # the masked brute force
+def test_the_sampled_bound_holds_a_kept_pair_under_any_orbits(intra):
+    # segment 0 is the lowest of its orbit and no orbit lies below it, so a
+    # sampled pair (0, b) with b on the other curve always counts: here
+    # segment 3 is an orbit of its own, which the samples miss, and every
+    # other segment shares segment 0's, so the only kept pairs are segment
+    # 0's; the search starts at a finite radius and equals the brute force
+    # over them
     curves = _random_pair()
-    reps = np.zeros(sum(c.n_segments for c in curves), dtype=bool)
-    reps[3] = True
+    n = sum(c.n_segments for c in curves)
+    orbit_min = np.where(np.arange(n) == 3, 3, 0)
     windows = np.array([2.0, 5.0]) if intra else None
-    soup = distances._SegmentSoup(curves, reps)
-    assert distances._sampled_bound(soup, True, intra, windows) == np.inf
+    soup = distances._SegmentSoup(curves, orbit_min)
+    assert np.isfinite(distances._sampled_bound(soup, True, intra, windows))
     fast = _certified_min(curves, inter=True, intra=intra, arc_windows=windows,
-                          reps=reps)
-    assert np.isfinite(fast)
-    assert fast == _masked_brute(curves, True, intra, windows, reps)
+                          orbit_min=orbit_min)
+    assert fast == _masked_brute(curves, True, intra, windows, orbit_min)
+    others = np.arange(1, n)
+    assert fast == distances._admissible_min(
+        soup, np.zeros_like(others), others, True, intra, windows)
 
 
 def _rule_scene(seed):
     """Random open and closed curves (a closed 11-segment one, whose widest
     folded separation is _SKIP_WINDOW segments, among them), per-component
     arc windows (finite, within 1e-9 of half the length either side, or
-    inf; or no windows at all) and a sparse mask of representatives, or
-    none."""
+    inf; or no windows at all) and a random partition of the segments into
+    orbits (`_random_orbits`), or none."""
     rng = np.random.default_rng(seed)
     shapes = [(11, True)] + [(int(rng.integers(3, 40)), bool(rng.random() < 0.5))
                              for _ in range(int(rng.integers(1, 4)))]
@@ -654,11 +677,11 @@ def _rule_scene(seed):
             0.5 * c.length() * (1.0 + rng.choice([-1e-9, 1e-9])),
             np.inf]) for c in curves])
     n = sum(c.n_segments for c in curves)
-    reps = rng.random(n) < 0.1 if rng.random() < 0.5 else None
-    return curves, windows, reps
+    orbit_min = _random_orbits(n, rng) if rng.random() < 0.5 else None
+    return curves, windows, orbit_min
 
 
-def _rule(curves, inter, intra, windows, reps):
+def _rule(curves, inter, intra, windows, orbit_min):
     """The pair-exclusion rule from first principles: (n, n) mask of the
     segment pairs that count, i < j."""
     comp, index, arc, nseg, total, closed = [], [], [], [], [], []
@@ -682,8 +705,9 @@ def _rule(curves, inter, intra, windows, reps):
         x = np.where(closed[:, None], np.minimum(x, total[:, None] - x), x)
         ok &= x > windows[comp][:, None]
     keep = (inter & ~same) | ok
-    if reps is not None:
-        keep &= reps[:, None] | reps[None, :]
+    if orbit_min is not None:
+        i, j = np.indices(keep.shape)
+        keep &= _orbit_rule(orbit_min, i, j)
     return np.triu(keep, 1)
 
 
@@ -691,9 +715,9 @@ def _rule(curves, inter, intra, windows, reps):
 @pytest.mark.parametrize("inter, intra", [(True, False), (False, True),
                                           (True, True)])
 def test_may_count_states_the_rule_at_every_granularity(seed, inter, intra):
-    curves, windows, reps = _rule_scene(seed)
-    soup = distances._SegmentSoup(curves, reps)
-    rule = _rule(curves, inter, intra, windows, reps)
+    curves, windows, orbit_min = _rule_scene(seed)
+    soup = distances._SegmentSoup(curves, orbit_min)
+    rule = _rule(curves, inter, intra, windows, orbit_min)
 
     def may_count(units, ia, ib):
         return distances._may_count(soup, units, ia, ib, inter, intra, windows)
@@ -709,9 +733,9 @@ def test_may_count_states_the_rule_at_every_granularity(seed, inter, intra):
     kept = may_count((runs.first, runs.last), ra, rb)
     assert not (held & ~kept).any()
     # whole components: never a drop, and exactly "some pair counts" for
-    # distinct components, under an infinite window, and without
-    # representatives on an open component or without windows, where one
-    # pair has the widest separations
+    # distinct components, under an infinite window, and without orbits on
+    # an open component or without windows, where one pair has the widest
+    # separations
     first = soup.first
     last = first + soup.comp_nseg - 1
     ca, cb = np.triu_indices(first.size)
@@ -720,7 +744,7 @@ def test_may_count_states_the_rule_at_every_granularity(seed, inter, intra):
     kept = may_count((first, last), ca, cb)
     assert not (held & ~kept).any()
     window = np.zeros(ca.size) if windows is None else windows[ca]
-    exact = (ca != cb) | np.isinf(window) | ((reps is None) & (
+    exact = (ca != cb) | np.isinf(window) | ((orbit_min is None) & (
         ~np.array([c.closed for c in curves])[ca] | (windows is None)))
     assert np.array_equal(kept[exact], held[exact])
 
@@ -865,7 +889,7 @@ def test_a_link_without_symmetry_enumerates_its_runs_in_blocks(monkeypatch):
         v[17, 0] += 1e-6 * (k + 1)
         curves.append(PolyCurve(v))
     sym = measure._symmetry(curves)
-    assert sym.classes.tolist() == list(range(13)) and sym.reps is None
+    assert sym.classes.tolist() == list(range(13)) and sym.orbit_min is None
     windows = measure._curvature(sym)[1]
     whole = _certified_min(curves, inter=True, intra=True,
                            arc_windows=windows, split=True)

@@ -80,7 +80,7 @@ def test_json_round_trip_keeps_metadata(tmp_path):
 
 def test_json_round_trip_drops_orbits(tmp_path):
     # neither a built link nor a file declares a symmetry: both prove the
-    # one their coordinates hold, the same one (C4 with four congruent
+    # one their coordinates hold, the same one (D4 with four congruent
     # helices), and measure alike
     link = realize_torus(build_increment_spec(1, 4), n_points=40, check=False)
     back = import_geometry(export_geometry(link, path=str(tmp_path / "t.json")))
@@ -88,7 +88,8 @@ def test_json_round_trip_drops_orbits(tmp_path):
     assert back.metadata == link.metadata
     built, read = _symmetry(link.components), _symmetry(back.components)
     assert built.classes.tolist() == read.classes.tolist() == [0, 1, 1, 1, 1]
-    assert read.reps is not None and np.array_equal(built.reps, read.reps)
+    assert read.orbit_min is not None and np.array_equal(built.orbit_min,
+                                                         read.orbit_min)
     assert measure_link(back) == measure_link(link)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ropebound.curves import PolyCurve, rotation_about_axis, sample_planar_curve
-from ropebound.distances import _SegmentSoup, _segment_rows
+from ropebound.distances import _SegmentSoup, _segment_rows, min_distance_brute
 from ropebound.measure import (
     LinkConfiguration,
     LinkMetrics,
@@ -316,3 +316,25 @@ def test_the_stacked_segment_table_has_the_bits_of_each_component():
     metrics = measure_link(link)
     assert metrics.total_length == link.total_length()
     assert metrics.min_curvature_radius == min(radius)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+def test_open_components_map_end_to_end(reverse):
+    # an open curve and its half-turn about z, in the same vertex order or
+    # reversed: the group maps the curves onto each other end to end
+    # (shift 0, or n - 1 with sign -1), and the inter minimum over one pair
+    # per orbit is the brute force's within the margin
+    t = np.linspace(0.0, 3.0, 40)
+    a = np.column_stack((2.0 + np.cos(t), np.sin(2.0 * t), 0.3 * t))
+    b = a * (-1.0, -1.0, 1.0)
+    comps = [PolyCurve(a, closed=False),
+             PolyCurve(b[::-1] if reverse else b, closed=False)]
+    sym = _symmetry(comps)
+    assert len(sym.group) == 2
+    swap = sym.group[1]
+    assert swap.tolist() == ([[1, 0], [-1, -1], [39, 39]] if reverse
+                             else [[1, 0], [1, 1], [0, 0]])
+    assert (sym.orbit_min == np.arange(sym.orbit_min.size)).sum() == 39
+    metrics = measure_link(LinkConfiguration(comps))
+    assert abs(metrics.min_inter_distance - min_distance_brute(*comps)) <= (
+        metrics.margin)
