@@ -354,15 +354,13 @@ def _lowest_first(soup, units, ia, ib) -> np.ndarray:
     """The orbit condition of `_may_count`, for segments or stretches ia[k]
     and ib[k] (`units` as there).  A stretch is tested with its least
     representative (`_SegmentSoup.next_rep`, after its last: none) and
-    the other's largest orbit minimum; the stretches tile the segments in
-    order (runs, or whole components), so one pass finds those."""
-    low = soup.orbit_min
+    the other's largest orbit minimum."""
     if units is None:
+        low = soup.orbit_min
         return (low.take(ia) == ia) & (low.take(ib) >= ia)
-    first, last = units
+    first, last, top = units
     lead = soup.next_rep.take(first).take(ia)
-    return (lead <= last.take(ia)) & (
-        np.maximum.reduceat(low, first).take(ib) >= lead)
+    return (lead <= last.take(ia)) & (top.take(ib) >= lead)
 
 
 def _widest(pos, units, ia, ib, fold) -> np.ndarray:
@@ -371,7 +369,9 @@ def _widest(pos, units, ia, ib, fold) -> np.ndarray:
     if units is None:
         hi = ib - ia if pos is None else pos.take(ib) - pos.take(ia)
         return np.minimum(hi, fold - hi)
-    first, last = units if pos is None else (pos.take(u) for u in units)
+    first, last = units[:2]
+    if pos is not None:
+        first, last = pos.take(first), pos.take(last)
     hi = last.take(ib) - first.take(ia)
     wide = np.minimum(hi, fold - (first.take(ib) - last.take(ia)))
     return np.minimum(wide, fold // 2 if pos is None else 0.5 * fold, out=wide)
@@ -381,7 +381,8 @@ def _may_count(soup, units, ia, ib, inter, intra, arc_windows) -> np.ndarray:
     """The pair-exclusion rule, stated once for segment pairs, run pairs and
     whole components: whether some segment pair of units ia[k] and ib[k]
     (ia[k] not after ib[k]; a unit is a segment when `units` is None, else a
-    stretch of one component, `units` the (first, last) arrays) may count
+    stretch of one component, `units` the (first, last, top) arrays, top
+    the largest orbit minimum of each stretch, None without orbits) may count
     toward the distance measured.  A segment pair counts if
 
     - its segments are on distinct components and `inter`; or on one,
@@ -521,8 +522,9 @@ class _Runs:
     segment lies within dev of the chord when both its ends do, so every
     point of the run does.  `mids` (n, 3) are the chord midpoints, and `radius`,
     half the chord plus dev, the radius about them that holds the run.
-    `marked`, the runs that hold an orbit's representative, is kept for the
-    query when at most _MARKED_SHARE of them do, else None."""
+    With orbits, `top` is each run's largest orbit minimum, and `marked`,
+    the runs that hold an orbit's representative, is kept for the query
+    when at most _MARKED_SHARE of them do; else both are None."""
 
     def __init__(self, soup):
         n = len(soup)
@@ -550,8 +552,9 @@ class _Runs:
                     + _CHORD_ROUNDING * length + soup.slack)
         self.mids = (a + 0.5 * chord).T
         self.radius = 0.5 * length + self.dev
-        self.marked = None
+        self.marked = self.top = None
         if soup.orbit_min is not None:
+            self.top = np.maximum.reduceat(soup.orbit_min, self.first)
             marked = soup.next_rep.take(self.first) <= self.last
             if np.count_nonzero(marked) <= _MARKED_SHARE * marked.size:
                 self.marked = marked
@@ -603,8 +606,8 @@ def _run_pairs(soup, at, radius, inter, intra, arc_windows,
         ra, rb = _candidate_pairs(mids, radius + 2.0 * reach.max(), marked)
     if at is not None:
         ra, rb = at.take(ra), at.take(rb)
-    keep = _may_count(soup, (runs.first, runs.last), ra, rb, inter, intra,
-                      arc_windows)
+    keep = _may_count(soup, (runs.first, runs.last, runs.top), ra, rb, inter,
+                      intra, arc_windows)
     ra, rb = ra.compress(keep), rb.compress(keep)
     keep = runs.lower_bounds(ra, rb) <= radius
     return ra.compress(keep), rb.compress(keep)
@@ -639,16 +642,17 @@ def _self_min(soup, arc_windows) -> float:
     of many classes holds about one component's pairs at a time.  The other
     components go through one query, so no input turns quadratic."""
     q = soup.first.size
-    whole = (soup.first, soup.first + soup.comp_nseg - 1)
+    runs = soup.runs
+    start = np.searchsorted(runs.first, soup.first)  # each component's runs
+    count = np.diff(start, append=runs.first.size)
+    top = None if runs.top is None else np.maximum.reduceat(runs.top, start)
+    whole = (soup.first, soup.first + soup.comp_nseg - 1, top)
     searched = _may_count(soup, whole, np.arange(q), np.arange(q), False, True,
                           arc_windows)
     if not searched.any():
         return np.inf
     per = np.where(searched, np.minimum(_SELF_SAMPLES, soup.comp_nseg), 0)
     radius = _widened(_sampled_bound(soup, False, True, arc_windows, per))
-    runs = soup.runs
-    start = np.searchsorted(runs.first, soup.first)  # each component's runs
-    count = np.diff(start, append=runs.first.size)
     lo = np.minimum.reduceat(runs.mids, start)
     hi = np.maximum.reduceat(runs.mids, start)
     centre = np.repeat(0.5 * (lo + hi), count, axis=0)

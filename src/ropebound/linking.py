@@ -1,104 +1,117 @@
 """Linking numbers of closed polygonal curves.
 
 `linking_matrix` counts projected crossings (Qu & James, "Fast Linking
-Numbers for Topology Verification of Loopy Structures", ACM TOG 40(4), 2021).
-Every segment of every component is projected along one fixed direction
-that is not axis-aligned.  The candidates are the segment pairs of different
-components whose projected bounding boxes overlap (`_overlapping_boxes`).
-They are found by the package's one near-pair search,
+Numbers for Topology Verification of Loopy Structures", ACM TOG 40(4), 2021)
+along the integer direction d = (1, 2, 3), and half the signed count between
+two components is their linking number.  Every decision is the exact sign of
+a 3x3 determinant in the input coordinates:
+
+- segments AB and CD cross in the projection when C and D lie on opposite
+  sides of AB and A and B on opposite sides of CD, each side the sign of
+  det[Q - P, R - P, d] for the segment PQ and the point R;
+- a crossing counts with the sign of det[B - A, D - C, A - C] (the turn of
+  the projected tangents times which strand lies on top), which does not
+  depend on d.
+
+Each determinant is evaluated in floating point, in the order of
+Shewchuk's orient3d ("Adaptive precision floating-point arithmetic and fast
+robust geometric predicates", Discrete Comput. Geom. 18, 1997), and decided
+where it clears his forward error bound, _ERR times its permanent (plus
+_UNDERFLOW).  The few that do not are evaluated again in Python integers
+(`_exact`).  An exact zero on a side is broken by simulation of simplicity
+(Edelsbrunner and Mücke, ACM TOG 9, 1990) on d, perturbed by
+e*e1 + e^2*e2 + e^3*e3: the side is the first non-zero of the determinant
+and the x, y and z of (Q - P) x (R - P).  If all four vanish, P, Q and R
+are collinear in space: R touches the segment when it lies on it, and
+otherwise the pair does not cross.  Projected along the perturbed d, curves
+that do not touch are then in general position, so each signed count is
+even and no pair needs a second method.  The linking is undefined, and
+`linking_matrix` returns None, only when two curves touch exactly: a vertex
+on the other curve's segment, or a crossing of zero volume.
+
+The candidates are the segment pairs of different components whose
+projected bounding boxes overlap (`_overlapping_boxes`), on the plane of
+_PLANE, whose rows are orthogonal to d and to each other; each box is
+padded past the rounding of the projection, so it holds its segment's
+exact projection.  They are found by the package's one near-pair search,
 `distances._candidate_pairs`, over the runs of `distances`: the boxes of
 runs of _RUN consecutive segments, whose overlapping pairs of different
-components expand to their segment pairs.
-Each candidate that crosses in the projection contributes the sign of its
-crossing, and half the signed count between two components is their linking
-number, an exact integer with no tolerance involved.  The crossing test
-reads each chunk of candidates from a (6, n) table of projected coordinate
-rows (start u, v, d, end u, v, d) by one `take` per side.
-
-A component pair is degenerate when one of its candidates is nearly
-parallel in the projection or crosses within _EPS of a segment end (or when
-its signed count is odd).  Only such pairs fall back to the Gauss sum
-`_gauss_linking_number`, which is also the reference the fast count is
-tested against: the sum of signed solid angles of all segment pairs, each
-pair contributing the quadrilateral solid angle spanned by its endpoints,
-divided by 4*pi.  The linking is undefined, and `linking_matrix` returns
-None, when two curves touch: at a crossing whose over/under heights agree to
-within _EPS of the link's extent (the Gauss sum is not asked, since it can
-round such a pair to an integer), or where a degenerate pair's Gauss sum is
-farther than _GAUSS_TOL from an integer.
+components expand to their segment pairs.  The side tests of a chunk of
+candidates gather their columns from one table of segment vectors and one
+of points.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .curves import PolyCurve
 from .distances import _candidate_pairs, _members, _run_starts
 
 __all__ = ["linking_matrix"]
 
-_CHUNK = 1 << 18
+# Candidate pairs per chunk: their four side tests are (3, 4 * _CHUNK)
+# columns, a few MiB of temporaries.
+_CHUNK = 1 << 14
 
-# Relative tolerance of the three degeneracy tests.
-_EPS = 1e-9
+# The projection direction d, as a column, and two rows orthogonal to it and
+# to each other, of lengths 2.24 and 2.09, exact in binary: projected boxes
+# nearly as square as an orthonormal frame's.
+_D = np.array([[1], [2], [3]])
+_PLANE = np.array([[2.0, -1.0, 0.0], [0.75, 1.5, -1.25]])
 
-# A Gauss sum farther than this from an integer means the curves touch.
-_GAUSS_TOL = 0.1
-
-
-def _projection_frame() -> np.ndarray:
-    """Rows u, v, d: an orthonormal frame whose d (the projection direction)
-    is not aligned with any axis or coordinate plane."""
-    d = np.array([1.0, np.sqrt(2.0), np.sqrt(3.0)])
-    d /= np.linalg.norm(d)
-    u = np.cross(d, [1.0, 0.0, 0.0])
-    u /= np.linalg.norm(u)
-    return np.array([u, np.cross(d, u), d])
-
-
-_FRAME = _projection_frame()
+# Shewchuk's orient3d error bound relative to the permanent (u = 2^-53),
+# and an absolute term for underflow: a product that underflows is off by
+# at most 2^-1075, and the third column (coordinate differences, at most
+# 2e75, since curves keep coordinates within 1e75) scales that by at most
+# 6e75 in all, which stays below 2^-800.
+_ERR = (7.0 + 56.0 * 2.0**-53) * 2.0**-53
+_UNDERFLOW = 2.0**-800
 
 
-def _quad_solid_angles(a, b, c, d):
-    """Signed solid angle of the spherical quadrilateral with vertex
-    directions a, b, c, d (rows), where a - b + c - d = 0 guarantees the two
-    triangle fans share one numerator."""
-    la = np.linalg.norm(a, axis=1)
-    lb = np.linalg.norm(b, axis=1)
-    lc = np.linalg.norm(c, axis=1)
-    ld = np.linalg.norm(d, axis=1)
-    p = np.einsum("ij,ij->i", a, np.cross(b, c))
-    ab = np.einsum("ij,ij->i", a, b)
-    bc = np.einsum("ij,ij->i", b, c)
-    ca = np.einsum("ij,ij->i", c, a)
-    cd = np.einsum("ij,ij->i", c, d)
-    da = np.einsum("ij,ij->i", d, a)
-    ac = ca
-    den1 = la * lb * lc + ab * lc + bc * la + ca * lb
-    den2 = la * lc * ld + ac * ld + cd * la + da * lc
-    return 2.0 * (np.arctan2(p, den1) + np.arctan2(p, den2))
+def _det(x, y, z):
+    """det[x, y, z] of (3, n) columns, floats or exact integers, summed in
+    orient3d's order: its value, the cross product x × y and the
+    permanent."""
+    c, m = [], []
+    for i, j in ((1, 2), (2, 0), (0, 1)):
+        s, t = x[i] * y[j], x[j] * y[i]
+        c.append(s - t)
+        m.append(abs(s) + abs(t))
+    det = (z[0] * c[0] + z[1] * c[1]) + z[2] * c[2]
+    perm = (abs(z[0]) * m[0] + abs(z[1]) * m[1]) + abs(z[2]) * m[2]
+    return det, c, perm
 
 
-def _gauss_linking_number(a: PolyCurve, b: PolyCurve) -> int | None:
-    """Gauss linking number of two closed polygonal curves, or None when the
-    sum is farther than _GAUSS_TOL from an integer (the curves touch, or
-    the geometry is numerically degenerate)."""
-    s1 = a.segment_starts()
-    e1 = a.segment_ends()
-    s2 = b.segment_starts()
-    e2 = b.segment_ends()
-    n = len(s1) * len(s2)
-    total = 0.0
-    for k in range(0, n, _CHUNK):
-        i, j = np.divmod(np.arange(k, min(k + _CHUNK, n)), len(s2))
-        va = s1[i] - s2[j]
-        vb = s1[i] - e2[j]
-        vc = e1[i] - e2[j]
-        vd = e1[i] - s2[j]
-        total += float(_quad_solid_angles(va, vb, vc, vd).sum())
-    value = total / (4.0 * np.pi)
-    nearest = round(value)
-    return int(nearest) if abs(value - nearest) <= _GAUSS_TOL else None
+def _signs(x, y, z):
+    """The signs of det[x, y, z] in floating point, and the indices of
+    those that do not clear the error bound (their signs are to be
+    replaced)."""
+    det, _, perm = _det(x, y, z)
+    unsure = np.abs(det) <= _ERR * perm + _UNDERFLOW
+    return np.sign(det), np.flatnonzero(unsure)
+
+
+def _exact(v):
+    """Float array v in Python integers, each value times 2^1074 (every
+    double is an integer multiple of 2^-1074)."""
+    return np.array([n << (1075 - d.bit_length()) for n, d in
+                     map(float.as_integer_ratio, v.ravel().tolist())],
+                    dtype=object).reshape(v.shape)
+
+
+def _exact_sides(p, q, r):
+    """Exact sides of r against the segments pq ((3, n) float columns) under
+    the perturbed d, 0 where p, q and r are collinear; None when some r
+    lies on its closed segment pq."""
+    p, q, r = (_exact(v) for v in (p, q, r))
+    x, y = q - p, r - p
+    det, c, _ = _det(x, y, _D)
+    side = np.sign(c[2])
+    for key in (c[1], c[0], det):
+        side = np.where(key != 0, np.sign(key), side)
+    if np.any((side == 0) & ((y * (y - x)).sum(axis=0) <= 0)):
+        return None
+    return side
 
 
 def _overlapping(a, b, lo, hi, lo_b=None, hi_b=None):
@@ -142,6 +155,71 @@ def _overlapping_boxes(lo, hi, labels):
     return _overlapping(a.take(at), b, lo, hi)
 
 
+def _candidates(points, labels):
+    """The segment pairs of different components (`_overlapping_boxes`)
+    whose boxes on the plane of _PLANE overlap, each box padded to hold its
+    segment's exact projection; `points` holds the segments' starts, then
+    their ends, as (3, 2m) columns."""
+    m = labels.size
+    # with M the largest coordinate magnitude and u = 2^-53, a projected
+    # coordinate (three products summed, at most 3.5 M) is off by at most
+    # about 3u * 3.5 M and the padding rounds by u * 3.5 M more: 14u M in
+    # all, within 2^-48 M
+    pad = 2.0**-48 * max(float(points.max()), -float(points.min()))
+    flat = _PLANE @ points
+    lo = np.minimum(flat[:, :m], flat[:, m:]).T - pad
+    hi = np.maximum(flat[:, :m], flat[:, m:]).T + pad
+    return _overlapping_boxes(lo, hi, labels)
+
+
+def _crossing_counts(curves) -> np.ndarray | None:
+    """The symmetric matrix of signed crossing counts between the closed
+    curves (two or more), or None when two of them touch."""
+    q = len(curves)
+    labels = np.repeat(np.arange(q), [c.n_segments for c in curves])
+    m = labels.size
+    # the segments' starts, then their ends, as (3, 2m) columns
+    points = np.concatenate([c.segment_starts() for c in curves]
+                            + [c.segment_ends() for c in curves]).T
+    pairs_a, pairs_b = _candidates(points, labels)
+    vectors = points[:, m:] - points[:, :m]
+
+    signs = np.zeros((q, q), dtype=int)
+    for k in range(0, pairs_a.size, _CHUNK):
+        a, b = pairs_a[k : k + _CHUNK], pairs_b[k : k + _CHUNK]
+        # sides of C, D against AB and of A, B against CD, for AB in a, CD in b
+        at = np.concatenate((a, a, b, b))
+        to = np.concatenate((b, b + m, a, a + m))
+        x = vectors.take(at, axis=1)
+        y = points.take(to, axis=1)
+        y -= points.take(at, axis=1)
+        side, unsure = _signs(x, y, _D)
+        if unsure.size:
+            exact = _exact_sides(*(points.take(i.take(unsure), axis=1)
+                                   for i in (at, at + m, to)))
+            if exact is None:
+                return None
+            side[unsure] = exact
+        sc, sd, sa, sb = side.reshape(4, -1)
+        cross = np.flatnonzero((sc * sd < 0) & (sa * sb < 0))
+        # crossing signs: det[B - C, D - C, A - C] = det[B - A, D - C, A - C]
+        x, y = x.reshape(3, 4, -1), y.reshape(3, 4, -1)
+        turn, unsure = _signs(y[:, 3].take(cross, axis=1),
+                              x[:, 2].take(cross, axis=1),
+                              y[:, 2].take(cross, axis=1))
+        if unsure.size:
+            i, j = a.take(cross.take(unsure)), b.take(cross.take(unsure))
+            pa, pb, pc, pd = (_exact(points.take(v, axis=1))
+                              for v in (i, i + m, j, j + m))
+            exact = _det(pb - pc, pd - pc, pa - pc)[0]
+            if np.any(exact == 0):
+                return None
+            turn[unsure] = np.sign(exact)
+        np.add.at(signs, (labels.take(a.take(cross)),
+                          labels.take(b.take(cross))), turn.astype(int))
+    return signs + signs.T
+
+
 def linking_matrix(curves) -> np.ndarray | None:
     """Pairwise linking numbers of a list of closed curves.
 
@@ -152,56 +230,7 @@ def linking_matrix(curves) -> np.ndarray | None:
     curves = list(curves)
     if not all(c.closed for c in curves):
         raise ValueError("linking number requires closed curves")
-    q = len(curves)
-    if q < 2:
-        return np.zeros((q, q), dtype=int)
-    labels = np.repeat(np.arange(q), [c.n_segments for c in curves])
-    p0 = np.concatenate([c.segment_starts() for c in curves]) @ _FRAME.T
-    p1 = np.concatenate([c.segment_ends() for c in curves]) @ _FRAME.T
-    margin = _EPS * float(np.ptp(p0, axis=0).max())
-    lo = np.minimum(p0[:, :2], p1[:, :2]) - margin
-    hi = np.maximum(p0[:, :2], p1[:, :2]) + margin
-    # coordinate rows (start u, v, d, end u, v, d), gathered per pair chunk
-    rows = np.concatenate((p0.T, p1.T))
-
-    pairs_a, pairs_b = _overlapping_boxes(lo, hi, labels)
-    signs = np.zeros((q, q), dtype=int)
-    degenerate = np.zeros((q, q), dtype=bool)
-    for k in range(0, pairs_a.size, _CHUNK):
-        a, b = pairs_a[k : k + _CHUNK], pairs_b[k : k + _CHUNK]
-        ga, gb = rows.take(a, axis=1), rows.take(b, axis=1)
-        r = ga[3:] - ga[:3]
-        s = gb[3:] - gb[:3]
-        w = gb[:2] - ga[:2]
-        den = r[0] * s[1] - r[1] * s[0]
-        parallel = np.abs(den) <= _EPS * np.hypot(r[0], r[1]) * np.hypot(s[0], s[1])
-        den = np.where(parallel, 1.0, den)
-        t = (w[0] * s[1] - w[1] * s[0]) / den
-        u = (w[0] * r[1] - w[1] * r[0]) / den
-        near = ~parallel & (np.abs(t - 0.5) <= 0.5 + _EPS) & (
-            np.abs(u - 0.5) <= 0.5 + _EPS
-        )
-        gap = (ga[2] + t * r[2]) - (gb[2] + u * s[2])
-        if np.any(near & (np.abs(gap) <= margin)):
-            return None
-        at_end = (np.abs(t - 0.5) >= 0.5 - _EPS) | (np.abs(u - 0.5) >= 0.5 - _EPS)
-        bad = parallel | (near & at_end)
-        degenerate[labels[a[bad]], labels[b[bad]]] = True
-        cross = near & ~bad
-        # Crossing sign: turn of the projected tangents times which strand
-        # is on top; with this frame it agrees with the Gauss sum's sign.
-        np.add.at(
-            signs,
-            (labels[a[cross]], labels[b[cross]]),
-            (np.sign(den[cross]) * np.sign(gap[cross])).astype(int),
-        )
-
-    signs += signs.T
-    degenerate |= degenerate.T | (signs % 2 == 1)
-    out = signs // 2
-    for i, j in zip(*np.nonzero(np.triu(degenerate, 1))):
-        lk = _gauss_linking_number(curves[i], curves[j])
-        if lk is None:
-            return None
-        out[i, j] = out[j, i] = lk
-    return out
+    if len(curves) < 2:
+        return np.zeros((len(curves), len(curves)), dtype=int)
+    counts = _crossing_counts(curves)
+    return None if counts is None else counts // 2

@@ -758,7 +758,9 @@ def test_sweep_passes_stay_within_the_chunk_cap(capsys, monkeypatch):
 
 
 def test_sweep_and_correction_table_do_not_import_scipy_spatial():
-    # only a distance search needs the KD tree; a build still gets it
+    # only a distance search needs the KD tree; a build still gets it, but
+    # not the modules of exact arithmetic, which no built link's linking
+    # numbers need
     script = textwrap.dedent("""
         import contextlib, io, sys
         from ropebound.cli import main
@@ -769,6 +771,7 @@ def test_sweep_and_correction_table_do_not_import_scipy_spatial():
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert main(["build", "inc4", "--t", "1", "--points", "200"]) == 0
         assert "scipy.spatial" in sys.modules
+        assert "fractions" not in sys.modules and "decimal" not in sys.modules
         assert '"passed": true' in out.getvalue()
     """)
     src = os.path.dirname(os.path.dirname(ropebound.__file__))

@@ -730,7 +730,7 @@ def test_may_count_states_the_rule_at_every_granularity(seed, inter, intra):
     ra, rb = np.triu_indices(runs.first.size)
     held = np.array([rule[f:l + 1, g:k + 1].any() for f, l, g, k in zip(
         runs.first[ra], runs.last[ra], runs.first[rb], runs.last[rb])])
-    kept = may_count((runs.first, runs.last), ra, rb)
+    kept = may_count((runs.first, runs.last, runs.top), ra, rb)
     assert not (held & ~kept).any()
     # whole components: never a drop, and exactly "some pair counts" for
     # distinct components, under an infinite window, and without orbits on
@@ -738,10 +738,11 @@ def test_may_count_states_the_rule_at_every_granularity(seed, inter, intra):
     # separations
     first = soup.first
     last = first + soup.comp_nseg - 1
+    top = None if orbit_min is None else np.maximum.reduceat(orbit_min, first)
     ca, cb = np.triu_indices(first.size)
     held = np.array([rule[first[a]:last[a] + 1, first[b]:last[b] + 1].any()
                      for a, b in zip(ca, cb)])
-    kept = may_count((first, last), ca, cb)
+    kept = may_count((first, last, top), ca, cb)
     assert not (held & ~kept).any()
     window = np.zeros(ca.size) if windows is None else windows[ca]
     exact = (ca != cb) | np.isinf(window) | ((orbit_min is None) & (

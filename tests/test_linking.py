@@ -22,7 +22,42 @@ from ropebound.curves import (
     sample_planar_curve,
     sample_toroidal_helix,
 )
-from ropebound.linking import _gauss_linking_number, linking_matrix
+from ropebound.distances import min_distance_brute
+from ropebound.linking import linking_matrix
+
+
+def _quad_solid_angles(a, b, c, d):
+    """Signed solid angle of the spherical quadrilateral with vertex
+    directions a, b, c, d (rows), where a - b + c - d = 0 guarantees the two
+    triangle fans share one numerator."""
+    la = np.linalg.norm(a, axis=1)
+    lb = np.linalg.norm(b, axis=1)
+    lc = np.linalg.norm(c, axis=1)
+    ld = np.linalg.norm(d, axis=1)
+    p = np.einsum("ij,ij->i", a, np.cross(b, c))
+    ab = np.einsum("ij,ij->i", a, b)
+    bc = np.einsum("ij,ij->i", b, c)
+    ca = np.einsum("ij,ij->i", c, a)
+    cd = np.einsum("ij,ij->i", c, d)
+    da = np.einsum("ij,ij->i", d, a)
+    den1 = la * lb * lc + ab * lc + bc * la + ca * lb
+    den2 = la * lc * ld + ca * ld + cd * la + da * lc
+    return 2.0 * (np.arctan2(p, den1) + np.arctan2(p, den2))
+
+
+def _gauss_linking_number(a, b):
+    """The brute-force reference: the Gauss linking integral of two closed
+    polygons, the sum of the signed solid angles of all segment pairs (each
+    the quadrilateral spanned by its endpoints) over 4 pi, or None when it
+    lies farther than 0.1 from an integer (the curves touch)."""
+    s1, e1 = a.segment_starts(), a.segment_ends()
+    s2, e2 = b.segment_starts(), b.segment_ends()
+    i, j = np.divmod(np.arange(len(s1) * len(s2)), len(s2))
+    total = _quad_solid_angles(s1[i] - s2[j], s1[i] - e2[j], e1[i] - e2[j],
+                               e1[i] - s2[j]).sum()
+    value = float(total) / (4.0 * np.pi)
+    nearest = round(value)
+    return int(nearest) if abs(value - nearest) <= 0.1 else None
 
 
 def _lk(a, b):
@@ -49,14 +84,92 @@ def test_unlinked_circles_link_zero():
     assert _lk(a, b) == 0
 
 
-def test_reversing_one_curve_flips_the_sign():
-    a, b = _hopf_pair()
-    assert _lk(a, PolyCurve(b.vertices[::-1])) == -_lk(a, b)
+def _square():
+    """A 2 x 2 square about the origin in the plane z = 0."""
+    return PolyCurve(np.array([[-1.0, -1.0, 0.0], [1.0, -1.0, 0.0],
+                               [1.0, 1.0, 0.0], [-1.0, 1.0, 0.0]]))
 
 
-def test_symmetry_in_the_arguments():
-    a, b = _hopf_pair(n=250)
-    assert _lk(a, b) == _lk(b, a)
+def _above(point, t):
+    """point moved by t along the projection direction d."""
+    return np.asarray(point, dtype=float) + t * linking._D.ravel()
+
+
+def _threading(*vertices):
+    """The square and a loop that threads it once, down the z axis through
+    its centre and back through the given vertices."""
+    return [_square(), PolyCurve(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
+                                           *vertices]))]
+
+
+# Dyadic links whose projection along d is degenerate, so the float filter
+# cannot decide some side and simulation of simplicity does.
+_DEGENERATE = {
+    "vertex on a projected segment": lambda: _threading(
+        (2.0, 0.0, -1.0), _above((1.0, 0.5, 0.0), 0.5)),
+    "collinear overlapping projections": lambda: _threading(
+        (3.0, 0.0, -1.0), _above((1.0, 1.5, 0.0), 1.0),
+        _above((1.0, 0.0, 0.0), 0.5)),
+    "vertex projecting onto a vertex": lambda: _threading(
+        (2.0, 0.0, -1.0), _above((1.0, 1.0, 0.0), 0.5)),
+    # a vertex collinear in space with an edge of the square, beyond its end,
+    # on a segment in the edge's vertical plane
+    "vertex on a segment's line, off the segment": lambda: _threading(
+        (1.0, -3.0, -1.0), (1.0, 2.0, 0.0)),
+}
+
+
+def _torus_check_link(method, t, double):
+    spec = (build_optimal_spec(t) if method == "optimal"
+            else build_increment_spec(t, int(method[3:])))
+    realize = donut_double if double else realize_torus
+    return lambda: realize(spec, n_points=200, check=False).components
+
+
+# the Hopf pair, the links of the benchmark's torus_check workload, and the
+# dyadic links whose projection needs exact signs
+_INVARIANCE = {
+    "Hopf pair": lambda: list(_hopf_pair(n=250)),
+    "inc4 T=2 @200": _torus_check_link("inc4", 2, False),
+    "inc5 T=1 doubled @200": _torus_check_link("inc5", 1, True),
+    "optimal T=2 @200": _torus_check_link("optimal", 2, False),
+    **_DEGENERATE,
+}
+
+
+def _invariance_link(name):
+    curves = _INVARIANCE[name]()
+    lm = linking_matrix(curves)
+    assert lm is not None and np.any(lm != 0)
+    return curves, lm
+
+
+@pytest.mark.parametrize("name", list(_INVARIANCE))
+def test_reversing_one_curve_flips_the_sign(name):
+    # component 1's row and column change sign
+    curves, lm = _invariance_link(name)
+    curves[1] = PolyCurve(curves[1].vertices[::-1])
+    flip = np.ones(len(curves), dtype=int)
+    flip[1] = -1
+    assert np.array_equal(linking_matrix(curves), lm * np.outer(flip, flip))
+
+
+@pytest.mark.parametrize("name", list(_INVARIANCE))
+def test_symmetry_in_the_arguments(name):
+    # permuting the components permutes the matrix
+    curves, lm = _invariance_link(name)
+    order = np.roll(np.arange(len(curves)), 1)
+    permuted = linking_matrix([curves[k] for k in order])
+    assert np.array_equal(permuted, lm[np.ix_(order, order)])
+
+
+@pytest.mark.parametrize("name", list(_INVARIANCE))
+def test_reflection_negates_the_matrix(name):
+    # the point reflection x -> -x is exact and keeps the projection's lines
+    # (d goes to -d), so the degenerate links stay degenerate
+    curves, lm = _invariance_link(name)
+    reflected = [PolyCurve(-c.vertices) for c in curves]
+    assert np.array_equal(linking_matrix(reflected), -lm)
 
 
 def test_rigid_motion_invariance():
@@ -68,22 +181,20 @@ def test_rigid_motion_invariance():
 
 @pytest.mark.parametrize("x", [1e6, 1e9, 1e12])
 def test_distance_from_the_origin_keeps_the_matrix(x):
-    # the touching margin scales with the link's extent, not with its
-    # largest coordinate: far out, crossings still count as crossings
+    # each determinant's error bound scales with its coordinate differences,
+    # not with the coordinates: far out, every crossing is still decided
     link = realize_torus(build_increment_spec(2, 4), n_points=200, check=False)
     moved = [c.transformed(None, (x, 0.0, 0.0)) for c in link.components]
     assert np.array_equal(linking_matrix(moved), linking_matrix(link.components))
 
 
 def _projected_boxes(curves):
-    """The projected segment boxes linking_matrix builds, and their labels."""
+    """The projected segment boxes linking_matrix builds, before their
+    padding, and their labels."""
     labels = np.repeat(np.arange(len(curves)), [c.n_segments for c in curves])
-    frame = linking._FRAME.T
-    p0 = np.concatenate([c.segment_starts() for c in curves]) @ frame
-    p1 = np.concatenate([c.segment_ends() for c in curves]) @ frame
-    margin = linking._EPS * float(np.ptp(p0, axis=0).max())
-    lo = np.minimum(p0[:, :2], p1[:, :2]) - margin
-    return lo, np.maximum(p0[:, :2], p1[:, :2]) + margin, labels
+    p0 = np.concatenate([c.segment_starts() for c in curves]) @ linking._PLANE.T
+    p1 = np.concatenate([c.segment_ends() for c in curves]) @ linking._PLANE.T
+    return np.minimum(p0, p1), np.maximum(p0, p1), labels
 
 
 def _corner_touching_boxes():
@@ -199,8 +310,8 @@ def test_open_curves_are_rejected():
 
 
 def test_intersecting_curves_have_no_linking_number():
-    # a and its 90-degree rotation about the x axis share the two vertices
-    # (+-1, 0, 0) exactly, so the solid-angle sum lands far from any integer
+    # a and its 90-degree rotation about the x axis share the vertex
+    # (1, 0, 0) exactly
     a = sample_planar_curve("circle", {"radius": 1.0}, n_points=400)
     b = a.transformed(rotation_about_axis((1.0, 0.0, 0.0), 0.5 * math.pi),
                       (0.0, 0.0, 0.0))
@@ -265,43 +376,89 @@ def test_p2_torus_links_every_pair_twice():
     assert np.all(np.abs(lm[np.triu_indices(len(lm), 1)]) == 2)
 
 
-def _projected_onto_a_midpoint(a, b):
-    """b moved, in the projection along the linking frame's direction, by
-    the in-plane offset that puts its vertex nearest to a midpoint of a
-    exactly on that midpoint."""
-    frame = linking._FRAME
-    mids = 0.5 * (a.segment_starts() + a.segment_ends())
-    offsets = mids[:, None, :] - b.vertices[None, :, :]
-    planar = offsets - np.einsum("ijk,k->ij", offsets, frame[2])[..., None] * frame[2]
-    k, v = np.unravel_index(
-        np.argmin(np.linalg.norm(planar, axis=2)), planar.shape[:2]
-    )
-    assert np.linalg.norm(planar[k, v]) < 0.1
-    return b.transformed(None, planar[k, v])
-
-
-def test_vertex_projecting_onto_a_segment_takes_the_gauss_fallback(monkeypatch):
-    a, b = _hopf_pair(n=200)
-    moved = _projected_onto_a_midpoint(a, b)
+def _exact_calls(monkeypatch):
+    """A list that grows by one at each exact evaluation."""
     calls = []
-    gauss = linking._gauss_linking_number
+    exact = linking._exact
 
-    def counting(*args, **kwargs):
+    def counting(v):
         calls.append(1)
-        return gauss(*args, **kwargs)
+        return exact(v)
 
-    monkeypatch.setattr(linking, "_gauss_linking_number", counting)
-    value = _lk(a, moved)
-    assert calls == [1]
-    assert value == gauss(a, moved) == gauss(a, b)
-    assert abs(value) == 1
+    monkeypatch.setattr(linking, "_exact", counting)
+    return calls
 
 
-def test_generic_pairs_need_no_fallback(monkeypatch):
-    def failing(*_args, **_kwargs):
-        raise AssertionError("Gauss fallback used")
+def _assert_exact_linking(curves):
+    lm = linking_matrix(curves)
+    assert lm is not None and np.array_equal(lm, _gauss_matrix(curves))
+    assert np.all(linking._crossing_counts(curves) % 2 == 0)
+    return lm
 
-    monkeypatch.setattr(linking, "_gauss_linking_number", failing)
+
+@pytest.mark.parametrize("name", list(_DEGENERATE))
+def test_exact_degeneracies_link_as_the_gauss_reference(name, monkeypatch):
+    calls = _exact_calls(monkeypatch)
+    lm = _assert_exact_linking(_DEGENERATE[name]())
+    assert calls
+    assert abs(lm[0, 1]) == 1
+
+
+def test_polygons_on_a_dyadic_grid_link_as_the_gauss_reference(monkeypatch):
+    # hexagons on a grid of step 1/2: collinear and coplanar vertices and
+    # exact projected contacts abound; the pairs that touch give None
+    rng = np.random.default_rng(5)
+    calls = _exact_calls(monkeypatch)
+    linked = touching = 0
+    for _ in range(80):
+        curves = [rng.integers(0, 5, (6, 3)) * 0.5 for _ in range(2)]
+        if any((c == np.roll(c, 1, axis=0)).all(axis=1).any()
+               for c in curves):
+            continue  # a repeated vertex
+        curves = [PolyCurve(c) for c in curves]
+        gap = min_distance_brute(*curves)
+        if linking_matrix(curves) is None:
+            assert gap < 1e-12
+            touching += 1
+        else:
+            assert gap > 1e-3
+            linked += _assert_exact_linking(curves)[0, 1] != 0
+    assert linked >= 5 and touching >= 5 and calls
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-515])
+def test_the_filter_decides_no_sign_the_exact_value_contradicts(scale):
+    # points within rounding of a projected segment (side tests) and of a
+    # plane (crossing signs); at 2^-515 the products underflow, and only
+    # the absolute term keeps the filter from deciding on their noise
+    rng = np.random.default_rng(11)
+    a, b, c = (rng.normal(size=(3, 2000)) for _ in range(3))
+    s, t = rng.random(2000), rng.normal(size=2000)
+    over = a + s * (b - a) + t * linking._D
+    plane = a + s * (b - a) + t * (c - a)
+    for p, q, r, z in ((a, b, over, None), (a, b, c, plane)):
+        p, q, r = (v * scale for v in (p, q, r))
+        if z is None:
+            args, exact = (q - p, r - p, linking._D), (
+                linking._exact(q) - linking._exact(p),
+                linking._exact(r) - linking._exact(p), linking._D)
+        else:
+            z = z * scale
+            args = (q - z, r - z, p - z)
+            ez = linking._exact(z)
+            exact = tuple(linking._exact(v) - ez for v in (q, r, p))
+        sign, unsure = linking._signs(*args)
+        decided = np.ones(sign.size, dtype=bool)
+        decided[unsure] = False
+        truth = np.sign(linking._det(*exact)[0]).astype(float)
+        assert np.array_equal(sign[decided], truth[decided])
+
+
+def test_generic_pairs_need_no_exact_arithmetic(monkeypatch):
+    def failing(_v):
+        raise AssertionError("exact path used")
+
+    monkeypatch.setattr(linking, "_exact", failing)
     a, b = _hopf_pair()
     assert abs(_lk(a, b)) == 1
 
@@ -312,17 +469,35 @@ def test_empty_and_single_curve_matrices():
     assert np.array_equal(linking_matrix([a]), [[0]])
 
 
-def test_degenerate_pair_without_an_integer_gauss_sum_has_no_linking(monkeypatch):
-    a, b = _hopf_pair(n=200)
-    moved = _projected_onto_a_midpoint(a, b)
-    monkeypatch.setattr(linking, "_gauss_linking_number", lambda *_args: None)
-    assert linking_matrix([a, moved]) is None
-    assert abs(_lk(a, b)) == 1
+_TOUCHING = {
+    "vertex inside a segment": [(1.0, 0.5, 0.0), (3.0, 0.0, -1.0),
+                                (3.0, 0.0, 1.0)],
+    "segments crossing inside both": [(1.0, 0.0, 1.0), (1.0, 0.0, -1.0),
+                                      (3.0, 0.0, -1.0), (3.0, 0.0, 1.0)],
+    "shared vertex": [(1.0, 1.0, 0.0), (3.0, 0.0, -1.0), (3.0, 0.0, 1.0)],
+}
+
+
+@pytest.mark.parametrize("name", list(_TOUCHING))
+def test_curves_meeting_exactly_have_no_linking(name):
+    curves = [_square(), PolyCurve(np.array(_TOUCHING[name]))]
+    assert linking_matrix(curves) is None
+
+
+def test_a_near_touch_still_links():
+    # a triangle 1e-10 above the square's plane, across one of its edges:
+    # no tolerance calls it touching
+    h = 1e-10
+    triangle = PolyCurve(np.array([[0.5, 0.0, h], [1.5, 0.5, h],
+                                   [1.5, -0.5, h]]))
+    lm = linking_matrix([_square(), triangle])
+    assert np.array_equal(lm, np.zeros((2, 2), dtype=int))
+    assert np.array_equal(lm, _gauss_matrix([_square(), triangle]))
 
 
 def test_touching_curves_have_no_linking_even_where_the_gauss_sum_rounds():
-    # at 100 points the two circles through (+-1, 0, 0) give a Gauss sum
-    # within 0.1 of 0; the crossing count sees them touch and refuses
+    # at 100 points the two circles sharing the vertex (1, 0, 0) give a
+    # Gauss sum within 0.1 of 0; the exact count sees them touch and refuses
     a = sample_planar_curve("circle", {"radius": 1.0}, n_points=100)
     b = a.transformed(rotation_about_axis((1.0, 0.0, 0.0), 0.5 * math.pi),
                       (0.0, 0.0, 0.0))
