@@ -1,7 +1,7 @@
 """Minimum distances of polygonal curves; the package's one near-pair search.
 
-`_candidate_pairs` is one KD-tree query for every pair of points within a
-reach, which each caller (this module and `linking`) sizes to hold every
+`_candidate_pairs` is one cell-grid query for every pair of points within
+a reach, which each caller (this module and `linking`) sizes to hold every
 pair it needs.  Both callers query runs, not segments: each component is cut
 into runs of _RUN consecutive segments (`_run_starts`), a quarter of the
 points.  Here a run is bounded by a capsule, a line-swept sphere (Larsen,
@@ -19,8 +19,8 @@ counted pair among a hundred-odd segments spread evenly along the
 components, which on planar rings lies within a small factor of the true
 minimum and which the one search certifies.  With a symmetry's orbits
 (from `measure`) one segment pair of each orbit counts, whose lower segment
-represents its orbit, and where few runs hold a representative the query
-runs from those.  Run pairs are dropped before any segment pair is formed
+represents its orbit, and the query runs from the runs that hold a
+representative.  Run pairs are dropped before any segment pair is formed
 when the rule drops them or their capsule bound (the kernel distance of
 the chords minus both radii) exceeds the query radius.  The survivors
 expand, _KERNEL_PAIRS segment pairs at most at a time, to the counted pairs
@@ -39,14 +39,17 @@ every pair of its runs enumerated, and no query is built for it.  A
 component whose extent the bound does not reach across (a coiled knot)
 still goes through a query.
 
-`_candidate_pairs` builds its trees by sliding-midpoint splits
-(`balanced_tree=False`), which build and search faster here than median
-splits and return the same pair sets.  `_SegmentSoup` keeps its segments as
-one contiguous table of coordinate rows (start x, y, z, direction x, y, z,
-squared length).  The segment-pair kernel runs _KERNEL_PAIRS pairs at a
-time: a pass gathers its pairs' columns from the table with one `take` per
-side and computes on (3, m) rows, every step a ufunc that writes into the
-calling thread's workspace, so a pass allocates nothing.  Its dot products
+`_candidate_pairs` sorts the points into a uniform grid of cells half the
+reach wide (the linked-cell method of particle simulation), in numpy: a
+row of 5 cells along the grid's last axis is one range of sorted points,
+so a query point's neighbours lie in 25 ranges in 3-D and 5 in 2-D, each
+cut to the cells within reach of it, and one distance test keeps the pairs
+within reach.  `_SegmentSoup` keeps its segments as one contiguous table
+of coordinate rows (start x, y, z, direction x, y, z, squared length).
+The segment-pair kernel runs _KERNEL_PAIRS pairs at a time: a pass gathers
+its pairs' columns from the table with one `take` per side and computes on
+(3, m) rows, every step a ufunc that writes into the calling thread's
+workspace, so a pass allocates nothing.  Its dot products
 are summed x, z, y, the order `np.einsum("ij,ij->i")` sums an (m, 3) array
 in, so the distances are those of the einsum formulation bit for bit.
 `segment_pair_distances` takes (m, 3) arrays and runs the same kernel.
@@ -55,6 +58,8 @@ in, so the distances are those of the einsum formulation bit for bit.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import threading
 
 import numpy as np
@@ -313,41 +318,187 @@ class _SegmentSoup:
 _BOUND_SAMPLES = 128
 _SELF_SAMPLES = 32
 
-# The largest share of runs holding a representative at which the run
-# query starts from those runs alone (`_candidate_pairs` with `marked`).  A
-# marked query costs about 2.5 times a plain one per pair it returns: on
-# tori of a half-turn alone (half the runs marked) the plain query and the
-# rule's filter were faster, from a group of order 4 on the marked query.
-_MARKED_SHARE = 0.35
-
 # Run pairs per block that `_self_min` enumerates by index: a component of
 # 250 runs (1,000 segments) holds 31,125.
 _INDEXED_PAIRS = 1 << 15
 
 
-def _candidate_pairs(points, reach: float, marked=None):
-    """All index pairs (i < j) of `points` (rows, any dimension) that lie
-    within `reach` of each other, from one KD-tree query; with `marked`, a
-    mask over the points, the query runs from the marked points and keeps
-    the pairs whose lower index is marked.  The relative 1e-12 covers
-    rounding in the point distances.  scipy.spatial is imported here, so
-    commands that never search (sweep, correction, bounds) do not pay for
-    it."""
-    from scipy.spatial import cKDTree
+# Cells of the near-pair grid are this much wider than half the reach, and
+# its gap and width tests allow this much, in cells, for rounding
+# (`_candidate_pairs`).
+_CELL_MARGIN = 2.0 ** -20
 
+# Cells the near-pair grid may hold per point, padding included (plus
+# 8^dim, so that a few points still get a grid of 5 cells a side).
+_CELLS_PER_POINT = 8
+
+# Candidate pairs per block of the near-pair search.  A block gathers its
+# coordinates into the calling thread's kernel buffers (`_scratch`): with
+# fresh (3, m) arrays, blocks of this size ran at about twice the time,
+# most of it page faults (2 CPUs, numpy 2.4).
+_GRID_BLOCK = 1 << 13
+
+# Pairs per array in which the near-pair search gathers what it finds.
+_GATHER = 1 << 19
+
+
+@functools.cache
+def _stencil_rows(dim: int, half: bool) -> np.ndarray:
+    """Offsets (rows, dim - 1) of the stencil rows of a grid of `dim` axes
+    along its first axes, in lexicographic order: 5^(dim - 1) rows, or
+    with `half` the middle one (a point's own row) and those after it."""
+    rows = np.array(list(itertools.product(range(-2, 3), repeat=dim - 1)),
+                    dtype=np.int64).reshape(5 ** (dim - 1), dim - 1)
+    rows.setflags(write=False)  # shared by every call
+    return rows[rows.shape[0] // 2 :] if half else rows
+
+
+def _candidate_pairs(points, reach: float, marked=None):
+    """All index pairs (i, j), i < j, of `points` (n rows of any dimension)
+    that lie within `reach` (finite, at least 0) of each other; with
+    `marked`, a mask over the points, only the pairs whose i it marks.  The
+    relative 1e-12 covers rounding in the point distances.
+
+    The points go into a uniform cell grid (the linked-cell method of
+    Hockney and Eastwood, "Computer Simulation Using Particles", 1981) of
+    side h = (1 + _CELL_MARGIN) reach / 2, sorted by cell key, with the last
+    axis of stride 1 and two cells of padding on each side of the others.
+    Two points within reach then lie within 2 cells of each other along
+    every axis, so a point's neighbours lie in the 5^(dim - 1) stencil rows
+    of cells about its own along the first axes, and each row is one
+    contiguous range of sorted points.  A plain query walks the half
+    stencil from every point (its own row from the next point on, and the
+    rows after it); a marked query, the full stencil from the marked points.
+    Each row's range is cut to the cells along the last axis that a point
+    within reach can occupy, given the gap from the query point to the row,
+    and rows beyond reach are skipped.  One squared-distance test over the
+    sorted coordinate rows keeps the pairs within reach.
+
+    Rounding: a cell coordinate (x - lo) / h is off by at most 2^-52 of
+    itself, and the grid has at most _CELLS_PER_POINT n + 8^dim cells, so for
+    fewer than 2^26 points two coordinates differ from the exact difference
+    by under 2^-21 cells; every gap is taken _CELL_MARGIN smaller and every
+    width _CELL_MARGIN wider.  The grid holds O(n) cells whatever the
+    extent: when the padded box would hold more at side h, the cells are
+    widened, so no key overflows.  Candidates expand in blocks of about
+    _GRID_BLOCK pairs, so working memory is one block plus the pairs kept.
+    """
     reach = reach * (1.0 + 1e-12)
-    tree = cKDTree(points, balanced_tree=False)
-    if marked is None:
-        pairs = tree.query_pairs(reach, output_type="ndarray")
-        # contiguous rows: callers gather and compress along them
-        return np.ascontiguousarray(pairs.T)
-    rows = np.flatnonzero(marked)
-    found = cKDTree(points[rows], balanced_tree=False).sparse_distance_matrix(
-        tree, reach, output_type="ndarray"
-    )
-    i, j = rows[found["i"]], found["j"]
-    keep = i < j
-    return i.compress(keep), j.compress(keep)
+    x = np.ascontiguousarray(np.asarray(points, dtype=float).T)
+    dim, n = x.shape
+    if n < 2:
+        return _joined([])
+    lo = x.min(axis=1)
+    extent = (x.max(axis=1) - lo).tolist()
+    cap = _CELLS_PER_POINT * n + 8 ** dim
+    cell = 0.5 * reach * (1.0 + _CELL_MARGIN)
+    while cell == 0.0 or math.prod(e // cell + 5.0 for e in extent) > cap:
+        cell = max(2.0 * cell, max(extent) / (cap ** (1.0 / dim) - 5.0),
+                   1e-300)
+    u = x - lo[:, None]
+    u /= cell
+    c = u.astype(np.int64)
+    dims = (c.max(axis=1) + 5).tolist()
+    dims[-1] -= 4
+    strides = [math.prod(dims[k + 1 :]) for k in range(dim)]
+    keys = c[-1] + 2 * sum(strides[:-1])
+    for k in range(dim - 1):
+        keys += c[k] * strides[k]
+    order = np.argsort(keys)
+    keys = keys.take(order)
+    x, u, c = (v.take(order, axis=1) for v in (x, u, c))
+    frac = u[:-1] - c[:-1]
+    row = keys - c[-1]  # the key of cell 0 along the last axis in each row
+    # start[k]: the first sorted point in cell key k or after it
+    start = np.zeros(math.prod(dims) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=start.size - 1), out=start[1:])
+    half = marked is None
+    shifts = _stencil_rows(dim, half) @ np.array(strides[:-1], dtype=np.int64)
+    shifts = shifts[:, None]
+    query = (np.arange(n) if half else
+             np.flatnonzero(np.asarray(marked).take(order)))
+    # a row at offset o along one of the first axes lies max(o - f,
+    # f - 1 - o) cells from a point at f in its own cell
+    near = np.arange(-2.0, 3.0)[:, None] - _CELL_MARGIN
+    far = near + (1.0 + 2.0 * _CELL_MARGIN)
+    rr = (reach / cell) ** 2
+    top = float(dims[-1] - 1)
+    limit = reach * reach
+    found, held, waiting = [], [], 0  # pairs gathered, and per block
+    step = max(1, _GRID_BLOCK // shifts.size)
+    for k in range(0, query.size, step):
+        q = query[k : k + step]
+        # the squared gap, in cells, from each query point to each row
+        f = frac.take(q, axis=1)[:, None]
+        gap = np.maximum(near - f, f - far)
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        g2 = np.zeros((1, q.size))
+        for sq in gap:
+            g2 = (g2[:, None] + sq).reshape(-1, q.size)
+        if half:
+            g2 = g2[g2.shape[0] // 2 :]
+        # each row's cells along the last axis within reach, as sorted ranges
+        np.subtract(rr, g2, out=g2)
+        empty = g2 < 0.0
+        wide = np.sqrt(np.maximum(g2, 0.0, out=g2), out=g2)
+        wide += _CELL_MARGIN
+        ul = u[-1].take(q)
+        span = np.empty((2,) + wide.shape)
+        np.subtract(ul, wide, out=span[0])
+        np.add(ul, wide, out=span[1])
+        bounds = np.clip(span, 0.0, top, out=span).astype(np.int64)
+        bounds[1] += 1
+        bounds += row.take(q) + shifts
+        first, end = start.take(bounds)
+        if half:
+            first[0] = q + 1
+        count = end - first
+        count[empty] = 0
+        # query by query, in blocks of about _GRID_BLOCK candidates
+        count, first = count.T, first.T
+        per = count.sum(axis=1)
+        total = np.cumsum(per)
+        cuts = [0, q.size]
+        if total[-1] > _GRID_BLOCK:
+            cuts[1:1] = (np.flatnonzero(np.diff(total // _GRID_BLOCK))
+                         + 1).tolist()
+        for s, e in zip(cuts, cuts[1:]):
+            cnt = count[s:e].ravel()
+            b = np.repeat(first[s:e].ravel() - (np.cumsum(cnt) - cnt), cnt)
+            b += np.arange(b.size)
+            a = np.repeat(q[s:e], per[s:e])
+            gap, other = _scratch(2 * dim * b.size).reshape(2, dim, b.size)
+            x.take(a, axis=1, out=gap, mode="clip")
+            x.take(b, axis=1, out=other, mode="clip")
+            np.subtract(gap, other, out=gap)
+            np.multiply(gap, gap, out=gap)
+            d2 = gap[0]
+            for sq in gap[1:]:
+                d2 += sq
+            keep = d2 <= limit
+            a, b = order.take(a.compress(keep)), order.take(b.compress(keep))
+            if half:
+                held.append((np.minimum(a, b), np.maximum(a, b)))
+            else:
+                keep = a < b
+                held.append((a.compress(keep), b.compress(keep)))
+            # gathered into arrays of _GATHER pairs or more as they come:
+            # thousands of block arrays, freed only at the end, would stay
+            # resident as free heap
+            waiting += held[-1][0].size
+            if waiting >= _GATHER:
+                found.append(_joined(held))
+                held, waiting = [], 0
+    return _joined(found + held)
+
+
+def _joined(parts) -> tuple:
+    """The (i, j) arrays of pair parts (i, j), joined in order."""
+    if len(parts) < 2:
+        return parts[0] if parts else (np.empty(0, dtype=np.int64),
+                                       np.empty(0, dtype=np.int64))
+    return tuple(np.concatenate(side) for side in zip(*parts))
 
 
 def _lowest_first(soup, units, ia, ib) -> np.ndarray:
@@ -522,9 +673,9 @@ class _Runs:
     segment lies within dev of the chord when both its ends do, so every
     point of the run does.  `mids` (n, 3) are the chord midpoints, and `radius`,
     half the chord plus dev, the radius about them that holds the run.
-    With orbits, `top` is each run's largest orbit minimum, and `marked`,
-    the runs that hold an orbit's representative, is kept for the query
-    when at most _MARKED_SHARE of them do; else both are None."""
+    With orbits, `top` is each run's largest orbit minimum, and `marked`
+    the runs that hold an orbit's representative, from which the run query
+    starts (`_candidate_pairs` with `marked`); else both are None."""
 
     def __init__(self, soup):
         n = len(soup)
@@ -555,9 +706,7 @@ class _Runs:
         self.marked = self.top = None
         if soup.orbit_min is not None:
             self.top = np.maximum.reduceat(soup.orbit_min, self.first)
-            marked = soup.next_rep.take(self.first) <= self.last
-            if np.count_nonzero(marked) <= _MARKED_SHARE * marked.size:
-                self.marked = marked
+            self.marked = soup.next_rep.take(self.first) <= self.last
 
     def lower_bounds(self, ra, rb) -> np.ndarray:
         """A lower bound on the kernel distance of every segment pair of run
@@ -665,10 +814,10 @@ def _self_min(soup, arc_windows) -> float:
     found = [_run_pairs(soup, _members(start, count, at)[0], radius, False,
                         True, arc_windows, count.take(at))
              for at in np.split(comps, np.flatnonzero(np.diff(block)) + 1)]
-    tree = np.flatnonzero(searched & ~wide)
-    if tree.size:
-        found.append(_run_pairs(soup, _members(start, count, tree)[0], radius,
-                                False, True, arc_windows))
+    queried = np.flatnonzero(searched & ~wide)
+    if queried.size:
+        found.append(_run_pairs(soup, _members(start, count, queried)[0],
+                                radius, False, True, arc_windows))
     ra, rb = (np.concatenate(side) for side in zip(*found))
     return _near_min(soup, runs, ra, rb, radius, False, True, arc_windows)
 
@@ -711,7 +860,7 @@ def mutual_min_distance(curves) -> float:
 
 
 def min_distance_brute(a: PolyCurve, b: PolyCurve) -> float:
-    """Reference O(n*m) scan; used to validate the KD-tree route."""
+    """Reference O(n*m) scan; used to validate the run search."""
     soup = _SegmentSoup([a, b])
     na = a.n_segments
     ia, ib = np.meshgrid(np.arange(na), np.arange(na, len(soup)), indexing="ij")

@@ -757,22 +757,32 @@ def test_sweep_passes_stay_within_the_chunk_cap(capsys, monkeypatch):
     assert largest == {"_min_gap": 8162, "_correction": 8004}
 
 
-def test_sweep_and_correction_table_do_not_import_scipy_spatial():
-    # only a distance search needs the KD tree; a build still gets it, but
-    # not the modules of exact arithmetic, which no built link's linking
-    # numbers need
-    script = textwrap.dedent("""
+def test_no_command_imports_scipy(tmp_path):
+    # numpy is the only runtime dependency: with scipy blocked from import,
+    # every command runs, and none loads a scipy module; a built link's
+    # linking numbers need no exact arithmetic either
+    vect = str(tmp_path / "f.vect")
+    script = textwrap.dedent(f"""
         import contextlib, io, sys
+        sys.modules["scipy"] = None
         from ropebound.cli import main
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["sweep", "inc5", "--tmin", "1", "--tmax", "5"]) == 0
-            assert main(["correction", "--table"]) == 0
-        assert "scipy.spatial" not in sys.modules
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            assert main(["build", "inc4", "--t", "1", "--points", "200"]) == 0
-        assert "scipy.spatial" in sys.modules
+        commands = [
+            ["sweep", "inc5", "--tmin", "1", "--tmax", "5"],
+            ["correction", "--table"],
+            ["bounds", "--q", "5"],
+            ["build", "inc4", "--t", "1", "--points", "200", "--out", {vect!r}],
+            ["check", {vect!r}],
+            ["optimize", "--family", "gibbous", "--q", "3", "--restarts", "1",
+             "--maxfev", "6", "--points", "100"],
+        ]
+        for argv in commands:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(argv) == 0, argv
+            if argv[0] in ("build", "check"):
+                assert '"passed": true' in out.getvalue(), argv
+        loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        assert loaded == ["scipy"] and sys.modules["scipy"] is None, loaded
         assert "fractions" not in sys.modules and "decimal" not in sys.modules
-        assert '"passed": true' in out.getvalue()
     """)
     src = os.path.dirname(os.path.dirname(ropebound.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -167,12 +167,30 @@ def test_candidate_pairs_put_the_lower_segment_first():
     assert mutual_min_distance(comps) == brute
 
 
+def _brute_pairs(points, reach, marked=None) -> list:
+    """Every pair (i < j) of `points` within `reach`, i marked when points
+    are marked, in order."""
+    gap = np.linalg.norm(points[:, None] - points[None, :], axis=-1)
+    within = np.triu(gap <= reach, 1)
+    if marked is not None:
+        within &= marked[:, None]
+    return list(zip(*(k.tolist() for k in np.nonzero(within))))
+
+
+def _searched_pairs(points, reach, marked=None) -> list:
+    """The pairs `_candidate_pairs` returns, in order, each once."""
+    i, j = distances._candidate_pairs(points, reach, marked)
+    pairs = sorted(zip(i.tolist(), j.tolist()))
+    assert len(set(pairs)) == len(pairs)
+    return pairs
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("offset", [0.0, 1e12])
 @pytest.mark.parametrize("with_marked", [False, True], ids=["all", "marked"])
 def test_candidate_pairs_are_the_brute_force_pairs_within_reach(
         dim, offset, with_marked):
-    # the search is pinned by the pair set it returns, whatever the tree
+    # the search is pinned by the pair set it returns, whatever the grid
     # layout: every pair (i < j) within reach, i marked when points are
     # marked; a duplicated point pairs at distance 0
     rng = np.random.default_rng(dim)
@@ -181,17 +199,96 @@ def test_candidate_pairs_are_the_brute_force_pairs_within_reach(
     points += offset
     reach = 0.15 if dim == 3 else 0.05
     marked = rng.random(600) < 0.5 if with_marked else None
-    i, j = distances._candidate_pairs(points, reach, marked)
     gap = np.linalg.norm(points[:, None] - points[None, :], axis=-1)
     # no pair so near the reach that rounding could decide it
     assert not np.any(np.abs(gap - reach) <= 1e-9 * reach)
-    within = np.triu(gap <= reach, 1)
-    if with_marked:
-        within &= marked[:, None]
-    brute_i, brute_j = np.nonzero(within)
-    assert brute_i.size > 500
-    assert sorted(zip(i.tolist(), j.tolist())) == list(
-        zip(brute_i.tolist(), brute_j.tolist()))
+    brute = _brute_pairs(points, reach, marked)
+    assert len(brute) > 500
+    assert _searched_pairs(points, reach, marked) == brute
+
+
+def _masks(n, rng, with_marked) -> list:
+    """None, or a random mask, no point marked and every point marked."""
+    if not with_marked:
+        return [None]
+    return [rng.random(n) < 0.5, np.zeros(n, dtype=bool),
+            np.ones(n, dtype=bool)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("case", ["one point", "coincident", "reach 0",
+                                  "collinear", "lattice"])
+@pytest.mark.parametrize("with_marked", [False, True], ids=["all", "marked"])
+def test_candidate_pairs_of_degenerate_inputs_are_the_brute_force_pairs(
+        dim, case, with_marked):
+    # inputs with no extent along some or all axes, or no reach: the grid
+    # has one cell along them, or cells of a positive side; and a lattice
+    # far from the origin, whose nearest pairs lie exactly at the reach,
+    # where a cell boundary falls between them
+    rng = np.random.default_rng(dim)
+    if case == "one point":
+        inputs = [(rng.uniform(size=(1, dim)), 0.1)]
+    elif case == "coincident":
+        inputs = [(np.full((30, dim), 0.3), reach) for reach in (0.1, 0.0)]
+    elif case == "reach 0":
+        inputs = [(np.repeat(rng.uniform(size=(20, dim)), 3, axis=0), 0.0)]
+    elif case == "lattice":  # 2^20 + the integers 0..4 along each axis
+        axes = np.meshgrid(*[np.arange(5.0)] * dim, indexing="ij")
+        points = np.stack([a.ravel() for a in axes], axis=1) + 2.0 ** 20
+        inputs = [(points[rng.permutation(len(points))], 1.0)]
+    else:  # 40 points 0.1 apart along each axis in turn, 2 per reach
+        inputs = []
+        for axis in range(dim):
+            points = np.full((40, dim), 5.0)
+            points[:, axis] += 0.1 * rng.permutation(40)
+            inputs.append((points, 0.25))
+    for points, reach in inputs:
+        for marked in _masks(len(points), rng, with_marked):
+            brute = _brute_pairs(points, reach, marked)
+            assert _searched_pairs(points, reach, marked) == brute
+            if marked is None and case != "one point":
+                assert brute
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("with_marked", [False, True], ids=["all", "marked"])
+def test_candidate_pairs_keep_the_grid_small_for_a_wide_extent(
+        dim, with_marked):
+    # 300 points in a unit box and one 1e9 reaches away: at cells of half
+    # the reach the box would need 2e9 cells per axis; the grid widens its
+    # cells to hold O(n) of them, and memory stays that of a small search
+    import tracemalloc
+
+    rng = np.random.default_rng(dim)
+    points = rng.uniform(size=(301, dim))
+    reach = 0.05 if dim == 3 else 0.01
+    points[-1] = 1e9 * reach
+    distances._candidate_pairs(points, reach)  # the thread's buffers
+    for marked in _masks(len(points), rng, with_marked):
+        tracemalloc.start()
+        try:
+            pairs = _searched_pairs(points, reach, marked)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pairs == _brute_pairs(points, reach, marked)
+        assert peak < 2 << 20
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("with_marked", [False, True], ids=["all", "marked"])
+def test_candidate_pairs_expand_in_blocks(dim, with_marked, monkeypatch):
+    # blocks of 16 candidates: several query blocks, and queries whose own
+    # candidates overflow a block
+    monkeypatch.setattr(distances, "_GRID_BLOCK", 16)
+    rng = np.random.default_rng(dim)
+    points = rng.uniform(size=(400, dim))
+    points[350:] = points[:50]
+    reach = 0.15 if dim == 3 else 0.05
+    for marked in _masks(len(points), rng, with_marked):
+        brute = _brute_pairs(points, reach, marked)
+        assert len(brute) > 16 * 10 or (marked is not None and not marked.any())
+        assert _searched_pairs(points, reach, marked) == brute
 
 
 def _einsum_distances(p1, d1, p2, d2):

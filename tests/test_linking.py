@@ -242,7 +242,7 @@ _BOXES = {
 
 @pytest.mark.parametrize("name", list(_BOXES))
 def test_box_pairs_are_the_brute_force_overlaps(name):
-    # the one KD-tree query over box centres, filtered, keeps exactly the
+    # the one near-pair query over box centres, filtered, keeps exactly the
     # pairs of different components whose boxes overlap on both axes
     lo, hi, labels = _BOXES[name]()
     a, b = linking._overlapping_boxes(lo, hi, labels)
