@@ -132,7 +132,6 @@ _BUILD_KIND_FLAGS = {
     "torus": (("t", "p", "double"), "applies to torus methods only"),
     "optimal": (("count_mode",), "applies to the optimal method only"),
     "planar": (("q", "optimize"), "applies to planar families only"),
-    "double": (("mirror",), "reflects the second copy, so it needs --double"),
     "optimize": (("restarts", "maxfev"), "tunes --optimize, so it needs it"),
     "out": (("format",), "chooses the format of --out, so it needs it"),
 }
@@ -142,10 +141,10 @@ def _check_build_flags(args, defaults):
     """Usage error for a flag that differs from its value in `defaults`
     (what `build METHOD` alone parses to, --config defaults included) on a
     build whose kinds do not take it: its method, "torus" or "planar", and
-    "double", "optimize" or "out" when that flag is set."""
+    "optimize" or "out" when that flag is set."""
     m = args.method
     kinds = {m, "torus" if m in TORUS_METHODS else "planar",
-             *(k for k in ("double", "optimize", "out") if getattr(args, k))}
+             *(k for k in ("optimize", "out") if getattr(args, k))}
     for kind, (dests, reason) in _BUILD_KIND_FLAGS.items():
         for dest in dests:
             if kind not in kinds and getattr(args, dest) != getattr(defaults, dest):
@@ -162,12 +161,10 @@ def cmd_build(args) -> int:
             spec = build_optimal_spec(args.t, args.count_mode, p=args.p)
         else:
             spec = build_increment_spec(args.t, int(method[3:]), p=args.p)
-        report = construction_report(spec, doubled=args.double, mirrored=args.mirror)
+        report = construction_report(spec, doubled=args.double)
         payload["construction"] = report.as_dict()
         if args.double:
-            link = donut_double(
-                spec, mirror=args.mirror, n_points=args.points, check=False
-            )
+            link = donut_double(spec, n_points=args.points, check=False)
         else:
             link = realize_torus(spec, n_points=args.points, check=False)
         absolute = True
@@ -395,9 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, help="shells (torus methods)")
     p.add_argument("--p", type=int, default=1)
     p.add_argument("--double", action="store_true",
-                   help="thread a second congruent copy through the hole")
-    p.add_argument("--mirror", action="store_true",
-                   help="reflect the second copy (with --double)")
+                   help="thread a second copy through the hole (p = 1 only)")
     p.add_argument("--optimize", action="store_true",
                    help="optimize family parameters first (planar methods)")
     p.add_argument("--restarts", type=int, default=1)

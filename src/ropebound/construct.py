@@ -19,9 +19,9 @@ one winding once around a hole p times smaller.  Two builds are provided:
 
 donut_double threads a second congruent torus through the first one's hole
 (Hopf-linking every component of one copy with every component of the other),
-which requires R0 >= 2 r_outer + 2 and turns T(pQ, Q) into a T(Q', Q')-type
-link of 2Q components with crossing number 2 p Q (Q-1) + 2 Q^2.  toroidal_pair
-threads two tori of a core and six helices the same way at a free separation.
+which requires R0 >= 2 r_outer + 2 and turns T(Q, Q) into a T(2Q, 2Q)-type
+link; it refuses p > 1, for which no crossing number is derived.  toroidal_pair
+threads its copy the same way at a free separation: both are doubled tori.
 
 Planar builds place q convex loops (circles or flattened "gibbous" ovals)
 evenly around an axis, each displaced outward and tilted so consecutive loops
@@ -434,7 +434,6 @@ class ConstructionReport:
     predicted_length: float
     alpha_predicted: float | None
     doubled: bool = False
-    mirrored: bool = False
     inflation: float = 1.0
 
     def as_dict(self) -> dict:
@@ -443,15 +442,13 @@ class ConstructionReport:
         return d
 
 
-def construction_report(
-    spec: TorusSpec, doubled: bool = False, mirrored: bool = False
-) -> ConstructionReport:
+def construction_report(spec: TorusSpec,
+                        doubled: bool = False) -> ConstructionReport:
     """Predicted length, crossing number, and coefficient for a (possibly
-    doubled) torus spec; doubling inflates the major radius if needed."""
-    inflation = 1.0
-    realized_spec = spec
-    if doubled:
-        realized_spec, inflation = _inflated_for_doubling(spec)
+    doubled) torus spec; doubling inflates the major radius if needed, and
+    refuses p > 1 (ValueError)."""
+    realized_spec, inflation = (_inflated_for_doubling(spec) if doubled
+                                else (spec, 1.0))
     (length,), (crossings,), (alpha,) = _predicted(
         TorusBatch.of(realized_spec), doubled
     )
@@ -463,7 +460,6 @@ def construction_report(
         predicted_length=length,
         alpha_predicted=alpha,
         doubled=doubled,
-        mirrored=mirrored,
         inflation=inflation,
     )
 
@@ -513,57 +509,54 @@ def realize_torus(
 def _inflated_for_doubling(spec: TorusSpec) -> tuple:
     """(spec, 1.0) when its major radius permits donut doubling, else (spec
     at the smallest major radius 2 r_outer + 2 that does, inflation
-    factor); see _inflated."""
+    factor); see _inflated.  A spec of p > 1 raises ValueError."""
+    if spec.p > 1:
+        raise ValueError(f"a doubled torus of p = {spec.p} is no torus link: "
+                         f"no crossing number is derived for that link")
     batch, factors = _inflated(TorusBatch.of(spec))
     if batch.majors[0] == spec.major_radius:
         return spec, 1.0
     return replace(spec, major_radius=float(batch.majors[0])), float(factors[0])
 
 
-def _threaded_copy(components, separation: float, mirror: bool = False) -> list:
-    """The second copy of a threaded pair of tori: `components` turned 90
-    degrees about the x axis (after a reflection through the xy plane when
-    `mirror`) and shifted by `separation` along x, so its tube circle passes
-    through the first torus' hole."""
+def _threaded(spec: TorusSpec, separation: float, n_points: int,
+              description: str, metadata: dict) -> LinkConfiguration:
+    """The torus of `spec` and a copy turned 90 degrees about the x axis and
+    shifted by `separation` along x, through its hole: copy 1 then copy 2,
+    in realize_torus order, with a doubled torus's metadata and `metadata`.
+    Each copy-2 component is a rigid motion of its copy-1 twin, so
+    measure_link puts the two in one class."""
+    first = realize_torus(spec, n_points=n_points, check=False)
     rot = rotation_about_axis((1.0, 0.0, 0.0), 0.5 * math.pi)
-    if mirror:
-        rot = rot @ np.diag([1.0, 1.0, -1.0])
     shift = np.array([separation, 0.0, 0.0])
-    return [c.transformed(rot, shift) for c in components]
+    second = [c.transformed(rot, shift) for c in first.components]
+    return LinkConfiguration(
+        first.components + second,
+        crossing_number=spec.crossing_number(doubled=True),
+        description=description,
+        metadata={"family": "torus", "doubled": True, "spec": spec.as_dict(),
+                  **metadata},
+    )
 
 
 def donut_double(
     spec: TorusSpec,
-    mirror: bool = False,
     n_points: int = 1000,
     check: bool = True,
 ) -> LinkConfiguration:
     """Thread a second congruent copy of the torus through the first's hole.
 
-    The second copy is rotated 90 degrees about the x axis and translated
-    along x by the (inflated) major radius, so its tube circle passes through
-    the first torus' hole at constant clearance; mirror=True reflects the
-    second copy through the xy plane first, producing the opposite-chirality
-    variant.  Components are copy 1 then copy 2, in realize_torus order;
-    each copy-2 component is congruent to its copy-1 twin (both variants
-    are isometries), so measure_link puts the two in one class.  check=True
-    verifies the doubled link as realize_torus does, expecting |lk| = 1
-    between the two copies.
+    The second copy is threaded at the (inflated) major radius, so its tube
+    circle passes through the first torus' hole at constant clearance
+    (`_threaded`).  A spec of p > 1 raises ValueError: no crossing number
+    is derived for its double.  check=True verifies the doubled link as
+    realize_torus does, expecting |lk| = 1 between the two copies.
     """
     inflated, inflation = _inflated_for_doubling(spec)
-    first = realize_torus(inflated, n_points=n_points, check=False)
-    second = _threaded_copy(first.components, inflated.major_radius, mirror)
-    config = LinkConfiguration(
-        list(first.components) + second,
-        crossing_number=spec.crossing_number(doubled=True),
-        description=f"doubled torus link of {2 * spec.q} components, p={spec.p}",
-        metadata={
-            "family": "torus",
-            "doubled": True,
-            "mirrored": mirror,
-            "inflation": inflation,
-            "spec": inflated.as_dict(),
-        },
+    config = _threaded(
+        inflated, inflated.major_radius, n_points,
+        f"doubled torus link of {2 * spec.q} components, p={spec.p}",
+        {"inflation": inflation},
     )
     return _checked(config) if check else config
 
@@ -583,23 +576,17 @@ def toroidal_pair(
     major radius it is the donut double), letting an optimizer trade
     inter-copy clearance against intra-copy helix gaps.  The common `phase`
     rotates each torus about its own axis, changing the relative geometry of
-    the two copies.  The parameters' start values and bounds are the
-    "toroidal_pair" row of FAMILIES.
+    the two copies.  It is a doubled torus to `measure.verify`, so the
+    objective is inf where its linking is wrong.  The parameters' start
+    values and bounds are the "toroidal_pair" row of FAMILIES.
     """
     spec = TorusSpec(
         [shell_radius], [6], has_core=True, major_radius=major_radius,
         phases=[phase],
     )
-    first = realize_torus(spec, n_points=n_points, check=False)
-    second = _threaded_copy(first.components, separation)
-    q = spec.q
-    return LinkConfiguration(
-        list(first.components) + second,
-        crossing_number=spec.crossing_number(doubled=True),
-        description=f"two threaded tori of {q} components each",
-        metadata={"family": "toroidal_pair", "spec": spec.as_dict(),
-                  "separation": separation},
-    )
+    return _threaded(spec, separation, n_points,
+                     f"two threaded tori of {spec.q} components each",
+                     {"separation": separation})
 
 
 def build_planar_link(

@@ -4,9 +4,9 @@ A configuration of unit-thickness tubes is embedded when every pair of
 distinct components stays at least one tube diameter (2 units) apart, every
 component keeps that same clearance from itself away from local neighbours,
 and no centreline bends tighter than the tube radius (1 unit).  A torus
-link must also have the linking pattern its construction promises.  The
-normalized ropelength rescales the total centreline length by the worst
-violation, so it is invariant under uniform scaling and rigid motions.
+link must also have the linking pattern its construction promises, with one
+chirality.  The normalized ropelength rescales the total centreline length
+by the worst violation, so it is invariant under scaling and rigid motions.
 `verify` is the one place that decides whether measured metrics describe such
 an embedding.
 
@@ -351,6 +351,19 @@ def _expected_linking(config: LinkConfiguration) -> np.ndarray | None:
     return pattern
 
 
+def _linked_as(linking, pattern) -> bool:
+    """Whether |linking| is `pattern` with one chirality: every triangle
+    sign product s_ij s_0i s_0j (1 <= i < j) is one value.  That product
+    does not depend on orientations, it is the same for every triple of a
+    T(Q, Q) torus link, and the triples through component 0 fix the rest."""
+    if linking is None or not np.array_equal(np.abs(linking), pattern):
+        return False
+    s = np.sign(linking)
+    products = s[1:, 1:] * np.outer(s[0, 1:], s[0, 1:])
+    off = products[~np.eye(len(products), dtype=bool)]
+    return bool(np.all(off == off[:1]))
+
+
 def verify(
     config: LinkConfiguration,
     metrics: LinkMetrics,
@@ -368,8 +381,9 @@ def verify(
     matrix, or None when it is undefined because components intersect.
     "linking_ok" is reported when the metadata of `config` describes a torus
     construction, and holds when |linking| equals its expected pattern entry
-    for entry (the matrix is computed here when not given); it is also
-    reported, as failed, whenever the linking is undefined.  "passed" is the
+    for entry with one chirality (`_linked_as`; the matrix is computed here
+    when not given); it is also reported, as failed, whenever the linking
+    is undefined.  "passed" is the
     conjunction of the individual checks.  The clearance verdicts hold with
     `metrics.margin` to spare: a link measured modulo a symmetry passes only
     when a clearance 2 eps below the measured one would, which bounds the
@@ -392,8 +406,6 @@ def verify(
     if pattern is not None and linking is _UNMEASURED:
         linking = linking_matrix(config.components)
     if linking is None or pattern is not None:
-        checks["linking_ok"] = linking is not None and bool(
-            np.array_equal(np.abs(linking), pattern)
-        )
+        checks["linking_ok"] = _linked_as(linking, pattern)
     checks["passed"] = all(checks.values())
     return checks

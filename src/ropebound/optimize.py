@@ -7,9 +7,10 @@ scale-invariant normalized ropelength of the realized configuration (total
 length over thickness), so the optimum is exactly the quantity the rest of
 the library measures and bounds.  The minimizer is a reflection/expansion/
 contraction simplex over box-bounded parameters with boundary clamping;
-infeasible parameter vectors (self intersections, invalid shapes) evaluate
-to +inf and are recovered from by contraction.  Restarts jitter the starting
-point deterministically from a seeded generator.
+infeasible parameter vectors (self intersections, invalid shapes, threaded
+tori whose linking `measure.verify` rejects) evaluate to +inf and are
+recovered from by contraction.  Restarts jitter the starting point
+deterministically from a seeded generator.
 """
 
 from __future__ import annotations

@@ -1,9 +1,25 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and helpers shared by the test modules."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ropebound import distances, measure
+from ropebound.construct import donut_double
+
+
+def mirrored_double(spec, n_points):
+    """The donut double of `spec` with its second copy reflected through
+    the xz plane, which holds that copy's core circle: the copy stays
+    threaded, with the opposite chirality to the first, so the link is no
+    torus link.  No construction builds it, but a file can hold it, so
+    measure and linking must handle it, and verify must reject it."""
+    link = donut_double(spec, n_points=n_points, check=False)
+    q = link.n_components // 2
+    flip = np.diag([1.0, -1.0, 1.0])
+    return replace(link, components=link.components[:q] + [
+        c.transformed(flip) for c in link.components[q:]])
 
 
 @pytest.fixture

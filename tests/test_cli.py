@@ -33,6 +33,8 @@ from ropebound.helices import toroidal_correction
 from ropebound.io_formats import export_geometry, import_geometry
 from ropebound.measure import LinkConfiguration
 
+from conftest import mirrored_double
+
 
 def _run_json(capsys, argv):
     code = main(argv)
@@ -399,7 +401,7 @@ def test_export_of_open_components_to_csv_exits_2_and_writes_nothing(
         assert [c.closed for c in import_geometry(str(again)).components] == [False]
 
 
-@pytest.mark.parametrize("extra", [[], ["--double"], ["--double", "--mirror"]])
+@pytest.mark.parametrize("extra", [[], ["--double"]])
 def test_build_torus_verifies_linking_pattern(capsys, monkeypatch, extra):
     seen = []
     linking_matrix = cli.linking_matrix
@@ -495,11 +497,8 @@ def test_an_empty_evaluation_budget_exits_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["inc4", "--t", "1", "--mirror"], "--mirror reflects the second copy"),
-    (["circles", "--q", "3", "--mirror"], "--mirror reflects the second copy"),
     (["circles", "--q", "3", "--double"], "--double applies to torus"),
-    (["gibbous", "--q", "3", "--double", "--mirror"],
-     "--double applies to torus"),
+    (["gibbous", "--q", "3", "--double"], "--double applies to torus"),
     (["inc4", "--t", "1", "--optimize"], "--optimize applies to planar"),
     (["optimal", "--t", "1", "--double", "--optimize"],
      "--optimize applies to planar"),
@@ -896,6 +895,40 @@ def test_check_asserts_the_linking_pattern_of_a_json_spec(capsys, tmp_path,
     assert check["verification"]["linking_ok"] is not tampered
     assert check["verification"]["min_distance_ok"] is True
     assert check["verification"]["passed"] is not tampered
+
+
+def test_check_fails_a_mirrored_double(capsys, tmp_path):
+    # a double whose second copy is reflected links every pair once, as a
+    # doubled torus does, but with two chiralities: written as JSON with a
+    # doubled torus's metadata, its check fails on linking alone
+    link = mirrored_double(build_increment_spec(1, 4), 200)
+    assert link.metadata["family"] == "torus" and link.metadata["doubled"]
+    geom = export_geometry(link, path=str(tmp_path / "mirrored.json"))
+    code, check = _run_json(capsys, ["check", geom])
+    assert code == 1
+    lk = np.array(check["linking_matrix"])
+    assert np.array_equal(np.abs(lk), 1 - np.eye(10, dtype=int))
+    assert check["verification"] == {"min_distance_ok": True,
+                                     "curvature_ok": True,
+                                     "linking_ok": False, "passed": False}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["inc4", "--t", "1", "--double", "--mirror"],
+     "unrecognized arguments: --mirror"),
+    (["inc4", "--t", "1", "--p", "2", "--double"],
+     "no crossing number is derived"),
+    (["optimal", "--t", "2", "--p", "2", "--double"],
+     "no crossing number is derived"),
+])
+def test_build_refuses_a_double_of_no_derived_type(capsys, argv, message):
+    # the mirrored double and doubles of p > 1 are no torus links of a
+    # derived crossing number, so neither is built: exit 2, and nothing on
+    # stdout
+    assert _exit_code(["build", *argv, "--points", "50"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")

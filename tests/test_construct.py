@@ -7,7 +7,7 @@ import pytest
 
 from ropebound import _groups, distances, measure
 from ropebound.bounds import lower_bound_report
-from ropebound.cli import _sig12
+from ropebound.cli import _sig12, main
 from ropebound.construct import (
     FAMILIES,
     OverlapError,
@@ -28,6 +28,8 @@ from ropebound.helices import toroidal_correction
 from ropebound.io_formats import export_geometry, import_geometry
 from ropebound.linking import linking_matrix
 from ropebound.measure import LinkConfiguration, measure_link, verify
+
+from conftest import mirrored_double
 
 RHO5 = 2.0 + 10.0 / math.sqrt(4.0 * math.pi ** 2 - 25.0)
 
@@ -187,28 +189,34 @@ def test_realized_components_all_pairwise_linked():
 def test_torus_links_of_p_windings_verify(method, p, t, doubled):
     # shells packed for helices of p windings (inc4: a hole p times the
     # rectangle rule's; optimal: max_helices(2i, 2T/p)), staggered by
-    # 2 pi j / (n p): the link verifies, with |lk| = p within a torus and
-    # 1 across copies, and its predicted length is the realized one within
-    # the sampling error
+    # 2 pi j / (n p): the link verifies, with |lk| = p for every pair, and
+    # its predicted length is the realized one within the sampling error.
+    # Its double would link p times within a copy and once across, which
+    # no torus link does, and no crossing number is derived for it: the
+    # same spec is refused, and `build --double` exits 2
     spec = (build_optimal_spec(t, p=p) if method == "optimal"
             else build_increment_spec(t, 4, p=p))
     assert spec.p == p
-    link = (donut_double(spec, n_points=400, check=False) if doubled
-            else realize_torus(spec, n_points=400, check=False))
+    if doubled:
+        with pytest.raises(ValueError, match="no crossing number is derived"):
+            donut_double(spec, n_points=50, check=False)
+        with pytest.raises(ValueError, match="no crossing number is derived"):
+            construction_report(spec, doubled=True)
+        assert main(["build", method, "--t", str(t), "--p", str(p),
+                     "--double", "--points", "50"]) == 2
+        return
+    link = realize_torus(spec, n_points=400, check=False)
     metrics = measure_link(link)
     lk = np.abs(linking_matrix(link.components))
     assert verify(link, metrics, lk)["passed"]
     q = spec.q
-    assert np.all(lk[:q, :q][np.triu_indices(q, 1)] == p)
-    assert np.all(lk[:q, q:] == 1)
-    report = construction_report(spec, doubled=doubled)
+    assert np.all(lk[np.triu_indices(q, 1)] == p)
+    report = construction_report(spec)
     assert report.predicted_length == pytest.approx(metrics.total_length,
                                                     rel=2e-4)
     if q >= 2:
-        # a doubled link holds the single torus, a T(pQ, Q) link, so the
-        # bound holds for it too; the report is "conditional" for p > 1,
-        # since its Wegner term counts the strands through a component's
-        # disk heuristically
+        # the report is "conditional" for p > 1, since its Wegner term
+        # counts the strands through a component's disk heuristically
         bound = lower_bound_report(p, q)
         assert bound.rigor_flag == "conditional"
         assert metrics.normalized_length >= bound.best_bound
@@ -242,6 +250,56 @@ def test_realize_rejects_wrong_linking(monkeypatch):
         "embeddable": True, "passed": True}
 
 
+def test_verify_requires_one_chirality():
+    # every triangle sign product s_ij s_0i s_0j is one value in a torus
+    # link: flipping the sign of one pair of doubled inc4 T=1 keeps |lk|
+    # right and breaks it, and so does reflecting the second copy
+    spec = build_increment_spec(1, 4)
+    link = donut_double(spec, n_points=200, check=False)
+    metrics = measure_link(link)
+    lk = linking_matrix(link.components)
+    assert verify(link, metrics, lk)["linking_ok"] is True
+    flipped = lk.copy()
+    flipped[3, 7] = flipped[7, 3] = -lk[3, 7]
+    checks = verify(link, metrics, flipped)
+    assert checks["linking_ok"] is False and checks["passed"] is False
+    mirrored = mirrored_double(spec, 200)
+    lk = linking_matrix(mirrored.components)
+    assert np.array_equal(np.abs(lk), measure._expected_linking(mirrored))
+    checks = verify(mirrored, measure_link(mirrored), lk)
+    assert checks["linking_ok"] is False and checks["min_distance_ok"] is True
+
+
+_BUILT_TORI = {
+    "inc4 T=2": lambda: realize_torus(build_increment_spec(2, 4), 120, False),
+    "inc5 T=1": lambda: realize_torus(build_increment_spec(1, 5), 120, False),
+    "optimal T=2": lambda: realize_torus(build_optimal_spec(2), 120, False),
+    "inc4 T=2 p=2": lambda: realize_torus(build_increment_spec(2, 4, p=2),
+                                          120, False),
+    "inc4 T=1 p=3": lambda: realize_torus(build_increment_spec(1, 4, p=3),
+                                          120, False),
+    "optimal T=2 p=2": lambda: realize_torus(build_optimal_spec(2, p=2),
+                                             120, False),
+    "doubled inc4 T=2": lambda: donut_double(build_increment_spec(2, 4), 120,
+                                             False),
+    "doubled inc5 T=1": lambda: donut_double(build_increment_spec(1, 5), 120,
+                                             False),
+    "doubled optimal T=2": lambda: donut_double(build_optimal_spec(2), 120,
+                                                False),
+    "toroidal_pair": lambda: toroidal_pair(*FAMILIES["toroidal_pair"].start,
+                                           n_points=120),
+}
+
+
+@pytest.mark.parametrize("name", list(_BUILT_TORI))
+def test_every_built_torus_has_one_chirality(name):
+    # the links the package builds pass the sign invariant with their
+    # signed linking matrix
+    link = _BUILT_TORI[name]()
+    lk = linking_matrix(link.components)
+    assert verify(link, measure_link(link), lk)["linking_ok"] is True
+
+
 def test_realized_orbits_map_each_shell_to_its_first_helix():
     # the classes come from the coordinates: a shell's helices are rotations
     # of its first one, and a doubled link's copy-2 components are
@@ -250,8 +308,9 @@ def test_realized_orbits_map_each_shell_to_its_first_helix():
     single = realize_torus(spec, n_points=60, check=False)
     classes = (0,) + (1,) * 4 + (5,) * 8
     assert tuple(measure._symmetry(single.components).classes) == classes
-    for mirror in (False, True):
-        doubled = donut_double(spec, mirror=mirror, n_points=60, check=False)
+    # the mirrored double's copy-2 components are improper images
+    for doubled in (donut_double(spec, n_points=60, check=False),
+                    mirrored_double(spec, 60)):
         assert tuple(measure._symmetry(doubled.components).classes) == classes * 2
     optimal = build_optimal_spec(2)  # no core
     n1, n2 = optimal.counts.tolist()
@@ -490,8 +549,9 @@ def _torus_link(method, t, variant, n_points=120):
         build_increment_spec(t, int(method[3:])))
     if variant == "single":
         return realize_torus(spec, n_points=n_points, check=False)
-    return donut_double(spec, mirror=variant == "mirror", n_points=n_points,
-                        check=False)
+    if variant == "mirror":
+        return mirrored_double(spec, n_points)
+    return donut_double(spec, n_points=n_points, check=False)
 
 
 def _brute_force(link):
@@ -665,7 +725,7 @@ def test_donut_double_mirror_metrics_match():
     # live on mirror-symmetric substructures so the metrics agree exactly
     spec = build_increment_spec(1, 4)
     plain = measure_link(donut_double(spec, n_points=400))
-    mirrored = measure_link(donut_double(spec, mirror=True, n_points=400))
+    mirrored = measure_link(mirrored_double(spec, 400))
     assert mirrored.total_length == pytest.approx(plain.total_length, rel=1e-12)
     assert mirrored.min_overall_distance == pytest.approx(
         plain.min_overall_distance, rel=1e-12

@@ -25,6 +25,8 @@ from ropebound.curves import (
 from ropebound.distances import min_distance_brute
 from ropebound.linking import linking_matrix
 
+from conftest import mirrored_double
+
 
 def _quad_solid_angles(a, b, c, d):
     """Signed solid angle of the spherical quadrilateral with vertex
@@ -351,8 +353,8 @@ _LINKS = {
     "optimal T=2": lambda: realize_torus(build_optimal_spec(2), 120, False),
     "doubled inc4 T=1": lambda: donut_double(
         build_increment_spec(1, 4), n_points=120, check=False),
-    "mirrored doubled inc4 T=1": lambda: donut_double(
-        build_increment_spec(1, 4), mirror=True, n_points=120, check=False),
+    "mirrored doubled inc4 T=1": lambda: mirrored_double(
+        build_increment_spec(1, 4), 120),
     "p=2 torus": lambda: realize_torus(_P2_SPEC, 200, False),
     "circles q=6": lambda: build_planar_link(6, "circles", n_points=150),
     "gibbous q=5": lambda: build_planar_link(5, "gibbous", n_points=150),

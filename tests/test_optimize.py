@@ -13,6 +13,7 @@ from ropebound.construct import (
     toroidal_pair,
 )
 from ropebound.curves import PolyCurve, sample_planar_curve
+from ropebound.linking import linking_matrix
 from ropebound.measure import (
     LinkConfiguration,
     measure_link,
@@ -240,7 +241,10 @@ def test_toroidal_pair_structure():
     config = toroidal_pair(6.4, 6.4, 0.0, 2.0, n_points=120)
     assert config.n_components == 14
     assert config.crossing_number == 182
-    assert config.metadata["family"] == "toroidal_pair"
+    # a doubled torus's metadata, so verify checks its linking pattern
+    assert config.metadata["family"] == "torus"
+    assert config.metadata["doubled"] is True
+    assert config.metadata["spec"]["p"] == 1
     assert config.metadata["separation"] == pytest.approx(6.4)
 
 
@@ -249,6 +253,20 @@ def test_toroidal_pair_problem_objective():
     value = problem.objective(problem.initial_params)
     assert value == pytest.approx(604.330419676429, rel=1e-12)
     assert value / C_PAIR == pytest.approx(12.196098255847597, rel=1e-12)
+
+
+def test_toroidal_pair_objective_rejects_a_wrong_linking_pattern():
+    # at separation 9 the copies are embedded but no longer all linked (42
+    # of the 49 cross pairs are): a finite ropelength for another link, so
+    # the objective is inf; the start point keeps its value bit for bit
+    problem = OptimizationProblem("toroidal_pair", q=14, n_points=200)
+    link = problem.build([6.0, 9.0, 0.0, 2.2])
+    assert measure_thickness(link).normalized_length == pytest.approx(
+        4419.110586564394, rel=1e-12)
+    lk = linking_matrix(link.components)
+    assert np.count_nonzero(lk[:7, 7:]) == 42
+    assert problem.objective([6.0, 9.0, 0.0, 2.2]) == np.inf
+    assert problem.objective(problem.initial_params) == 604.4234942612318
 
 
 def test_toroidal_pair_tuned_parameters_beat_twelve():
