@@ -252,8 +252,9 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-# Shells per chunk of a sweep: each (shells x 65) or (shells x 64)
-# temporary of the packing and correction passes stays near 4 MiB.
+# Shells per chunk of a sweep: it bounds the per-shell arrays of a chunk's
+# array passes; their bracket rows and quadrature nodes are bounded by
+# helices._BLOCK.
 _SWEEP_CHUNK_SHELLS = 1 << 13
 
 

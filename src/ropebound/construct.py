@@ -252,7 +252,11 @@ class TorusBatch(NamedTuple):
 
 def _crossing_number(q: int, p: int, doubled: bool) -> int:
     """Crossing number of a T(pQ, Q) torus link of q components, or of its
-    donut double, a link of 2q components."""
+    donut double, a link of 2q components.  A double of p > 1 raises
+    ValueError: it is no torus link."""
+    if doubled and p > 1:
+        raise ValueError(f"a doubled torus of p = {p} is no torus link: "
+                         f"no crossing number is derived for that link")
     single = p * q * (q - 1)
     return 2 * single + 2 * q * q if doubled else single
 
@@ -510,9 +514,7 @@ def _inflated_for_doubling(spec: TorusSpec) -> tuple:
     """(spec, 1.0) when its major radius permits donut doubling, else (spec
     at the smallest major radius 2 r_outer + 2 that does, inflation
     factor); see _inflated.  A spec of p > 1 raises ValueError."""
-    if spec.p > 1:
-        raise ValueError(f"a doubled torus of p = {spec.p} is no torus link: "
-                         f"no crossing number is derived for that link")
+    spec.crossing_number(doubled=True)  # refuses p > 1
     batch, factors = _inflated(TorusBatch.of(spec))
     if batch.majors[0] == spec.major_radius:
         return spec, 1.0

@@ -325,7 +325,7 @@ _INDEXED_PAIRS = 1 << 15
 
 # Cells of the near-pair grid are this much wider than half the reach, and
 # its gap and width tests allow this much, in cells, for rounding
-# (`_candidate_pairs`).
+# (`_candidate_blocks`).
 _CELL_MARGIN = 2.0 ** -20
 
 # Cells the near-pair grid may hold per point, padding included (plus
@@ -338,7 +338,8 @@ _CELLS_PER_POINT = 8
 # most of it page faults (2 CPUs, numpy 2.4).
 _GRID_BLOCK = 1 << 13
 
-# Pairs per array in which the near-pair search gathers what it finds.
+# Pairs per group in which the near-pair search gathers what it finds and
+# hands it out (`_candidate_groups`).
 _GATHER = 1 << 19
 
 
@@ -356,7 +357,36 @@ def _stencil_rows(dim: int, half: bool) -> np.ndarray:
 def _candidate_pairs(points, reach: float, marked=None):
     """All index pairs (i, j), i < j, of `points` (n rows of any dimension)
     that lie within `reach` (finite, at least 0) of each other; with
-    `marked`, a mask over the points, only the pairs whose i it marks.  The
+    `marked`, a mask over the points, only the pairs whose i it marks: the
+    groups of `_candidate_groups`, joined in order."""
+    return _joined(list(_candidate_groups(points, reach, marked)))
+
+
+def _candidate_groups(points, reach: float, marked=None):
+    """The pairs of `_candidate_pairs`, handed out as (i, j) arrays of
+    _GATHER pairs or more (the last may hold fewer) as they are gathered,
+    so that a caller that filters each group holds one group at a time.
+    The blocks of `_candidate_blocks` are joined as they come: thousands of
+    block arrays, freed only at the end, would stay resident as free heap.
+    While a caller holds a group, the generator keeps only the group's
+    first block besides, and the search's grid until every pair is found."""
+    blocks = _candidate_blocks(points, reach, marked)
+    for first in blocks:
+        yield _joined(_gathered(first, blocks))
+
+
+def _gathered(first, blocks) -> list:
+    """`first` and the pair blocks that follow it in `blocks`, until they
+    hold _GATHER pairs or `blocks` ends."""
+    held, waiting = [first], first[0].size
+    while waiting < _GATHER and (pair := next(blocks, None)) is not None:
+        held.append(pair)
+        waiting += pair[0].size
+    return held
+
+
+def _candidate_blocks(points, reach: float, marked=None):
+    """The pairs of `_candidate_pairs`, handed out block by block.  The
     relative 1e-12 covers rounding in the point distances.
 
     The points go into a uniform cell grid (the linked-cell method of
@@ -381,13 +411,13 @@ def _candidate_pairs(points, reach: float, marked=None):
     width _CELL_MARGIN wider.  The grid holds O(n) cells whatever the
     extent: when the padded box would hold more at side h, the cells are
     widened, so no key overflows.  Candidates expand in blocks of about
-    _GRID_BLOCK pairs, so working memory is one block plus the pairs kept.
+    _GRID_BLOCK pairs, so working memory is the grid and one block.
     """
     reach = reach * (1.0 + 1e-12)
     x = np.ascontiguousarray(np.asarray(points, dtype=float).T)
     dim, n = x.shape
     if n < 2:
-        return _joined([])
+        return
     lo = x.min(axis=1)
     extent = (x.max(axis=1) - lo).tolist()
     cap = _CELLS_PER_POINT * n + 8 ** dim
@@ -424,7 +454,6 @@ def _candidate_pairs(points, reach: float, marked=None):
     rr = (reach / cell) ** 2
     top = float(dims[-1] - 1)
     limit = reach * reach
-    found, held, waiting = [], [], 0  # pairs gathered, and per block
     step = max(1, _GRID_BLOCK // shifts.size)
     for k in range(0, query.size, step):
         q = query[k : k + step]
@@ -479,18 +508,10 @@ def _candidate_pairs(points, reach: float, marked=None):
             keep = d2 <= limit
             a, b = order.take(a.compress(keep)), order.take(b.compress(keep))
             if half:
-                held.append((np.minimum(a, b), np.maximum(a, b)))
+                yield np.minimum(a, b), np.maximum(a, b)
             else:
                 keep = a < b
-                held.append((a.compress(keep), b.compress(keep)))
-            # gathered into arrays of _GATHER pairs or more as they come:
-            # thousands of block arrays, freed only at the end, would stay
-            # resident as free heap
-            waiting += held[-1][0].size
-            if waiting >= _GATHER:
-                found.append(_joined(held))
-                held, waiting = [], 0
-    return _joined(found + held)
+                yield a.compress(keep), b.compress(keep)
 
 
 def _joined(parts) -> tuple:

@@ -10,25 +10,33 @@ a = 2*pi/n, compared at parameter offset theta, is
 (the form 2 r^2 (1 - cos(theta + a)) rewritten so that small gaps do not
 cancel), and the packing constraint is min_theta d(theta) >= 2.  Both terms
 grow outside [-a, 0], so that interval holds the minimum.  It is found for an
-array of shells at once: 65 equispaced samples bracket the smallest sample
-(the objective can have two local minima when a is large and h small), and a
-fixed number of safeguarded Newton steps on d(d^2)/dtheta polish it inside
-that bracket.  `max_helices` counts the helices per shell exactly, scanning n
-from the rectangular estimate N_a = pi*h*r/sqrt(h^2 + r^2) for every shell
-it is given in one pass (all shells of a sweep's chunk of tori at once), or
-approximately as floor(N_a - 1).
+array of shells at once, a block of _BLOCK shells at a time: 65 equispaced
+samples bracket the smallest sample (the objective can have two local minima
+when a is large and h small), and a fixed number of safeguarded Newton steps
+on d(d^2)/dtheta polish it inside that bracket.  `max_helices` counts the
+helices per shell exactly, scanning n from the rectangular estimate
+N_a = pi*h*r/sqrt(h^2 + r^2) for every shell it is given in one pass (all
+shells of a sweep's chunk of tori at once), or approximately as
+floor(N_a - 1).
 
 Bending the cylinder into a torus changes each helix's arc length by a factor
 that is the mean over the tube angle t of a smooth 2*pi-periodic function.
 The equispaced trapezoid rule converges exponentially on such integrands
 (Trefethen & Weideman, "The exponentially convergent trapezoidal rule", SIAM
 Review 2014): a fixed 64 nodes reproduce adaptive quadrature to a few ulps
-for every ratio >= 1 and p >= 1, and evaluate an array of ratios at once.
+for every ratio >= 1 and p >= 1, and evaluate an array of ratios at once,
+_BLOCK ratios at a time.
+
+A block writes its bracket rows or its quadrature nodes into buffers that
+each thread allocates once (`_workspace`), so a pass over any number of
+shells holds no bracket or node array larger than one block, and touches
+no fresh pages.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -53,13 +61,31 @@ EPSILON_SAFE = 2.0 * math.pi - 6.0
 _BRACKET_SAMPLES = 65
 _NEWTON_STEPS = 8
 
-# Shells per block of _min_gap: each (shells x 65) bracket array of a block
-# stays near 1 MiB, whatever the number of shells.
-_GAP_BLOCK = 2048
+# Bracket sample k of a shell is k (a/64) - a, as np.linspace computes it.
+_SAMPLE_STEPS = np.arange(float(_BRACKET_SAMPLES))
+
+# Shells per block of _min_gap, and ratios per block of _correction: a
+# block's three (block x 65) bracket rows, or its (block x 64) quadrature
+# nodes, take 0.8 MiB of the calling thread's workspace.  Smaller blocks in
+# fresh arrays cost 13-15% more time, most of it page faults.
+_BLOCK = 512
 
 # Trapezoid nodes for the toroidal correction; cos t at each node.
 _CORRECTION_NODES = 64
 _COS_NODES = np.cos(2.0 * np.pi * np.arange(_CORRECTION_NODES) / _CORRECTION_NODES)
+
+_buffers = threading.local()
+
+
+def _workspace() -> np.ndarray:
+    """(3, _BLOCK, _BRACKET_SAMPLES) floats that the calling thread
+    allocates once: a block's bracket samples, values and one temporary,
+    or, in the first, its quadrature nodes.  They carry nothing from one
+    block to the next: a block writes every element it reads."""
+    floats = getattr(_buffers, "floats", None)
+    if floats is None:
+        floats = _buffers.floats = np.empty((3, _BLOCK, _BRACKET_SAMPLES))
+    return floats
 
 
 def helix_count_estimate(r, h):
@@ -71,23 +97,37 @@ def helix_count_estimate(r, h):
 def _min_gap(a: np.ndarray, r: np.ndarray, h: np.ndarray) -> tuple:
     """Minimum of d^2(theta) over theta in [-a, 0] and its argmin,
     elementwise over equal-length 1-D arrays of phase gaps a, radii r and
-    hole radii h, _GAP_BLOCK shells at a time.  The result is never above
-    the smallest bracket sample."""
+    hole radii h, _BLOCK shells at a time.  The result is never above the
+    smallest bracket sample."""
     v, t = np.empty(len(a)), np.empty(len(a))
-    for k in range(0, len(a), _GAP_BLOCK):
-        block = slice(k, k + _GAP_BLOCK)
+    for k in range(0, len(a), _BLOCK):
+        block = slice(k, k + _BLOCK)
         v[block], t[block] = _min_gap_block(a[block], r[block], h[block])
     return v, t
 
 
 def _min_gap_block(a: np.ndarray, r: np.ndarray, h: np.ndarray) -> tuple:
-    """_min_gap on one block of shells."""
+    """_min_gap on one block of shells.  The bracket rows are those of
+
+        ts = linspace(-a, 0, 65)
+        vals = 4 r^2 sin(0.5 (ts + a))^2 + h^2 ts ts
+
+    step by step, written into the thread's workspace."""
     r2 = r * r
     h2 = h * h
     rows = np.arange(len(a))
-    ts = np.linspace(-a, 0.0, _BRACKET_SAMPLES, axis=-1)
-    vals = (4.0 * r2[:, None] * np.sin(0.5 * (ts + a[:, None])) ** 2
-            + h2[:, None] * ts * ts)
+    ts, vals, tmp = _workspace()[:, : len(a)]
+    np.multiply(_SAMPLE_STEPS, (a / (_BRACKET_SAMPLES - 1))[:, None], out=ts)
+    np.subtract(ts, a[:, None], out=ts)
+    ts[:, -1] = 0.0
+    np.add(ts, a[:, None], out=vals)
+    vals *= 0.5
+    np.sin(vals, out=vals)
+    np.square(vals, out=vals)
+    vals *= (4.0 * r2)[:, None]
+    np.multiply(h2[:, None], ts, out=tmp)
+    tmp *= ts
+    vals += tmp
     k = np.argmin(vals, axis=-1)
     lo = ts[rows, np.maximum(k - 1, 0)]
     hi = ts[rows, np.minimum(k + 1, _BRACKET_SAMPLES - 1)]
@@ -207,13 +247,22 @@ def _correction(ratio: np.ndarray, p: int) -> np.ndarray:
             stacklevel=3,
         )
     # Each node is divided by the node count (exact: a power of two) before
-    # summing, so that the largest finite ratios do not overflow the sum; the
-    # passes run in place, so a chunk of ratios holds one (ratios x nodes)
-    # array.
-    nodes = ratio[..., None] - _COS_NODES
-    np.hypot(p, nodes, out=nodes)
-    nodes /= _CORRECTION_NODES
-    return np.sum(nodes, axis=-1) / np.hypot(p, ratio)
+    # summing, so that the largest finite ratios do not overflow the sum.  A
+    # row's sum does not depend on how many rows its block holds, so the
+    # blocks give the bits of one (ratios x nodes) pass.
+    flat = ratio.ravel()
+    out = np.empty(flat.size)
+    floats = _workspace()[0].reshape(-1)
+    for k in range(0, flat.size, _BLOCK):
+        block = flat[k : k + _BLOCK]
+        nodes = floats[: block.size * _CORRECTION_NODES].reshape(
+            block.size, _CORRECTION_NODES)
+        np.subtract(block[:, None], _COS_NODES, out=nodes)
+        np.hypot(p, nodes, out=nodes)
+        nodes /= _CORRECTION_NODES
+        sums = np.sum(nodes, axis=-1, out=out[k : k + _BLOCK])
+        sums /= np.hypot(p, block)
+    return out.reshape(ratio.shape)
 
 
 def toroidal_correction(ratio, p: int = 1):

@@ -34,18 +34,19 @@ projected bounding boxes overlap (`_overlapping_boxes`), on the plane of
 _PLANE, whose rows are orthogonal to d and to each other; each box is
 padded past the rounding of the projection, so it holds its segment's
 exact projection.  They are found by the package's one near-pair search,
-`distances._candidate_pairs`, over the runs of `distances`: the boxes of
+`distances._candidate_groups`, over the runs of `distances`: the boxes of
 runs of _RUN consecutive segments, whose overlapping pairs of different
-components expand to their segment pairs.  The side tests of a chunk of
-candidates gather their columns from one table of segment vectors and one
-of points.
+components expand to their segment pairs.  Each group of run pairs the
+search hands out is filtered and expanded as it comes, so only candidate
+segment pairs are kept.  The side tests of a chunk of candidates gather
+their columns from one table of segment vectors and one of points.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .distances import _candidate_pairs, _members, _run_starts
+from .distances import _candidate_groups, _joined, _members, _run_starts
 
 __all__ = ["linking_matrix"]
 
@@ -132,27 +133,31 @@ def _overlapping_boxes(lo, hi, labels):
     run in order, one per component), and a run's box is the union of its
     segments' boxes.  The run pairs of different labels whose boxes overlap
     are found among the run box centres within the largest run box diagonal
-    (at least any two half-diagonals; the pad covers rounding far out).
-    Each segment of the first run of such a pair whose box overlaps the
-    second run's box is paired with the second run's segments, and those
-    pairs are filtered by their own boxes."""
+    (at least any two half-diagonals; the pad covers rounding far out),
+    one group of the search at a time.  Each segment of the first run of
+    such a pair whose box overlaps the second run's box is paired with the
+    second run's segments, and those pairs are filtered by their own
+    boxes."""
     first = _run_starts(np.bincount(labels))
     size = np.diff(first, append=labels.size)
     run_lo = np.minimum.reduceat(lo, first)
     run_hi = np.maximum.reduceat(hi, first)
     centres = 0.5 * (run_lo + run_hi)
     pad = 4.0 * np.spacing(np.abs(centres).max())
-    ra, rb = _candidate_pairs(centres, np.hypot(*(run_hi - run_lo).T).max() + pad)
+    reach = np.hypot(*(run_hi - run_lo).T).max() + pad
     lo, hi, run_lo, run_hi = (x.T.copy() for x in (lo, hi, run_lo, run_hi))
-    ra, rb = _overlapping(ra, rb, run_lo, run_hi)
     run_labels = labels[first]
-    keep = run_labels.take(ra) != run_labels.take(rb)
-    ra, rb = ra.compress(keep), rb.compress(keep)
-    a, k = _members(first, size, ra)
-    a, k = _overlapping(a, k, lo, hi, run_lo.take(rb, axis=1),
-                        run_hi.take(rb, axis=1))
-    b, at = _members(first, size, rb.take(k))
-    return _overlapping(a.take(at), b, lo, hi)
+    found = []
+    for ra, rb in _candidate_groups(centres, reach):
+        ra, rb = _overlapping(ra, rb, run_lo, run_hi)
+        keep = run_labels.take(ra) != run_labels.take(rb)
+        ra, rb = ra.compress(keep), rb.compress(keep)
+        a, k = _members(first, size, ra)
+        a, k = _overlapping(a, k, lo, hi, run_lo.take(rb, axis=1),
+                            run_hi.take(rb, axis=1))
+        b, at = _members(first, size, rb.take(k))
+        found.append(_overlapping(a.take(at), b, lo, hi))
+    return _joined(found)
 
 
 def _candidates(points, labels):

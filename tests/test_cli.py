@@ -734,7 +734,9 @@ def test_sweep_rows_equal_construction_reports(capsys, monkeypatch, method,
 
 def test_sweep_passes_stay_within_the_chunk_cap(capsys, monkeypatch):
     # T = 1..300 is 45,150 shells; no packing or correction pass sees more
-    # rows than one chunk holds
+    # shells than one chunk holds.  The chunk bounds the per-shell arrays
+    # only: the passes run in blocks of helices._BLOCK shells
+    # (test_helices.py)
     largest = {"_min_gap": 0, "_correction": 0}
 
     def spy(module, name):

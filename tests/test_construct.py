@@ -45,6 +45,14 @@ def test_spec_counts_and_crossings():
     assert spec.outer_radius == 2.0
 
 
+def test_no_crossing_number_is_given_for_a_double_of_p_above_one():
+    # the double of a p > 1 torus is refused wherever it is asked for
+    spec = build_increment_spec(1, 4, p=2)
+    assert spec.crossing_number() == 40
+    with pytest.raises(ValueError, match="no crossing number is derived"):
+        spec.crossing_number(doubled=True)
+
+
 # (positional arguments, keywords, expected message): one row per rejection
 _INVALID_SPECS = [
     (([2.0], [0], True, 5.0), {}, "counts must be >= 1"),
@@ -207,10 +215,10 @@ def test_torus_links_of_p_windings_verify(method, p, t, doubled):
         return
     link = realize_torus(spec, n_points=400, check=False)
     metrics = measure_link(link)
-    lk = np.abs(linking_matrix(link.components))
+    lk = linking_matrix(link.components)
     assert verify(link, metrics, lk)["passed"]
     q = spec.q
-    assert np.all(lk[np.triu_indices(q, 1)] == p)
+    assert np.all(np.abs(lk[np.triu_indices(q, 1)]) == p)
     report = construction_report(spec)
     assert report.predicted_length == pytest.approx(metrics.total_length,
                                                     rel=2e-4)

@@ -291,6 +291,25 @@ def test_candidate_pairs_expand_in_blocks(dim, with_marked, monkeypatch):
         assert _searched_pairs(points, reach, marked) == brute
 
 
+@pytest.mark.parametrize("with_marked", [False, True], ids=["all", "marked"])
+def test_candidate_groups_join_to_the_candidate_pairs(with_marked,
+                                                      monkeypatch):
+    # blocks of 16 candidates, groups of 50 pairs or more: the groups,
+    # joined in order, are the pairs of one search, and each but the last
+    # holds at least 50
+    rng = np.random.default_rng(5)
+    points = rng.uniform(size=(400, 3))
+    marked = rng.random(400) < 0.5 if with_marked else None
+    whole = distances._candidate_pairs(points, 0.15, marked)
+    monkeypatch.setattr(distances, "_GRID_BLOCK", 16)
+    monkeypatch.setattr(distances, "_GATHER", 50)
+    groups = list(distances._candidate_groups(points, 0.15, marked))
+    assert len(groups) > 5
+    assert all(i.size == j.size >= 50 for i, j in groups[:-1])
+    assert all(np.array_equal(np.concatenate(side), w)
+               for side, w in zip(zip(*groups), whole))
+
+
 def _einsum_distances(p1, d1, p2, d2):
     """The (m, 3) einsum formulation of the clamped closest-point kernel,
     which the coordinate-row kernel reproduces bit for bit."""

@@ -6,6 +6,7 @@ scipy quadrature and bounded scalar minimization are the references here.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,8 +14,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
+from ropebound import helices
 from ropebound.helices import (
     EPSILON_SAFE,
+    _BLOCK,
+    _correction,
     _min_gap,
     aggregate_correction,
     helix_count_estimate,
@@ -164,6 +168,79 @@ def test_gap_minimum_never_above_a_dense_grid():
         assert vals[k] <= grid * (1.0 + 1e-12), rows[k]
         assert -a[k] <= thetas[k] <= 0.0
         assert pair_min_distance(int(n[k]), r[k], h[k])["distance"] == math.sqrt(vals[k])
+
+
+def _unblocked_min_gap(a, r, h):
+    """_min_gap as one pass over every shell, in the plain formulas:
+    linspace brackets, then the same safeguarded Newton steps."""
+    r2, h2 = r * r, h * h
+    rows = np.arange(len(a))
+    ts = np.linspace(-a, 0.0, 65, axis=-1)
+    vals = (4.0 * r2[:, None] * np.sin(0.5 * (ts + a[:, None])) ** 2
+            + h2[:, None] * ts * ts)
+    k = np.argmin(vals, axis=-1)
+    lo, hi = ts[rows, np.maximum(k - 1, 0)], ts[rows, np.minimum(k + 1, 64)]
+    best_t, best_v = ts[rows, k], vals[rows, k]
+    t = best_t
+    for _ in range(8):
+        g = r2 * np.sin(t + a) + h2 * t
+        dg = r2 * np.cos(t + a) + h2
+        lo, hi = np.where(g < 0.0, t, lo), np.where(g > 0.0, t, hi)
+        step = t - g / dg
+        t = np.where((dg > 0.0) & (step >= lo) & (step <= hi), step,
+                     0.5 * (lo + hi))
+    v = 4.0 * r2 * np.sin(0.5 * (t + a)) ** 2 + h2 * t * t
+    better = v < best_v
+    return np.where(better, v, best_v), np.where(better, t, best_t)
+
+
+def _unblocked_correction(ratio, p):
+    """_correction as one (ratios x 64) pass of the trapezoid rule."""
+    nodes = np.hypot(p, ratio[:, None] - helices._COS_NODES) / 64
+    return np.sum(nodes, axis=-1) / np.hypot(p, ratio)
+
+
+def _shells(size, seed):
+    """(a, r, h) of `size` random shells of 2 to 400 helices."""
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(2.0, 60.0, size)
+    return (2.0 * np.pi / rng.integers(2, 400, size), r,
+            r * 10.0 ** rng.uniform(-1.0, 1.5, size))
+
+
+@pytest.mark.parametrize("size", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                  3 * _BLOCK + 7])
+def test_block_passes_give_the_bits_of_one_pass(size):
+    # blocks run through the thread's workspace; every value is the one the
+    # plain formulas give over all shells or ratios at once
+    a, r, h = _shells(size, size)
+    for got, want in zip(_min_gap(a, r, h), _unblocked_min_gap(a, r, h)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    ratio = 1.0 + np.random.default_rng(size).exponential(20.0, size)
+    ratio[::5] *= 1e250
+    for p in (1, 2, 3):
+        got, want = _correction(ratio, p), _unblocked_correction(ratio, p)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("size", [3 * _BLOCK + 7, 16 * _BLOCK])
+def test_block_passes_allocate_less_than_a_block(size):
+    # once the thread's workspace exists, a pass over any number of shells
+    # or ratios allocates its per-shell arrays (three floats a shell at
+    # most) and less than one block's bracket rows besides: no (shells x
+    # 65) or (ratios x 64) array is made (one of 16 blocks would be 4 MiB)
+    a, r, h = _shells(size, 7)
+    ratio = np.linspace(1.5, 400.0, size)
+    _min_gap(a[:1], r[:1], h[:1])  # the thread's workspace
+    bound = _BLOCK * 65 * 8 + 3 * size * 8
+    for run in (lambda: _min_gap(a, r, h), lambda: _correction(ratio, 2)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 def test_max_helices_validation():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ropebound import linking
+from ropebound import distances, linking
 from ropebound.construct import (
     TorusSpec,
     build_increment_spec,
@@ -258,13 +258,59 @@ def test_box_pairs_are_the_brute_force_overlaps(name):
         zip(i.tolist(), j.tolist()))
 
 
+def _seen_groups(monkeypatch) -> list:
+    """Hand out the run pairs of the box search in groups of one block of
+    16 candidates each, and record the size of every group it filters."""
+    seen = []
+    candidate_groups = linking._candidate_groups
+
+    def groups(*args):
+        for group in candidate_groups(*args):
+            seen.append(group[0].size)
+            yield group
+
+    monkeypatch.setattr(linking, "_candidate_groups", groups)
+    monkeypatch.setattr(distances, "_GATHER", 1)
+    monkeypatch.setattr(distances, "_GRID_BLOCK", 16)
+    return seen
+
+
+@pytest.mark.parametrize("name", list(_BOXES))
+def test_box_search_filters_group_by_group(name, monkeypatch):
+    # filtered as they stream, group by group, the run pairs give the same
+    # segment pairs in the same order as one group holding them all
+    lo, hi, labels = _BOXES[name]()
+    whole = linking._overlapping_boxes(lo, hi, labels)
+    seen = _seen_groups(monkeypatch)
+    grouped = linking._overlapping_boxes(lo, hi, labels)
+    assert all(np.array_equal(g, w) for g, w in zip(grouped, whole))
+    assert len(seen) > 1 or labels.size == 2
+
+
+_GROUPED_LINKS = {
+    "mirrored doubled inc4 T=1": lambda: mirrored_double(
+        build_increment_spec(1, 4), 200).components,
+    "gibbous q=20": lambda: build_planar_link(
+        20, "gibbous", n_points=200).components,
+}
+
+
+@pytest.mark.parametrize("name", list(_GROUPED_LINKS))
+def test_linking_matrix_of_streamed_groups(name, monkeypatch):
+    curves = _GROUPED_LINKS[name]()
+    whole = linking_matrix(curves)
+    seen = _seen_groups(monkeypatch)
+    assert np.array_equal(linking_matrix(curves), whole)
+    assert len(seen) > 1 and np.any(whole != 0)
+
+
 def _segment_level_boxes(lo, hi, labels):
     """The segment-level box search that runs replaced: one query over the
     segment box centres at the largest segment box diagonal, filtered by
     label and overlap."""
     centres = 0.5 * (lo + hi)
     pad = 4.0 * np.spacing(np.abs(centres).max())
-    a, b = linking._candidate_pairs(centres, np.hypot(*(hi - lo).T).max() + pad)
+    a, b = distances._candidate_pairs(centres, np.hypot(*(hi - lo).T).max() + pad)
     keep = labels[a] != labels[b]
     for lo_k, hi_k in zip(lo.T, hi.T):
         keep &= (lo_k[a] <= hi_k[b]) & (lo_k[b] <= hi_k[a])
