@@ -14,10 +14,11 @@ import tempfile
 
 import numpy as np
 
-from ropebound.construct import build_increment_spec, construction_report, realize_torus
+from ropebound.construct import realize_torus
 from ropebound.io_formats import export_geometry, import_geometry
 from ropebound.linking import linking_matrix
 from ropebound.measure import measure_link, verify
+from ropebound.specs import build_increment_spec, construction_report
 
 
 def main():

@@ -10,7 +10,7 @@ the toroidal length correction.
 Run:  python3 demos/doubling_and_limits.py
 """
 
-from ropebound.construct import build_optimal_spec, construction_report, limiting_alpha
+from ropebound.specs import build_optimal_spec, construction_report, limiting_alpha
 
 
 def main():

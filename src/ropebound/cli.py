@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import math
 import sys
@@ -22,26 +23,56 @@ import numpy as np
 
 from . import __version__
 from .bounds import asymptotic_coefficients, lower_bound_report
-from .construct import (
+from .helices import toroidal_correction
+from .specs import (
     FAMILIES,
     PLANAR_FAMILIES,
     build_increment_spec,
     build_optimal_spec,
-    build_planar_link,
     construction_report,
-    donut_double,
     doubled_alphas,
     increment_tori,
     optimal_tori,
-    realize_torus,
 )
-from .helices import toroidal_correction
-from .io_formats import FormatError, export_geometry, import_geometry
-from .linking import linking_matrix
-from .measure import measure_link, verify
-from .optimize import OptimizationProblem, minimize_params
-# Not called here; kept because perfbench/tracing.py's WRAP_TABLE wraps it.
-from .parallel import parallel_map  # noqa: F401
+
+# The geometry names of the commands that build, measure or convert links,
+# with the module of each.  `bounds`, `sweep` and `correction` use none, so
+# none is imported with this module: `_load_geometry` binds a command's
+# names when it starts, and the module `__getattr__` serves any of them as
+# an attribute of `cli` before that.  perfbench/tracing.py wraps several
+# of these attributes (and parallel_map, which no command calls); a name
+# already bound, a wrapper included, stays as it is.
+_GEOMETRY = {
+    "realize_torus": "construct",
+    "donut_double": "construct",
+    "build_planar_link": "construct",
+    "measure_link": "measure",
+    "verify": "measure",
+    "linking_matrix": "linking",
+    "export_geometry": "io_formats",
+    "import_geometry": "io_formats",
+    "OptimizationProblem": "optimize",
+    "minimize_params": "optimize",
+    "parallel_map": "parallel",
+}
+
+
+def __getattr__(name: str):
+    """The geometry function or class `name` of `_GEOMETRY`, imported from
+    its module."""
+    if name not in _GEOMETRY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_GEOMETRY[name]}", __package__)
+    return getattr(module, name)
+
+
+def _load_geometry(*names):
+    """Bind each of `names` in this module unless it is bound already."""
+    space = globals()
+    for name in names:
+        if name not in space:
+            space[name] = __getattr__(name)
+
 
 TORUS_METHODS = ("inc4", "inc5", "optimal")
 
@@ -152,6 +183,9 @@ def _check_build_flags(args, defaults):
 
 
 def cmd_build(args) -> int:
+    _load_geometry("realize_torus", "donut_double", "build_planar_link",
+                   "OptimizationProblem", "minimize_params", "measure_link",
+                   "verify", "linking_matrix", "export_geometry")
     method = args.method
     payload = {"run": _run_header(args)}
     if method in TORUS_METHODS:
@@ -206,6 +240,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_check(args) -> int:
+    _load_geometry("import_geometry", "measure_link", "linking_matrix", "verify")
     link = import_geometry(args.file)
     metrics = measure_link(link)
     # linking numbers are defined for closed curves only
@@ -230,6 +265,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    _load_geometry("OptimizationProblem", "minimize_params")
     if args.family == "toroidal_pair" and args.q != 14:
         _usage("optimize: toroidal_pair is a 14-component family")
     problem = OptimizationProblem(
@@ -296,7 +332,7 @@ def _sweep_lines(method: str, ts: list) -> list:
 def cmd_sweep(args) -> int:
     """alpha(T) of the doubled torus for T in [tmin, tmax], with its ratio to
     the lower bound's.  Each chunk of T values is a few array passes
-    (`construct.increment_tori` / `optimal_tori`, then `doubled_alphas`),
+    (`specs.increment_tori` / `optimal_tori`, then `doubled_alphas`),
     run in order; the rows equal `construction_report(build_*_spec(T),
     doubled=True)` bit for bit."""
     if args.tmax < args.tmin:
@@ -343,12 +379,14 @@ def cmd_correction(args) -> int:
 
 
 def cmd_export(args) -> int:
+    _load_geometry("import_geometry", "export_geometry")
     link = import_geometry(args.file)
     export_geometry(link, args.format, args.out)
     return 0
 
 
 def cmd_import(args) -> int:
+    _load_geometry("import_geometry")
     link = import_geometry(args.file)
     payload = {
         "run": _run_header(args),
@@ -514,7 +552,7 @@ def main(argv=None) -> int:
         _check_build_flags(args, parser.parse_args(["build", args.method]))
     try:
         return args.func(args)
-    except (ValueError, FormatError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

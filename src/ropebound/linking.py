@@ -37,16 +37,18 @@ exact projection.  They are found by the package's one near-pair search,
 `distances._candidate_groups`, over the runs of `distances`: the boxes of
 runs of _RUN consecutive segments, whose overlapping pairs of different
 components expand to their segment pairs.  Each group of run pairs the
-search hands out is filtered and expanded as it comes, so only candidate
-segment pairs are kept.  The side tests of a chunk of candidates gather
-their columns from one table of segment vectors and one of points.
+search hands out is filtered and expanded as it comes, and its candidate
+segment pairs are tested before the next group is found, so only one
+group's candidates are held at a time.  The side tests of a chunk of
+candidates gather their columns from one table of segment vectors and one
+of points.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .distances import _candidate_groups, _joined, _members, _run_starts
+from .distances import _candidate_groups, _members, _run_starts
 
 __all__ = ["linking_matrix"]
 
@@ -129,15 +131,16 @@ def _overlapping(a, b, lo, hi, lo_b=None, hi_b=None):
 
 def _overlapping_boxes(lo, hi, labels):
     """Index pairs (i < j) of different labels whose boxes [lo, hi] overlap
-    on both axes.  Segments are grouped in the runs of `distances` (labels
-    run in order, one per component), and a run's box is the union of its
-    segments' boxes.  The run pairs of different labels whose boxes overlap
-    are found among the run box centres within the largest run box diagonal
-    (at least any two half-diagonals; the pad covers rounding far out),
-    one group of the search at a time.  Each segment of the first run of
-    such a pair whose box overlaps the second run's box is paired with the
-    second run's segments, and those pairs are filtered by their own
-    boxes."""
+    on both axes, yielded as (i, j) arrays, one part per group of the
+    search, as each group is found.  Segments are grouped in the runs of
+    `distances` (labels run in order, one per component), and a run's box is
+    the union of its segments' boxes.  The run pairs of different labels
+    whose boxes overlap are found among the run box centres within the
+    largest run box diagonal (at least any two half-diagonals; the pad
+    covers rounding far out), one group of the search at a time.  Each
+    segment of the first run of such a pair whose box overlaps the second
+    run's box is paired with the second run's segments, and those pairs are
+    filtered by their own boxes."""
     first = _run_starts(np.bincount(labels))
     size = np.diff(first, append=labels.size)
     run_lo = np.minimum.reduceat(lo, first)
@@ -147,7 +150,6 @@ def _overlapping_boxes(lo, hi, labels):
     reach = np.hypot(*(run_hi - run_lo).T).max() + pad
     lo, hi, run_lo, run_hi = (x.T.copy() for x in (lo, hi, run_lo, run_hi))
     run_labels = labels[first]
-    found = []
     for ra, rb in _candidate_groups(centres, reach):
         ra, rb = _overlapping(ra, rb, run_lo, run_hi)
         keep = run_labels.take(ra) != run_labels.take(rb)
@@ -156,15 +158,14 @@ def _overlapping_boxes(lo, hi, labels):
         a, k = _overlapping(a, k, lo, hi, run_lo.take(rb, axis=1),
                             run_hi.take(rb, axis=1))
         b, at = _members(first, size, rb.take(k))
-        found.append(_overlapping(a.take(at), b, lo, hi))
-    return _joined(found)
+        yield _overlapping(a.take(at), b, lo, hi)
 
 
 def _candidates(points, labels):
-    """The segment pairs of different components (`_overlapping_boxes`)
-    whose boxes on the plane of _PLANE overlap, each box padded to hold its
-    segment's exact projection; `points` holds the segments' starts, then
-    their ends, as (3, 2m) columns."""
+    """The segment pairs of different components (`_overlapping_boxes`,
+    part by part) whose boxes on the plane of _PLANE overlap, each box
+    padded to hold its segment's exact projection; `points` holds the
+    segments' starts, then their ends, as (3, 2m) columns."""
     m = labels.size
     # with M the largest coordinate magnitude and u = 2^-53, a projected
     # coordinate (three products summed, at most 3.5 M) is off by at most
@@ -177,6 +178,14 @@ def _candidates(points, labels):
     return _overlapping_boxes(lo, hi, labels)
 
 
+def _chunks(parts):
+    """The pairs of each part (a, b) in turn, in slices of at most
+    _CHUNK."""
+    for pairs_a, pairs_b in parts:
+        for k in range(0, pairs_a.size, _CHUNK):
+            yield pairs_a[k : k + _CHUNK], pairs_b[k : k + _CHUNK]
+
+
 def _crossing_counts(curves) -> np.ndarray | None:
     """The symmetric matrix of signed crossing counts between the closed
     curves (two or more), or None when two of them touch."""
@@ -186,12 +195,10 @@ def _crossing_counts(curves) -> np.ndarray | None:
     # the segments' starts, then their ends, as (3, 2m) columns
     points = np.concatenate([c.segment_starts() for c in curves]
                             + [c.segment_ends() for c in curves]).T
-    pairs_a, pairs_b = _candidates(points, labels)
     vectors = points[:, m:] - points[:, :m]
 
     signs = np.zeros((q, q), dtype=int)
-    for k in range(0, pairs_a.size, _CHUNK):
-        a, b = pairs_a[k : k + _CHUNK], pairs_b[k : k + _CHUNK]
+    for a, b in _chunks(_candidates(points, labels)):
         # sides of C, D against AB and of A, B against CD, for AB in a, CD in b
         at = np.concatenate((a, a, b, b))
         to = np.concatenate((b, b + m, a, a + m))

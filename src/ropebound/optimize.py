@@ -1,6 +1,6 @@
 """Derivative-free minimization of normalized ropelength.
 
-An OptimizationProblem names a family of `construct.FAMILIES` (whose row
+An OptimizationProblem names a family of `specs.FAMILIES` (whose row
 gives the parameter names, the start and the box bounds), a component count,
 a sampling density and a seed.  The objective for every family is the
 scale-invariant normalized ropelength of the realized configuration (total
@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import FAMILIES, build_planar_link, toroidal_pair
+from .construct import build_planar_link, toroidal_pair
 from .measure import LinkConfiguration, measure_thickness, verify
 # Not called here; kept because perfbench/tracing.py wraps this attribute.
 from .measure import measure_link  # noqa: F401
+from .specs import FAMILIES
 
 __all__ = [
     "OptimizationProblem",

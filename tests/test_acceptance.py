@@ -18,15 +18,7 @@ from ropebound.bounds import (
     wegner_hull_length,
 )
 from ropebound.cli import main
-from ropebound.construct import (
-    build_increment_spec,
-    build_optimal_spec,
-    build_planar_link,
-    construction_report,
-    donut_double,
-    limiting_alpha,
-    realize_torus,
-)
+from ropebound.construct import build_planar_link, donut_double, realize_torus
 from ropebound.curves import PolyCurve, rotation_about_axis, sample_cylindrical_helix
 from ropebound.distances import min_distance_brute, mutual_min_distance
 from ropebound.helices import (
@@ -44,6 +36,12 @@ from ropebound.optimize import (
     normalized_ropelength,
 )
 from ropebound.parallel import parallel_map
+from ropebound.specs import (
+    build_increment_spec,
+    build_optimal_spec,
+    construction_report,
+    limiting_alpha,
+)
 
 # Reference values for the toroidal correction factor, tabulated to the
 # six-or-seven significant digits shown: rows are (hole/strand radius ratio,

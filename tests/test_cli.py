@@ -14,16 +14,9 @@ import numpy as np
 import pytest
 
 import ropebound
-from ropebound import cli, construct, distances, helices, measure
+from ropebound import cli, construct, distances, helices, measure, specs
 from ropebound.bounds import lower_bound_report
 from ropebound.cli import main
-from ropebound.construct import (
-    TorusSpec,
-    build_increment_spec,
-    build_optimal_spec,
-    construction_report,
-    increment_tori,
-)
 from ropebound.curves import (
     PolyCurve,
     rotation_about_axis,
@@ -32,6 +25,13 @@ from ropebound.curves import (
 from ropebound.helices import toroidal_correction
 from ropebound.io_formats import export_geometry, import_geometry
 from ropebound.measure import LinkConfiguration
+from ropebound.specs import (
+    TorusSpec,
+    build_increment_spec,
+    build_optimal_spec,
+    construction_report,
+    increment_tori,
+)
 
 from conftest import mirrored_double
 
@@ -749,7 +749,7 @@ def test_sweep_passes_stay_within_the_chunk_cap(capsys, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     spy(helices, "_min_gap")
-    spy(construct, "_correction")
+    spy(specs, "_correction")
     assert main(["sweep", "optimal", "--tmin", "1", "--tmax", "300"]) == 0
     capsys.readouterr()
     assert cli._SWEEP_CHUNK_SHELLS == 8192
@@ -785,12 +785,86 @@ def test_no_command_imports_scipy(tmp_path):
         assert loaded == ["scipy"] and sys.modules["scipy"] is None, loaded
         assert "fractions" not in sys.modules and "decimal" not in sys.modules
     """)
+    _run_fresh(script)
+
+
+def _run_fresh(script: str):
+    """Run `script` in a fresh interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(ropebound.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def _torus_vect(tmp_path) -> str:
+    path = str(tmp_path / "torus.vect")
+    spec = build_increment_spec(1, 4)
+    export_geometry(construct.realize_torus(spec, n_points=200, check=False),
+                    path=path)
+    return path
+
+
+# The modules of the geometry stack: none computes on specs alone.
+_GEOMETRY_MODULES = [f"ropebound.{m}" for m in (
+    "construct", "curves", "distances", "_groups", "measure", "linking",
+    "io_formats", "optimize", "parallel")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "optimal", "--tmin", "1", "--tmax", "5"],
+    ["correction", "--table"],
+    ["bounds", "--q", "5"],
+], ids=lambda argv: argv[0])
+def test_spec_commands_load_no_geometry(argv):
+    # sweep, correction and bounds compute on specs alone: a process that
+    # runs one imports no geometry module and no thread pool
+    _run_fresh(textwrap.dedent(f"""
+        import contextlib, io, sys
+        from ropebound.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main({argv!r}) == 0
+        loaded = sorted(set({_GEOMETRY_MODULES!r}) & set(sys.modules))
+        assert not loaded, loaded
+        assert "concurrent.futures" not in sys.modules
+    """))
+
+
+def test_check_loads_its_geometry(tmp_path):
+    _run_fresh(textwrap.dedent(f"""
+        import contextlib, io, sys
+        from ropebound.cli import main
+        assert "ropebound.measure" not in sys.modules
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["check", {_torus_vect(tmp_path)!r}]) == 0
+        assert "ropebound.measure" in sys.modules
+        assert "ropebound.linking" in sys.modules
+        assert "ropebound.parallel" not in sys.modules
+    """))
+
+
+def test_geometry_attributes_wrapped_before_a_command_stay(tmp_path):
+    # perfbench/tracing.py wraps cli's geometry names by attribute before
+    # any command has run; the command that loads them keeps the wrappers
+    _run_fresh(textwrap.dedent(f"""
+        import contextlib, io
+        from ropebound import cli
+        calls = {{}}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("measure_link", "linking_matrix"):
+            setattr(cli, name, counting(name, getattr(cli, name)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["check", {_torus_vect(tmp_path)!r}]) == 0
+        assert calls == {{"measure_link": 1, "linking_matrix": 1}}, calls
+        assert not hasattr(cli, "no_such_name")
+    """))
 
 
 def test_sweep_usage_errors():

@@ -9,16 +9,9 @@ from ropebound import _groups, distances, measure
 from ropebound.bounds import lower_bound_report
 from ropebound.cli import _sig12, main
 from ropebound.construct import (
-    FAMILIES,
     OverlapError,
-    TorusSpec,
-    build_increment_spec,
-    build_optimal_spec,
     build_planar_link,
-    construction_report,
     donut_double,
-    increment_tori,
-    limiting_alpha,
     realize_torus,
     toroidal_pair,
 )
@@ -28,6 +21,15 @@ from ropebound.helices import toroidal_correction
 from ropebound.io_formats import export_geometry, import_geometry
 from ropebound.linking import linking_matrix
 from ropebound.measure import LinkConfiguration, measure_link, verify
+from ropebound.specs import (
+    FAMILIES,
+    TorusSpec,
+    build_increment_spec,
+    build_optimal_spec,
+    construction_report,
+    increment_tori,
+    limiting_alpha,
+)
 
 from conftest import mirrored_double
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ropebound.construct import FAMILIES, PLANAR_FAMILIES, build_planar_link
+from ropebound.construct import build_planar_link
 from ropebound.curves import (
     PolyCurve,
     _planar_shape,
@@ -15,6 +15,7 @@ from ropebound.curves import (
     sample_planar_curve,
     sample_toroidal_helix,
 )
+from ropebound.specs import FAMILIES, PLANAR_FAMILIES
 
 
 def test_polycurve_validation():

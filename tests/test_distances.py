@@ -8,11 +8,7 @@ import numpy as np
 import pytest
 
 from ropebound import distances, measure
-from ropebound.construct import (
-    build_increment_spec,
-    build_planar_link,
-    realize_torus,
-)
+from ropebound.construct import build_planar_link, realize_torus
 from ropebound.curves import (
     PolyCurve,
     min_curvature_radius,
@@ -28,6 +24,7 @@ from ropebound.distances import (
 )
 from ropebound.io_formats import export_geometry, import_geometry
 from ropebound.measure import LinkConfiguration
+from ropebound.specs import build_increment_spec
 
 
 def _random_curve(rng, n=60, scale=5.0, offset=(0.0, 0.0, 0.0)):

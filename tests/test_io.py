@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ropebound.construct import build_increment_spec, realize_torus
+from ropebound.construct import realize_torus
 from ropebound.curves import PolyCurve, rotation_about_axis, sample_planar_curve
 from ropebound.io_formats import (
     FormatError,
@@ -17,6 +17,7 @@ from ropebound.io_formats import (
     import_geometry,
 )
 from ropebound.measure import LinkConfiguration, _symmetry, measure_link
+from ropebound.specs import build_increment_spec
 
 
 def _hopf(n=100):

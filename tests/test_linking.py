@@ -8,9 +8,6 @@ import pytest
 
 from ropebound import distances, linking
 from ropebound.construct import (
-    TorusSpec,
-    build_increment_spec,
-    build_optimal_spec,
     build_planar_link,
     donut_double,
     realize_torus,
@@ -24,6 +21,7 @@ from ropebound.curves import (
 )
 from ropebound.distances import min_distance_brute
 from ropebound.linking import linking_matrix
+from ropebound.specs import TorusSpec, build_increment_spec, build_optimal_spec
 
 from conftest import mirrored_double
 
@@ -247,7 +245,7 @@ def test_box_pairs_are_the_brute_force_overlaps(name):
     # the one near-pair query over box centres, filtered, keeps exactly the
     # pairs of different components whose boxes overlap on both axes
     lo, hi, labels = _BOXES[name]()
-    a, b = linking._overlapping_boxes(lo, hi, labels)
+    a, b = distances._joined(list(linking._overlapping_boxes(lo, hi, labels)))
     overlap = labels[:, None] != labels[None, :]
     for k in range(2):
         overlap &= (lo[:, None, k] <= hi[None, :, k]) & (
@@ -278,12 +276,16 @@ def _seen_groups(monkeypatch) -> list:
 @pytest.mark.parametrize("name", list(_BOXES))
 def test_box_search_filters_group_by_group(name, monkeypatch):
     # filtered as they stream, group by group, the run pairs give the same
-    # segment pairs in the same order as one group holding them all
+    # segment pairs in the same order as one group holding them all, one
+    # part per group
     lo, hi, labels = _BOXES[name]()
-    whole = linking._overlapping_boxes(lo, hi, labels)
+    whole = list(linking._overlapping_boxes(lo, hi, labels))
     seen = _seen_groups(monkeypatch)
-    grouped = linking._overlapping_boxes(lo, hi, labels)
-    assert all(np.array_equal(g, w) for g, w in zip(grouped, whole))
+    parts = list(linking._overlapping_boxes(lo, hi, labels))
+    grouped = distances._joined(parts)
+    assert all(np.array_equal(g, w)
+               for g, w in zip(grouped, distances._joined(whole)))
+    assert len(parts) == len(seen)
     assert len(seen) > 1 or labels.size == 2
 
 
@@ -307,14 +309,14 @@ def test_linking_matrix_of_streamed_groups(name, monkeypatch):
 def _segment_level_boxes(lo, hi, labels):
     """The segment-level box search that runs replaced: one query over the
     segment box centres at the largest segment box diagonal, filtered by
-    label and overlap."""
+    label and overlap, as one part."""
     centres = 0.5 * (lo + hi)
     pad = 4.0 * np.spacing(np.abs(centres).max())
     a, b = distances._candidate_pairs(centres, np.hypot(*(hi - lo).T).max() + pad)
     keep = labels[a] != labels[b]
     for lo_k, hi_k in zip(lo.T, hi.T):
         keep &= (lo_k[a] <= hi_k[b]) & (lo_k[b] <= hi_k[a])
-    return a[keep], b[keep]
+    return [(a[keep], b[keep])]
 
 
 _RUN_LINKS = {

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from ropebound import optimize
-from ropebound.construct import (
-    build_increment_spec,
-    build_planar_link,
-    realize_torus,
-    toroidal_pair,
-)
+from ropebound.construct import build_planar_link, realize_torus, toroidal_pair
 from ropebound.curves import PolyCurve, sample_planar_curve
 from ropebound.linking import linking_matrix
 from ropebound.measure import (
@@ -26,6 +21,7 @@ from ropebound.optimize import (
     nelder_mead,
     normalized_ropelength,
 )
+from ropebound.specs import build_increment_spec
 
 C_PAIR = (2 * 7 * 6 + 2 * 49) ** 0.75  # 14 components pairwise linked
 
