@@ -8,6 +8,7 @@ radius 1, so two curve centerlines may not approach closer than 2). Curves are
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -136,15 +137,30 @@ def rotation_about_axis(axis, angle) -> np.ndarray:
     bits of a call of its own: the axes are normalized by one dot product
     each, as np.linalg.norm takes a vector's, and every entry is the same
     elementwise formula."""
+    return _rotations(_axis_frames(axis), angle)
+
+
+def _axis_frames(axis) -> tuple:
+    """(cross, outer): the cross-product matrix [u]x and the outer product
+    u u^T of each unit axis u along `axis` (3,) or (m, 3), the parts of a
+    rotation about it that do not depend on the angle (`_rotations`)."""
     u = np.asarray(axis, dtype=float)
     u = u / np.sqrt(np.matmul(u[..., None, :], u[..., :, None])[..., 0])
+    ux, uy, uz = np.moveaxis(u, -1, 0)
+    cross = np.zeros(u.shape + (3,))
+    cross[..., 0, 1], cross[..., 0, 2] = -uz, uy
+    cross[..., 1, 0], cross[..., 1, 2] = uz, -ux
+    cross[..., 2, 0], cross[..., 2, 1] = -uy, ux
+    return cross, u[..., :, None] * u[..., None, :]
+
+
+def _rotations(frames: tuple, angle) -> np.ndarray:
+    """The rotations by `angle` (a float or (m,)) about the axes of
+    `frames` (`_axis_frames`): c I + s [u]x + (1 - c) u u^T (Rodrigues),
+    summed in that order."""
+    cross, outer = frames
     c = np.cos(angle)[..., None, None]
     s = np.sin(angle)[..., None, None]
-    ux, uy, uz = np.moveaxis(u, -1, 0)
-    zero = np.zeros_like(ux)
-    cross = np.stack([np.stack(row, axis=-1) for row in
-                      ((zero, -uz, uy), (uz, zero, -ux), (-uy, ux, zero))], axis=-2)
-    outer = u[..., :, None] * u[..., None, :]
     return c * np.eye(3) + s * cross + (1.0 - c) * outer
 
 
@@ -317,21 +333,41 @@ def _placed(base: np.ndarray, azimuths: np.ndarray, displacement: float,
     `displacement` along its radial direction, then tilted by `inclination`
     about that direction with its centre fixed (not at all for inclination
     0).  Each step is one batched matmul over the loops, so every loop has
-    the bits of a placement of its own."""
+    the bits of a placement of its own.  What the azimuths alone fix, the
+    turns about z and the radial axes, is the ring's (`_ring`), remembered
+    for the last ring of more than one loop: an optimizer's evaluations of
+    one family turn it once."""
+    key = azimuths.tobytes()
+    still, turned, turns, radial, frames = (
+        _ring(key) if azimuths.size > 1 else _ring.__wrapped__(key))
     xyz = np.empty((azimuths.size,) + base.shape)
-    turned = azimuths != 0.0
-    xyz[~turned] = base
-    if turned.any():
-        rot = rotation_about_axis((0.0, 0.0, 1.0), azimuths[turned])
-        xyz[turned] = np.matmul(base, rot.transpose(0, 2, 1))
-    radial = np.column_stack((np.cos(azimuths), np.sin(azimuths),
-                              np.zeros(azimuths.size)))
+    xyz[still] = base
+    xyz[turned] = np.matmul(base, turns)
     center = (displacement * radial)[:, None]
     xyz += center
     if inclination != 0.0:
-        rot = rotation_about_axis(radial, inclination)
+        rot = _rotations(frames, inclination)
         xyz = center + np.matmul(xyz - center, rot.transpose(0, 2, 1))
     return xyz
+
+
+@functools.lru_cache(maxsize=1)
+def _ring(azimuths: bytes) -> tuple:
+    """(still, turned, turns, radial, frames) of loops at the azimuths
+    given as bytes: the indices of the loops at azimuth 0 and of the
+    others, the transposed turns about z of the others, the (m, 3) radial
+    directions and their `_axis_frames`, all read-only."""
+    azimuths = np.frombuffer(azimuths)
+    zero = azimuths == 0.0
+    still, turned = np.flatnonzero(zero), np.flatnonzero(~zero)
+    turns = rotation_about_axis((0.0, 0.0, 1.0), azimuths.take(turned))
+    turns = turns.transpose(0, 2, 1)
+    radial = np.column_stack((np.cos(azimuths), np.sin(azimuths),
+                              np.zeros(azimuths.size)))
+    frames = _axis_frames(radial)
+    for array in (still, turned, turns, radial, *frames):
+        array.flags.writeable = False
+    return still, turned, turns, radial, frames
 
 
 def min_curvature_radius(curve: PolyCurve) -> float:
@@ -386,6 +422,15 @@ class _Stack(NamedTuple):
     closed: bool
     dirs: np.ndarray
     lens: np.ndarray
+
+
+def _layout(stacks) -> tuple:
+    """What a link's segment table takes from its layout alone, hashable:
+    per stack, its component indices (as bytes), vertex count and
+    closedness.  Links of one layout share every index table of their
+    measurement (`distances._plan`, `_groups._orbits`)."""
+    return tuple((st.idx.tobytes(), st.vertices.shape[1], st.closed)
+                 for st in stacks)
 
 
 def _stacks(curves) -> list:

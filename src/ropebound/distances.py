@@ -53,6 +53,15 @@ workspace, so a pass allocates nothing.  Its dot products
 are summed x, z, y, the order `np.einsum("ij,ij->i")` sums an (m, 3) array
 in, so the distances are those of the einsum formulation bit for bit.
 `segment_pair_distances` takes (m, 3) arrays and runs the same kernel.
+
+Every index table of a search that follows from the link's layout alone
+(its components' vertex counts, closedness and order, and the orbit minima
+of its symmetry) is a `_Plan`: the segment table's places and labels, the
+runs and their orbit tables, the sampled pairs of the bound and the blocks
+of the self pass.  A plan is remembered from the second search in a row
+of its layout (`_plan`), so an optimizer's evaluations of one family share
+it and read it with `take` and slices, while a link measured once pays for
+its own and leaves nothing resident.
 """
 
 from __future__ import annotations
@@ -64,7 +73,7 @@ import threading
 
 import numpy as np
 
-from .curves import PolyCurve, _length, _stacks
+from .curves import PolyCurve, _layout, _length, _stacks
 
 __all__ = [
     "segment_pair_distances",
@@ -248,29 +257,28 @@ class _SegmentSoup:
     `curves._Stack` per vertex count and closedness (`stacks`, or grouped
     here when not given): each stack's rows, arc-length midpoints (a
     row-wise cumsum) and lengths are written in one pass, with no loop over
-    components.  `orbit_min`, when given, is the lowest segment index of
-    each segment's orbit under a symmetry (`measure._symmetry`), and a
-    segment is its orbit's representative when that is its own; None, or
-    every segment its own orbit, searches every pair.  `next_rep[i]` is the
-    first representative at or after segment i (n after the last), and a
-    separation x on component k folds to
-    min(x, fold - x) for `fold_nseg[k]` and `fold_len[k]` (an open one's,
-    2n and inf, never do)."""
+    components, to the places its layout's `_Plan` gives.  `orbit_min`,
+    when given, is the lowest segment index of each segment's orbit under a
+    symmetry (`measure._symmetry`), and a segment is its orbit's
+    representative when that is its own; None, or every segment its own
+    orbit, searches every pair.  Every index table, `labels`, `next_rep`
+    and the fold counts among them, is the plan's (`_plan`); the soup holds
+    the coordinates and what follows from them.  A separation x on
+    component k folds to min(x, fold - x) for `fold_nseg[k]` and
+    `fold_len[k]` (an open one's, 2n and inf, never do)."""
 
     def __init__(self, curves, orbit_min=None, stacks=None):
         stacks = _stacks(curves) if stacks is None else stacks
-        q = len(curves)
-        self.comp_nseg = np.empty(q, dtype=np.int64)
-        comp_len, closed = np.empty(q), np.empty(q, dtype=bool)
-        for st in stacks:
-            self.comp_nseg[st.idx] = st.lens.shape[1]
-            closed[st.idx] = st.closed
-        self.first = np.cumsum(self.comp_nseg) - self.comp_nseg
-        self.rows = np.empty((7, int(self.comp_nseg.sum())))
+        self.plan = plan = _plan(stacks, orbit_min)
+        self.comp_nseg, self.first, self.labels = (plan.comp_nseg, plan.first,
+                                                   plan.labels)
+        self.fold_nseg = plan.fold_nseg
+        self.orbit_min, self.next_rep = plan.orbit_min, plan.next_rep
+        comp_len = np.empty(len(curves))
+        self.rows = np.empty((7, plan.labels.size))
         self.arc_mid = np.empty(self.rows.shape[1])
-        for st in stacks:
+        for st, at in zip(stacks, plan.places):
             m, n = st.lens.shape
-            at = (self.first[st.idx][:, None] + np.arange(n)).ravel()
             self.rows[:3, at] = st.vertices[:, :n].reshape(-1, 3).T
             self.rows[3:6, at] = st.dirs.reshape(-1, 3).T
             cum = np.cumsum(st.lens, axis=1)
@@ -282,20 +290,11 @@ class _SegmentSoup:
         # midpoints and half-lengths, as (3, n) and (n,) rows
         self.mids = self.rows[:3] + 0.5 * self.rows[3:6]
         self.half = 0.5 * np.sqrt(self.rows[6])
-        self.labels = np.repeat(np.arange(q), self.comp_nseg)
-        self.fold_nseg = np.where(closed, self.comp_nseg, 2 * self.comp_nseg)
-        self.fold_len = np.where(closed, comp_len, np.inf)
+        self.fold_len = np.where(plan.closed, comp_len, np.inf)
         # what each bound test allows for rounding: the geometry is known to
         # a few ulps of its largest coordinate
         self.slack = _ROUNDING * (float(np.abs(self.mids).max())
                                   + 2.0 * float(self.half.max()))
-        index = np.arange(len(self.labels))
-        if orbit_min is not None and np.array_equal(orbit_min, index):
-            orbit_min = None
-        self.orbit_min = orbit_min
-        self.next_rep = (None if orbit_min is None else
-                         np.minimum.accumulate(np.where(
-                             orbit_min == index, index, index.size)[::-1])[::-1])
 
     def __len__(self):
         return self.rows.shape[1]
@@ -309,6 +308,186 @@ class _SegmentSoup:
     def pair_distances(self, ia, ib) -> np.ndarray:
         """Distances of the segment pairs (ia[k], ib[k])."""
         return _pair_distances(self.rows, ia, ib)
+
+
+class _Plan:
+    """The index tables of a search that follow from a link's layout alone
+    (`curves._layout`: each stack's components, vertex count and
+    closedness) and its orbit minima, `key`, so that successive links of
+    one layout, an optimizer's evaluations of one family, share them
+    (`_plan`).
+
+    Per component: `comp_nseg` segments from segment `first`, `closed`,
+    `fold_nseg` (`_SegmentSoup`); per stack, `places`, the segment indices
+    its rows fill, a slice where its components are consecutive.  Per
+    segment: `labels`, its component; `orbit_min` (None when no orbits or
+    every segment its own) and `next_rep`, the first representative at or
+    after it (n after the last).  Per run (`_run_starts`): `run_first`,
+    `run_size`, `run_last`, and with orbits `run_top`, its largest orbit
+    minimum, and `run_marked`, whether it holds a representative (else
+    both None); `run_units`, the (first, last, top) units of runs.  Per
+    component again, for `_self_min`: `comp_runs` and `comp_run_count`, its
+    first run and run count, and `whole`, the units of whole components.
+    The sampled pairs of `_sampled_bound` and the blocks of `_self_min` are
+    made at their first use (`samples`, `blocks`).  All arrays are
+    read-only."""
+
+    def __init__(self, layout: tuple, orbit_min):
+        idx = [np.frombuffer(b, dtype=np.int64) for b, _, _ in layout]
+        q = sum(i.size for i in idx)
+        self.comp_nseg = np.empty(q, dtype=np.int64)
+        self.closed = np.empty(q, dtype=bool)
+        for i, (_, n, closed) in zip(idx, layout):
+            self.comp_nseg[i], self.closed[i] = n if closed else n - 1, closed
+        self.first = np.cumsum(self.comp_nseg) - self.comp_nseg
+        self.places = []
+        for i in idx:
+            n = int(self.comp_nseg[i[0]])
+            if i[-1] - i[0] == i.size - 1:  # consecutive components
+                start = int(self.first[i[0]])
+                self.places.append(slice(start, start + i.size * n))
+            else:
+                self.places.append((self.first.take(i)[:, None]
+                                    + np.arange(n)).ravel())
+        self.labels = np.repeat(np.arange(q), self.comp_nseg)
+        self.fold_nseg = np.where(self.closed, self.comp_nseg, 2 * self.comp_nseg)
+        index = np.arange(self.labels.size)
+        if orbit_min is not None and not (
+                isinstance(orbit_min, np.ndarray) and orbit_min.base is None
+                and not orbit_min.flags.writeable):
+            orbit_min = np.array(orbit_min)  # a copy that no caller changes
+        self.key = layout, orbit_min  # what `_matches` compares
+        if orbit_min is not None and np.array_equal(orbit_min, index):
+            orbit_min = None
+        self.orbit_min = orbit_min
+        self.next_rep = (None if orbit_min is None else
+                         np.minimum.accumulate(np.where(
+                             orbit_min == index, index, index.size)[::-1])[::-1])
+        self.run_first = _run_starts(self.comp_nseg)
+        self.run_size = np.diff(self.run_first, append=index.size)
+        self.run_last = self.run_first + self.run_size - 1
+        self.run_marked = self.run_top = None
+        if orbit_min is not None:
+            self.run_top = np.maximum.reduceat(orbit_min, self.run_first)
+            self.run_marked = self.next_rep.take(self.run_first) <= self.run_last
+        self.comp_runs = np.searchsorted(self.run_first, self.first)
+        self.comp_run_count = np.diff(self.comp_runs, append=self.run_first.size)
+        top = (None if self.run_top is None else
+               np.maximum.reduceat(self.run_top, self.comp_runs))
+        self.whole = (self.first, self.first + self.comp_nseg - 1, top)
+        self.run_units = (self.run_first, self.run_last, self.run_top)
+        _frozen((*vars(self).values(), *self.places, *self.whole,
+                 *self.run_units))
+        self.remembered = self.labels.size <= _REMEMBERED_SEGMENTS
+        self._memo = {}
+
+    def _remembered(self, key: tuple, make):
+        """make(), remembered under `key` among the last _MEMO_KEYS when
+        the plan is (`_plan`)."""
+        if not self.remembered:
+            return make()
+        found = self._memo.get(key)
+        if found is None:
+            if len(self._memo) >= _MEMO_KEYS:
+                self._memo.clear()
+            found = self._memo[key] = make()
+        return found
+
+    def samples(self, inter: bool, per) -> tuple:
+        """(ia, ib): the segment pairs of `_sampled_bound` for `inter` and
+        `per` (None: its default), among them only those that pass the
+        orbit condition of `_may_count` (`_lowest_first`), which follows
+        from the layout."""
+        key = ("samples", _BOUND_SAMPLES, inter,
+               None if per is None else per.tobytes())
+        return self._remembered(key, lambda: self._samples(inter, per))
+
+    def _samples(self, inter: bool, per) -> tuple:
+        ncomp = self.comp_nseg.size
+        if per is None:
+            per = np.minimum(max(1, _BOUND_SAMPLES // ncomp), self.comp_nseg)
+        lab = np.repeat(np.arange(ncomp), per)
+        rank = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per)
+        seg = self.first.take(lab) + rank * self.comp_nseg.take(lab) // per.take(lab)
+        # a kept pair's lower segment represents its orbit
+        lead = None if self.orbit_min is None else self.orbit_min.take(seg) == seg
+        ia, ib = _pairs([seg.size] if inter else per, lead)
+        ia, ib = seg.take(ia), seg.take(ib)
+        if self.orbit_min is not None:
+            keep = _lowest_first(self, None, ia, ib)
+            ia, ib = ia.compress(keep), ib.compress(keep)
+        return _frozen((ia, ib))
+
+    def blocks(self, wide: np.ndarray) -> tuple:
+        """(runs, sizes) of each block of `_self_min`'s components `wide`
+        (a mask), whose run pairs it enumerates by index: the runs of the
+        block's components in order, and their run counts."""
+        return self._remembered(("blocks", _INDEXED_PAIRS, wide.tobytes()),
+                                lambda: self._blocks(wide))
+
+    def _blocks(self, wide: np.ndarray) -> tuple:
+        comps = np.flatnonzero(wide)
+        count = self.comp_run_count
+        size = count.take(comps) * (count.take(comps) - 1) // 2
+        block = (np.cumsum(size) - size) // _INDEXED_PAIRS
+        return tuple(_frozen((_members(self.comp_runs, count, at)[0],
+                              count.take(at)))
+                     for at in np.split(comps, np.flatnonzero(np.diff(block)) + 1))
+
+
+def _frozen(values: tuple) -> tuple:
+    """`values`, with every array among them made read-only: a plan hands
+    the same arrays to every search of its layout."""
+    for value in values:
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return values
+
+
+# Tables a _Plan remembers by their arguments (`_Plan._remembered`): the
+# sampled pairs of the inter search and, per set of components that
+# `_self_min` searches, its sampled pairs and blocks.
+_MEMO_KEYS = 8
+
+# Segments of the largest layout whose plan is remembered (`_plan`).
+_REMEMBERED_SEGMENTS = 1 << 16
+
+# The key (`_Plan.key`) of the last layout searched, and the plan of the
+# last layout searched twice in a row (`_plan`): lists of at most one.
+_last = []
+_plans = []
+
+
+def _plan(stacks, orbit_min) -> _Plan:
+    """The _Plan of the stacks' layout and `orbit_min`.  It is remembered,
+    as `_groups._orbits_of` remembers its last generators, from the second
+    search in a row of that layout and orbits until a search of another:
+    an optimizer's evaluations of one family build it twice, and a link
+    measured once (a torus build, a checked file) leaves nothing resident
+    through what runs next, such as `linking_matrix` after `measure_link`.
+    A layout of more than _REMEMBERED_SEGMENTS segments is planned for
+    each search alone, as are the tables its plan makes on demand: its
+    search costs far more than its plan."""
+    layout = _layout(stacks)
+    for held in _plans[:1]:  # a copy: another thread may replace the plan
+        if _matches(held.key, layout, orbit_min):
+            return held
+    _plans.clear()  # freed before the next is built
+    again = any(_matches(key, layout, orbit_min) for key in _last[:1])
+    plan = _Plan(layout, orbit_min)
+    _last[:] = [plan.key]
+    if again and plan.remembered:
+        _plans[:] = [plan]
+    return plan
+
+
+def _matches(key: tuple, layout: tuple, orbit_min) -> bool:
+    """Whether `key`, a plan's (layout, orbit minima), is `layout` and
+    `orbit_min`."""
+    known, given = key
+    if layout != known or (orbit_min is None) != (given is None):
+        return False
+    return orbit_min is given or np.array_equal(orbit_min, given)
 
 
 # Segments sampled for the upper bound that seeds the search radius: at most
@@ -554,7 +733,8 @@ def _may_count(soup, units, ia, ib, inter, intra, arc_windows) -> np.ndarray:
     whole components: whether some segment pair of units ia[k] and ib[k]
     (ia[k] not after ib[k]; a unit is a segment when `units` is None, else a
     stretch of one component, `units` the (first, last, top) arrays, top
-    the largest orbit minimum of each stretch, None without orbits) may count
+    the largest orbit minimum of each stretch, None without orbits:
+    `_Plan.run_units` or `_Plan.whole`) may count
     toward the distance measured.  A segment pair counts if
 
     - its segments are on distinct components and `inter`; or on one,
@@ -636,18 +816,11 @@ def _sampled_bound(soup, inter, intra, arc_windows, per=None) -> float:
     """Where a search starts: the closest pair that `_may_count` keeps
     among `per[k]` segments spread evenly along each component k, by
     default up to _BOUND_SAMPLES over all components; without `inter`, only
-    samples of one component are paired.  It is the distance of a searched
-    pair, so a true upper bound, or inf when no sampled pair is kept."""
-    ncomp = len(soup.comp_nseg)
-    if per is None:
-        per = np.minimum(max(1, _BOUND_SAMPLES // ncomp), soup.comp_nseg)
-    lab = np.repeat(np.arange(ncomp), per)
-    rank = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per)
-    seg = soup.first[lab] + rank * soup.comp_nseg[lab] // per[lab]
-    # a kept pair's lower segment represents its orbit
-    lead = None if soup.orbit_min is None else soup.orbit_min.take(seg) == seg
-    ia, ib = _pairs([seg.size] if inter else per, lead)
-    return _admissible_min(soup, seg[ia], seg[ib], inter, intra, arc_windows)
+    samples of one component are paired (the pair list is the plan's,
+    `_Plan.samples`).  It is the distance of a searched pair, so a true
+    upper bound, or inf when no sampled pair is kept."""
+    ia, ib = soup.plan.samples(inter, per)
+    return _admissible_min(soup, ia, ib, inter, intra, arc_windows)
 
 
 def _widened(radius: float) -> float:
@@ -699,41 +872,40 @@ class _Runs:
     starts (`_candidate_pairs` with `marked`); else both are None."""
 
     def __init__(self, soup):
-        n = len(soup)
-        self.first = _run_starts(soup.comp_nseg)
-        self.size = np.diff(self.first, append=n)
-        self.last = self.first + self.size - 1
+        plan = soup.plan
+        self.first, self.size, self.last = (plan.run_first, plan.run_size,
+                                            plan.run_last)
+        self.marked, self.top = plan.run_marked, plan.run_top
         starts, dirs = soup.rows[:3], soup.rows[3:6]
-        a = starts[:, self.first]
-        chord = starts[:, self.last] + dirs[:, self.last] - a
+        a = starts.take(self.first, axis=1)
+        end = soup.rows[:6].take(self.last, axis=1)
+        chord = end[:3] + end[3:] - a
         span = np.sqrt(_dot(chord, chord))
         short = span < _DEGENERATE * np.add.reduceat(2.0 * soup.half, self.first)
-        chord[:, short] = dirs[:, self.first[short]]
+        if short.any():
+            chord[:, short] = dirs.take(self.first.compress(short), axis=1)
         self.rows = _segment_rows(a.T, chord.T)
         length = np.sqrt(self.rows[6])
         # each vertex but the run's last against its run's chord; the last
         # is the chord's end, or within `span` of the first vertex where
         # the first segment stands in for the chord
-        run = np.repeat(np.arange(self.first.size), self.size)
-        offset = starts - a[:, run]
-        along = chord[:, run]
-        t = np.clip(_dot(offset, along) / self.rows[6][run], 0.0, 1.0)
+        offset = starts - np.repeat(a, self.size, axis=1)
+        along = np.repeat(chord, self.size, axis=1)
+        t = np.clip(_dot(offset, along) / np.repeat(self.rows[6], self.size),
+                    0.0, 1.0)
         gap = offset - t * along
         far = np.sqrt(np.maximum.reduceat(_dot(gap, gap), self.first))
         self.dev = (np.maximum(far, np.where(short, span, 0.0))
                     + _CHORD_ROUNDING * length + soup.slack)
         self.mids = (a + 0.5 * chord).T
         self.radius = 0.5 * length + self.dev
-        self.marked = self.top = None
-        if soup.orbit_min is not None:
-            self.top = np.maximum.reduceat(soup.orbit_min, self.first)
-            self.marked = soup.next_rep.take(self.first) <= self.last
 
     def lower_bounds(self, ra, rb) -> np.ndarray:
         """A lower bound on the kernel distance of every segment pair of run
         ra[k] and run rb[k]: the chords' kernel distance minus both
         deviations."""
-        return _pair_distances(self.rows, ra, rb) - self.dev[ra] - self.dev[rb]
+        return (_pair_distances(self.rows, ra, rb) - self.dev.take(ra)
+                - self.dev.take(rb))
 
 
 def _near_min(soup, runs, ra, rb, radius, inter, intra, arc_windows) -> float:
@@ -746,7 +918,7 @@ def _near_min(soup, runs, ra, rb, radius, inter, intra, arc_windows) -> float:
         ia, ib = _expand(runs.first, runs.size, ra[k : k + step], rb[k : k + step])
         keep = _may_count(soup, None, ia, ib, inter, intra, arc_windows)
         gap = soup.mids.take(ia, axis=1) - soup.mids.take(ib, axis=1)
-        reach = radius + soup.half[ia] + soup.half[ib] + soup.slack
+        reach = radius + soup.half.take(ia) + soup.half.take(ib) + soup.slack
         keep &= _dot(gap, gap) <= reach * reach
         if keep.any():
             best = min(best, float(soup.pair_distances(
@@ -765,8 +937,7 @@ def _run_pairs(soup, at, radius, inter, intra, arc_windows,
     runs = soup.runs
     if sizes is not None:
         # a kept pair's lower run holds a representative
-        lead = None if soup.orbit_min is None else (
-            soup.next_rep.take(runs.first.take(at)) <= runs.last.take(at))
+        lead = None if runs.marked is None else runs.marked.take(at)
         ra, rb = _pairs(sizes, lead)
     else:
         mids, marked, reach = runs.mids, runs.marked, runs.radius
@@ -776,8 +947,8 @@ def _run_pairs(soup, at, radius, inter, intra, arc_windows,
         ra, rb = _candidate_pairs(mids, radius + 2.0 * reach.max(), marked)
     if at is not None:
         ra, rb = at.take(ra), at.take(rb)
-    keep = _may_count(soup, (runs.first, runs.last, runs.top), ra, rb, inter,
-                      intra, arc_windows)
+    keep = _may_count(soup, soup.plan.run_units, ra, rb, inter, intra,
+                      arc_windows)
     ra, rb = ra.compress(keep), rb.compress(keep)
     keep = runs.lower_bounds(ra, rb) <= radius
     return ra.compress(keep), rb.compress(keep)
@@ -811,13 +982,10 @@ def _self_min(soup, arc_windows) -> float:
     a new block starting once _INDEXED_PAIRS run pairs are out, so a link
     of many classes holds about one component's pairs at a time.  The other
     components go through one query, so no input turns quadratic."""
-    q = soup.first.size
-    runs = soup.runs
-    start = np.searchsorted(runs.first, soup.first)  # each component's runs
-    count = np.diff(start, append=runs.first.size)
-    top = None if runs.top is None else np.maximum.reduceat(runs.top, start)
-    whole = (soup.first, soup.first + soup.comp_nseg - 1, top)
-    searched = _may_count(soup, whole, np.arange(q), np.arange(q), False, True,
+    plan, runs = soup.plan, soup.runs
+    start, count = plan.comp_runs, plan.comp_run_count  # each component's runs
+    comps = np.arange(start.size)
+    searched = _may_count(soup, plan.whole, comps, comps, False, True,
                           arc_windows)
     if not searched.any():
         return np.inf
@@ -829,12 +997,8 @@ def _self_min(soup, arc_windows) -> float:
     extent = np.maximum.reduceat(_length(runs.mids - centre), start)
     wide = searched & (radius + 2.0 * np.maximum.reduceat(runs.radius, start)
                        >= extent)
-    comps = np.flatnonzero(wide)
-    size = count.take(comps) * (count.take(comps) - 1) // 2
-    block = (np.cumsum(size) - size) // _INDEXED_PAIRS
-    found = [_run_pairs(soup, _members(start, count, at)[0], radius, False,
-                        True, arc_windows, count.take(at))
-             for at in np.split(comps, np.flatnonzero(np.diff(block)) + 1)]
+    found = [_run_pairs(soup, at, radius, False, True, arc_windows, sizes)
+             for at, sizes in plan.blocks(wide)]
     queried = np.flatnonzero(searched & ~wide)
     if queried.size:
         found.append(_run_pairs(soup, _members(start, count, queried)[0],

@@ -278,7 +278,9 @@ def _prepared(comps) -> tuple:
     """(radii, windows, total length, margin, soup) of a link: its
     curvature (`_curvature`), length and symmetry margin (`_symmetry`),
     and the segment table of its distance search, built from the
-    per-shape stacks, which are freed before the search."""
+    per-shape stacks, which are freed before the search, and read through
+    the index tables of its layout and orbits (`distances._plan`, shared
+    by the successive links of one layout that an optimizer evaluates)."""
     sym = _symmetry(comps)
     radii, windows = _curvature(sym)
     return (radii, windows, _total_length(sym.stacks, len(comps)), sym.margin,

@@ -1018,13 +1018,25 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
         ("build circles --q 8 --points 200", "build-circles-q8.json"),
         ("optimize --family gibbous --q 3 --restarts 1 --maxfev 6 --points 200",
          "optimize-gibbous-q3.json"),
+        ("optimize --family hybrid_square --q 5 --restarts 2 --maxfev 60 "
+         "--points 200", "optimize-hybrid_square-q5.json"),
+        ("optimize --family circles --q 8 --restarts 2 --maxfev 60 --points 200",
+         "optimize-circles-q8.json"),
+        ("optimize --family gibbous --q 20 --restarts 2 --maxfev 60 --points 200",
+         "optimize-gibbous-q20.json"),
+        ("optimize --family toroidal_pair --q 14 --restarts 2 --maxfev 60 "
+         "--points 100", "optimize-toroidal_pair-q14.json"),
     ],
-    ids=["gibbous", "hybrid_square", "circles", "optimize"],
+    ids=["gibbous", "hybrid_square", "circles", "optimize",
+         "optimize-hybrid_square", "optimize-circles", "optimize-gibbous-q20",
+         "optimize-toroidal_pair"],
 )
 def test_planar_reports_are_golden(capsys, argv, name):
     # the whole report, byte for byte, as these commands printed it before
     # the ring was placed in one batch and each link was measured from one
-    # segment table per shape of component
+    # segment table per shape of component; the longer optimize runs as
+    # they printed before each layout's index tables were shared by the
+    # evaluations of one run
     assert main(argv.split()) == 0
     with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
         assert capsys.readouterr().out == fh.read()

@@ -191,6 +191,35 @@ def test_stacked_rotations_have_the_bits_of_single_calls():
             np.asarray(expected).tobytes())
 
 
+def _rotation_stacked(axis, angle):
+    """Rotation matrices as rotation_about_axis formed them before it
+    filled the cross-product matrix in place: nested np.stack."""
+    u = np.asarray(axis, dtype=float)
+    u = u / np.sqrt(np.matmul(u[..., None, :], u[..., :, None])[..., 0])
+    c = np.cos(angle)[..., None, None]
+    s = np.sin(angle)[..., None, None]
+    ux, uy, uz = np.moveaxis(u, -1, 0)
+    zero = np.zeros_like(ux)
+    cross = np.stack([np.stack(row, axis=-1) for row in
+                      ((zero, -uz, uy), (uz, zero, -ux), (-uy, ux, zero))],
+                     axis=-2)
+    outer = u[..., :, None] * u[..., None, :]
+    return c * np.eye(3) + s * cross + (1.0 - c) * outer
+
+
+def test_rotations_keep_the_bits_of_the_stacked_formula():
+    rng = np.random.default_rng(17)
+    axes = rng.normal(size=(40, 3)) * rng.uniform(0.1, 10.0, (40, 1))
+    axes[:4] = np.eye(3)[[0, 1, 2, 2]]  # zero components: signed zeros
+    angles = rng.uniform(-7.0, 7.0, 40)
+    angles[:3] = (0.0, math.pi, -0.5 * math.pi)
+    for axis, angle in ((axes, angles), (axes, 0.7), (axes, math.pi),
+                        ((0.0, 0.0, 1.0), angles), ((0.0, 0.0, 1.0), 0.0),
+                        (axes[5], angles[5]), ((1.0, 0.0, 0.0), -1.3)):
+        assert rotation_about_axis(axis, angle).tobytes() == (
+            _rotation_stacked(axis, angle).tobytes())
+
+
 def _placed_by_loop(base, azimuth, displacement, inclination):
     """One loop placed as sample_planar_curve placed it before the ring was
     placed in one batch: two rotation matrices of its own."""

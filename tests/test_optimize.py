@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ropebound import optimize
+from ropebound import _groups, curves, distances, optimize
 from ropebound.construct import build_planar_link, realize_torus, toroidal_pair
 from ropebound.curves import PolyCurve, sample_planar_curve
 from ropebound.linking import linking_matrix
@@ -273,3 +273,101 @@ def test_toroidal_pair_tuned_parameters_beat_twelve():
     assert alpha == pytest.approx(11.754848052775852, rel=1e-9)
     assert alpha < 12.0
 
+
+def _forget_layouts():
+    """Drop every table remembered for the last layout measured."""
+    distances._plans.clear()
+    distances._last.clear()
+    curves._ring.cache_clear()
+    _groups._orbits_of.cache_clear()
+
+
+@pytest.mark.parametrize("family, q, other", [
+    ("gibbous", 20, ("hybrid_square", 5)),
+    ("hybrid_square", 5, ("circles", 8)),
+    ("circles", 8, ("toroidal_pair", 14)),
+    ("toroidal_pair", 14, ("gibbous", 3)),
+])
+def test_objective_does_not_depend_on_what_was_measured_before(family, q,
+                                                               other):
+    # a layout's tables are remembered from its second measurement in a
+    # row; the objective at a point keeps its bits fresh, after other points
+    # of its family have shared them, and after another family replaced them
+    problem = OptimizationProblem(family, q, n_points=100)
+    lo, hi = problem.param_bounds.T
+    point = problem.initial_params + 0.02 * (hi - lo)
+    _forget_layouts()
+    fresh = problem.objective(point)
+    assert math.isfinite(fresh) and distances._plans == []
+    for step in (0.01, -0.01, 0.03):
+        problem.objective(problem.initial_params + step * (hi - lo))
+    plan = distances._plans[0]
+    assert problem.objective(point).hex() == fresh.hex()
+    assert distances._plans[0] is plan
+    rival = OptimizationProblem(*other, n_points=100)
+    for _ in range(2):
+        rival.objective(rival.initial_params)
+    assert distances._plans[0] is not plan and len(distances._plans) == 1
+    assert problem.objective(point).hex() == fresh.hex()
+
+
+def test_one_layout_is_remembered_at_a_time():
+    # a layout measured twice in a row keeps its plan, one layout at most;
+    # a link measured once leaves none
+    _forget_layouts()
+    for q in (5, 7):
+        link = build_planar_link(q, "gibbous", n_points=60)
+        measure_link(link)
+        assert distances._plans == []
+        measure_link(link)
+        assert len(distances._plans) == 1
+        assert curves._ring.cache_info().currsize == 1
+    assert distances._plans[0].comp_nseg.tolist() == [60] * 7
+    measure_link(realize_torus(build_increment_spec(1, 4), n_points=80,
+                               check=False))
+    assert distances._plans == [] and len(distances._last) == 1
+
+
+def test_a_large_layout_is_planned_for_its_measurement_alone(monkeypatch):
+    # a layout above the remembered size is planned afresh, remembers none
+    # of its tables, and frees the plan it replaces; its metrics are those
+    # of a remembered plan
+    link = build_planar_link(6, "gibbous", n_points=60)
+    _forget_layouts()
+    remembered = [measure_link(link) for _ in range(2)][-1]
+    assert len(distances._plans) == 1
+    monkeypatch.setattr(distances, "_REMEMBERED_SEGMENTS", 6 * 60 - 1)
+    measure_link(build_planar_link(7, "circles", n_points=60))
+    assert distances._plans == []
+    for _ in range(2):
+        fresh = measure_link(link)
+        assert distances._plans == []
+    assert fresh.as_dict() == remembered.as_dict()
+
+
+def test_a_plan_is_kept_only_for_its_own_orbits():
+    # a ring of four loops (D4) and a copy with loops 0 and 2 pulled toward
+    # their successors alike (C2) share their layout but not their orbits:
+    # measured after one another, each measures as it does with nothing
+    # remembered
+    ring = build_planar_link(4, "gibbous", n_points=60)
+    comps = list(ring.components)
+    a, b = comps[0].vertices, comps[1].vertices
+    gap = np.linalg.norm(a[:, None] - b[None], axis=2)
+    i, j = np.unravel_index(gap.argmin(), gap.shape)
+    pull = 0.5 * (b[j] - a[i])
+    for k, turn in ((0, pull), (2, pull * (-1.0, -1.0, 1.0))):
+        v = comps[k].vertices.copy()
+        v[i] += turn
+        comps[k] = PolyCurve(v)
+    pulled = LinkConfiguration(comps)
+    fresh, orbits = [], []
+    for link in (ring, pulled):
+        _forget_layouts()
+        fresh.append(measure_link(link).as_dict())
+        orbits.append(distances._last[0][1])
+    assert orbits[1] is not None and not np.array_equal(*orbits)
+    assert fresh[1]["min_inter_distance"] < fresh[0]["min_inter_distance"]
+    _forget_layouts()
+    for link in (ring, ring, pulled, pulled, ring):
+        assert measure_link(link).as_dict() == fresh[link is pulled]
