@@ -14,8 +14,9 @@ import math
 
 import numpy as np
 
+from . import distances
 from .curves import _layout
-from .distances import _dot, _scratch
+from .distances import _Plan, _dot, _scratch
 
 # Eigenvalues of the vertices' second-moment tensor within this fraction of
 # the largest count as equal: a link symmetric within eps (1e-12 of its
@@ -105,23 +106,32 @@ def _compose(g: np.ndarray, h: np.ndarray, nvert: np.ndarray) -> np.ndarray:
 
 
 def _orbits(stacks, rotation, k: int, spin, flip) -> tuple:
-    """(group, orbit_min): the index maps of the elements that the
-    generators generate (`_dihedral`) and each segment's orbit minimum
-    (`_orbit_min`), (None, None) for the identity alone.  Both follow from
-    the generators' index maps and the stacks' layout, so they are
-    remembered for the last such pair of inputs: an optimizer's evaluations
-    of one family share them."""
+    """(group, orbit_min, plan): the index maps of the elements that the
+    generators generate (`_dihedral`), each segment's orbit minimum
+    (`_orbit_min`), both None for the identity alone, and the search plan
+    of the stacks' layout under those orbits (`distances._Plan`).  All
+    follow from the generators' index maps and the stacks' layout, so they
+    are remembered for the last such pair of inputs (`_orbits_of`): an
+    optimizer's evaluations of one family share them, and a link measured
+    once keeps them until a link of another layout is measured.  A layout
+    of more than `distances._REMEMBERED_SEGMENTS` segments has them made for
+    its measurement alone: its search costs far more than its plan, which
+    would stay resident through what runs next."""
     maps = tuple(None if g is None else g.tobytes()
                  for g in (rotation, spin, flip))
-    return _orbits_of(_layout(stacks), k, maps)
+    orbits_of = _orbits_of
+    if sum(st.lens.size for st in stacks) > distances._REMEMBERED_SEGMENTS:
+        orbits_of = _orbits_of.__wrapped__
+    return orbits_of(_layout(stacks), k, maps)
 
 
 @functools.lru_cache(maxsize=1)
 def _orbits_of(layout: tuple, k: int, maps: tuple) -> tuple:
     """_orbits from its key: the layout (`curves._layout`: indices, vertex
-    count and closedness per stack) and the generators' index maps, as
-    bytes.  The arrays returned are read-only, and the orbit minima key
-    the layout's search plan (`distances._plan`) by identity."""
+    count and closedness per stack), the rotation's order and the
+    generators' index maps, as bytes.  The group and orbit minima are
+    read-only, and the plan is built from them: the one cache of a
+    layout's orbits and plan."""
     idx = [np.frombuffer(b, dtype=np.int64) for b, _, _ in layout]
     q = sum(i.size for i in idx)
     nvert = np.empty(q, dtype=np.int64)
@@ -133,11 +143,11 @@ def _orbits_of(layout: tuple, k: int, maps: tuple) -> tuple:
                             for b in maps)
     group = _dihedral(rotation, k, spin, flip, nvert)
     if group is None:
-        return None, None
+        return None, None, _Plan(layout, None)
     orbit_min = _orbit_min(group, idx, nseg)
     for array in (group, orbit_min):
         array.flags.writeable = False
-    return group, orbit_min
+    return group, orbit_min, _Plan(layout, orbit_min)
 
 
 def _dihedral(rotation, k: int, spin, flip, nvert: np.ndarray):

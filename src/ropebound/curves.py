@@ -428,7 +428,7 @@ def _layout(stacks) -> tuple:
     """What a link's segment table takes from its layout alone, hashable:
     per stack, its component indices (as bytes), vertex count and
     closedness.  Links of one layout share every index table of their
-    measurement (`distances._plan`, `_groups._orbits`)."""
+    measurement (`_groups._orbits`: the orbits and the search plan)."""
     return tuple((st.idx.tobytes(), st.vertices.shape[1], st.closed)
                  for st in stacks)
 

@@ -1,16 +1,17 @@
 """Minimum distances of polygonal curves; the package's one near-pair search.
 
-`_candidate_pairs` is one cell-grid query for every pair of points within
+`_candidate_groups` is one cell-grid query for every pair of points within
 a reach, which each caller (this module and `linking`) sizes to hold every
-pair it needs.  Both callers query runs, not segments: each component is cut
-into runs of _RUN consecutive segments (`_run_starts`), a quarter of the
-points.  Here a run is bounded by a capsule, a line-swept sphere (Larsen,
-Gottschalk, Lin and Manocha, "Fast proximity queries with swept sphere
-volumes", 2000): its chord, from its first vertex to its last (its first
-segment where that chord degenerates), swept by a sphere whose radius is the
-largest distance of its vertices from the chord, padded for rounding.  The
-points are the chord midpoints and the reach is the query radius plus twice
-the largest radius about them that holds a run.
+pair it needs, handed out in groups that each caller filters as they come.
+Both callers query runs, not segments: each component is cut into runs of
+_RUN consecutive segments (`_run_starts`), a quarter of the points.  Here a
+run is bounded by a capsule, a line-swept sphere (Larsen, Gottschalk, Lin
+and Manocha, "Fast proximity queries with swept sphere volumes", 2000): its
+chord, from its first vertex to its last (its first segment where that chord
+degenerates), swept by a sphere whose radius is the largest distance of its
+vertices from the chord, padded for rounding.  The points are the chord
+midpoints and the reach is the query radius plus twice the largest radius
+about them that holds a run.
 
 Which segment pairs count is one rule, `_may_count`, asked of segment
 pairs, run pairs and whole components.  A search over two or more
@@ -39,7 +40,7 @@ every pair of its runs enumerated, and no query is built for it.  A
 component whose extent the bound does not reach across (a coiled knot)
 still goes through a query.
 
-`_candidate_pairs` sorts the points into a uniform grid of cells half the
+`_candidate_groups` sorts the points into a uniform grid of cells half the
 reach wide (the linked-cell method of particle simulation), in numpy: a
 row of 5 cells along the grid's last axis is one range of sorted points,
 so a query point's neighbours lie in 25 ranges in 3-D and 5 in 2-D, each
@@ -58,10 +59,10 @@ Every index table of a search that follows from the link's layout alone
 (its components' vertex counts, closedness and order, and the orbit minima
 of its symmetry) is a `_Plan`: the segment table's places and labels, the
 runs and their orbit tables, the sampled pairs of the bound and the blocks
-of the self pass.  A plan is remembered from the second search in a row
-of its layout (`_plan`), so an optimizer's evaluations of one family share
-it and read it with `take` and slices, while a link measured once pays for
-its own and leaves nothing resident.
+of the self pass.  `measure` takes a link's plan from its orbits
+(`_groups._orbits_of`), which remember both for the last layout measured,
+so an optimizer's evaluations of one family share it and read it with
+`take` and slices; a search without orbits builds a plan of its own.
 """
 
 from __future__ import annotations
@@ -257,19 +258,21 @@ class _SegmentSoup:
     `curves._Stack` per vertex count and closedness (`stacks`, or grouped
     here when not given): each stack's rows, arc-length midpoints (a
     row-wise cumsum) and lengths are written in one pass, with no loop over
-    components, to the places its layout's `_Plan` gives.  `orbit_min`,
-    when given, is the lowest segment index of each segment's orbit under a
-    symmetry (`measure._symmetry`), and a segment is its orbit's
+    components, to the places its layout's `_Plan` gives.  `orbits` is that
+    plan (`measure` takes it from `_groups._orbits_of`), or the orbit
+    minima from which one is built for this soup alone: the lowest segment
+    index of each segment's orbit under a symmetry, a segment its orbit's
     representative when that is its own; None, or every segment its own
     orbit, searches every pair.  Every index table, `labels`, `next_rep`
-    and the fold counts among them, is the plan's (`_plan`); the soup holds
-    the coordinates and what follows from them.  A separation x on
-    component k folds to min(x, fold - x) for `fold_nseg[k]` and
-    `fold_len[k]` (an open one's, 2n and inf, never do)."""
+    and the fold counts among them, is the plan's; the soup holds the
+    coordinates and what follows from them.  A separation x on component k
+    folds to min(x, fold - x) for `fold_nseg[k]` and `fold_len[k]` (an
+    open one's, 2n and inf, never do)."""
 
-    def __init__(self, curves, orbit_min=None, stacks=None):
+    def __init__(self, curves, orbits=None, stacks=None):
         stacks = _stacks(curves) if stacks is None else stacks
-        self.plan = plan = _plan(stacks, orbit_min)
+        self.plan = plan = (orbits if isinstance(orbits, _Plan)
+                            else _Plan(_layout(stacks), orbits))
         self.comp_nseg, self.first, self.labels = (plan.comp_nseg, plan.first,
                                                    plan.labels)
         self.fold_nseg = plan.fold_nseg
@@ -313,9 +316,9 @@ class _SegmentSoup:
 class _Plan:
     """The index tables of a search that follow from a link's layout alone
     (`curves._layout`: each stack's components, vertex count and
-    closedness) and its orbit minima, `key`, so that successive links of
-    one layout, an optimizer's evaluations of one family, share them
-    (`_plan`).
+    closedness) and its orbit minima, so that successive links of one
+    layout, an optimizer's evaluations of one family, share them: the
+    plan is built and remembered with the orbits (`_groups._orbits_of`).
 
     Per component: `comp_nseg` segments from segment `first`, `closed`,
     `fold_nseg` (`_SegmentSoup`); per stack, `places`, the segment indices
@@ -329,8 +332,9 @@ class _Plan:
     component again, for `_self_min`: `comp_runs` and `comp_run_count`, its
     first run and run count, and `whole`, the units of whole components.
     The sampled pairs of `_sampled_bound` and the blocks of `_self_min` are
-    made at their first use (`samples`, `blocks`).  All arrays are
-    read-only."""
+    made at their first use (`samples`, `blocks`), and remembered only by
+    a plan of at most _REMEMBERED_SEGMENTS segments (`remembered`).  Every
+    array it makes is read-only; `orbit_min` is the caller's, as given."""
 
     def __init__(self, layout: tuple, orbit_min):
         idx = [np.frombuffer(b, dtype=np.int64) for b, _, _ in layout]
@@ -352,14 +356,8 @@ class _Plan:
         self.labels = np.repeat(np.arange(q), self.comp_nseg)
         self.fold_nseg = np.where(self.closed, self.comp_nseg, 2 * self.comp_nseg)
         index = np.arange(self.labels.size)
-        if orbit_min is not None and not (
-                isinstance(orbit_min, np.ndarray) and orbit_min.base is None
-                and not orbit_min.flags.writeable):
-            orbit_min = np.array(orbit_min)  # a copy that no caller changes
-        self.key = layout, orbit_min  # what `_matches` compares
         if orbit_min is not None and np.array_equal(orbit_min, index):
             orbit_min = None
-        self.orbit_min = orbit_min
         self.next_rep = (None if orbit_min is None else
                          np.minimum.accumulate(np.where(
                              orbit_min == index, index, index.size)[::-1])[::-1])
@@ -378,12 +376,15 @@ class _Plan:
         self.run_units = (self.run_first, self.run_last, self.run_top)
         _frozen((*vars(self).values(), *self.places, *self.whole,
                  *self.run_units))
+        self.orbit_min = orbit_min
         self.remembered = self.labels.size <= _REMEMBERED_SEGMENTS
         self._memo = {}
 
     def _remembered(self, key: tuple, make):
         """make(), remembered under `key` among the last _MEMO_KEYS when
-        the plan is (`_plan`)."""
+        the plan is small enough to be remembered itself: a larger layout's
+        search costs far more than its tables, which would stay resident
+        through it."""
         if not self.remembered:
             return make()
         found = self._memo.get(key)
@@ -449,46 +450,9 @@ def _frozen(values: tuple) -> tuple:
 # `_self_min` searches, its sampled pairs and blocks.
 _MEMO_KEYS = 8
 
-# Segments of the largest layout whose plan is remembered (`_plan`).
+# Segments of the largest layout whose plan is remembered, with its orbits
+# (`_groups._orbits`) and its tables (`_Plan._remembered`).
 _REMEMBERED_SEGMENTS = 1 << 16
-
-# The key (`_Plan.key`) of the last layout searched, and the plan of the
-# last layout searched twice in a row (`_plan`): lists of at most one.
-_last = []
-_plans = []
-
-
-def _plan(stacks, orbit_min) -> _Plan:
-    """The _Plan of the stacks' layout and `orbit_min`.  It is remembered,
-    as `_groups._orbits_of` remembers its last generators, from the second
-    search in a row of that layout and orbits until a search of another:
-    an optimizer's evaluations of one family build it twice, and a link
-    measured once (a torus build, a checked file) leaves nothing resident
-    through what runs next, such as `linking_matrix` after `measure_link`.
-    A layout of more than _REMEMBERED_SEGMENTS segments is planned for
-    each search alone, as are the tables its plan makes on demand: its
-    search costs far more than its plan."""
-    layout = _layout(stacks)
-    for held in _plans[:1]:  # a copy: another thread may replace the plan
-        if _matches(held.key, layout, orbit_min):
-            return held
-    _plans.clear()  # freed before the next is built
-    again = any(_matches(key, layout, orbit_min) for key in _last[:1])
-    plan = _Plan(layout, orbit_min)
-    _last[:] = [plan.key]
-    if again and plan.remembered:
-        _plans[:] = [plan]
-    return plan
-
-
-def _matches(key: tuple, layout: tuple, orbit_min) -> bool:
-    """Whether `key`, a plan's (layout, orbit minima), is `layout` and
-    `orbit_min`."""
-    known, given = key
-    if layout != known or (orbit_min is None) != (given is None):
-        return False
-    return orbit_min is given or np.array_equal(orbit_min, given)
-
 
 # Segments sampled for the upper bound that seeds the search radius: at most
 # _BOUND_SAMPLES over all components together (8128 segment pairs), and at
@@ -533,18 +497,13 @@ def _stencil_rows(dim: int, half: bool) -> np.ndarray:
     return rows[rows.shape[0] // 2 :] if half else rows
 
 
-def _candidate_pairs(points, reach: float, marked=None):
+def _candidate_groups(points, reach: float, marked=None):
     """All index pairs (i, j), i < j, of `points` (n rows of any dimension)
     that lie within `reach` (finite, at least 0) of each other; with
-    `marked`, a mask over the points, only the pairs whose i it marks: the
-    groups of `_candidate_groups`, joined in order."""
-    return _joined(list(_candidate_groups(points, reach, marked)))
-
-
-def _candidate_groups(points, reach: float, marked=None):
-    """The pairs of `_candidate_pairs`, handed out as (i, j) arrays of
-    _GATHER pairs or more (the last may hold fewer) as they are gathered,
-    so that a caller that filters each group holds one group at a time.
+    `marked`, a mask over the points, only the pairs whose i it marks.
+    They are handed out as (i, j) arrays of _GATHER pairs or more (the last
+    may hold fewer) as they are gathered, so that a caller that filters
+    each group holds one group at a time.
     The blocks of `_candidate_blocks` are joined as they come: thousands of
     block arrays, freed only at the end, would stay resident as free heap.
     While a caller holds a group, the generator keeps only the group's
@@ -565,7 +524,7 @@ def _gathered(first, blocks) -> list:
 
 
 def _candidate_blocks(points, reach: float, marked=None):
-    """The pairs of `_candidate_pairs`, handed out block by block.  The
+    """The pairs of `_candidate_groups`, handed out block by block.  The
     relative 1e-12 covers rounding in the point distances.
 
     The points go into a uniform cell grid (the linked-cell method of
@@ -869,7 +828,7 @@ class _Runs:
     half the chord plus dev, the radius about them that holds the run.
     With orbits, `top` is each run's largest orbit minimum, and `marked`
     the runs that hold an orbit's representative, from which the run query
-    starts (`_candidate_pairs` with `marked`); else both are None."""
+    starts (`_candidate_groups` with `marked`); else both are None."""
 
     def __init__(self, soup):
         plan = soup.plan
@@ -933,25 +892,28 @@ def _run_pairs(soup, at, radius, inter, intra, arc_windows,
     pair within each block of `sizes` consecutive runs of `at`, by index
     (with orbits, those whose lower run holds a representative), or without
     `sizes` those that one query returns at `radius` plus twice their
-    largest radius."""
+    largest radius, each group filtered as the query hands it out."""
     runs = soup.runs
     if sizes is not None:
         # a kept pair's lower run holds a representative
         lead = None if runs.marked is None else runs.marked.take(at)
-        ra, rb = _pairs(sizes, lead)
+        groups = [_pairs(sizes, lead)]
     else:
         mids, marked, reach = runs.mids, runs.marked, runs.radius
         if at is not None:
             mids, reach = mids.take(at, axis=0), reach.take(at)
             marked = None if marked is None else marked.take(at)
-        ra, rb = _candidate_pairs(mids, radius + 2.0 * reach.max(), marked)
-    if at is not None:
-        ra, rb = at.take(ra), at.take(rb)
-    keep = _may_count(soup, soup.plan.run_units, ra, rb, inter, intra,
-                      arc_windows)
-    ra, rb = ra.compress(keep), rb.compress(keep)
-    keep = runs.lower_bounds(ra, rb) <= radius
-    return ra.compress(keep), rb.compress(keep)
+        groups = _candidate_groups(mids, radius + 2.0 * reach.max(), marked)
+    kept = []
+    for ra, rb in groups:
+        if at is not None:
+            ra, rb = at.take(ra), at.take(rb)
+        keep = _may_count(soup, soup.plan.run_units, ra, rb, inter, intra,
+                          arc_windows)
+        ra, rb = ra.compress(keep), rb.compress(keep)
+        keep = runs.lower_bounds(ra, rb) <= radius
+        kept.append((ra.compress(keep), rb.compress(keep)))
+    return _joined(kept)
 
 
 def _search(soup, intra, arc_windows) -> float:

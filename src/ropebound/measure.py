@@ -34,7 +34,7 @@ import numpy as np
 from .curves import PolyCurve, _length, _stacks, min_curvature_radii
 # Not called here; kept because perfbench/tracing.py wraps these attributes.
 from .curves import min_curvature_radius  # noqa: F401
-from .distances import _SegmentSoup, _certified_min
+from .distances import _Plan, _SegmentSoup, _certified_min
 from .distances import mutual_min_distance  # noqa: F401
 from .linking import linking_matrix
 
@@ -123,6 +123,7 @@ class _Symmetry(NamedTuple):
     orbit_min: np.ndarray | None  # per segment: its orbit's lowest index
     margin: float  # 2 eps when a symmetry is used, else 0
     stacks: list  # per shape: the segment table (`curves._Stack`)
+    plan: _Plan  # the search plan of the layout under the orbits
 
 
 def _symmetry(comps) -> _Symmetry:
@@ -160,7 +161,7 @@ def _symmetry(comps) -> _Symmetry:
     sizes = np.concatenate(sizes)
     found = _generators(stacks, axes, int(np.gcd.reduce(sizes[sizes > 1],
                                                          initial=0)), eps)
-    group, orbit_min = _orbits(stacks, *found)
+    group, orbit_min, plan = _orbits(stacks, *found)
     orbit = np.arange(q) if group is None else group[:, 0].min(axis=0)
     classes = orbit.copy()
     for st, ch in zip(stacks, chords):
@@ -172,7 +173,7 @@ def _symmetry(comps) -> _Symmetry:
     classes = classes[orbit]
     used = orbit_min is not None or (classes != np.arange(q)).any()
     return _Symmetry(classes, group, orbit_min, 2.0 * eps if used else 0.0,
-                     stacks)
+                     stacks, plan)
 
 
 def _chords(v: np.ndarray) -> np.ndarray:
@@ -279,12 +280,13 @@ def _prepared(comps) -> tuple:
     curvature (`_curvature`), length and symmetry margin (`_symmetry`),
     and the segment table of its distance search, built from the
     per-shape stacks, which are freed before the search, and read through
-    the index tables of its layout and orbits (`distances._plan`, shared
-    by the successive links of one layout that an optimizer evaluates)."""
+    the plan of its layout and orbits (`sym.plan`, which `_groups._orbits_of`
+    remembers with the orbits, so that the successive links of one layout
+    that an optimizer evaluates share it)."""
     sym = _symmetry(comps)
     radii, windows = _curvature(sym)
     return (radii, windows, _total_length(sym.stacks, len(comps)), sym.margin,
-            _SegmentSoup(comps, sym.orbit_min, sym.stacks))
+            _SegmentSoup(comps, sym.plan, sym.stacks))
 
 
 def measure_link(config: LinkConfiguration) -> LinkMetrics:

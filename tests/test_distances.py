@@ -174,9 +174,15 @@ def _brute_pairs(points, reach, marked=None) -> list:
     return list(zip(*(k.tolist() for k in np.nonzero(within))))
 
 
+def _candidate_pairs(points, reach, marked=None) -> tuple:
+    """The groups of `_candidate_groups`, joined in order."""
+    return distances._joined(list(distances._candidate_groups(points, reach,
+                                                              marked)))
+
+
 def _searched_pairs(points, reach, marked=None) -> list:
-    """The pairs `_candidate_pairs` returns, in order, each once."""
-    i, j = distances._candidate_pairs(points, reach, marked)
+    """The pairs `_candidate_groups` hands out, in order, each once."""
+    i, j = _candidate_pairs(points, reach, marked)
     pairs = sorted(zip(i.tolist(), j.tolist()))
     assert len(set(pairs)) == len(pairs)
     return pairs
@@ -260,7 +266,7 @@ def test_candidate_pairs_keep_the_grid_small_for_a_wide_extent(
     points = rng.uniform(size=(301, dim))
     reach = 0.05 if dim == 3 else 0.01
     points[-1] = 1e9 * reach
-    distances._candidate_pairs(points, reach)  # the thread's buffers
+    _candidate_pairs(points, reach)  # the thread's buffers
     for marked in _masks(len(points), rng, with_marked):
         tracemalloc.start()
         try:
@@ -292,12 +298,13 @@ def test_candidate_pairs_expand_in_blocks(dim, with_marked, monkeypatch):
 def test_candidate_groups_join_to_the_candidate_pairs(with_marked,
                                                       monkeypatch):
     # blocks of 16 candidates, groups of 50 pairs or more: the groups,
-    # joined in order, are the pairs of one search, and each but the last
-    # holds at least 50
+    # joined in order, are the pairs of one search in one group, and each
+    # but the last holds at least 50
     rng = np.random.default_rng(5)
     points = rng.uniform(size=(400, 3))
     marked = rng.random(400) < 0.5 if with_marked else None
-    whole = distances._candidate_pairs(points, 0.15, marked)
+    whole = _candidate_pairs(points, 0.15, marked)
+    assert len(list(distances._candidate_groups(points, 0.15, marked))) == 1
     monkeypatch.setattr(distances, "_GRID_BLOCK", 16)
     monkeypatch.setattr(distances, "_GATHER", 50)
     groups = list(distances._candidate_groups(points, 0.15, marked))
@@ -746,6 +753,23 @@ def test_one_component_asked_for_both_kinds_is_its_self_minimum(make,
     assert fast == min_self_distance_brute(curves[0], windows[0])
 
 
+def test_a_callers_orbit_minima_are_left_as_they_are():
+    # a plan built from orbit minima that a caller passes reads them and
+    # makes only its own tables read-only: the caller's array stays
+    # writable and holds what it held, through a soup and a search alike
+    curves = _random_pair()
+    n = sum(c.n_segments for c in curves)
+    orbit_min = _random_orbits(n, np.random.default_rng(3))
+    given = orbit_min.copy()
+    soup = distances._SegmentSoup(curves, orbit_min)
+    assert soup.orbit_min is orbit_min and not soup.next_rep.flags.writeable
+    assert orbit_min.flags.writeable and np.array_equal(orbit_min, given)
+    fast = _certified_min(curves, inter=True, intra=True,
+                          arc_windows=np.array([2.0, 5.0]), orbit_min=orbit_min)
+    assert math.isfinite(fast)
+    assert orbit_min.flags.writeable and np.array_equal(orbit_min, given)
+
+
 @pytest.mark.parametrize("intra", [False, True], ids=["inter", "combined"])
 def test_the_sampled_bound_holds_a_kept_pair_under_any_orbits(intra):
     # segment 0 is the lowest of its orbit and no orbit lies below it, so a
@@ -926,13 +950,13 @@ def test_torus_self_distances_search_once_or_not_at_all(monkeypatch):
     # and no query is made; the core circle's bending window covers half its
     # length, so no self pair can be admissible: no search, inf
     searches = []
-    candidate_pairs = distances._candidate_pairs
+    candidate_groups = distances._candidate_groups
 
     def counting(points, reach, marked=None):
         searches.append(reach)
-        return candidate_pairs(points, reach, marked)
+        return candidate_groups(points, reach, marked)
 
-    monkeypatch.setattr(distances, "_candidate_pairs", counting)
+    monkeypatch.setattr(distances, "_candidate_groups", counting)
     core, helix = _torus()[:2]
     for curve, finite in ((helix, True), (core, False)):
         searches.clear()
@@ -943,15 +967,15 @@ def test_torus_self_distances_search_once_or_not_at_all(monkeypatch):
 
 
 def _queries(monkeypatch) -> list:
-    """Record the point count of every `_candidate_pairs` query."""
+    """Record the point count of every `_candidate_groups` query."""
     queries = []
-    candidate_pairs = distances._candidate_pairs
+    candidate_groups = distances._candidate_groups
 
     def counting(points, reach, marked=None):
         queries.append(len(points))
-        return candidate_pairs(points, reach, marked)
+        return candidate_groups(points, reach, marked)
 
-    monkeypatch.setattr(distances, "_candidate_pairs", counting)
+    monkeypatch.setattr(distances, "_candidate_groups", counting)
     return queries
 
 
@@ -988,6 +1012,47 @@ def test_a_coiled_knot_takes_the_query(monkeypatch):
     window = np.pi * min_curvature_radius(knot)
     assert metrics.min_self_distance == min_self_distance_brute(knot, window)
     assert metrics.min_self_distance < 0.3 * np.ptp(knot.vertices, axis=0).max()
+
+
+_MANY_GROUP_LINKS = {
+    "inc4 T=2 @200": lambda: realize_torus(build_increment_spec(2, 4),
+                                           n_points=200, check=False),
+    "gibbous q=20 @200": lambda: build_planar_link(20, "gibbous",
+                                                   n_points=200),
+}
+
+
+@pytest.mark.parametrize("name", list(_MANY_GROUP_LINKS))
+def test_run_pairs_are_filtered_group_by_group(name, monkeypatch):
+    # with blocks of 64 candidates and groups of a few dozen run pairs, the
+    # run query hands out many, and `_run_pairs` filters each before it
+    # asks for the next: every group is followed by one `_may_count` call
+    # on run units of its size, and the metrics are those of one group bit
+    # for bit
+    link = _MANY_GROUP_LINKS[name]()
+    whole = measure.measure_link(link).as_dict()
+    events = []
+    candidate_groups, may_count = (distances._candidate_groups,
+                                   distances._may_count)
+
+    def groups(*args):
+        for group in candidate_groups(*args):
+            events.append(("group", group[0].size))
+            yield group
+
+    def counting(soup, units, ia, ib, *rest):
+        if units is soup.plan.run_units:
+            events.append(("count", ia.size))
+        return may_count(soup, units, ia, ib, *rest)
+
+    monkeypatch.setattr(distances, "_candidate_groups", groups)
+    monkeypatch.setattr(distances, "_may_count", counting)
+    monkeypatch.setattr(distances, "_GATHER", 40)
+    monkeypatch.setattr(distances, "_GRID_BLOCK", 64)
+    assert measure.measure_link(link).as_dict() == whole
+    at = [k for k, (kind, _) in enumerate(events) if kind == "group"]
+    assert len(at) > 5
+    assert all(events[k + 1] == ("count", events[k][1]) for k in at)
 
 
 def test_a_link_without_symmetry_enumerates_its_runs_in_blocks(monkeypatch):

@@ -312,7 +312,8 @@ def _segment_level_boxes(lo, hi, labels):
     label and overlap, as one part."""
     centres = 0.5 * (lo + hi)
     pad = 4.0 * np.spacing(np.abs(centres).max())
-    a, b = distances._candidate_pairs(centres, np.hypot(*(hi - lo).T).max() + pad)
+    a, b = distances._joined(list(distances._candidate_groups(
+        centres, np.hypot(*(hi - lo).T).max() + pad)))
     keep = labels[a] != labels[b]
     for lo_k, hi_k in zip(lo.T, hi.T):
         keep &= (lo_k[a] <= hi_k[b]) & (lo_k[b] <= hi_k[a])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ropebound import _groups, curves, distances, optimize
+from ropebound import _groups, curves, distances, measure, optimize
 from ropebound.construct import build_planar_link, realize_torus, toroidal_pair
 from ropebound.curves import PolyCurve, sample_planar_curve
 from ropebound.linking import linking_matrix
@@ -276,10 +276,22 @@ def test_toroidal_pair_tuned_parameters_beat_twelve():
 
 def _forget_layouts():
     """Drop every table remembered for the last layout measured."""
-    distances._plans.clear()
-    distances._last.clear()
     curves._ring.cache_clear()
     _groups._orbits_of.cache_clear()
+
+
+def _plans(monkeypatch) -> list:
+    """Record the search plan (`distances._Plan`) of every link measured."""
+    plans = []
+    symmetry = measure._symmetry
+
+    def recording(comps):
+        sym = symmetry(comps)
+        plans.append(sym.plan)
+        return sym
+
+    monkeypatch.setattr(measure, "_symmetry", recording)
+    return plans
 
 
 @pytest.mark.parametrize("family, q, other", [
@@ -288,68 +300,76 @@ def _forget_layouts():
     ("circles", 8, ("toroidal_pair", 14)),
     ("toroidal_pair", 14, ("gibbous", 3)),
 ])
-def test_objective_does_not_depend_on_what_was_measured_before(family, q,
-                                                               other):
-    # a layout's tables are remembered from its second measurement in a
-    # row; the objective at a point keeps its bits fresh, after other points
-    # of its family have shared them, and after another family replaced them
+def test_objective_does_not_depend_on_what_was_measured_before(
+        family, q, other, monkeypatch):
+    # a layout's orbits and plan are remembered for the last layout
+    # measured; the objective at a point keeps its bits fresh, after other
+    # points of its family have shared one plan, and after another family
+    # replaced it
     problem = OptimizationProblem(family, q, n_points=100)
     lo, hi = problem.param_bounds.T
     point = problem.initial_params + 0.02 * (hi - lo)
     _forget_layouts()
+    plans = _plans(monkeypatch)
     fresh = problem.objective(point)
-    assert math.isfinite(fresh) and distances._plans == []
+    assert math.isfinite(fresh)
     for step in (0.01, -0.01, 0.03):
         problem.objective(problem.initial_params + step * (hi - lo))
-    plan = distances._plans[0]
     assert problem.objective(point).hex() == fresh.hex()
-    assert distances._plans[0] is plan
+    assert len(plans) == 5 and all(plan is plans[0] for plan in plans)
     rival = OptimizationProblem(*other, n_points=100)
-    for _ in range(2):
-        rival.objective(rival.initial_params)
-    assert distances._plans[0] is not plan and len(distances._plans) == 1
+    rival.objective(rival.initial_params)
+    assert plans[-1] is not plans[0]
     assert problem.objective(point).hex() == fresh.hex()
+    assert plans[-1] is not plans[0]
 
 
-def test_one_layout_is_remembered_at_a_time():
-    # a layout measured twice in a row keeps its plan, one layout at most;
-    # a link measured once leaves none
+def test_one_layout_is_remembered_at_a_time(monkeypatch):
+    # a link measured once keeps its orbits and plan until a link of
+    # another layout is measured, one layout at a time
     _forget_layouts()
-    for q in (5, 7):
-        link = build_planar_link(q, "gibbous", n_points=60)
+    plans = _plans(monkeypatch)
+    torus = realize_torus(build_increment_spec(1, 4), n_points=80,
+                          check=False)
+    links = [build_planar_link(q, "gibbous", n_points=60) for q in (5, 7)]
+    for link in (*links, torus):
         measure_link(link)
-        assert distances._plans == []
         measure_link(link)
-        assert len(distances._plans) == 1
+        assert plans[-1] is plans[-2]
+        assert _groups._orbits_of.cache_info().currsize == 1
         assert curves._ring.cache_info().currsize == 1
-    assert distances._plans[0].comp_nseg.tolist() == [60] * 7
-    measure_link(realize_torus(build_increment_spec(1, 4), n_points=80,
-                               check=False))
-    assert distances._plans == [] and len(distances._last) == 1
+    assert plans[1] is not plans[2] and plans[3] is not plans[4]
+    assert plans[3].comp_nseg.tolist() == [60] * 7
+    info = _groups._orbits_of.cache_info()
+    assert (info.hits, info.misses) == (3, 3)
 
 
 def test_a_large_layout_is_planned_for_its_measurement_alone(monkeypatch):
-    # a layout above the remembered size is planned afresh, remembers none
-    # of its tables, and frees the plan it replaces; its metrics are those
-    # of a remembered plan
+    # a layout above the remembered size has its orbits and plan made for
+    # each measurement, and its plan remembers none of its tables; the
+    # remembered layout is left as it was, and the metrics are those of a
+    # remembered plan
     link = build_planar_link(6, "gibbous", n_points=60)
     _forget_layouts()
+    plans = _plans(monkeypatch)
     remembered = [measure_link(link) for _ in range(2)][-1]
-    assert len(distances._plans) == 1
+    assert plans[0] is plans[1] and plans[1].remembered
+    info = _groups._orbits_of.cache_info()
     monkeypatch.setattr(distances, "_REMEMBERED_SEGMENTS", 6 * 60 - 1)
-    measure_link(build_planar_link(7, "circles", n_points=60))
-    assert distances._plans == []
     for _ in range(2):
         fresh = measure_link(link)
-        assert distances._plans == []
+        assert plans[-1] is not plans[0] and not plans[-1].remembered
+        assert plans[-1]._memo == {}
+    assert plans[-1] is not plans[-2]
+    assert _groups._orbits_of.cache_info() == info
     assert fresh.as_dict() == remembered.as_dict()
 
 
-def test_a_plan_is_kept_only_for_its_own_orbits():
+def test_a_plan_is_kept_only_for_its_own_orbits(monkeypatch):
     # a ring of four loops (D4) and a copy with loops 0 and 2 pulled toward
     # their successors alike (C2) share their layout but not their orbits:
     # measured after one another, each measures as it does with nothing
-    # remembered
+    # remembered, and neither is searched with the other's plan
     ring = build_planar_link(4, "gibbous", n_points=60)
     comps = list(ring.components)
     a, b = comps[0].vertices, comps[1].vertices
@@ -361,13 +381,19 @@ def test_a_plan_is_kept_only_for_its_own_orbits():
         v[i] += turn
         comps[k] = PolyCurve(v)
     pulled = LinkConfiguration(comps)
-    fresh, orbits = [], []
+    plans = _plans(monkeypatch)
+    fresh = []
     for link in (ring, pulled):
         _forget_layouts()
         fresh.append(measure_link(link).as_dict())
-        orbits.append(distances._last[0][1])
+    orbits = [plan.orbit_min for plan in plans]
     assert orbits[1] is not None and not np.array_equal(*orbits)
     assert fresh[1]["min_inter_distance"] < fresh[0]["min_inter_distance"]
     _forget_layouts()
-    for link in (ring, ring, pulled, pulled, ring):
+    plans.clear()
+    order = (ring, ring, pulled, pulled, ring)
+    for link in order:
         assert measure_link(link).as_dict() == fresh[link is pulled]
+    for link, plan in zip(order, plans):
+        assert np.array_equal(plan.orbit_min, orbits[link is pulled])
+    assert plans[0] is plans[1] and plans[1] is not plans[2]
